@@ -1,11 +1,11 @@
 """Construction and application of correlated two-qubit channels.
 
-A channel is either a KrausSet (operators K_k with optional mixture weights
-w_k, acting as rho -> sum_k w_k K_k rho K_k^dag) or a KrausMixture, a convex
-combination of KrausSets. The correlated dephasing channel keeps its four
-joint probabilities as explicit weights; the correlated amplitude-damping
-channel keeps the (1-mu)/mu split between its uncorrelated and fully
-correlated branches as a mixture, so the mu = 0 and mu = 1 limits are exact.
+A channel is a KrausSet: operators K_k with optional mixture weights w_k,
+acting as rho -> sum_k w_k K_k rho K_k^dag. The correlated dephasing channel
+carries its four joint probabilities as the weights; the correlated
+amplitude-damping channel carries the (1-mu)/mu split between its four
+uncorrelated and two fully correlated operators, so the mu = 0 and mu = 1
+limits are exact.
 
 Channels are snapshots at a fixed noise value p; time enters only through
 the scalar noise functions (see `channel_at_time`).
@@ -55,28 +55,6 @@ class KrausSet:
         return tuple(zip(ws, self.operators))
 
 
-@dataclass(frozen=True, eq=False)
-class KrausMixture:
-    """Convex combination of KrausSets: rho -> sum_b w_b E_b(rho)."""
-
-    dim: int
-    branches: tuple[tuple[float, KrausSet], ...]
-
-    def __post_init__(self):
-        for _, ks in self.branches:
-            if ks.dim != self.dim:
-                raise ValueError("branch dimension mismatch")
-
-    def weighted_operators(self):
-        out = []
-        for wb, ks in self.branches:
-            out.extend((wb * wk, op) for wk, op in ks.weighted_operators())
-        return tuple(out)
-
-
-Channel = KrausSet | KrausMixture
-
-
 @dataclass(frozen=True)
 class JointProbTable:
     """Joint error probabilities p_ij = (1-mu) q_i q_j + mu q_i delta_ij."""
@@ -93,7 +71,7 @@ class JointProbTable:
             raise ValidationError("joint probability normalization", abs(total - 1.0))
 
 
-def completeness_residual(channel: Channel) -> float:
+def completeness_residual(channel: KrausSet) -> float:
     """Max entrywise deviation of sum_k w_k K_k^dag K_k from the identity."""
     acc = np.zeros((channel.dim, channel.dim), dtype=complex)
     for w, op in channel.weighted_operators():
@@ -180,26 +158,26 @@ def fully_correlated_nmad_channel(p: float) -> KrausSet:
     return ks
 
 
-def correlated_nmad_channel(p: float, mu: float) -> KrausMixture:
-    """Correlated amplitude damping as the mixture
-    (1-mu) E_uncorr + mu E_fcorr.
+def correlated_nmad_channel(p: float, mu: float) -> KrausSet:
+    """Correlated amplitude damping (1-mu) E_uncorr + mu E_fcorr: the four
+    uncorrelated operators with weight 1-mu, then the two fully correlated
+    ones with weight mu.
     """
     _check_mu(mu)
-    mix = KrausMixture(dim=4, branches=(
-        (1 - mu, uncorrelated_nmad_channel(p)),
-        (mu, fully_correlated_nmad_channel(p)),
-    ))
-    _assert_complete(mix)
-    return mix
+    ops = (uncorrelated_nmad_channel(p).operators
+           + fully_correlated_nmad_channel(p).operators)
+    ks = KrausSet(dim=4, operators=ops, weights=(1 - mu,) * 4 + (mu,) * 2)
+    _assert_complete(ks)
+    return ks
 
 
-def _assert_complete(channel: Channel) -> None:
+def _assert_complete(channel: KrausSet) -> None:
     res = completeness_residual(channel)
     if res > COMPLETENESS_TOL:
         raise ValidationError("Kraus completeness", res)
 
 
-def apply_matrix(channel: Channel, m: np.ndarray) -> np.ndarray:
+def apply_matrix(channel: KrausSet, m: np.ndarray) -> np.ndarray:
     """Linear action of the channel on an arbitrary matrix (no state checks)."""
     if m.shape != (channel.dim, channel.dim):
         raise ValueError(f"matrix shape {m.shape} does not match channel dim {channel.dim}")
@@ -209,7 +187,7 @@ def apply_matrix(channel: Channel, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply(channel: Channel, rho: np.ndarray) -> np.ndarray:
+def apply(channel: KrausSet, rho: np.ndarray) -> np.ndarray:
     """Apply the channel to a density matrix; the output is validated again."""
     rho = validate_density(rho)
     if rho.shape[0] != channel.dim:
@@ -217,11 +195,11 @@ def apply(channel: Channel, rho: np.ndarray) -> np.ndarray:
     return validate_density(apply_matrix(channel, rho))
 
 
-def channel_at_time(noise: NoiseParams, mu: float, t: float) -> Channel:
+def channel_at_time(noise: NoiseParams, mu: float, t: float) -> KrausSet:
     """Correlated channel snapshot at time t for the given noise family.
 
     RTN and OUN give the correlated dephasing channel at p(t); NMAD gives the
-    correlated amplitude-damping mixture at p(t) = 1 - G(t)^2.
+    correlated amplitude-damping channel at p(t) = 1 - G(t)^2.
     """
     p = noise_p(noise, t)
     if isinstance(noise, NmadParams):
@@ -242,7 +220,7 @@ class CptpReport:
         return self.completeness_residual < COMPLETENESS_TOL and self.choi_min_eigenvalue > -1e-9
 
 
-def cptp_report(channel: Channel) -> CptpReport:
+def cptp_report(channel: KrausSet) -> CptpReport:
     """Report completeness, Choi positivity and unitality residuals.
 
     The channel is CPTP iff the completeness residual is below 1e-10 and the

@@ -3,6 +3,8 @@ emitted as deterministic CSV.
 
 Every numeric subcommand writes RFC-4180 CSV (header row, '.' decimal,
 12 significant digits) to --out, one row per sample, rows in grid order.
+All rows are computed before the output is opened, so a sweep that fails
+part-way leaves no partial CSV behind.
 Exit codes: 0 success, 2 invalid usage or parameters, 3 numeric failure.
 
 Options can also be supplied through --config FILE, a plain text file of
@@ -11,10 +13,11 @@ command-line flags override file values.
 """
 
 import argparse
+import contextlib
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# Unused here, but perfbench/tracing.py patches this name when it installs.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
@@ -22,14 +25,11 @@ from .errors import NumericError, ValidationError
 from .noise import NmadParams, OunParams, RtnParams
 from .channels import apply, channel_at_time
 from .map_algebra import correlated_oun_generator, dephasing_generator, transfer_sampler
-from .measures import (PROBE_NAMES, PROBE_PAIRS, DephasingRateFamily,
-                       FixedGenerator, blp_measure, concurrence, probe_state,
-                       random_bell_probes, sss_measure, trace_distance,
-                       volume_trace)
+from .measures import (PROBE_NAMES, PROBE_PAIRS, RISE_THRESHOLD, blp_measure,
+                       concurrence, probe_state, random_bell_probes,
+                       sss_measure, trace_distance, volume_trace)
 from .freezing import freezing_predicate
 from .qec import classify_errors, success_vs_time
-
-RISE_THRESHOLD = 1e-12
 
 
 def _fmt(x: float) -> str:
@@ -54,8 +54,8 @@ def _parse_mus(text: str) -> list[float]:
 
 
 def _time_grid(args) -> np.ndarray:
-    if args.tmax <= 0:
-        raise ValueError(f"--tmax must be positive, got {args.tmax}")
+    if not 0 < args.tmax < np.inf:
+        raise ValueError(f"--tmax must be positive and finite, got {args.tmax}")
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
     return np.linspace(0.0, args.tmax, args.steps)
@@ -72,28 +72,12 @@ def _noise_from_args(args) -> RtnParams | OunParams | NmadParams:
     raise ValueError(f"unknown noise family {kind!r}")
 
 
-def _pooled(tasks):
-    """Run the task callables on a thread pool, results in task order."""
-    if len(tasks) <= 1:
-        return [task() for task in tasks]
-    workers = min(len(tasks), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda task: task(), tasks))
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    if path == "-":
-        _emit(sys.stdout, header, rows)
-        return
-    with open(path, "w", newline="") as fh:
-        _emit(fh, header, rows)
-
-
-def _emit(fh, header, rows) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+    with (contextlib.nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", newline="")) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # --------------------------------------------------------------------------
@@ -106,24 +90,17 @@ def _cmd_evolve(args) -> int:
     times = _time_grid(args)
     mus = _parse_mus(args.mu)
     rho0 = probe_state(args.state)
-
-    def run(mu):
-        rows = []
+    rows = []
+    for mu in mus:
         for t in times:
             rho = apply(channel_at_time(noise, mu, t), rho0)
             row = [_fmt(t), _fmt(mu)]
-            for i in range(4):
-                for j in range(4):
-                    row.extend((_fmt(rho[i, j].real), _fmt(rho[i, j].imag)))
+            for x in rho.flat:
+                row.extend((_fmt(x.real), _fmt(x.imag)))
             rows.append(row)
-        return rows
-
-    header = ["t", "mu"]
-    for i in range(4):
-        for j in range(4):
-            header.extend((f"rho{i + 1}{j + 1}_re", f"rho{i + 1}{j + 1}_im"))
-    blocks = _pooled([lambda mu=mu: run(mu) for mu in mus])
-    _write_csv(args.out, header, (row for block in blocks for row in block))
+    header = ["t", "mu"] + [f"rho{i}{j}_{part}" for i in range(1, 5)
+                            for j in range(1, 5) for part in ("re", "im")]
+    _write_csv(args.out, header, rows)
     return 0
 
 
@@ -132,15 +109,10 @@ def _cmd_concurrence(args) -> int:
     times = _time_grid(args)
     mus = _parse_mus(args.mu)
     rho0 = probe_state(args.probe)
-
-    def run(mu):
-        return [[_fmt(t), _fmt(mu),
-                 _fmt(concurrence(apply(channel_at_time(noise, mu, t), rho0)))]
-                for t in times]
-
-    blocks = _pooled([lambda mu=mu: run(mu) for mu in mus])
-    _write_csv(args.out, ["t", "mu", "concurrence"],
-               (row for block in blocks for row in block))
+    rows = [[_fmt(t), _fmt(mu),
+             _fmt(concurrence(apply(channel_at_time(noise, mu, t), rho0)))]
+            for mu in mus for t in times]
+    _write_csv(args.out, ["t", "mu", "concurrence"], rows)
     return 0
 
 
@@ -157,18 +129,13 @@ def _cmd_tracedist(args) -> int:
     mus = _parse_mus(args.mu)
     name1, name2 = _split_pair(args.pair)
     rho1, rho2 = probe_state(name1), probe_state(name2)
-
-    def run(mu):
-        rows = []
+    rows = []
+    for mu in mus:
         for t in times:
             ch = channel_at_time(noise, mu, t)
             rows.append([_fmt(t), _fmt(mu),
                          _fmt(trace_distance(apply(ch, rho1), apply(ch, rho2)))])
-        return rows
-
-    blocks = _pooled([lambda mu=mu: run(mu) for mu in mus])
-    _write_csv(args.out, ["t", "mu", "trace_distance"],
-               (row for block in blocks for row in block))
+    _write_csv(args.out, ["t", "mu", "trace_distance"], rows)
     return 0
 
 
@@ -182,49 +149,36 @@ def _cmd_blp(args) -> int:
         randoms = random_bell_probes(2 * args.random_probes, seed=args.seed)
         for k in range(args.random_probes):
             named.append((f"random{k}", randoms[2 * k], randoms[2 * k + 1]))
-
-    def run(mu):
-        rows = []
+    rows = []
+    for mu in mus:
         best = 0.0
         for label, rho1, rho2 in named:
-            def pair_at(t, r1=rho1, r2=rho2):
+            def pair_at(t):
                 ch = channel_at_time(noise, mu, t)
-                return apply(ch, r1), apply(ch, r2)
+                return apply(ch, rho1), apply(ch, rho2)
             value = blp_measure(pair_at, times).value
             best = max(best, value)
             rows.append([_fmt(mu), label, _fmt(value)])
         rows.append([_fmt(mu), "max", _fmt(best)])
-        return rows
-
-    blocks = _pooled([lambda mu=mu: run(mu) for mu in mus])
-    _write_csv(args.out, ["mu", "pair", "blp"],
-               (row for block in blocks for row in block))
+    _write_csv(args.out, ["mu", "pair", "blp"], rows)
     return 0
 
 
 def _cmd_sss(args) -> int:
     mus = _parse_mus(args.mu)
     g_inverses = _parse_floats(args.g_inverse)
-    if not g_inverses or any(gi <= 0 for gi in g_inverses):
-        raise ValueError("--g-inverse requires positive values")
-    if args.tmax <= 0:
-        raise ValueError(f"--tmax must be positive, got {args.tmax}")
-
-    def run(task):
-        g_inv, mu = task
+    if not g_inverses or not all(0 < gi < np.inf for gi in g_inverses):
+        raise ValueError("--g-inverse requires positive finite values")
+    reference = dephasing_generator(-args.G / 2, -args.G)
+    rows = []
+    for g_inv in g_inverses:
         params = OunParams(G=args.G, g=1.0 / g_inv)
-        if args.family == "markov":
-            family = FixedGenerator(dephasing_generator(-args.G / 2, -args.G))
-        else:
-            family = DephasingRateFamily(guesses=[(-args.G / 2, -args.G)])
-        zeta = sss_measure(lambda t: correlated_oun_generator(t, params, mu),
-                           family, args.tmax, n_points=args.steps)
-        return [[_fmt(g_inv), _fmt(mu), _fmt(zeta)]]
-
-    tasks = [(gi, mu) for gi in g_inverses for mu in mus]
-    blocks = _pooled([lambda task=task: run(task) for task in tasks])
-    _write_csv(args.out, ["g_inverse", "mu", "zeta"],
-               (row for block in blocks for row in block))
+        for mu in mus:
+            zeta = sss_measure(lambda t: correlated_oun_generator(t, params, mu),
+                               reference, args.tmax, n_points=args.steps,
+                               free=args.family == "free")
+            rows.append([_fmt(g_inv), _fmt(mu), _fmt(zeta)])
+    _write_csv(args.out, ["g_inverse", "mu", "zeta"], rows)
     return 0
 
 
@@ -232,17 +186,14 @@ def _cmd_volume(args) -> int:
     noise = _noise_from_args(args)
     times = _time_grid(args)
     mus = _parse_mus(args.mu)
-
-    def run(mu):
-        trace = volume_trace(transfer_sampler(noise, mu), times)
+    rows = []
+    for mu in mus:
+        vols = volume_trace(transfer_sampler(noise, mu), times).series.values
         flags = np.zeros(len(times), dtype=int)
-        flags[1:] = np.diff(trace.series.values) > RISE_THRESHOLD
-        return [[_fmt(t), _fmt(mu), _fmt(v), str(flag)]
-                for t, v, flag in zip(times, trace.series.values, flags)]
-
-    blocks = _pooled([lambda mu=mu: run(mu) for mu in mus])
-    _write_csv(args.out, ["t", "mu", "volume", "witness_flag"],
-               (row for block in blocks for row in block))
+        flags[1:] = np.diff(vols) > RISE_THRESHOLD
+        rows.extend([_fmt(t), _fmt(mu), _fmt(v), str(flag)]
+                    for t, v, flag in zip(times, vols, flags))
+    _write_csv(args.out, ["t", "mu", "volume", "witness_flag"], rows)
     return 0
 
 
@@ -252,16 +203,13 @@ def _cmd_qec(args) -> int:
         raise ValueError("the qec subcommand supports dephasing noise only (rtn, oun)")
     times = _time_grid(args)
     mus = _parse_mus(args.mu)
-
-    def run(mu):
+    rows = []
+    for mu in mus:
         series = success_vs_time(noise, mu, times, normalized=args.normalized)
-        return [[_fmt(t), _fmt(mu), _fmt(v)]
-                for t, v in zip(series.times, series.values)]
-
+        rows.extend([_fmt(t), _fmt(mu), _fmt(v)]
+                    for t, v in zip(series.times, series.values))
     column = "p_success_normalized" if args.normalized else "p_success"
-    blocks = _pooled([lambda mu=mu: run(mu) for mu in mus])
-    _write_csv(args.out, ["t", "mu", column],
-               (row for block in blocks for row in block))
+    _write_csv(args.out, ["t", "mu", column], rows)
     return 0
 
 
@@ -469,6 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config(argv)
         args = parser.parse_args(argv)
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # argparse reads `--name=--` as []
+                raise ValueError(f"--{name.replace('_', '-')} requires a value, got '--'")
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:

@@ -19,6 +19,7 @@ from .channels import SIGMA
 from .linalg import validate_density
 
 BLOCH_EQ_TOL = 1e-9
+BELL_DIAGONAL_TOL = 1e-12
 
 _ANTI_DIAGONAL = ((0, 3), (1, 2), (2, 1), (3, 0))
 _SINGLE_FLIP = ((0, 1), (0, 2), (1, 0), (2, 0), (1, 3), (3, 1), (2, 3), (3, 2))
@@ -35,8 +36,11 @@ class BlochDiagonal:
     c3: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.c)):
+            raise ValidationError("finite Bloch components", float("nan"),
+                                  f"Bloch components must be finite, got {self.c}")
         smallest = float(np.linalg.eigvalsh(bloch_diagonal_state(self)).min())
-        if smallest < -1e-10:
+        if not smallest >= -1e-10:
             raise ValidationError("Bell-diagonal positivity", smallest)
 
     @property
@@ -60,15 +64,15 @@ def bloch_diagonal_state(c) -> np.ndarray:
     return rho / 4
 
 
-def state_to_bloch_diagonal(rho: np.ndarray, tol: float = 1e-12) -> BlochDiagonal:
+def state_to_bloch_diagonal(rho: np.ndarray) -> BlochDiagonal:
     """Extract the Bloch triple of a Bell-diagonal state.
 
     Raises ValidationError when rho deviates from the Bell-diagonal form by
-    more than `tol` in any entry.
+    more than 1e-12 in any entry.
     """
     c = tuple(float(np.trace(rho @ np.kron(s, s)).real) for s in SIGMA[1:])
     residual = float(np.abs(rho - bloch_diagonal_state(c)).max())
-    if residual > tol:
+    if residual > BELL_DIAGONAL_TOL:
         raise ValidationError("Bell-diagonal form", residual)
     return BlochDiagonal(*c)
 
@@ -158,7 +162,8 @@ def freezing_predicate(state, kind: str, mu: float) -> FreezingVerdict:
     carries no decaying coherence). Correlated amplitude damping freezes the
     c1 = c2, c3 = -1 Bell-diagonal family, and only in the fully correlated
     limit; at mu < 1 the uncorrelated branch still moves those states, which
-    is reported as "conditional".
+    is reported as "conditional". A Bloch triple must describe a state:
+    anything else raises ValidationError instead of getting a verdict.
     """
     kind = kind.lower()
     if kind not in _UNITAL_KINDS and kind != "nmad":
@@ -168,7 +173,9 @@ def freezing_predicate(state, kind: str, mu: float) -> FreezingVerdict:
         if kind in _UNITAL_KINDS:
             return _unital_verdict_rho(rho, mu)
         return _nmad_verdict_rho(rho, mu)
-    c1, c2, c3 = _as_triple(state)
+    if not isinstance(state, BlochDiagonal):
+        state = BlochDiagonal(*_as_triple(state))
+    c1, c2, c3 = state.c
     if kind in _UNITAL_KINDS:
         if max(abs(c1), abs(c2)) <= BLOCH_EQ_TOL:
             return FreezingVerdict("frozen", "no decaying component (c1 = c2 = 0)")

@@ -14,6 +14,7 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 MIN_EIGENVALUE = -1e-9
 NOT_PSD_THRESHOLD = -1e-6
+EIG_HERMITICITY_TOL = 1e-8
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
@@ -21,18 +22,18 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def eig_hermitian(m: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
     Returns (eigenvalues, eigenvectors) with eigenvectors as columns, so that
     M @ V = V @ diag(w).
 
     Raises:
-        ValidationError: input not Hermitian within `tol`.
+        ValidationError: input not Hermitian within 1e-8.
         NumericError: the iteration failed to converge.
     """
     res = hermiticity_residual(m)
-    if res > tol:
+    if res > EIG_HERMITICITY_TOL:
         raise ValidationError("hermiticity", res)
     try:
         w, v = np.linalg.eigh(m)

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .channels import Channel, KrausSet, channel_at_time, SIGMA
+from .channels import KrausSet, channel_at_time, SIGMA
 from .noise import NoiseParams, OunParams, oun_p
 
 # Diagonal slot groups of the two-qubit basis under correlated dephasing,
@@ -62,7 +62,7 @@ def computational_basis(dim: int) -> np.ndarray:
     return taus
 
 
-def transfer_matrix(channel: Channel, basis: OperatorBasis) -> np.ndarray:
+def transfer_matrix(channel: KrausSet, basis: OperatorBasis) -> np.ndarray:
     """F_kl = tr[G_k E(G_l)] for the given channel, as a real N x N array."""
     if channel.dim != basis.dim:
         raise ValueError(f"channel dim {channel.dim} does not match basis dim {basis.dim}")
@@ -76,11 +76,10 @@ def transfer_matrix(channel: Channel, basis: OperatorBasis) -> np.ndarray:
     return f.real.copy()
 
 
-def transfer_sampler(noise: NoiseParams, mu: float,
-                     basis: OperatorBasis | None = None) -> Callable[[float], np.ndarray]:
-    """t -> F(t) for the correlated channel of the given noise family."""
-    if basis is None:
-        basis = pauli_basis(2)
+def transfer_sampler(noise: NoiseParams, mu: float) -> Callable[[float], np.ndarray]:
+    """t -> F(t) in the two-qubit Pauli basis for the correlated channel of
+    the given noise family."""
+    basis = pauli_basis(2)
     return lambda t: transfer_matrix(channel_at_time(noise, mu, t), basis)
 
 
@@ -140,15 +139,14 @@ def correlated_oun_generator(t: float, params: OunParams, mu: float) -> np.ndarr
     return dephasing_generator(rs, rd)
 
 
-def choi(f: np.ndarray, basis: OperatorBasis, taus: np.ndarray | None = None) -> np.ndarray:
+def choi(f: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Choi matrix S_ab = sum_rs F_sr tr[G_r tau_a^dag G_s tau_b].
 
-    `taus` defaults to the computational matrix units |i><j| (row-major); in
-    that basis the map acts as E(rho) = sum_ab S_ab tau_a rho tau_b^dag, so S
-    is Hermitian and PSD exactly when the map is completely positive.
+    The tau_a are the computational matrix units |i><j| (row-major); in that
+    basis the map acts as E(rho) = sum_ab S_ab tau_a rho tau_b^dag, so S is
+    Hermitian and PSD exactly when the map is completely positive.
     """
-    if taus is None:
-        taus = computational_basis(basis.dim)
+    taus = computational_basis(basis.dim)
     b = basis.elements
     tdag = np.conj(np.transpose(taus, (0, 2, 1)))
     s = np.einsum('sr,rij,ajk,skl,bli->ab', f.astype(complex), b, tdag, b, taus,

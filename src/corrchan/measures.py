@@ -63,9 +63,8 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(0.5 * np.abs(w).sum())
 
 
-def positive_variation(times: Sequence[float], values: Sequence[float],
-                       threshold: float = RISE_THRESHOLD) -> MeasureResult:
-    """Sum of increments above `threshold`, grouped into rising intervals.
+def positive_variation(times: Sequence[float], values: Sequence[float]) -> MeasureResult:
+    """Sum of increments above RISE_THRESHOLD, grouped into rising intervals.
 
     This is the trapezoidal evaluation of the integral of dX/dt over the
     regions where X increases; the threshold suppresses sign flips at noise
@@ -76,7 +75,7 @@ def positive_variation(times: Sequence[float], values: Sequence[float],
     if len(times) < 2:
         raise ValueError("grid must contain at least two points")
     diffs = np.diff(values)
-    rising = diffs > threshold
+    rising = diffs > RISE_THRESHOLD
     detail = []
     i = 0
     n = len(diffs)
@@ -160,10 +159,9 @@ PROBE_PAIRS = (("phi+", "phi-"), ("++", "--"), ("00", "11"), ("psi+", "psi-"))
 
 def probe_state(name: str) -> np.ndarray:
     """Named two-qubit probe state as a density matrix."""
-    try:
-        ket = _KET[name]
-    except KeyError:
-        raise ValueError(f"unknown probe state {name!r}; choose from {PROBE_NAMES}") from None
+    if name not in PROBE_NAMES:
+        raise ValueError(f"unknown probe state {name!r}; choose from {PROBE_NAMES}")
+    ket = _KET[name]
     return np.outer(ket, ket.conj())
 
 
@@ -190,68 +188,28 @@ def random_bell_probes(count: int, seed: int = 0) -> list[np.ndarray]:
 # --------------------------------------------------------------------------
 
 
-class FixedGenerator:
-    """Singleton comparison family: a fixed time-independent generator.
-
-    Used with the memoryless-limit generator of the channel under study, so
-    the measure reads the time-averaged distance of L(t) from the semigroup
-    the dynamics would follow without environmental or channel memory.
-    """
-
-    n_params = 0
-
-    def __init__(self, matrix: np.ndarray):
-        self._matrix = np.asarray(matrix, dtype=float)
-
-    def matrix(self, theta=()) -> np.ndarray:
-        return self._matrix
-
-    def initial_guesses(self, l_stack: np.ndarray) -> list[tuple]:
-        return [()]
-
-
-class DephasingRateFamily:
-    """Two-parameter family of constant dephasing generators.
-
-    Rates (r_single, r_double) occupy the eight single-flip and four
-    double-flip diagonal slots; the minimization makes zeta vanish exactly
-    for any semigroup of this structure. Extra starting points (for example
-    the memoryless-limit rates) can be supplied for the multi-start search.
-    """
-
-    n_params = 2
-
-    def __init__(self, guesses: Sequence[tuple[float, float]] = ()):
-        self._extra = list(guesses)
-
-    def matrix(self, theta) -> np.ndarray:
-        return dephasing_generator(theta[0], theta[1])
-
-    def initial_guesses(self, l_stack: np.ndarray) -> list[tuple]:
-        diag = np.diagonal(l_stack, axis1=1, axis2=2)
-        singles = diag[:, list(SINGLE_FLIP_SLOTS)].mean(axis=1)
-        doubles = diag[:, list(DOUBLE_FLIP_SLOTS)].mean(axis=1)
-        guesses = [(singles.mean(), doubles.mean()),
-                   (singles[-1], doubles[-1]),
-                   (0.0, 0.0)]
-        return guesses + self._extra
-
-
 def sss_measure(l_sampler: Callable[[float], np.ndarray],
-                family,
+                reference: np.ndarray,
                 t_max: float,
-                n_points: int = 256) -> float:
-    """Temporal-self-similarity measure: the minimum over the family of
-    (1/T) integral_0^T ||L(t) - L*||_F dt, by trapezoidal quadrature.
+                n_points: int = 256,
+                free: bool = False) -> float:
+    """Temporal-self-similarity measure: (1/T) integral_0^T ||L(t) - L*||_F dt
+    by trapezoidal quadrature, with the Frobenius norm on generator matrices.
 
-    The Frobenius norm is used on the generator matrices. Families with free
-    parameters are minimized by Nelder-Mead from the family's multi-start
-    guesses.
+    L* is the fixed `reference`, typically the memoryless-limit generator, so
+    the measure reads the time-averaged distance of L(t) from the semigroup
+    the dynamics would follow without environmental or channel memory. With
+    `free`, L* instead ranges over the constant dephasing generators with
+    rates (r_single, r_double) on the eight single-flip and four double-flip
+    slots, minimized by Nelder-Mead from four starts: the time-averaged rates
+    of L(t), its final rates, zero, and the rates of `reference`. The free
+    measure vanishes for any semigroup of that structure.
     """
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0 < t_max < np.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if n_points < 2:
         raise ValueError("grid must contain at least two points")
+    reference = np.asarray(reference, dtype=float)
     times = np.linspace(0.0, t_max, n_points)
     l_stack = np.stack([l_sampler(t) for t in times])
 
@@ -259,12 +217,20 @@ def sss_measure(l_sampler: Callable[[float], np.ndarray],
         norms = np.sqrt(((l_stack - l_star) ** 2).sum(axis=(1, 2)))
         return float(np.trapezoid(norms, times) / t_max)
 
-    if family.n_params == 0:
-        return average_distance(family.matrix())
+    if not free:
+        return average_distance(reference)
 
+    diag = np.diagonal(l_stack, axis1=1, axis2=2)
+    singles = diag[:, list(SINGLE_FLIP_SLOTS)].mean(axis=1)
+    doubles = diag[:, list(DOUBLE_FLIP_SLOTS)].mean(axis=1)
+    s0, d0 = SINGLE_FLIP_SLOTS[0], DOUBLE_FLIP_SLOTS[0]
+    guesses = [(singles.mean(), doubles.mean()),
+               (singles[-1], doubles[-1]),
+               (0.0, 0.0),
+               (reference[s0, s0], reference[d0, d0])]
     best = np.inf
-    for guess in family.initial_guesses(l_stack):
-        res = minimize(lambda th: average_distance(family.matrix(th)),
+    for guess in guesses:
+        res = minimize(lambda th: average_distance(dephasing_generator(th[0], th[1])),
                        np.asarray(guess, dtype=float), method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
         best = min(best, float(res.fun))
@@ -277,11 +243,10 @@ def sss_measure(l_sampler: Callable[[float], np.ndarray],
 
 
 def volume_trace(f_sampler: Callable[[float], np.ndarray],
-                 times: Sequence[float],
-                 threshold: float = RISE_THRESHOLD) -> VolumeTrace:
+                 times: Sequence[float]) -> VolumeTrace:
     """Volume of accessible states V(t) = det F(t) with its non-Markovianity
     witness: the intervals where the discrete forward difference of V is
-    positive (above `threshold`).
+    positive (above RISE_THRESHOLD).
     """
     times = np.asarray(times, dtype=float)
     if len(times) == 0:
@@ -290,5 +255,5 @@ def volume_trace(f_sampler: Callable[[float], np.ndarray],
     series = TimeSeries(times=times, values=vols, label="volume")
     if len(times) < 2:
         return VolumeTrace(series=series, witness_intervals=())
-    detail = positive_variation(times, vols, threshold=threshold).detail
+    detail = positive_variation(times, vols).detail
     return VolumeTrace(series=series, witness_intervals=tuple(iv for iv, _ in detail))

@@ -26,8 +26,8 @@ def _check_time(t: float) -> float:
 
 def _check_positive(**kwargs: float) -> None:
     for name, value in kwargs.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be strictly positive, got {value}")
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

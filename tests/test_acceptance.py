@@ -18,10 +18,9 @@ from corrchan.map_algebra import (choi, correlated_oun_generator,
                                   dephasing_generator, generator,
                                   kraus_from_choi, pauli_basis,
                                   transfer_matrix, transfer_sampler)
-from corrchan.measures import (FixedGenerator, concurrence,
-                               nm_concurrence_measure, positive_variation,
-                               probe_state, sss_measure, trace_distance,
-                               volume_trace)
+from corrchan.measures import (concurrence, nm_concurrence_measure,
+                               positive_variation, probe_state, sss_measure,
+                               trace_distance, volume_trace)
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 from corrchan.qec import (CORRECTABLE_ERRORS, UNDETECTABLE_ERRORS,
                           classify_errors, greedy_correctable_set,
@@ -159,11 +158,11 @@ def test_criterion_7_measure_monotonicity_in_mu():
     G = 0.6
     mus = (0.0, 0.3, 0.6, 0.9)
     start = time.perf_counter()
-    family = FixedGenerator(dephasing_generator(-G / 2, -G))
+    reference = dephasing_generator(-G / 2, -G)
     for g_inv in (10.0, 50.0, 100.0):
         params = OunParams(G=G, g=1.0 / g_inv)
         zetas = [sss_measure(lambda t: correlated_oun_generator(t, params, mu),
-                             family, t_max=100.0, n_points=300) for mu in mus]
+                             reference, t_max=100.0, n_points=300) for mu in mus]
         assert all(b > a for a, b in zip(zetas, zetas[1:])), (g_inv, zetas)
     sss_elapsed = time.perf_counter() - start
     assert sss_elapsed < 30.0

@@ -205,7 +205,7 @@ def test_channel_at_time_dispatch():
         assert len(ch.operators) == 4
         apply(ch, rho)
     chn = channel_at_time(NmadParams(gamma0=1.0, g=0.05), 0.5, t)
-    assert len(chn.branches) == 2
+    assert len(chn.operators) == 6
     apply(chn, rho)
 
 

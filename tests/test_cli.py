@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +184,43 @@ def test_validation_exit_code(args, tmp_path):
                 if args[0] != "freeze-check" else args) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["freeze-check", "--c", "5,5,5", "--channel", "oun", "--mu", "1"],    # not a state
+    ["freeze-check", "--c", "nan,0,0", "--channel", "oun", "--mu", "1"],  # not finite
+    ["volume", "--noise", "oun", "--G", "inf", "--steps", "3"],
+    ["concurrence", "--tmax", "nan"],
+    ["concurrence", "--tmax", "inf"],
+    ["sss", "--tmax", "nan"],
+    ["sss", "--g-inverse", "nan"],
+    ["evolve", "--state=--", "--steps", "3"],  # argparse turns the value into []
+    ["tracedist", "--pair=--", "--steps", "3"],
+])
+def test_invalid_input_rejected_without_output(args, capsys):
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_failed_sweep_leaves_no_csv(monkeypatch, tmp_path):
+    import corrchan.cli as cli_mod
+
+    real = cli_mod.success_vs_time
+    done = []
+
+    def fail_on_second_mu(noise, mu, times, normalized):
+        if done:
+            raise NumericError("spot check failed")
+        done.append(mu)
+        return real(noise, mu, times, normalized=normalized)
+
+    monkeypatch.setattr(cli_mod, "success_vs_time", fail_on_second_mu)
+    out = tmp_path / "x.csv"
+    assert main(["qec", "--noise", "oun", "--mu", "0,0.5", "--tmax", "5",
+                 "--steps", "3", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_usage_exit_codes(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["--help"]) == 0
@@ -208,3 +246,55 @@ def test_numeric_failure_exit_code(monkeypatch, tmp_path):
     monkeypatch.setattr(cli_mod, "success_vs_time", boom)
     assert main(["qec", "--noise", "oun", "--mu", "0.5", "--tmax", "5",
                  "--steps", "3", "--out", str(tmp_path / "x.csv")]) == 3
+
+
+# Golden outputs: small grids of every subcommand, recorded from the code as it
+# stood before the serial-sweep refactor and compared byte for byte. Never
+# regenerate them to make a change pass; a changed byte is a changed result.
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+_GRID = ["--mu", "0,0.5,1", "--tmax", "30", "--steps", "12"]
+_NOISE = {"rtn": ["--noise", "rtn", "--a", "0.8", "--gamma", "0.05"],
+          "oun": ["--noise", "oun", "--G", "1", "--g", "0.05"],
+          "nmad": ["--noise", "nmad", "--gamma0", "1", "--g", "0.05"]}
+_SSS = ["sss", "--G", "0.6", "--g-inverse", "10,50", "--mu", "0,0.5,1",
+        "--tmax", "50", "--steps", "20"]
+
+GOLDEN_CSV = {f"{cmd}_{noise}": [cmd, *args, *_GRID]
+              for cmd in ("evolve", "concurrence", "tracedist", "blp", "volume")
+              for noise, args in _NOISE.items()}
+GOLDEN_CSV.update({
+    "evolve_nmad_psiplus": ["evolve", *_NOISE["nmad"], *_GRID, "--state", "psi+"],
+    "tracedist_rtn_plusminus": ["tracedist", *_NOISE["rtn"], *_GRID, "--pair", "++:--"],
+    "blp_rtn_random": ["blp", *_NOISE["rtn"], *_GRID, "--pairs", "phi+:phi-",
+                       "--random-probes", "2", "--seed", "7"],
+    "sss_markov": [*_SSS, "--family", "markov"],
+    "sss_free": [*_SSS, "--family", "free"],
+})
+GOLDEN_CSV.update({f"qec_{noise}{suffix}": ["qec", *_NOISE[noise], *_GRID, *flag]
+                   for noise in ("rtn", "oun")
+                   for suffix, flag in (("", []), ("_normalized", ["--normalized"]))})
+
+GOLDEN_STDOUT = {
+    "classify_errors": ["classify-errors"],
+    "freeze_psiplus_nmad_1": ["freeze-check", "--state", "psi+", "--channel", "nmad", "--mu", "1"],
+    "freeze_phiplus_nmad_1": ["freeze-check", "--state", "phi+", "--channel", "nmad", "--mu", "1"],
+    "freeze_00_nmad_0.5": ["freeze-check", "--state", "00", "--channel", "nmad", "--mu", "0.5"],
+    "freeze_alpha_rtn_0.5": ["freeze-check", "--state", "alpha", "--channel", "rtn",
+                             "--mu", "0.5"],
+    "freeze_c_nmad_0.5": ["freeze-check", "--c", "0.5,0.5,-1", "--channel", "nmad",
+                          "--mu", "0.5"],
+    "freeze_c_oun_1": ["freeze-check", "--c", "0.2,-0.3,0.1", "--channel", "oun", "--mu", "1"],
+    "freeze_c_dephasing_0.2": ["freeze-check", "--c", "0,0,0.5", "--channel", "dephasing",
+                               "--mu", "0.2"],
+}
+
+
+@pytest.mark.parametrize("name", [*GOLDEN_CSV, *GOLDEN_STDOUT])
+def test_golden_output(name, tmp_path, capsys):
+    if name in GOLDEN_CSV:
+        out = tmp_path / "out.csv"
+        assert main(GOLDEN_CSV[name] + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+    else:
+        assert main(GOLDEN_STDOUT[name]) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.txt").read_text()

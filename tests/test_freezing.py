@@ -161,7 +161,7 @@ def test_unital_channel_preserves_bell_diagonal_form(rng):
         p = rng.uniform(-1, 1)
         mu = rng.uniform(0, 1)
         evolved = apply(correlated_dephasing_channel(p, mu), rho)
-        state_to_bloch_diagonal(evolved, tol=1e-12)  # raises if off-family
+        state_to_bloch_diagonal(evolved)  # raises if off-family
 
 
 # --------------------------------------------------------------------------
@@ -232,3 +232,10 @@ def test_concurrence_freezing_under_fcorr_nmad():
 def test_predicate_unknown_kind():
     with pytest.raises(ValueError):
         freezing_predicate((0, 0, 0), "bitflip", 0.5)
+
+
+@pytest.mark.parametrize("c", [(5.0, 5.0, 5.0), (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0)])
+def test_predicate_rejects_triples_that_are_not_states(c):
+    # raw triples go through BlochDiagonal; NaN must not reach eigvalsh
+    with pytest.raises(ValidationError):
+        freezing_predicate(c, "oun", 1.0)

@@ -6,8 +6,7 @@ from corrchan.channels import (apply, channel_at_time,
                                correlated_nmad_channel)
 from corrchan.map_algebra import (correlated_oun_generator, dephasing_generator,
                                   transfer_sampler)
-from corrchan.measures import (DephasingRateFamily, FixedGenerator,
-                               blp_measure, concurrence, nm_concurrence_measure,
+from corrchan.measures import (blp_measure, concurrence, nm_concurrence_measure,
                                positive_variation, probe_state,
                                random_bell_probes, sss_measure, trace_distance,
                                volume_trace)
@@ -236,23 +235,23 @@ def test_measure_halved_grid_stability():
 
 def test_sss_zero_for_time_independent_generator():
     l_const = dephasing_generator(-0.3, -0.6)
-    zeta = sss_measure(lambda t: l_const, DephasingRateFamily(), t_max=20.0,
-                       n_points=256)
+    zeta = sss_measure(lambda t: l_const, np.zeros((16, 16)), t_max=20.0,
+                       n_points=256, free=True)
     assert zeta < 1e-9
-    zeta_fixed = sss_measure(lambda t: l_const, FixedGenerator(l_const), t_max=20.0,
+    zeta_fixed = sss_measure(lambda t: l_const, l_const, t_max=20.0,
                              n_points=256)
     assert zeta_fixed == 0.0
 
 
-def markov_family(G):
-    return FixedGenerator(dephasing_generator(-G / 2, -G))
+def markov_generator(G):
+    return dephasing_generator(-G / 2, -G)
 
 
 def test_sss_increases_with_mu():
     G = 0.6
     params = OunParams(G=G, g=1.0 / 50.0)
     zetas = [sss_measure(lambda t: correlated_oun_generator(t, params, mu),
-                         markov_family(G), t_max=100.0, n_points=300)
+                         markov_generator(G), t_max=100.0, n_points=300)
              for mu in (0.0, 0.5, 0.9)]
     assert zetas[0] < zetas[1] < zetas[2]
 
@@ -264,7 +263,7 @@ def test_sss_increases_with_correlation_time():
     for g_inv in (10.0, 50.0, 100.0):
         params = OunParams(G=G, g=1.0 / g_inv)
         zetas.append(sss_measure(lambda t: correlated_oun_generator(t, params, mu),
-                                 markov_family(G), t_max=100.0, n_points=300))
+                                 markov_generator(G), t_max=100.0, n_points=300))
     assert zetas[0] < zetas[1] < zetas[2]
 
 
@@ -273,16 +272,20 @@ def test_sss_free_family_below_fixed():
     G = 0.6
     params = OunParams(G=G, g=0.02)
     sampler = lambda t: correlated_oun_generator(t, params, 0.3)
-    free = sss_measure(sampler, DephasingRateFamily(guesses=[(-G / 2, -G)]),
-                       t_max=100.0, n_points=300)
-    fixed = sss_measure(sampler, markov_family(G), t_max=100.0, n_points=300)
+    free = sss_measure(sampler, markov_generator(G), t_max=100.0, n_points=300,
+                       free=True)
+    fixed = sss_measure(sampler, markov_generator(G), t_max=100.0, n_points=300)
     assert free <= fixed + 1e-12
     assert free > 0
 
 
 def test_sss_validation():
     with pytest.raises(ValueError):
-        sss_measure(lambda t: np.zeros((16, 16)), DephasingRateFamily(), t_max=0.0)
+        sss_measure(lambda t: np.zeros((16, 16)), np.zeros((16, 16)), t_max=0.0,
+                    free=True)
+    for t_max in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            sss_measure(lambda t: np.zeros((16, 16)), np.zeros((16, 16)), t_max=t_max)
 
 
 # --------------------------------------------------------------------------
@@ -350,3 +353,5 @@ def test_time_series_validation():
 def test_probe_state_unknown_name():
     with pytest.raises(ValueError):
         probe_state("ghz")
+    with pytest.raises(ValueError):
+        probe_state([])  # unhashable: a ValueError, not a TypeError

@@ -251,6 +251,10 @@ def test_nmad_degenerate_l_limit():
     lambda: OunParams(G=0.0, g=1.0),
     lambda: OunParams(G=1.0, g=0.0),
     lambda: NmadParams(gamma0=-1.0, g=1.0),
+    lambda: RtnParams(a=np.inf, gamma=1.0),
+    lambda: OunParams(G=np.inf, g=1.0),
+    lambda: OunParams(G=1.0, g=np.nan),
+    lambda: NmadParams(gamma0=1.0, g=np.inf),
 ])
 def test_parameters_must_be_positive(factory):
     with pytest.raises(ValueError):
