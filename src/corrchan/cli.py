@@ -25,9 +25,9 @@ from .errors import NumericError, ValidationError
 from .noise import NmadParams, OunParams, RtnParams
 from .channels import apply, channel_at_time
 from .map_algebra import correlated_oun_generator, dephasing_generator, transfer_sampler
-from .measures import (PROBE_NAMES, PROBE_PAIRS, RISE_THRESHOLD, blp_measure,
-                       concurrence, probe_state, random_bell_probes,
-                       sss_measure, trace_distance, volume_trace)
+from .measures import (PROBE_NAMES, PROBE_PAIRS, blp_measure, concurrence,
+                       probe_state, random_bell_probes, sss_measure,
+                       trace_distance, volume_trace)
 from .freezing import freezing_predicate
 from .qec import classify_errors, success_vs_time
 
@@ -92,8 +92,7 @@ def _cmd_evolve(args) -> int:
     rho0 = probe_state(args.state)
     rows = []
     for mu in mus:
-        for t in times:
-            rho = apply(channel_at_time(noise, mu, t), rho0)
+        for t, rho in zip(times, apply(channel_at_time(noise, mu, times), rho0)):
             row = [_fmt(t), _fmt(mu)]
             for x in rho.flat:
                 row.extend((_fmt(x.real), _fmt(x.imag)))
@@ -109,9 +108,10 @@ def _cmd_concurrence(args) -> int:
     times = _time_grid(args)
     mus = _parse_mus(args.mu)
     rho0 = probe_state(args.probe)
-    rows = [[_fmt(t), _fmt(mu),
-             _fmt(concurrence(apply(channel_at_time(noise, mu, t), rho0)))]
-            for mu in mus for t in times]
+    rows = []
+    for mu in mus:
+        cvals = concurrence(apply(channel_at_time(noise, mu, times), rho0))
+        rows.extend([_fmt(t), _fmt(mu), _fmt(c)] for t, c in zip(times, cvals))
     _write_csv(args.out, ["t", "mu", "concurrence"], rows)
     return 0
 
@@ -131,10 +131,9 @@ def _cmd_tracedist(args) -> int:
     rho1, rho2 = probe_state(name1), probe_state(name2)
     rows = []
     for mu in mus:
-        for t in times:
-            ch = channel_at_time(noise, mu, t)
-            rows.append([_fmt(t), _fmt(mu),
-                         _fmt(trace_distance(apply(ch, rho1), apply(ch, rho2)))])
+        ch = channel_at_time(noise, mu, times)
+        dvals = trace_distance(apply(ch, rho1), apply(ch, rho2))
+        rows.extend([_fmt(t), _fmt(mu), _fmt(d)] for t, d in zip(times, dvals))
     _write_csv(args.out, ["t", "mu", "trace_distance"], rows)
     return 0
 
@@ -151,12 +150,10 @@ def _cmd_blp(args) -> int:
             named.append((f"random{k}", randoms[2 * k], randoms[2 * k + 1]))
     rows = []
     for mu in mus:
+        ch = channel_at_time(noise, mu, times)
         best = 0.0
         for label, rho1, rho2 in named:
-            def pair_at(t):
-                ch = channel_at_time(noise, mu, t)
-                return apply(ch, rho1), apply(ch, rho2)
-            value = blp_measure(pair_at, times).value
+            value = blp_measure(apply(ch, rho1), apply(ch, rho2), times).value
             best = max(best, value)
             rows.append([_fmt(mu), label, _fmt(value)])
         rows.append([_fmt(mu), "max", _fmt(best)])
@@ -188,11 +185,9 @@ def _cmd_volume(args) -> int:
     mus = _parse_mus(args.mu)
     rows = []
     for mu in mus:
-        vols = volume_trace(transfer_sampler(noise, mu), times).series.values
-        flags = np.zeros(len(times), dtype=int)
-        flags[1:] = np.diff(vols) > RISE_THRESHOLD
+        trace = volume_trace(transfer_sampler(noise, mu)(times), times)
         rows.extend([_fmt(t), _fmt(mu), _fmt(v), str(flag)]
-                    for t, v, flag in zip(times, vols, flags))
+                    for t, v, flag in zip(times, trace.series.values, trace.witness_flags))
     _write_csv(args.out, ["t", "mu", "volume", "witness_flag"], rows)
     return 0
 

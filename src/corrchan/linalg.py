@@ -1,9 +1,12 @@
 """Dense complex-matrix kernel: Hermitian eigendecomposition, PSD square root
 and density-matrix validation.
 
-All matrices are plain complex numpy arrays. Only Hermitian eigenproblems of
-dimension <= 64 arise in this package, so everything is backed by LAPACK's
-Hermitian drivers through numpy.
+All matrices are plain complex numpy arrays. Every function takes one matrix
+of shape (d, d) or a stack of shape (..., d, d); a stack goes through numpy's
+batched LAPACK drivers in one call, and a check on a stack fails when any of
+its matrices fails, carrying the residual of the worst one. Only Hermitian
+eigenproblems of dimension <= 64 arise in this package. A LAPACK failure
+raises NumericError.
 """
 
 import numpy as np
@@ -17,29 +20,39 @@ NOT_PSD_THRESHOLD = -1e-6
 EIG_HERMITICITY_TOL = 1e-8
 
 
+def lapack(fn, *args):
+    """Call a numpy.linalg routine; its LinAlgError becomes a NumericError."""
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"{fn.__name__} failed: {exc}") from exc
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the trailing two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermiticity_residual(m: np.ndarray) -> float:
-    """Max entrywise deviation of M from its adjoint."""
-    return float(np.abs(m - m.conj().T).max())
+    """Max entrywise deviation of M from its adjoint, over the whole stack."""
+    return float(np.abs(m - dagger(m)).max())
 
 
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
     Returns (eigenvalues, eigenvectors) with eigenvectors as columns, so that
-    M @ V = V @ diag(w).
+    M @ V = V @ diag(w); on a stack, both carry its leading axes.
 
     Raises:
         ValidationError: input not Hermitian within 1e-8.
         NumericError: the iteration failed to converge.
     """
     res = hermiticity_residual(m)
-    if res > EIG_HERMITICITY_TOL:
+    if not res <= EIG_HERMITICITY_TOL:
         raise ValidationError("hermiticity", res)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Hermitian eigensolver failed to converge: {exc}") from exc
-    return w[::-1], v[:, ::-1]
+    w, v = lapack(np.linalg.eigh, m)
+    return w[..., ::-1], v[..., ::-1]
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -49,32 +62,39 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     anything below that threshold is a genuine violation.
     """
     w, v = eig_hermitian(m)
-    if w.min() < NOT_PSD_THRESHOLD:
-        raise ValidationError("positive semidefiniteness", float(w.min()))
+    smallest = w.min()
+    if not smallest >= NOT_PSD_THRESHOLD:
+        raise ValidationError("positive semidefiniteness", float(smallest))
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
 def validate_density(m: np.ndarray) -> np.ndarray:
-    """Check that M is a valid density matrix of dimension 2 or 4.
+    """Check that M, or every matrix of a stack, is a density matrix of
+    dimension 2 or 4.
 
-    Verifies hermiticity (1e-10), unit trace (1e-10) and positivity
-    (smallest eigenvalue >= -1e-9). Returns the input array on success;
-    raises ValidationError naming the violated invariant otherwise.
+    Verifies finiteness, hermiticity (1e-10), unit trace (1e-10) and
+    positivity (smallest eigenvalue >= -1e-9). Returns the input array on
+    success; raises ValidationError naming the violated invariant otherwise.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError("squareness", 0.0, f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] not in (2, 4):
-        raise ValidationError("dimension", float(m.shape[0]),
-                              f"density matrices must be 2x2 or 4x4, got {m.shape[0]}x{m.shape[0]}")
+    d = m.shape[-1]
+    if d not in (2, 4):
+        raise ValidationError("dimension", float(d),
+                              f"density matrices must be 2x2 or 4x4, got {d}x{d}")
+    if not np.isfinite(m).all():
+        raise ValidationError("finiteness", float(np.count_nonzero(~np.isfinite(m))),
+                              "matrix has NaN or infinite entries")
     res = hermiticity_residual(m)
-    if res > HERMITICITY_TOL:
+    if not res <= HERMITICITY_TOL:
         raise ValidationError("hermiticity", res)
-    trace_res = abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag)
-    if trace_res > TRACE_TOL:
-        raise ValidationError("unit trace", float(trace_res))
-    smallest = float(np.linalg.eigvalsh(m).min())
-    if smallest < MIN_EIGENVALUE:
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    trace_res = float((np.abs(trace.real - 1.0) + np.abs(trace.imag)).max())
+    if not trace_res <= TRACE_TOL:
+        raise ValidationError("unit trace", trace_res)
+    smallest = float(lapack(np.linalg.eigvalsh, m).min())
+    if not smallest >= MIN_EIGENVALUE:
         raise ValidationError("positivity", smallest)
     return m

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .channels import KrausSet, channel_at_time, SIGMA
+from .linalg import dagger, lapack
 from .noise import NoiseParams, OunParams, oun_p
 
 # Diagonal slot groups of the two-qubit basis under correlated dephasing,
@@ -63,22 +64,24 @@ def computational_basis(dim: int) -> np.ndarray:
 
 
 def transfer_matrix(channel: KrausSet, basis: OperatorBasis) -> np.ndarray:
-    """F_kl = tr[G_k E(G_l)] for the given channel, as a real N x N array."""
+    """F_kl = tr[G_k E(G_l)] for the given channel, as a real N x N array;
+    for a stacked channel, a (*channel.shape, N, N) stack."""
     if channel.dim != basis.dim:
         raise ValueError(f"channel dim {channel.dim} does not match basis dim {basis.dim}")
     b = basis.elements
-    eb = np.zeros_like(b)
-    for w, op in channel.weighted_operators():
-        eb += w * np.einsum('ij,ljk,km->lim', op, b, op.conj().T)
-    f = np.einsum('kij,lji->kl', b, eb)
-    if np.abs(f.imag).max() > _IMAG_TOL:
-        raise NumericError(f"transfer matrix has imaginary residue {np.abs(f.imag).max():.3e}")
+    eb = np.zeros(channel.shape + b.shape, dtype=complex)
+    for w, op in channel.weighted_operators(matrix_axes=3):
+        eb += w * np.einsum('...ij,ljk,...km->...lim', op, b, dagger(op))
+    f = np.einsum('kij,...lji->...kl', b, eb)
+    residue = np.abs(f.imag).max()
+    if not residue <= _IMAG_TOL:
+        raise NumericError(f"transfer matrix has imaginary residue {residue:.3e}")
     return f.real.copy()
 
 
-def transfer_sampler(noise: NoiseParams, mu: float) -> Callable[[float], np.ndarray]:
+def transfer_sampler(noise: NoiseParams, mu: float) -> Callable:
     """t -> F(t) in the two-qubit Pauli basis for the correlated channel of
-    the given noise family."""
+    the given noise family; an array of times gives the stack of F(t)."""
     basis = pauli_basis(2)
     return lambda t: transfer_matrix(channel_at_time(noise, mu, t), basis)
 
@@ -93,14 +96,14 @@ def generator(f_sampler: Callable[[float], np.ndarray], t: float, h: float = 1e-
     if h <= 0:
         raise ValueError(f"step h must be positive, got {h}")
     f_t = f_sampler(t)
-    det = np.linalg.det(f_t)
-    if abs(det) <= _SINGULAR_TOL:
+    det = lapack(np.linalg.det, f_t)
+    if not abs(det) > _SINGULAR_TOL:
         raise NumericError(f"transfer matrix singular at t={t} (det {det:.3e})")
     if t < h:
         fdot = (f_sampler(t + h) - f_t) / h
     else:
         fdot = (f_sampler(t + h) - f_sampler(t - h)) / (2 * h)
-    return fdot @ np.linalg.inv(f_t)
+    return fdot @ lapack(np.linalg.inv, f_t)
 
 
 def dephasing_generator(rate_single: float, rate_double: float) -> np.ndarray:
@@ -163,10 +166,10 @@ def kraus_from_choi(s: np.ndarray, dim: int) -> KrausSet:
     not completely positive.
     """
     res = float(np.abs(s - s.conj().T).max())
-    if res > 1e-10:
+    if not res <= 1e-10:
         raise ValidationError("Choi hermiticity", res)
-    w, v = np.linalg.eigh(s)
-    if w.min() < -1e-6:
+    w, v = lapack(np.linalg.eigh, s)
+    if not w.min() >= -1e-6:
         raise ValidationError("complete positivity", float(w.min()))
     ops = []
     for lam, vec in zip(w[::-1], v[:, ::-1].T):
@@ -176,6 +179,6 @@ def kraus_from_choi(s: np.ndarray, dim: int) -> KrausSet:
     from .channels import completeness_residual
 
     comp = completeness_residual(ks)
-    if comp > 1e-8:
+    if not comp <= 1e-8:
         raise NumericError(f"extracted Kraus set incomplete (residual {comp:.3e})")
     return ks

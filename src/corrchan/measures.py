@@ -6,6 +6,10 @@ The backflow-style measures integrate the positive increments of a scalar
 trajectory on a time grid; the maximization over initial states that defines
 them is evaluated over a caller-supplied probe family (see `probe_state` and
 `random_bell_probes`) rather than over all of state space.
+
+`trace_distance` and `concurrence` take one state or a stack of states of
+shape (..., 4, 4), such as a trajectory from `apply` over a time grid, and
+return a float or an array; the trajectory measures take such stacks.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .linalg import eig_hermitian, psd_sqrt, validate_density
+from .linalg import eig_hermitian, lapack, psd_sqrt, validate_density
 from .channels import SIGMA
 from .map_algebra import (DOUBLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS,
                           dephasing_generator)
@@ -47,20 +51,33 @@ class MeasureResult:
 
 @dataclass(frozen=True, eq=False)
 class VolumeTrace:
-    """Accessible-state volume V(t) = det F(t) and its rising intervals."""
+    """Accessible-state volume V(t) = det F(t), its rising intervals, and one
+    witness flag per point: 1 where V rose from the previous point."""
 
     series: TimeSeries
     witness_intervals: tuple[tuple[float, float], ...]
+    witness_flags: np.ndarray
 
 
-def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Trace distance (1/2) tr|rho1 - rho2|, in [0, 1]."""
+def _value(x):
+    """A 0-d result as a float; a stacked one as its array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def trace_distance(rho1: np.ndarray, rho2: np.ndarray):
+    """Trace distance (1/2) tr|rho1 - rho2|, in [0, 1], of two states or,
+    pairwise, of two equally shaped stacks of states."""
     rho1 = validate_density(rho1)
     rho2 = validate_density(rho2)
     if rho1.shape != rho2.shape:
         raise ValueError(f"dimension mismatch: {rho1.shape} vs {rho2.shape}")
     w, _ = eig_hermitian(rho1 - rho2)
-    return float(0.5 * np.abs(w).sum())
+    return _value(0.5 * np.abs(w).sum(axis=-1))
+
+
+def _rises(values: np.ndarray) -> np.ndarray:
+    """Whether each forward difference of `values` exceeds RISE_THRESHOLD."""
+    return np.diff(values) > RISE_THRESHOLD
 
 
 def positive_variation(times: Sequence[float], values: Sequence[float]) -> MeasureResult:
@@ -74,8 +91,10 @@ def positive_variation(times: Sequence[float], values: Sequence[float]) -> Measu
     values = np.asarray(values, dtype=float)
     if len(times) < 2:
         raise ValueError("grid must contain at least two points")
+    if len(values) != len(times):
+        raise ValueError(f"{len(values)} values for {len(times)} grid points")
     diffs = np.diff(values)
-    rising = diffs > RISE_THRESHOLD
+    rising = _rises(values)
     detail = []
     i = 0
     n = len(diffs)
@@ -91,30 +110,31 @@ def positive_variation(times: Sequence[float], values: Sequence[float]) -> Measu
     return MeasureResult(value=sum(c for _, c in detail), detail=tuple(detail))
 
 
-def blp_measure(pair_sampler: Callable[[float], tuple[np.ndarray, np.ndarray]],
+def blp_measure(rho1: np.ndarray, rho2: np.ndarray,
                 times: Sequence[float]) -> MeasureResult:
     """Information backflow of one trajectory pair: the integrated positive
     increase of the trace distance D(rho1(t), rho2(t)) over the grid.
 
+    `rho1` and `rho2` are the two trajectories as (len(times), d, d) stacks.
     Maximization over initial pairs is the caller's job; evaluate over a
     probe family and take the max.
     """
-    dvals = [trace_distance(*pair_sampler(t)) for t in times]
-    return positive_variation(times, dvals)
+    return positive_variation(times, trace_distance(rho1, rho2))
 
 
 _YY = np.kron(SIGMA[2], SIGMA[2])
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Two-qubit concurrence max{0, l1 - l2 - l3 - l4}.
+def concurrence(rho: np.ndarray):
+    """Two-qubit concurrence max{0, l1 - l2 - l3 - l4}, of one state or of
+    each state of a stack.
 
     The l_k are the descending square roots of the eigenvalues of
     sqrt(rho) rho_tilde sqrt(rho) with rho_tilde = (YY) rho* (YY), which is
     Hermitian PSD, so only Hermitian eigensolves are needed.
     """
     rho = validate_density(rho)
-    if rho.shape[0] != 4:
+    if rho.shape[-1] != 4:
         raise ValueError("concurrence is defined for two-qubit states")
     rho_tilde = _YY @ rho.conj() @ _YY
     sq = psd_sqrt(rho)
@@ -122,17 +142,18 @@ def concurrence(rho: np.ndarray) -> float:
     # rank-deficiency noise (~eps * |w|_max) would blow up to ~1e-8 under the
     # square root; clamp it so pure-state concurrences are exact
     w = np.clip(w, 0.0, None)
-    if w.max() > 0:
-        w[w < 1e-12 * w.max()] = 0.0
+    w[w < 1e-12 * w.max(axis=-1, keepdims=True)] = 0.0
     lam = np.sqrt(w)
-    return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    # min(1, max(0, c)) with Python's comparison semantics, so -0.0 reads 0
+    c = np.where(c > 0.0, c, 0.0)
+    return _value(np.where(c < 1.0, c, 1.0))
 
 
-def nm_concurrence_measure(trajectory: Callable[[float], np.ndarray],
-                           times: Sequence[float]) -> MeasureResult:
-    """Integrated positive increase of the concurrence along a trajectory."""
-    cvals = [concurrence(trajectory(t)) for t in times]
-    return positive_variation(times, cvals)
+def nm_concurrence_measure(states: np.ndarray, times: Sequence[float]) -> MeasureResult:
+    """Integrated positive increase of the concurrence along a trajectory,
+    given as a (len(times), 4, 4) stack of states."""
+    return positive_variation(times, concurrence(states))
 
 
 # --------------------------------------------------------------------------
@@ -242,18 +263,26 @@ def sss_measure(l_sampler: Callable[[float], np.ndarray],
 # --------------------------------------------------------------------------
 
 
-def volume_trace(f_sampler: Callable[[float], np.ndarray],
-                 times: Sequence[float]) -> VolumeTrace:
+def volume_trace(f: np.ndarray, times: Sequence[float]) -> VolumeTrace:
     """Volume of accessible states V(t) = det F(t) with its non-Markovianity
     witness: the intervals where the discrete forward difference of V is
-    positive (above RISE_THRESHOLD).
+    positive (above RISE_THRESHOLD), and the matching per-point flags.
+
+    `f` is the stack of transfer matrices F(t) over `times`, shape
+    (len(times), N, N).
     """
     times = np.asarray(times, dtype=float)
     if len(times) == 0:
         raise ValueError("grid must not be empty")
-    vols = np.array([float(np.linalg.det(f_sampler(t))) for t in times])
+    f = np.asarray(f, dtype=float)
+    if f.shape[:-2] != times.shape:
+        raise ValueError(f"transfer-matrix stack of shape {f.shape} for {len(times)} times")
+    vols = lapack(np.linalg.det, f)
     series = TimeSeries(times=times, values=vols, label="volume")
+    flags = np.zeros(len(times), dtype=int)
     if len(times) < 2:
-        return VolumeTrace(series=series, witness_intervals=())
+        return VolumeTrace(series=series, witness_intervals=(), witness_flags=flags)
+    flags[1:] = _rises(vols)
     detail = positive_variation(times, vols).detail
-    return VolumeTrace(series=series, witness_intervals=tuple(iv for iv, _ in detail))
+    return VolumeTrace(series=series, witness_intervals=tuple(iv for iv, _ in detail),
+                       witness_flags=flags)

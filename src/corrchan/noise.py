@@ -1,11 +1,17 @@
 """Time-domain noise functions for the three noise families.
 
-RTN and OUN are dephasing noises entering the channels through a scalar
-p(t) in [-1, 1]; NMAD is amplitude damping, described by its decoherence
-function G(t), the damping probability p(t) = 1 - G(t)^2 and the
-time-dependent decay rate gamma(t).
+RTN and OUN are dephasing noises entering the channels through p(t) in
+[-1, 1]; NMAD is amplitude damping, described by its decoherence function
+G(t), the damping probability p(t) = 1 - G(t)^2 and the time-dependent
+decay rate gamma(t).
+
+`rtn_p`, `oun_p`, `nmad_decoherence`, `nmad_p` and `noise_p` take either a
+single time, returning a float, or an array of times, returning an array of
+the same shape from one numpy expression. A value that is not finite raises
+NumericError rather than reaching a channel.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +23,31 @@ DECOHERENCE_ZERO_TOL = 1e-9
 _DEGENERATE = 1e-12
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if t < 0:
+def _check_time(t):
+    """A single time as a float, or a time grid as a float array; a negative
+    or NaN time raises ValueError. (Plain floats skip numpy's per-call cost.)"""
+    if isinstance(t, (int, float, np.number)):
+        t = float(t)
+        ok = t >= 0
+    else:
+        t = np.asarray(t, dtype=float)
+        ok = (t >= 0).all()
+    if not ok:
         raise ValueError(f"time must be nonnegative, got {t}")
     return t
+
+
+def _finite(val, what: str):
+    """`val` as a float for a single time, as an array for a time grid;
+    NumericError if any entry is NaN or infinite."""
+    if isinstance(val, np.ndarray) and val.ndim:
+        ok = np.isfinite(val).all()
+    else:
+        val = float(val)
+        ok = math.isfinite(val)
+    if not ok:
+        raise NumericError(f"{what} is not finite")
+    return val
 
 
 def _check_positive(**kwargs: float) -> None:
@@ -78,61 +104,81 @@ class NmadParams:
 NoiseParams = RtnParams | OunParams | NmadParams
 
 
-def rtn_p(t: float, params: RtnParams) -> float:
+def _decaying_cosh_sinh(rate, y, ratio):
+    """exp(-rate) (cosh y + ratio sinh y) for 0 <= y < rate, as decaying
+    exponentials: (1/2) exp(y - rate) (1 + exp(-2y) - ratio expm1(-2y)).
+
+    Nothing here overflows at large times, unlike cosh and sinh themselves,
+    and expm1 keeps ratio sinh y accurate when y is small.
+    """
+    return 0.5 * np.exp(y - rate) * (1 + np.exp(-2 * y) - ratio * np.expm1(-2 * y))
+
+
+def rtn_p(t, params: RtnParams):
     """RTN dephasing function exp(-gamma t)(cos(w gamma t) + sin(w gamma t)/w).
 
-    Evaluated through a complex w so the oscillatory (2a/gamma > 1) and
-    overdamped regimes share one code path; w = 0 uses the limit form
-    exp(-gamma t)(1 + gamma t).
+    In the oscillatory regime (2a/gamma > 1, real w) it is evaluated through
+    a complex w; in the overdamped regime (imaginary w) as a sum of decaying
+    exponentials, which does not overflow at large t; w = 0 uses the limit
+    form exp(-gamma t)(1 + gamma t).
     """
     t = _check_time(t)
     gamma = params.gamma
     w = params.omega
     if abs(w) < _DEGENERATE:
-        return float(np.exp(-gamma * t) * (1 + gamma * t))
+        return _finite(np.exp(-gamma * t) * (1 + gamma * t), "RTN p(t)")
+    if not params.is_nonmarkovian_regime:
+        return _finite(_decaying_cosh_sinh(gamma * t, abs(w) * gamma * t, 1 / abs(w)),
+                       "RTN p(t)")
     x = w * gamma * t
     val = np.exp(-gamma * t) * (np.cos(x) + np.sin(x) / w)
-    return float(val.real)
+    return _finite(val.real, "RTN p(t)")
 
 
-def oun_p(t: float, params: OunParams) -> float:
+def oun_p(t, params: OunParams):
     """OUN dephasing function exp[-(G/2)(t + (exp(-g t) - 1)/g)].
 
     Strictly decreasing from p(0) = 1; stays in (0, 1].
     """
     t = _check_time(t)
-    return float(np.exp(-(params.G / 2) * (t + (np.exp(-params.g * t) - 1) / params.g)))
+    return _finite(np.exp(-(params.G / 2) * (t + (np.exp(-params.g * t) - 1) / params.g)),
+                   "OUN p(t)")
 
 
 def _nmad_l(params: NmadParams) -> complex:
     return complex(np.sqrt(complex(params.g ** 2 - 2 * params.gamma0 * params.g)))
 
 
-def nmad_decoherence(t: float, params: NmadParams) -> float:
+def nmad_decoherence(t, params: NmadParams):
     """NMAD decoherence function G(t) = exp(-gt/2)(cosh(lt/2) + (g/l) sinh(lt/2)).
 
-    l = sqrt(g^2 - 2 gamma0 g) is taken complex unconditionally; for
-    g < 2 gamma0 the hyperbolic functions become trigonometric and G(t)
-    oscillates through zero. The imaginary residue of the complex
-    evaluation must stay below 1e-10 or a NumericError is raised.
+    l = sqrt(g^2 - 2 gamma0 g). For g < 2 gamma0, l is imaginary, the
+    hyperbolic functions become trigonometric and G(t) oscillates through
+    zero; that branch is evaluated through a complex l, whose imaginary
+    residue must stay below 1e-10 or a NumericError is raised. For real l
+    (overdamped) G(t) is evaluated as a sum of decaying exponentials, which
+    does not overflow at large t.
     """
     t = _check_time(t)
     g = params.g
     l = _nmad_l(params)
-    damp = np.exp(-g * t / 2)
     if abs(l) < _DEGENERATE:
-        return float(damp * (1 + g * t / 2))
+        return _finite(np.exp(-g * t / 2) * (1 + g * t / 2), "NMAD G(t)")
+    if l.imag == 0:
+        return _finite(_decaying_cosh_sinh(g * t / 2, l.real * t / 2, g / l.real), "NMAD G(t)")
+    damp = np.exp(-g * t / 2)
     x = l * t / 2
     val = damp * (np.cosh(x) + (g / l) * np.sinh(x))
-    if abs(val.imag) >= IMAG_RESIDUE_TOL:
-        raise NumericError(f"imaginary residue {abs(val.imag):.3e} in decoherence function")
-    return float(val.real)
+    residue = np.abs(val.imag).max()
+    if not residue < IMAG_RESIDUE_TOL:
+        raise NumericError(f"imaginary residue {residue:.3e} in decoherence function")
+    return _finite(val.real, "NMAD G(t)")
 
 
-def nmad_p(t: float, params: NmadParams) -> float:
+def nmad_p(t, params: NmadParams):
     """NMAD damping probability p(t) = 1 - G(t)^2, in [0, 1] with p(0) = 0."""
     gt = nmad_decoherence(t, params)
-    return min(1.0, max(0.0, 1.0 - gt * gt))
+    return _finite(np.minimum(np.maximum(1.0 - gt * gt, 0.0), 1.0), "NMAD p(t)")
 
 
 def nmad_gamma(t: float, params: NmadParams) -> float:
@@ -146,21 +192,26 @@ def nmad_gamma(t: float, params: NmadParams) -> float:
     """
     t = _check_time(t)
     gt = nmad_decoherence(t, params)
-    if abs(gt) <= DECOHERENCE_ZERO_TOL:
+    if not abs(gt) > DECOHERENCE_ZERO_TOL:
         raise NumericError(f"decay rate singular: |G({t})| = {abs(gt):.3e}")
     g, gamma0 = params.g, params.gamma0
     l = _nmad_l(params)
     if abs(l) < _DEGENERATE:
         return float(gamma0 * g * t / (1 + g * t / 2))
+    if l.imag == 0:
+        # overdamped: divide through by cosh so that nothing overflows
+        e = np.expm1(-l.real * t)
+        return _finite(-2 * gamma0 * g * e / (l.real * (2 + e) - g * e), "NMAD gamma(t)")
     x = l * t / 2
     val = 2 * gamma0 * g * np.sinh(x) / (l * np.cosh(x) + g * np.sinh(x))
-    if abs(val.imag) >= IMAG_RESIDUE_TOL:
+    if not abs(val.imag) < IMAG_RESIDUE_TOL:
         raise NumericError(f"imaginary residue {abs(val.imag):.3e} in decay rate")
-    return float(val.real)
+    return _finite(val.real, "NMAD gamma(t)")
 
 
-def noise_p(params: NoiseParams, t: float) -> float:
-    """Dispatch to the noise function of the given family."""
+def noise_p(params: NoiseParams, t):
+    """Dispatch to the noise function of the given family; t is a time or
+    an array of times."""
     if isinstance(params, RtnParams):
         return rtn_p(t, params)
     if isinstance(params, OunParams):

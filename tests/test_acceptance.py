@@ -121,11 +121,11 @@ def test_criterion_5_volume_formula_and_witness():
     assert worst < 1e-10
     times = np.linspace(0, 100, 1000)
     for mu in (0.0, 0.5, 0.9):
-        trace = volume_trace(transfer_sampler(OUN, mu), times)
+        trace = volume_trace(transfer_sampler(OUN, mu)(times), times)
         assert trace.witness_intervals == ()
     rises = []
     for mu in (0.0, 0.5, 0.9):
-        trace = volume_trace(transfer_sampler(RTN, mu), times)
+        trace = volume_trace(transfer_sampler(RTN, mu)(times), times)
         assert len(trace.witness_intervals) > 0
         rises.append(positive_variation(times, trace.series.values).value)
     assert rises[0] < rises[1] < rises[2]
@@ -172,7 +172,7 @@ def test_criterion_7_measure_monotonicity_in_mu():
     times = np.linspace(0, 50, 400)
     values = []
     for mu in mus:
-        traj = lambda t, m=mu: apply(channel_at_time(NMAD, m, t), phi)
+        traj = apply(channel_at_time(NMAD, mu, times), phi)
         values.append(nm_concurrence_measure(traj, times).value)
     conc_elapsed = time.perf_counter() - start
     assert all(b > a for a, b in zip(values, values[1:])), values

@@ -8,7 +8,7 @@ from corrchan.channels import (SIGMA, KrausSet, apply, apply_matrix,
                                dephasing_weights, fully_correlated_nmad_channel,
                                joint_prob_table, single_qubit_dephasing,
                                uncorrelated_nmad_channel)
-from corrchan.errors import ValidationError
+from corrchan.errors import NumericError, ValidationError
 from corrchan.freezing import evolve_fcorr_nmad_closed_form, evolve_unital_closed_form
 from corrchan.measures import probe_state
 from corrchan.noise import NmadParams, OunParams, RtnParams
@@ -194,6 +194,37 @@ def test_domain_errors():
         correlated_nmad_channel(-0.2, 0.5)
     with pytest.raises(ValueError):
         correlated_nmad_channel(0.5, 1.2)
+
+
+def test_non_finite_noise_value_is_numeric_error():
+    for factory in (correlated_dephasing_channel, correlated_nmad_channel):
+        with pytest.raises(NumericError):
+            factory(np.nan, 0.5)
+        with pytest.raises(NumericError):
+            factory(np.array([0.2, np.nan]), 0.5)
+
+
+def test_stacked_channel_checks_every_point():
+    with pytest.raises(ValueError, match="1.5"):
+        correlated_dephasing_channel(np.array([0.2, 1.5, -0.3]), 0.5)
+    with pytest.raises(ValueError, match="-0.2"):
+        correlated_nmad_channel(np.array([0.1, -0.2]), 0.5)
+
+
+def test_stacked_channel_shapes():
+    ps = np.linspace(0, 1, 7)
+    deph = correlated_dephasing_channel(ps, 0.3)
+    nmad = correlated_nmad_channel(ps, 0.3)
+    assert deph.shape == nmad.shape == (7,)
+    assert all(op.shape == (4, 4) for op in deph.operators)
+    assert all(w.shape == (7,) for w in deph.weights)
+    assert all(op.shape == (7, 4, 4) for op in nmad.operators)
+    assert completeness_residual(nmad) < 1e-12
+    assert correlated_dephasing_channel(0.5, 0.3).shape == ()
+    with pytest.raises(ValueError):
+        KrausSet(dim=2, operators=(np.zeros((3, 2, 2)), np.zeros((4, 2, 2))))
+    with pytest.raises(ValueError):
+        cptp_report(nmad)
 
 
 def test_channel_at_time_dispatch():

@@ -248,6 +248,48 @@ def test_numeric_failure_exit_code(monkeypatch, tmp_path):
                  "--steps", "3", "--out", str(tmp_path / "x.csv")]) == 3
 
 
+def test_lapack_failure_exits_3(monkeypatch, tmp_path):
+    import numpy as np
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    out = tmp_path / "x.csv"
+    assert main(["concurrence", "--noise", "rtn", "--mu", "0.5", "--tmax", "5",
+                 "--steps", "3", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+OVERDAMPED_GRID = ["--tmax", "1000", "--steps", "3", "--mu", "0.5"]
+
+
+def test_overdamped_nmad_decays_at_large_t(tmp_path):
+    out = tmp_path / "evolve.csv"
+    assert main(["evolve", "--noise", "nmad", "--g", "5", "--gamma0", "1",
+                 *OVERDAMPED_GRID, "--state", "11", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    population = [float(r[rows[0].index("rho44_re")]) for r in rows[1:]]
+    assert population[0] == 1.0
+    assert population[1] < 1e-12 and population[2] < 1e-12  # t = 500, 1000
+
+
+@pytest.mark.parametrize("command", ["volume", "qec"])
+def test_overdamped_rtn_rows_finite_at_large_t(command, tmp_path):
+    import math
+
+    from corrchan.noise import RtnParams, rtn_p
+
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--noise", "rtn", "--a", "0.01", "--gamma", "5",
+                 *OVERDAMPED_GRID, "--out", str(out)]) == 0
+    values = [float(r[2]) for r in read_csv(out)[1:]]
+    assert all(math.isfinite(v) for v in values)
+    if command == "volume":
+        p = rtn_p(1000.0, RtnParams(a=0.01, gamma=5.0))
+        assert abs(values[2] - p ** 8 * (0.5 + 0.5 * p * p) ** 4) < 1e-10
+
+
 # Golden outputs: small grids of every subcommand, recorded from the code as it
 # stood before the serial-sweep refactor and compared byte for byte. Never
 # regenerate them to make a change pass; a changed byte is a changed result.

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from corrchan.errors import ValidationError
-from corrchan.linalg import eig_hermitian, psd_sqrt, validate_density
+from corrchan.errors import NumericError, ValidationError
+from corrchan.linalg import eig_hermitian, lapack, psd_sqrt, validate_density
 
 from conftest import random_density, random_hermitian
 
@@ -116,3 +116,54 @@ def test_validate_density_hermiticity():
     with pytest.raises(ValidationError) as info:
         validate_density(m)
     assert info.value.invariant == "hermiticity"
+
+
+# --------------------------------------------------------------------------
+# Stacks of matrices
+# --------------------------------------------------------------------------
+
+
+def state_stack(rng, n=6, dim=4):
+    return np.stack([random_density(dim, rng) for _ in range(n)])
+
+
+def test_stack_matches_per_matrix(rng):
+    stack = state_stack(rng)
+    assert validate_density(stack) is not None
+    w, v = eig_hermitian(stack)
+    r = psd_sqrt(stack)
+    for k, m in enumerate(stack):
+        wk, vk = eig_hermitian(m)
+        assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+        assert np.array_equal(r[k], psd_sqrt(m))
+
+
+def test_stack_with_one_nan_matrix_rejected(rng):
+    stack = state_stack(rng)
+    stack[3, 1, 2] = np.nan
+    with pytest.raises(ValidationError) as info:
+        validate_density(stack)
+    assert info.value.invariant == "finiteness"
+    with pytest.raises(ValidationError) as info:
+        eig_hermitian(stack)
+    assert info.value.invariant == "hermiticity"
+    assert np.isnan(info.value.residual)
+
+
+def test_stack_with_one_non_psd_matrix_rejected(rng):
+    stack = state_stack(rng)
+    stack[2] = np.diag([1.2, -0.1, -0.05, -0.05])
+    stack[4] = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(ValidationError) as info:
+        validate_density(stack)
+    assert info.value.invariant == "positivity"
+    assert abs(info.value.residual + 0.5) < 1e-12  # the worst matrix
+    with pytest.raises(ValidationError) as info:
+        psd_sqrt(stack)
+    assert info.value.invariant == "positive semidefiniteness"
+    assert abs(info.value.residual + 0.5) < 1e-12
+
+
+def test_lapack_failure_is_numeric_error():
+    with pytest.raises(NumericError):
+        lapack(np.linalg.inv, np.zeros((2, 2)))

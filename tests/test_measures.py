@@ -93,20 +93,15 @@ def test_positive_variation_needs_grid():
 # --------------------------------------------------------------------------
 
 
-def pair_trajectory(noise, mu, name1, name2):
-    rho1, rho2 = probe_state(name1), probe_state(name2)
-
-    def sample(t):
-        ch = channel_at_time(noise, mu, t)
-        return apply(ch, rho1), apply(ch, rho2)
-
-    return sample
+def pair_trajectory(noise, mu, name1, name2, times):
+    ch = channel_at_time(noise, mu, times)
+    return apply(ch, probe_state(name1)), apply(ch, probe_state(name2))
 
 
 def test_blp_identical_states_zero():
-    rho = probe_state("phi+")
     times = np.linspace(0, 10, 120)
-    result = blp_measure(lambda t: (rho, rho), times)
+    rhos = np.broadcast_to(probe_state("phi+"), (len(times), 4, 4))
+    result = blp_measure(rhos, rhos, times)
     assert result.value == 0.0
 
 
@@ -114,16 +109,16 @@ def test_blp_identical_states_zero():
 @pytest.mark.parametrize("mu", [0.0, 0.5, 0.9])
 def test_blp_zero_under_oun(pair, mu):
     times = np.linspace(0, 60, 150)
-    result = blp_measure(pair_trajectory(OUN, mu, *pair), times)
+    result = blp_measure(*pair_trajectory(OUN, mu, *pair, times), times)
     assert result.value < 1e-10
 
 
 def test_blp_positive_under_rtn():
     times = np.linspace(0, 100, 400)
-    result = blp_measure(pair_trajectory(RTN, 0.0, "++", "--"), times)
+    result = blp_measure(*pair_trajectory(RTN, 0.0, "++", "--", times), times)
     assert result.value > 0.1
     # D(t) for this pair equals |p(t)|, so backflow tracks the revivals
-    d0 = trace_distance(*pair_trajectory(RTN, 0.0, "++", "--")(3.0))
+    d0 = trace_distance(*pair_trajectory(RTN, 0.0, "++", "--", 3.0))
     assert abs(d0 - abs(noise_p(RTN, 3.0))) < 1e-10
 
 
@@ -191,21 +186,20 @@ def test_concurrence_requires_two_qubits(rng):
 # --------------------------------------------------------------------------
 
 
-def state_trajectory(noise, mu, name):
-    rho0 = probe_state(name)
-    return lambda t: apply(channel_at_time(noise, mu, t), rho0)
+def state_trajectory(noise, mu, name, times):
+    return apply(channel_at_time(noise, mu, times), probe_state(name))
 
 
 def test_nm_concurrence_frozen_bell_state():
     times = np.linspace(0, 50, 150)
     for noise in (RTN, OUN):
-        result = nm_concurrence_measure(state_trajectory(noise, 1.0, "phi+"), times)
+        result = nm_concurrence_measure(state_trajectory(noise, 1.0, "phi+", times), times)
         assert result.value == 0.0
 
 
 def test_nm_concurrence_increases_with_mu_under_nmad():
     times = np.linspace(0, 50, 300)
-    values = [nm_concurrence_measure(state_trajectory(NMAD, mu, "phi+"), times).value
+    values = [nm_concurrence_measure(state_trajectory(NMAD, mu, "phi+", times), times).value
               for mu in (0.0, 0.5, 0.9)]
     assert values[0] < values[1] < values[2]
     assert values[2] > 0.1
@@ -215,16 +209,15 @@ def test_nm_concurrence_increases_with_mu_under_nmad():
 def test_nm_concurrence_zero_under_oun(name):
     times = np.linspace(0, 60, 200)
     for mu in (0.0, 0.9):
-        result = nm_concurrence_measure(state_trajectory(OUN, mu, name), times)
+        result = nm_concurrence_measure(state_trajectory(OUN, mu, name, times), times)
         assert result.value < 1e-10
 
 
 def test_measure_halved_grid_stability():
     coarse = np.linspace(0, 60, 300)
     fine = np.linspace(0, 60, 600)
-    traj = state_trajectory(RTN, 0.5, "phi+")
-    v1 = nm_concurrence_measure(traj, coarse).value
-    v2 = nm_concurrence_measure(traj, fine).value
+    v1 = nm_concurrence_measure(state_trajectory(RTN, 0.5, "phi+", coarse), coarse).value
+    v2 = nm_concurrence_measure(state_trajectory(RTN, 0.5, "phi+", fine), fine).value
     assert abs(v1 - v2) / v2 < 0.02
 
 
@@ -310,7 +303,7 @@ def test_volume_closed_form(noise, rng):
 def test_volume_witness_empty_for_oun():
     times = np.linspace(0, 100, 1000)
     for mu in (0.0, 0.5, 0.9):
-        trace = volume_trace(transfer_sampler(OUN, mu), times)
+        trace = volume_trace(transfer_sampler(OUN, mu)(times), times)
         assert trace.witness_intervals == ()
 
 
@@ -325,7 +318,7 @@ def test_volume_witness_nonempty_for_rtn_and_grows_with_mu():
     rises = []
     peaks = []
     for mu in (0.0, 0.5, 0.9):
-        trace = volume_trace(transfer_sampler(RTN, mu), times)
+        trace = volume_trace(transfer_sampler(RTN, mu)(times), times)
         assert len(trace.witness_intervals) > 0
         rises.append(positive_variation(times, trace.series.values).value)
         # height of the tallest revival (local maximum after the first decay)
@@ -339,7 +332,7 @@ def test_volume_witness_nonempty_for_rtn_and_grows_with_mu():
 
 def test_volume_trace_empty_grid():
     with pytest.raises(ValueError):
-        volume_trace(transfer_sampler(OUN, 0.5), [])
+        volume_trace(np.zeros((0, 16, 16)), [])
 
 
 def test_time_series_validation():

@@ -276,3 +276,75 @@ def test_noise_p_dispatch():
     assert noise_p(NMAD_OSC, 1.0) == nmad_p(1.0, NMAD_OSC)
     with pytest.raises(TypeError):
         noise_p(object(), 1.0)
+
+
+# --------------------------------------------------------------------------
+# Time grids, overdamped large-t evaluation and non-finite values
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("params", [RTN, RtnParams(a=0.1, gamma=1.0), OUN, NMAD_OSC, NMAD_OVER])
+def test_time_grid_matches_single_times_exactly(params):
+    ts = np.linspace(0, 80, 161)
+    grid = noise_p(params, ts)
+    assert grid.shape == ts.shape
+    assert np.array_equal(grid, [noise_p(params, t) for t in ts])
+    assert isinstance(noise_p(params, 2.0), float)
+
+
+def overdamped_oracle(rate, y, ratio, t):
+    """exp(-rate t)(cosh(y t) + ratio sinh(y t)) in 60-digit arithmetic."""
+    with mp.workdps(60):
+        t = mp.mpf(t)
+        return float(mp.e ** (-rate * t) * (mp.cosh(y * t) + ratio * mp.sinh(y * t)))
+
+
+def test_overdamped_rtn_at_large_t_matches_mpmath():
+    params = RtnParams(a=0.01, gamma=5.0)
+    assert not params.is_nonmarkovian_regime
+    w = abs(params.omega)
+    for t in (0.0, 1.0, 50.0, 1000.0, 5000.0):
+        expected = overdamped_oracle(params.gamma, w * params.gamma, 1 / w, t)
+        assert abs(rtn_p(t, params) - expected) <= 1e-11 * expected
+    assert abs(rtn_p(1000.0, params) - 0.9608) < 1e-4
+    near_degenerate = RtnParams(a=0.025 * (1 - 1e-9), gamma=0.05)
+    assert abs(rtn_p(5.0, near_degenerate) - np.exp(-0.25) * 1.25) < 1e-8
+
+
+def test_overdamped_nmad_at_large_t_matches_mpmath():
+    params = NmadParams(gamma0=1.0, g=5.0)
+    l = np.sqrt(params.g ** 2 - 2 * params.gamma0 * params.g)
+    for t in (0.0, 2.0, 30.0, 500.0, 1000.0):
+        expected = overdamped_oracle(params.g / 2, l / 2, params.g / l, t)
+        assert abs(nmad_decoherence(t, params) - expected) <= 1e-11 * expected
+    assert nmad_p(500.0, params) == 1.0
+    assert nmad_p(1000.0, params) == 1.0
+    assert np.all(nmad_p(np.array([500.0, 1000.0]), params) == 1.0)
+
+
+def test_overdamped_nmad_gamma_at_large_t():
+    # gamma0 << g: G(t) stays above the singularity cut-off while cosh(lt/2)
+    # would overflow; the rate tends to 2 gamma0 g / (l + g)
+    params = NmadParams(gamma0=0.01, g=100.0)
+    l = np.sqrt(params.g ** 2 - 2 * params.gamma0 * params.g)
+    rate = nmad_gamma(1000.0, params)
+    assert abs(rate - 2 * params.gamma0 * params.g / (l + params.g)) < 1e-12
+
+
+def test_non_finite_noise_values_raise_numeric_error():
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError):
+            rtn_p(np.inf, RTN)
+        with pytest.raises(NumericError):
+            nmad_p(np.inf, NMAD_OSC)  # G(t) is nan; p must not be clamped to 0
+        with pytest.raises(NumericError):
+            noise_p(NMAD_OSC, np.array([1.0, np.inf]))
+
+
+def test_nan_time_rejected():
+    with pytest.raises(ValueError):
+        rtn_p(np.nan, RTN)
+    with pytest.raises(ValueError):
+        oun_p(np.array([0.0, np.nan]), OUN)
+    with pytest.raises(ValueError):
+        nmad_p(np.array([1.0, -1.0]), NMAD_OSC)

@@ -1,0 +1,43 @@
+"""The stacked trajectory path against the single-time Kraus path.
+
+Channels built over a whole time grid must reproduce, bit for bit, the
+channels built one time at a time: the CSV bytes of the CLI depend on it.
+"""
+
+import numpy as np
+import pytest
+
+from corrchan.channels import apply, channel_at_time
+from corrchan.map_algebra import pauli_basis, transfer_matrix, transfer_sampler
+from corrchan.measures import concurrence, probe_state, random_bell_probes, trace_distance
+from corrchan.noise import NmadParams, OunParams, RtnParams
+
+NOISES = {"rtn": RtnParams(a=0.8, gamma=0.05),
+          "oun": OunParams(G=1.0, g=0.05),
+          "nmad": NmadParams(gamma0=1.0, g=0.05)}
+TIMES = np.linspace(0.0, 60.0, 41)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("noise", sorted(NOISES))
+def test_stacked_equals_single_time(noise, mu):
+    params = NOISES[noise]
+    rho1, rho2 = probe_state("phi+"), probe_state("++")
+    rho3 = random_bell_probes(1, seed=3)[0]
+    ch = channel_at_time(params, mu, TIMES)
+    states = {name: apply(ch, rho) for name, rho in
+              (("phi+", rho1), ("++", rho2), ("random", rho3))}
+    conc = concurrence(states["phi+"])
+    dist = trace_distance(states["phi+"], states["++"])
+    dist_random = trace_distance(states["random"], states["++"])
+    dets = np.linalg.det(transfer_matrix(ch, pauli_basis(2)))
+    for k, t in enumerate(TIMES):
+        single = channel_at_time(params, mu, t)
+        s1, s2, s3 = apply(single, rho1), apply(single, rho2), apply(single, rho3)
+        assert np.array_equal(states["phi+"][k], s1)
+        assert np.array_equal(states["++"][k], s2)
+        assert np.array_equal(states["random"][k], s3)
+        assert np.array_equal(conc[k], concurrence(s1))
+        assert np.array_equal(dist[k], trace_distance(s1, s2))
+        assert np.array_equal(dist_random[k], trace_distance(s3, s2))
+        assert np.array_equal(dets[k], np.linalg.det(transfer_sampler(params, mu)(t)))
