@@ -16,7 +16,6 @@ family at one time or over a grid; `apply_matrix` and `apply` broadcast over
 the stack.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,21 +105,15 @@ def completeness_residual(channel: KrausSet) -> float:
     return float(np.abs(acc - np.eye(channel.dim)).max())
 
 
-def _check_noise_value(p, lo: float, what: str):
-    """p as a float or float array; NumericError if it is not finite,
-    ValueError if it leaves [lo, 1]."""
-    if isinstance(p, np.ndarray):
-        finite = np.isfinite(p).all()
-        outside = p[(p < lo) | (p > 1)]
-        bad = outside[0] if outside.size else None
-    else:
-        p = float(p)
-        finite = math.isfinite(p)
-        bad = None if lo <= p <= 1 else p
-    if not finite:
+def _check_noise_value(p, lo: float, what: str) -> np.ndarray:
+    """p as a float array (0-d for a single value); NumericError if it is not
+    finite, ValueError if it leaves [lo, 1]."""
+    p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
         raise NumericError(f"{what} is not finite")
-    if bad is not None:
-        raise ValueError(f"{what} must lie in [{lo:g}, 1], got {bad}")
+    outside = p[(p < lo) | (p > 1)]
+    if outside.size:
+        raise ValueError(f"{what} must lie in [{lo:g}, 1], got {outside[0]}")
     return p
 
 

@@ -194,8 +194,6 @@ def _cmd_volume(args) -> int:
 
 def _cmd_qec(args) -> int:
     noise = _noise_from_args(args)
-    if args.noise == "nmad":
-        raise ValueError("the qec subcommand supports dephasing noise only (rtn, oun)")
     times = _time_grid(args)
     mus = _parse_mus(args.mu)
     rows = []

@@ -72,9 +72,23 @@ def state_to_bloch_diagonal(rho: np.ndarray) -> BlochDiagonal:
     """
     c = tuple(float(np.trace(rho @ np.kron(s, s)).real) for s in SIGMA[1:])
     residual = float(np.abs(rho - bloch_diagonal_state(c)).max())
-    if residual > BELL_DIAGONAL_TOL:
+    if not residual <= BELL_DIAGONAL_TOL:
         raise ValidationError("Bell-diagonal form", residual)
     return BlochDiagonal(*c)
+
+
+def _unital_tau(p: float, mu: float) -> float:
+    """tau(mu) = mu + (1 - mu) p^2; ValueError for NaN or out-of-range p, mu."""
+    if not abs(p) <= 1:
+        raise ValueError(f"noise value p must lie in [-1, 1], got {p}")
+    if not 0 <= mu <= 1:
+        raise ValueError(f"correlation factor mu must lie in [0, 1], got {mu}")
+    return mu + (1 - mu) * p * p
+
+
+def _check_damping(p: float) -> None:
+    if not 0 <= p <= 1:
+        raise ValueError(f"damping probability p must lie in [0, 1], got {p}")
 
 
 def evolve_unital_closed_form(rho0: np.ndarray, p: float, mu: float) -> np.ndarray:
@@ -85,11 +99,7 @@ def evolve_unital_closed_form(rho0: np.ndarray, p: float, mu: float) -> np.ndarr
     rho0 = validate_density(rho0)
     if rho0.shape[0] != 4:
         raise ValueError("closed-form evolution is defined for two-qubit states")
-    if abs(p) > 1:
-        raise ValueError(f"noise value p must lie in [-1, 1], got {p}")
-    if not 0 <= mu <= 1:
-        raise ValueError(f"correlation factor mu must lie in [0, 1], got {mu}")
-    tau = mu + (1 - mu) * p * p
+    tau = _unital_tau(p, mu)
     out = rho0.copy()
     for i, j in _ANTI_DIAGONAL:
         out[i, j] *= tau
@@ -106,8 +116,7 @@ def evolve_fcorr_nmad_closed_form(rho0: np.ndarray, p: float) -> np.ndarray:
     rho0 = validate_density(rho0)
     if rho0.shape[0] != 4:
         raise ValueError("closed-form evolution is defined for two-qubit states")
-    if not 0 <= p <= 1:
-        raise ValueError(f"damping probability p must lie in [0, 1], got {p}")
+    _check_damping(p)
     out = rho0.copy()
     root = np.sqrt(1 - p)
     out[0, 0] = rho0[0, 0] + p * rho0[3, 3]
@@ -132,10 +141,11 @@ def bloch_update(c, kind: str, p: float, mu: float | None = None):
     if kind in _UNITAL_KINDS:
         if mu is None:
             raise ValueError("unital update requires the correlation factor mu")
-        tau = mu + (1 - mu) * p * p
+        tau = _unital_tau(p, mu)
         return (c1 * tau, c2 * tau, c3)
     if kind == "nmad":
-        if abs(c3 + 1) > BLOCH_EQ_TOL:
+        _check_damping(p)
+        if not abs(c3 + 1) <= BLOCH_EQ_TOL:
             raise ValueError(
                 f"fully correlated amplitude damping preserves the Bell-diagonal "
                 f"form only for c3 = -1, got c3 = {c3}")

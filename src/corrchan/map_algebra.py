@@ -23,6 +23,8 @@ from .noise import NoiseParams, OunParams, oun_p
 IDENTITY_SLOTS = (0, 3, 12, 15)
 SINGLE_FLIP_SLOTS = (1, 2, 4, 7, 8, 11, 13, 14)
 DOUBLE_FLIP_SLOTS = (5, 6, 9, 10)
+_SINGLE_FLIP_DIAG = 17 * np.array(SINGLE_FLIP_SLOTS)  # (a, a) in a flattened 16 x 16
+_DOUBLE_FLIP_DIAG = 17 * np.array(DOUBLE_FLIP_SLOTS)
 
 _IMAG_TOL = 1e-9
 _SINGULAR_TOL = 1e-12
@@ -106,19 +108,21 @@ def generator(f_sampler: Callable[[float], np.ndarray], t: float, h: float = 1e-
     return fdot @ lapack(np.linalg.inv, f_t)
 
 
-def dephasing_generator(rate_single: float, rate_double: float) -> np.ndarray:
+def dephasing_generator(rate_single, rate_double) -> np.ndarray:
     """Diagonal two-qubit dephasing generator: 0 on the identity-like slots,
     `rate_single` on the eight single-flip slots, `rate_double` on the four
-    double-flip slots.
+    double-flip slots. Two rate arrays of one shape give the (..., 16, 16)
+    stack of generators.
     """
-    diag = np.zeros(16)
-    diag[list(SINGLE_FLIP_SLOTS)] = rate_single
-    diag[list(DOUBLE_FLIP_SLOTS)] = rate_double
-    return np.diag(diag)
+    rates = np.asarray((rate_single, rate_double), dtype=float)
+    flat = np.zeros(rates.shape[1:] + (256,))
+    flat[..., _SINGLE_FLIP_DIAG] = rates[0, ..., None]
+    flat[..., _DOUBLE_FLIP_DIAG] = rates[1, ..., None]
+    return flat.reshape(rates.shape[1:] + (16, 16))
 
 
-def correlated_oun_rates(t: float, params: OunParams, mu: float) -> tuple[float, float]:
-    """Closed-form generator rates of the correlated OUN channel.
+def correlated_oun_rates(t, params: OunParams, mu: float):
+    """Closed-form generator rates of the correlated OUN channel, per time.
 
     Differentiating log of the diagonal F entries gives
       rate_single = -(G/2)(1 - exp(-g t)),
@@ -127,19 +131,16 @@ def correlated_oun_rates(t: float, params: OunParams, mu: float) -> tuple[float,
     the single-flip rate; at mu = 1 it vanishes (the tau slots freeze at mu).
     """
     G, g = params.G, params.g
-    p2 = oun_p(t, params) ** 2
+    p2 = np.square(oun_p(t, params))
     tau = mu + (1 - mu) * p2
     rate_single = -(G / 2) * (1 - np.exp(-g * t))
     rate_double = -G * (1 - np.exp(-g * t)) * (1 - mu) * p2 / tau
-    return float(rate_single), float(rate_double)
+    return rate_single, rate_double
 
 
-def correlated_oun_generator(t: float, params: OunParams, mu: float) -> np.ndarray:
-    """Analytic generator matrix of the correlated OUN channel at time t."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    rs, rd = correlated_oun_rates(t, params, mu)
-    return dephasing_generator(rs, rd)
+def correlated_oun_generator(t, params: OunParams, mu: float) -> np.ndarray:
+    """Analytic generator matrix of the correlated OUN channel, per time."""
+    return dephasing_generator(*correlated_oun_rates(t, params, mu))
 
 
 def choi(f: np.ndarray, basis: OperatorBasis) -> np.ndarray:

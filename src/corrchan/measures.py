@@ -209,7 +209,7 @@ def random_bell_probes(count: int, seed: int = 0) -> list[np.ndarray]:
 # --------------------------------------------------------------------------
 
 
-def sss_measure(l_sampler: Callable[[float], np.ndarray],
+def sss_measure(l_sampler: Callable[[np.ndarray], np.ndarray],
                 reference: np.ndarray,
                 t_max: float,
                 n_points: int = 256,
@@ -217,14 +217,15 @@ def sss_measure(l_sampler: Callable[[float], np.ndarray],
     """Temporal-self-similarity measure: (1/T) integral_0^T ||L(t) - L*||_F dt
     by trapezoidal quadrature, with the Frobenius norm on generator matrices.
 
-    L* is the fixed `reference`, typically the memoryless-limit generator, so
-    the measure reads the time-averaged distance of L(t) from the semigroup
-    the dynamics would follow without environmental or channel memory. With
-    `free`, L* instead ranges over the constant dephasing generators with
-    rates (r_single, r_double) on the eight single-flip and four double-flip
-    slots, minimized by Nelder-Mead from four starts: the time-averaged rates
-    of L(t), its final rates, zero, and the rates of `reference`. The free
-    measure vanishes for any semigroup of that structure.
+    `l_sampler` maps the grid to the stack of L(t) in one call (one matrix
+    is broadcast). L* is the fixed `reference`, typically the memoryless-limit
+    generator, so the measure reads the time-averaged distance of L(t) from
+    the semigroup the dynamics would follow without environmental or channel
+    memory. With `free`, L* instead ranges over the constant dephasing
+    generators with rates (r_single, r_double) on the eight single-flip and
+    four double-flip slots, minimized by Nelder-Mead from four starts: the
+    time-averaged rates of L(t), its final rates, zero, and the rates of
+    `reference`. The free measure vanishes for any semigroup of that structure.
     """
     if not 0 < t_max < np.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
@@ -232,7 +233,7 @@ def sss_measure(l_sampler: Callable[[float], np.ndarray],
         raise ValueError("grid must contain at least two points")
     reference = np.asarray(reference, dtype=float)
     times = np.linspace(0.0, t_max, n_points)
-    l_stack = np.stack([l_sampler(t) for t in times])
+    l_stack = np.broadcast_to(l_sampler(times), times.shape + reference.shape)
 
     def average_distance(l_star: np.ndarray) -> float:
         norms = np.sqrt(((l_stack - l_star) ** 2).sum(axis=(1, 2)))

@@ -7,11 +7,11 @@ decay rate gamma(t).
 
 `rtn_p`, `oun_p`, `nmad_decoherence`, `nmad_p` and `noise_p` take either a
 single time, returning a float, or an array of times, returning an array of
-the same shape from one numpy expression. A value that is not finite raises
-NumericError rather than reaching a channel.
+the same shape, through the same numpy expression (a single time is a 0-d
+array). A value that is not finite raises NumericError rather than reaching
+a channel; round-off past its range near t = 0 is clipped.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,30 +24,22 @@ _DEGENERATE = 1e-12
 
 
 def _check_time(t):
-    """A single time as a float, or a time grid as a float array; a negative
-    or NaN time raises ValueError. (Plain floats skip numpy's per-call cost.)"""
-    if isinstance(t, (int, float, np.number)):
-        t = float(t)
-        ok = t >= 0
-    else:
-        t = np.asarray(t, dtype=float)
-        ok = (t >= 0).all()
-    if not ok:
+    """A time or a time grid as a float array (0-d for a single time); a
+    negative or NaN time raises ValueError."""
+    t = np.asarray(t, dtype=float)
+    if not (t >= 0).all():
         raise ValueError(f"time must be nonnegative, got {t}")
     return t
 
 
-def _finite(val, what: str):
-    """`val` as a float for a single time, as an array for a time grid;
-    NumericError if any entry is NaN or infinite."""
-    if isinstance(val, np.ndarray) and val.ndim:
-        ok = np.isfinite(val).all()
-    else:
-        val = float(val)
-        ok = math.isfinite(val)
-    if not ok:
+def _finite(val, what: str, lo: float = -np.inf, hi: float = np.inf):
+    """`val` clipped to [lo, hi], as a float when it is a single value;
+    NumericError if any entry is NaN or infinite. Only round-off near t = 0
+    carries a noise value past its exact range, by a few ulps."""
+    if not np.isfinite(val).all():
         raise NumericError(f"{what} is not finite")
-    return val
+    val = np.minimum(np.maximum(val, lo), hi)
+    return val if np.ndim(val) else float(val)
 
 
 def _check_positive(**kwargs: float) -> None:
@@ -126,13 +118,13 @@ def rtn_p(t, params: RtnParams):
     gamma = params.gamma
     w = params.omega
     if abs(w) < _DEGENERATE:
-        return _finite(np.exp(-gamma * t) * (1 + gamma * t), "RTN p(t)")
-    if not params.is_nonmarkovian_regime:
-        return _finite(_decaying_cosh_sinh(gamma * t, abs(w) * gamma * t, 1 / abs(w)),
-                       "RTN p(t)")
-    x = w * gamma * t
-    val = np.exp(-gamma * t) * (np.cos(x) + np.sin(x) / w)
-    return _finite(val.real, "RTN p(t)")
+        val = np.exp(-gamma * t) * (1 + gamma * t)
+    elif not params.is_nonmarkovian_regime:
+        val = _decaying_cosh_sinh(gamma * t, abs(w) * gamma * t, 1 / abs(w))
+    else:
+        x = w * gamma * t
+        val = (np.exp(-gamma * t) * (np.cos(x) + np.sin(x) / w)).real
+    return _finite(val, "RTN p(t)", -1.0, 1.0)
 
 
 def oun_p(t, params: OunParams):
@@ -142,7 +134,7 @@ def oun_p(t, params: OunParams):
     """
     t = _check_time(t)
     return _finite(np.exp(-(params.G / 2) * (t + (np.exp(-params.g * t) - 1) / params.g)),
-                   "OUN p(t)")
+                   "OUN p(t)", 0.0, 1.0)
 
 
 def _nmad_l(params: NmadParams) -> complex:
@@ -178,7 +170,7 @@ def nmad_decoherence(t, params: NmadParams):
 def nmad_p(t, params: NmadParams):
     """NMAD damping probability p(t) = 1 - G(t)^2, in [0, 1] with p(0) = 0."""
     gt = nmad_decoherence(t, params)
-    return _finite(np.minimum(np.maximum(1.0 - gt * gt, 0.0), 1.0), "NMAD p(t)")
+    return _finite(1.0 - gt * gt, "NMAD p(t)", 0.0, 1.0)
 
 
 def nmad_gamma(t: float, params: NmadParams) -> float:

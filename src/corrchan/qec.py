@@ -209,25 +209,28 @@ def greedy_correctable_set() -> frozenset[str]:
 # --------------------------------------------------------------------------
 
 
-def _check_p_mu(p: float, mu: float) -> None:
-    if abs(p) > 1:
-        raise ValueError(f"noise value p must lie in [-1, 1], got {p}")
+def _check_p_mu(p, mu: float) -> np.ndarray:
+    """p as a float array (0-d for one p); ValueError for NaN or out of range."""
+    p = np.asarray(p, dtype=float)
+    outside = p[~(np.abs(p) <= 1)]
+    if outside.size:
+        raise ValueError(f"noise value p must lie in [-1, 1], got {outside[0]}")
     if not 0 <= mu <= 1:
         raise ValueError(f"correlation factor mu must lie in [0, 1], got {mu}")
+    return p
 
 
-def _marginals(p: float) -> dict[str, float]:
+def _marginals(p):
     return {'I': (1 + p) / 2, 'Z': (1 - p) / 2}
 
 
-def error_probability(word: str, p: float, mu: float) -> float:
+def error_probability(word: str, p, mu: float):
     """Chained probability of a six-letter error word: the product of the
     five adjacent-pair joint probabilities p_(e_k e_k+1) times the
-    single-letter probability of the last letter.
+    single-letter probability of the last letter, per entry of p.
     """
     _check_word(word)
-    _check_p_mu(p, mu)
-    q = _marginals(p)
+    q = _marginals(_check_p_mu(p, mu))
     prob = 1.0
     for k in range(5):
         a, b = word[k], word[k + 1]
@@ -256,8 +259,8 @@ def error_probability_conditional(word: str, p: float, mu: float) -> float:
     return prob
 
 
-def total_probability_mass(p: float, mu: float) -> float:
-    """Diagnostic: the chained model's total mass over all 64 words.
+def total_probability_mass(p, mu: float):
+    """Diagnostic: the chained model's total mass over all 64 words, per entry of p.
 
     Strictly below 1 for mu < 1 and |p| < 1 (the chained model is not a
     normalized distribution); equals (p_0^2 + p_3^2)^5 at mu = 0.
@@ -265,17 +268,18 @@ def total_probability_mass(p: float, mu: float) -> float:
     return sum(error_probability(w, p, mu) for w in ALL_ERROR_STRINGS)
 
 
-def success_probability_bruteforce(p: float, mu: float) -> float:
+def success_probability_bruteforce(p, mu: float):
     """Success probability as the explicit sum of `error_probability` over
-    the 32-element correctable set."""
+    the 32-element correctable set, per entry of p."""
     classify_errors()
     return sum(error_probability(w, p, mu) for w in CORRECTABLE_ERRORS)
 
 
-def success_probability_closed(p: float, mu: float) -> float:
+def success_probability_closed(p, mu: float):
     """Closed-form success probability: the degree-10 polynomial in p with
-    mu-dependent coefficients, evaluated literally."""
-    _check_p_mu(p, mu)
+    mu-dependent coefficients, evaluated literally per entry of p. A single p
+    is a 0-d array, so it gives the same bits as inside a grid."""
+    p = _check_p_mu(p, mu)
     return (
         2 + 4 * p**10 * (-1 + mu)**4 + 3 * mu - mu**3
         + p**8 * (26 - 47 * mu + 37 * mu**3 - 16 * mu**4)
@@ -289,9 +293,9 @@ def success_vs_time(noise: NoiseParams, mu: float, times: Sequence[float],
                     normalized: bool = False) -> TimeSeries:
     """Success probability along a time grid for RTN or OUN dephasing.
 
-    Uses the closed form, spot-checked against the brute-force sum at five
-    grid points. With `normalized`, values are divided by the total chained
-    probability mass at each time.
+    Evaluates the noise and the closed form once over the whole grid and
+    spot-checks five grid points against the brute-force sum. With
+    `normalized`, values are divided by the total chained probability mass.
     """
     if isinstance(noise, NmadParams):
         raise ValueError("the error-correction model covers dephasing noise only "
@@ -299,15 +303,15 @@ def success_vs_time(noise: NoiseParams, mu: float, times: Sequence[float],
     times = np.asarray(times, dtype=float)
     if len(times) == 0:
         raise ValueError("grid must not be empty")
-    pvals = [noise_p(noise, t) for t in times]
-    values = np.array([success_probability_closed(pv, mu) for pv in pvals])
-    for idx in np.linspace(0, len(times) - 1, min(5, len(times))).astype(int):
-        brute = success_probability_bruteforce(pvals[idx], mu)
-        if abs(brute - values[idx]) > 1e-10:
+    p = noise_p(noise, times)
+    values = success_probability_closed(p, mu)
+    idx = np.linspace(0, len(times) - 1, min(5, len(times))).astype(int)
+    for i, brute in zip(idx, success_probability_bruteforce(p[idx], mu)):
+        if not abs(brute - values[i]) <= 1e-10:
             raise NumericError(
-                f"closed form disagrees with brute force at t={times[idx]}: "
-                f"{values[idx]} vs {brute}")
+                f"closed form disagrees with brute force at t={times[i]}: "
+                f"{values[i]} vs {brute}")
     if normalized:
-        values = values / np.array([total_probability_mass(pv, mu) for pv in pvals])
+        values = values / total_probability_mass(p, mu)
     label = "p_success_normalized" if normalized else "p_success"
     return TimeSeries(times=times, values=values, label=label)

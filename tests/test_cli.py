@@ -182,6 +182,7 @@ def test_config_file_errors(tmp_path):
 def test_validation_exit_code(args, tmp_path):
     assert main(args + ["--out", str(tmp_path / "x.csv")]
                 if args[0] != "freeze-check" else args) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -288,6 +289,15 @@ def test_overdamped_rtn_rows_finite_at_large_t(command, tmp_path):
     if command == "volume":
         p = rtn_p(1000.0, RtnParams(a=0.01, gamma=5.0))
         assert abs(values[2] - p ** 8 * (0.5 + 0.5 * p * p) ** 4) < 1e-10
+
+
+@pytest.mark.parametrize("command", ["evolve", "qec"])
+def test_tiny_time_grid_accepted(command, tmp_path):
+    # unclipped, OUN p(t) rounds to 1.0000000000000004 near t = 0 (exit 2)
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--noise", "oun", "--tmax", "1e-6", "--steps", "50",
+                 "--out", str(out)]) == 0
+    assert len(read_csv(out)) == 1 + 3 * 50
 
 
 # Golden outputs: small grids of every subcommand, recorded from the code as it

@@ -83,6 +83,25 @@ def test_closed_form_domain_errors(rng):
         evolve_unital_closed_form(random_density(2, rng), 0.5, 0.5)
 
 
+PHI_PLUS = probe_state("phi+")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evolve_unital_closed_form(PHI_PLUS, np.nan, 0.5),
+    lambda: bloch_update((0.6, 0.6, -1.0), "nmad", p=np.nan),
+    lambda: bloch_update((0.6, 0.6, -1.0), "nmad", p=1.5),
+    lambda: bloch_update((0.6, 0.6, -1.0), "nmad", p=-0.1),
+    lambda: bloch_update((0.6, 0.6, np.nan), "nmad", p=0.5),
+    lambda: bloch_update((0.3, 0.2, 0.1), "rtn", p=np.nan, mu=0.5),
+    lambda: bloch_update((0.3, 0.2, 0.1), "oun", p=-1.5, mu=0.5),
+    lambda: bloch_update((0.3, 0.2, 0.1), "unital", p=0.5, mu=np.nan),
+], ids=["unital-p", "nmad-nan", "nmad-above", "nmad-below",
+        "nmad-c3", "rtn-nan", "oun-below", "unital-mu-nan"])
+def test_closed_forms_reject_values_out_of_range(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 # --------------------------------------------------------------------------
 # Bloch updates
 # --------------------------------------------------------------------------

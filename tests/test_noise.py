@@ -292,6 +292,17 @@ def test_time_grid_matches_single_times_exactly(params):
     assert isinstance(noise_p(params, 2.0), float)
 
 
+@pytest.mark.parametrize("params", [OUN, RtnParams(a=0.15, gamma=0.63), NMAD_OSC])
+def test_values_stay_in_range_near_zero(params):
+    # near t = 0, round-off in the closed forms of OUN and overdamped RTN
+    # carries p a few ulps past 1, a value the channels and qec reject
+    ts = np.geomspace(1e-12, 1e-2, 400)
+    p = noise_p(params, ts)
+    lo = 0.0 if isinstance(params, NmadParams) else -1.0
+    assert np.all((lo <= p) & (p <= 1))
+    assert all(lo <= noise_p(params, t) <= 1 for t in ts)
+
+
 def overdamped_oracle(rate, y, ratio, t):
     """exp(-rate t)(cosh(y t) + ratio sinh(y t)) in 60-digit arithmetic."""
     with mp.workdps(60):

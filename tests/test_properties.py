@@ -1,0 +1,75 @@
+"""Property tests over (p, mu, time grid) for every channel family.
+
+Each property is an invariant the package promises for any valid input:
+the correlated channels are CPTP, `apply` keeps the trace, the noise values
+stay in their range, and the success probability is a probability. The
+examples are derandomized, so the suite stays deterministic.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from corrchan.channels import (apply, channel_at_time, correlated_dephasing_channel,
+                               correlated_nmad_channel, cptp_report)
+from corrchan.measures import PROBE_NAMES, probe_state
+from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
+from corrchan.qec import success_probability_closed, success_vs_time
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
+                             database=None)
+
+TRACE_TOL = 1e-12
+
+mus = st.floats(0.0, 1.0)
+rates = st.floats(0.01, 5.0)
+dephasing_noises = st.one_of(st.builds(RtnParams, a=rates, gamma=rates),
+                             st.builds(OunParams, G=rates, g=rates))
+noises = st.one_of(dephasing_noises, st.builds(NmadParams, gamma0=rates, g=rates))
+grids = st.lists(st.floats(0.0, 200.0), min_size=1, max_size=12).map(np.unique)
+
+
+@PROPERTY_SETTINGS
+@given(p=st.floats(-1.0, 1.0), mu=mus)
+def test_dephasing_channel_is_cptp(p, mu):
+    assert cptp_report(correlated_dephasing_channel(p, mu)).accepted
+
+
+@PROPERTY_SETTINGS
+@given(p=st.floats(0.0, 1.0), mu=mus)
+def test_nmad_channel_is_cptp(p, mu):
+    assert cptp_report(correlated_nmad_channel(p, mu)).accepted
+
+
+@PROPERTY_SETTINGS
+@given(noise=noises, mu=mus, t=st.floats(0.0, 200.0))
+def test_channel_at_time_is_cptp(noise, mu, t):
+    assert cptp_report(channel_at_time(noise, mu, t)).accepted
+
+
+@PROPERTY_SETTINGS
+@given(noise=noises, mu=mus, times=grids, name=st.sampled_from(PROBE_NAMES))
+def test_apply_preserves_trace(noise, mu, times, name):
+    states = apply(channel_at_time(noise, mu, times), probe_state(name))
+    traces = np.trace(states, axis1=-2, axis2=-1)
+    assert np.abs(traces - 1).max() <= TRACE_TOL
+
+
+@PROPERTY_SETTINGS
+@given(noise=noises, times=grids)
+def test_noise_values_in_range(noise, times):
+    p = noise_p(noise, times)
+    lo = 0.0 if isinstance(noise, NmadParams) else -1.0
+    assert np.all((lo <= p) & (p <= 1))
+
+
+@PROPERTY_SETTINGS
+@given(p=st.floats(-1.0, 1.0), mu=mus)
+def test_success_probability_in_unit_interval(p, mu):
+    assert 0 <= success_probability_closed(p, mu) <= 1
+
+
+@PROPERTY_SETTINGS
+@given(noise=dephasing_noises, mu=mus, times=grids)
+def test_success_vs_time_in_unit_interval(noise, mu, times):
+    values = success_vs_time(noise, mu, times).values
+    assert np.all((0 <= values) & (values <= 1))

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from corrchan.errors import NumericError
 from corrchan.noise import NmadParams, OunParams, RtnParams
 from corrchan.qec import (ALL_ERROR_STRINGS, CORRECTABLE_ERRORS,
                           UNDETECTABLE_ERRORS, apply_word, build_codewords,
@@ -169,6 +170,22 @@ def test_domain_errors():
         error_probability("IIIIII", 1.5, 0.5)
     with pytest.raises(ValueError):
         success_probability_closed(0.5, -0.1)
+    with pytest.raises(ValueError, match="got 1.5"):
+        success_probability_closed(np.array([0.2, 1.5, -2.0]), 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: success_probability_closed(np.nan, 0.5),
+    lambda: success_probability_closed(np.array([0.5, np.nan]), 0.5),
+    lambda: error_probability("IIIIII", np.nan, 0.5),
+    lambda: success_probability_bruteforce(np.nan, 0.5),
+    lambda: total_probability_mass(np.nan, 0.5),
+    lambda: error_probability_conditional("IIIIII", np.nan, 0.5),
+], ids=["closed", "closed-array", "chained", "bruteforce", "mass",
+        "conditional"])
+def test_nan_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 # --------------------------------------------------------------------------
@@ -283,6 +300,22 @@ def test_success_vs_time_rtn_oscillates():
 def test_success_vs_time_rejects_nmad():
     with pytest.raises(ValueError):
         success_vs_time(NmadParams(gamma0=1.0, g=0.05), 0.5, np.linspace(0, 10, 20))
+
+
+def test_success_vs_time_spot_check_failure_names_the_point(monkeypatch):
+    import corrchan.qec as qec
+
+    real = qec.success_probability_bruteforce
+
+    def off_at_middle(p, mu):
+        brute = real(p, mu)
+        brute[2] = np.nan
+        return brute
+
+    monkeypatch.setattr(qec, "success_probability_bruteforce", off_at_middle)
+    times = np.linspace(0, 40, 9)
+    with pytest.raises(NumericError, match=r"at t=20\.0: [0-9.e-]+ vs nan"):
+        success_vs_time(OUN, 0.5, times)
 
 
 def test_success_vs_time_normalized_bounded():

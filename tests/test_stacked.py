@@ -2,15 +2,19 @@
 
 Channels built over a whole time grid must reproduce, bit for bit, the
 channels built one time at a time: the CSV bytes of the CLI depend on it.
+The same holds for the success probability of error correction and for the
+correlated OUN generator, which `qec` and `sss` evaluate over the grid.
 """
 
 import numpy as np
 import pytest
 
 from corrchan.channels import apply, channel_at_time
-from corrchan.map_algebra import pauli_basis, transfer_matrix, transfer_sampler
+from corrchan.map_algebra import (correlated_oun_generator, pauli_basis, transfer_matrix,
+                                  transfer_sampler)
 from corrchan.measures import concurrence, probe_state, random_bell_probes, trace_distance
-from corrchan.noise import NmadParams, OunParams, RtnParams
+from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
+from corrchan.qec import success_probability_closed, success_vs_time, total_probability_mass
 
 NOISES = {"rtn": RtnParams(a=0.8, gamma=0.05),
           "oun": OunParams(G=1.0, g=0.05),
@@ -41,3 +45,32 @@ def test_stacked_equals_single_time(noise, mu):
         assert np.array_equal(dist[k], trace_distance(s1, s2))
         assert np.array_equal(dist_random[k], trace_distance(s3, s2))
         assert np.array_equal(dets[k], np.linalg.det(transfer_sampler(params, mu)(t)))
+
+
+# Long grids: a single time evaluated through Python floats instead of 0-d
+# arrays differs from the grid in the last bit at a few points only.
+QEC_TIMES = np.linspace(0.0, 100.0, 2001)
+GENERATOR_TIMES = np.linspace(0.0, 100.0, 4001)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("noise", ["rtn", "oun"])
+def test_success_grid_equals_single_times(noise, mu):
+    params = NOISES[noise]
+    plain = success_vs_time(params, mu, QEC_TIMES).values
+    normalized = success_vs_time(params, mu, QEC_TIMES, normalized=True).values
+    singles = [noise_p(params, t) for t in QEC_TIMES]
+    closed = np.array([success_probability_closed(p, mu) for p in singles])
+    assert np.array_equal(plain, closed)
+    # 64 chained words per point: every tenth point keeps the test short
+    masses = np.array([total_probability_mass(p, mu) for p in singles[::10]])
+    assert np.array_equal(normalized[::10], closed[::10] / masses)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+def test_oun_generator_grid_equals_single_times(mu):
+    params = NOISES["oun"]
+    stack = correlated_oun_generator(GENERATOR_TIMES, params, mu)
+    assert stack.shape == GENERATOR_TIMES.shape + (16, 16)
+    singles = np.stack([correlated_oun_generator(t, params, mu) for t in GENERATOR_TIMES])
+    assert np.array_equal(stack, singles)
