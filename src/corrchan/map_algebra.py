@@ -128,12 +128,15 @@ def correlated_oun_rates(t, params: OunParams, mu: float):
       rate_single = -(G/2)(1 - exp(-g t)),
       rate_double = -G (1 - exp(-g t)) (1 - mu) p^2 / tau(mu),
     with tau(mu) = mu + (1 - mu) p^2. At mu = 0 the double-flip rate is twice
-    the single-flip rate; at mu = 1 it vanishes (the tau slots freeze at mu).
+    the single-flip rate, taken exactly, since (1 - mu) p^2 / tau is 0/0 once
+    p^2 underflows; at mu = 1 it vanishes (the tau slots freeze at mu).
     """
     G, g = params.G, params.g
     p2 = np.square(oun_p(t, params))
-    tau = mu + (1 - mu) * p2
     rate_single = -(G / 2) * (1 - np.exp(-g * t))
+    if mu == 0:
+        return rate_single, 2 * rate_single
+    tau = mu + (1 - mu) * p2
     rate_double = -G * (1 - np.exp(-g * t)) * (1 - mu) * p2 / tau
     return rate_single, rate_double
 

@@ -13,11 +13,13 @@ return a float or an array; the trajectory measures take such stacks.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+# Unused here, but perfbench/tracing.py patches this name when it installs.
+from scipy.optimize import minimize  # noqa: F401
 
+from .errors import NumericError
 from .linalg import eig_hermitian, lapack, psd_sqrt, validate_density
 from .channels import SIGMA
 from .map_algebra import (DOUBLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS,
@@ -209,6 +211,202 @@ def random_bell_probes(count: int, seed: int = 0) -> list[np.ndarray]:
 # --------------------------------------------------------------------------
 
 
+# Stopping rule of the free two-rate minimiser: f(z) - min f <= SSS_TOL * f(z).
+# Rounding can keep the provable gap near 1e-13 even at the minimum; random
+# sweeps never needed more than 20 of the SSS_MAX_ITERATIONS steps.
+SSS_TOL = 1e-12
+SSS_MAX_ITERATIONS = 100
+
+# |L - L*|_F^2 = r + 8 (a - x)^2 + 4 (b - y)^2 for L* with rates (x, y): in
+# coordinates scaled by _METRIC the free objective is a sum of Euclidean distances
+_METRIC = np.sqrt([len(SINGLE_FLIP_SLOTS), len(DOUBLE_FLIP_SLOTS)])
+_OFF_SLOTS = np.ones((16, 16))
+_OFF_SLOTS[SINGLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS] = 0.0
+_OFF_SLOTS[DOUBLE_FLIP_SLOTS, DOUBLE_FLIP_SLOTS] = 0.0
+
+
+def _two_rate_points(l_stack: np.ndarray):
+    """Per time, the mean single-flip rate a, the mean double-flip rate b,
+    and the rest r of ||L(t)||_F^2 that no two-rate generator reaches: the
+    entries off the twelve rate slots plus the spread within each slot group.
+    """
+    diag = np.diagonal(l_stack, axis1=1, axis2=2)
+    rest = np.einsum("tij,ij,tij->t", l_stack, _OFF_SLOTS, l_stack)
+    means = []
+    for slots in (SINGLE_FLIP_SLOTS, DOUBLE_FLIP_SLOTS):
+        values = diag[:, list(slots)]
+        # first + mean offset: exact when the slots of a group agree
+        mean = values[:, 0] + (values - values[:, :1]).mean(axis=1)
+        rest = rest + ((values - mean[:, None]) ** 2).sum(axis=1)
+        means.append(mean)
+    return means[0], means[1], rest
+
+
+def _weighted_median(a, b, weights):
+    """A weighted median of points (a, b) that lie exactly on one line, or
+    None when they do not: the exact minimiser of sum w |P - z| there."""
+    da, db = a - a[0], b - b[0]
+    far = np.argmax(np.abs(da) + np.abs(db))
+    if not np.all(da * db[far] == db * da[far]):
+        return None
+    order = np.argsort(da * da[far] + db * db[far], kind="stable")
+    cumulative = np.cumsum(weights[order])
+    k = order[np.searchsorted(cumulative, 0.5 * cumulative[-1])]
+    return a[k], b[k]
+
+
+def _cheapest_fill(need, capacity, price):
+    """Least cost of `need` units drawn from stocks of `capacity` at `price`
+    per unit (a fractional knapsack), or inf if the stocks fall short."""
+    order = np.argsort(price)
+    filled = np.cumsum(capacity[order])
+    j = int(np.searchsorted(filled, need))
+    if j == len(order):
+        return np.inf
+    paid = capacity[order[:j]] @ price[order[:j]]
+    return float(paid + (need - (filled[j - 1] if j else 0.0)) * price[order[j]])
+
+
+class _Local(NamedTuple):
+    """The free objective at one point u; see `_Objective.local`."""
+
+    f: float
+    gap: float
+    least: float
+    grad: np.ndarray
+    hess: np.ndarray
+    dist: np.ndarray
+
+
+class _Objective:
+    """f(u) = sum_t w_t sqrt(r_t + |u - Q_t|^2) in scaled coordinates."""
+
+    def __init__(self, points, rest, weights):
+        self.points, self.rest, self.weights = points, rest, weights
+
+    def value(self, u) -> float:
+        return float(self.weights @ np.sqrt(self.rest + ((u - self.points) ** 2).sum(axis=1)))
+
+    def local(self, u) -> _Local:
+        """f(u), a bound on f(u) - min f, the distances d_t, and the
+        gradient, least subgradient norm and Hessian of the terms more than
+        rho = SSS_TOL f / 6 from u; the nearer ones form a kink at u.
+
+        The bound is a duality gap. Each term is a support function,
+        w sqrt(r + |v|^2) = max over |(y, eta)| <= w of y.v + eta sqrt(r), so
+        any y_t with sum y_t = 0 gives min f >= sum_t (eta_t sqrt(r_t) - y_t.Q_t).
+        y_t = w_t e_t, with e_t the unit vector from Q_t to u, leaves no gap
+        but sums to the gradient. The nearest terms, while 2 sum w_t d_t
+        <= SSS_TOL f / 2, take any y_t at a gap of at most 2 w_t d_t: that
+        cancels up to their weight W of the rest's gradient g (Vardi and
+        Zhang, PNAS 97, 1423, 2000, for terms at u). The rest of g is
+        cancelled along c = -g/|g| by the others: one with s_t = -e_t.c > 0
+        takes up to 2 w_t s_t at a gap of d_t s_t per unit, cheapest first.
+        """
+        diff = u - self.points
+        dist = np.sqrt(self.rest + (diff ** 2).sum(axis=1))
+        f = float(self.weights @ dist)
+        unit = diff / np.where(dist > 0, dist, 1.0)[:, None]
+
+        by_dist = np.argsort(dist)
+        moved = 2 * np.cumsum(self.weights[by_dist] * dist[by_dist])
+        m = int(np.searchsorted(moved, SSS_TOL * f / 2, side="right"))
+        others = by_dist[m:]
+        grad = self.weights[others] @ unit[others]
+        need = max(float(np.hypot(*grad)) - float(self.weights[by_dist[:m]].sum()), 0.0)
+        share = np.maximum(unit[others] @ grad, 0.0) / max(np.hypot(*grad), 1e-300)
+        gap = (moved[m - 1] if m else 0.0) + (
+            _cheapest_fill(need, 2 * self.weights[others] * share, dist[others] * share)
+            if need > 0 else 0.0)
+
+        near = dist <= SSS_TOL * f / 6
+        far_weights = np.where(near, 0.0, self.weights)
+        step_grad = far_weights @ unit
+        step_least = max(float(np.hypot(*step_grad)) - float(self.weights[near].sum()), 0.0)
+        # sum (w / d)(I - e e^T), with 1 - e_x^2 = e_y^2 + r / d^2 kept exact
+        scale = np.where(near, 1.0, dist)
+        curv = far_weights / scale
+        cross = -curv @ (unit[:, 0] * unit[:, 1])
+        hess = (np.array([[curv @ unit[:, 1] ** 2, cross], [cross, curv @ unit[:, 0] ** 2]])
+                + curv @ (self.rest / scale ** 2) * np.eye(2))
+        return _Local(f, gap, step_least, step_grad, hess, dist)
+
+
+# relative rounding error allowed in f, a sum of up to thousands of terms
+_F_ROUNDING = 64 * np.finfo(float).eps
+
+
+def _line_search(objective, u, f, step, slope):
+    """The first u + step / 2^k (k < 60) with Armijo decrease, up to the
+    rounding error of f, or None."""
+    alpha = 1.0
+    for _ in range(60):
+        trial = u + alpha * step
+        if objective.value(trial) <= f + 1e-4 * alpha * slope + _F_ROUNDING * f:
+            return trial
+        alpha *= 0.5
+    return None
+
+
+def _free_minimiser(a, b, rest, weights):
+    """Rates (x, y) minimising f(x, y) = sum_t w_t sqrt(r_t + 8 (a_t - x)^2
+    + 4 (b_t - y)^2), a weighted Fermat-Weber problem, with a certificate.
+
+    Exactly collinear points with r = 0 (correlated OUN at mu = 0 or 1) give
+    a weighted median. Otherwise damped Newton steps run, from a kink along
+    its least subgradient, with a Weiszfeld step (Tohoku Math. J. 43, 1937)
+    where Newton fails to descend, until f(z) - min f <= SSS_TOL * f(z) is
+    certified (`_Objective.local`), at the iterate or at the data point
+    nearest to it; a minimiser on a data point is returned exactly. Raises
+    NumericError when no certificate holds after SSS_MAX_ITERATIONS steps.
+    """
+    if np.all(rest == 0):
+        median = _weighted_median(a, b, weights)
+        if median is not None:
+            return median
+    points = np.stack([a, b], axis=1) * _METRIC
+    objective = _Objective(points, rest, weights)
+    u = weights @ points / weights.sum()
+    for _ in range(SSS_MAX_ITERATIONS):
+        here = objective.local(u)
+        k = np.argmin(here.dist)
+        there = objective.local(points[k])
+        if there.gap <= SSS_TOL * there.f:
+            return a[k], b[k]
+        if here.gap <= SSS_TOL * here.f:
+            return tuple(u / _METRIC)
+        if there.f < here.f * (1 - _F_ROUNDING):
+            # descent methods can stall next to a kink: step out from on it,
+            # but not on a rounding-level difference, which in a tight
+            # cluster of rates sends the iterate from one point to the next
+            u, here = points[k], there
+        norm = np.hypot(*here.grad)
+        if here.least < norm:
+            # u sits on a kink: descend along -grad, by the curvature away from it
+            direction = -here.grad / norm
+            step = direction * here.least / max(direction @ here.hess @ direction, 1e-300)
+        elif np.linalg.det(here.hess) > 0 and np.trace(here.hess) > 0:
+            step = -np.linalg.solve(here.hess, here.grad)
+        else:
+            step = None
+        trial = None
+        if step is not None:
+            # the minimiser lies within max_t |u - Q_t| of u
+            step *= min(1.0, here.dist.max() / np.hypot(*step))
+            # directional derivative, with the kink's share norm - least
+            slope = here.grad @ step + (norm - here.least) * np.hypot(*step)
+            trial = _line_search(objective, u, here.f, step, slope)
+        if trial is None and here.least == norm:
+            # no kink at u: the Weiszfeld step never increases f
+            inv = weights / here.dist
+            trial = inv @ points / inv.sum()
+        if trial is None:
+            break
+        u = trial
+    raise NumericError("free SSS minimiser found no optimality certificate "
+                       f"in {SSS_MAX_ITERATIONS} steps")
+
+
 def sss_measure(l_sampler: Callable[[np.ndarray], np.ndarray],
                 reference: np.ndarray,
                 t_max: float,
@@ -222,10 +420,12 @@ def sss_measure(l_sampler: Callable[[np.ndarray], np.ndarray],
     generator, so the measure reads the time-averaged distance of L(t) from
     the semigroup the dynamics would follow without environmental or channel
     memory. With `free`, L* instead ranges over the constant dephasing
-    generators with rates (r_single, r_double) on the eight single-flip and
-    four double-flip slots, minimized by Nelder-Mead from four starts: the
-    time-averaged rates of L(t), its final rates, zero, and the rates of
-    `reference`. The free measure vanishes for any semigroup of that structure.
+    generators with rates (x, y) on the eight single-flip and four
+    double-flip slots. The objective is then a weighted geometric median in
+    (x, y), minimised by `_free_minimiser` up to a certified relative gap of
+    SSS_TOL, or NumericError; `reference` only sets the matrix shape. The
+    free measure vanishes for any semigroup of that structure. An L(t) with
+    a NaN or infinite entry raises NumericError.
     """
     if not 0 < t_max < np.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
@@ -234,6 +434,8 @@ def sss_measure(l_sampler: Callable[[np.ndarray], np.ndarray],
     reference = np.asarray(reference, dtype=float)
     times = np.linspace(0.0, t_max, n_points)
     l_stack = np.broadcast_to(l_sampler(times), times.shape + reference.shape)
+    if not np.isfinite(l_stack).all():
+        raise NumericError("generator L(t) has a non-finite entry")
 
     def average_distance(l_star: np.ndarray) -> float:
         norms = np.sqrt(((l_stack - l_star) ** 2).sum(axis=(1, 2)))
@@ -241,22 +443,10 @@ def sss_measure(l_sampler: Callable[[np.ndarray], np.ndarray],
 
     if not free:
         return average_distance(reference)
-
-    diag = np.diagonal(l_stack, axis1=1, axis2=2)
-    singles = diag[:, list(SINGLE_FLIP_SLOTS)].mean(axis=1)
-    doubles = diag[:, list(DOUBLE_FLIP_SLOTS)].mean(axis=1)
-    s0, d0 = SINGLE_FLIP_SLOTS[0], DOUBLE_FLIP_SLOTS[0]
-    guesses = [(singles.mean(), doubles.mean()),
-               (singles[-1], doubles[-1]),
-               (0.0, 0.0),
-               (reference[s0, s0], reference[d0, d0])]
-    best = np.inf
-    for guess in guesses:
-        res = minimize(lambda th: average_distance(dephasing_generator(th[0], th[1])),
-                       np.asarray(guess, dtype=float), method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-        best = min(best, float(res.fun))
-    return best
+    steps = np.diff(times)
+    weights = (np.append(steps, 0.0) + np.insert(steps, 0, 0.0)) / (2 * t_max)
+    return average_distance(dephasing_generator(*_free_minimiser(
+        *_two_rate_points(l_stack), weights)))
 
 
 # --------------------------------------------------------------------------

@@ -119,6 +119,54 @@ def test_sss_subcommand_monotone(tmp_path):
         assert all(b > a for a, b in zip(zetas, zetas[1:]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["markov", "free"])
+def test_sss_mu_zero_long_window(family, tmp_path):
+    # OUN p^2 underflows inside the window; the mu = 0 rates use their limit
+    import numpy as np
+
+    out = tmp_path / "sss.csv"
+    assert main(["sss", "--mu", "0", "--tmax", "3000", "--g-inverse", "10",
+                 "--steps", "50", "--family", family, "--out", str(out)]) == 0
+    zeta = float(read_csv(out)[1][2])
+    assert np.isfinite(zeta)
+    if family == "markov":
+        # L(t) - L_markov = e^{-g t} (G/2 on 8 slots, G on 4): norm sqrt(6) G e^{-g t}
+        times = np.linspace(0.0, 3000.0, 50)
+        closed = np.trapezoid(np.sqrt(6) * 0.6 * np.exp(-times / 10), times) / 3000
+        assert abs(zeta - closed) <= 1e-11 * closed  # printed to 12 digits
+
+
+@pytest.mark.parametrize("family", ["markov", "free"])
+def test_sss_non_finite_generator_exits_3(family, monkeypatch, tmp_path):
+    import numpy as np
+
+    import corrchan.cli as cli_mod
+
+    real = cli_mod.correlated_oun_generator
+
+    def with_nan(t, params, mu):
+        stack = real(t, params, mu)
+        stack[len(stack) // 2, 1, 1] = np.nan
+        return stack
+
+    monkeypatch.setattr(cli_mod, "correlated_oun_generator", with_nan)
+    out = tmp_path / "x.csv"
+    assert main(["sss", "--mu", "0.5", "--steps", "20", "--family", family,
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_sss_uncertified_minimiser_exits_3(monkeypatch, tmp_path):
+    import corrchan.measures as measures_mod
+
+    monkeypatch.setattr(measures_mod, "SSS_MAX_ITERATIONS", 0)
+    out = tmp_path / "x.csv"
+    assert main(["sss", "--mu", "0.5", "--steps", "20", "--family", "free",
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_classify_errors_output(capsys):
     assert main(["classify-errors"]) == 0
     out = capsys.readouterr().out
@@ -321,6 +369,11 @@ GOLDEN_CSV.update({
                        "--random-probes", "2", "--seed", "7"],
     "sss_markov": [*_SSS, "--family", "markov"],
     "sss_free": [*_SSS, "--family", "free"],
+    # the 12-point grids of the CLI defaults and of the seed-1 map_measures benchmark
+    "sss_free_defaults": ["sss", "--family", "free"],
+    "sss_free_map_measures": ["sss", "--G", "0.601", "--g-inverse", "8.2,59.7,105.3",
+                              "--mu", "0,0.3,0.6,0.9", "--tmax", "100", "--steps", "200",
+                              "--family", "free"],
 })
 GOLDEN_CSV.update({f"qec_{noise}{suffix}": ["qec", *_NOISE[noise], *_GRID, *flag]
                    for noise in ("rtn", "oun")

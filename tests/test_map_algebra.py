@@ -14,7 +14,7 @@ from corrchan.map_algebra import (DOUBLE_FLIP_SLOTS, IDENTITY_SLOTS,
                                   correlated_oun_rates, dephasing_generator,
                                   generator, kraus_from_choi, pauli_basis,
                                   transfer_matrix, transfer_sampler)
-from corrchan.noise import OunParams, RtnParams, rtn_p
+from corrchan.noise import OunParams, RtnParams, oun_p, rtn_p
 
 OUN = OunParams(G=1.0, g=0.05)
 
@@ -180,6 +180,17 @@ def test_oun_generator_limits():
     fast = OunParams(G=1.0, g=1e6)
     rs_fast, _ = correlated_oun_rates(1.0, fast, 0.0)
     assert abs(rs_fast - (-0.5)) < 1e-9
+
+
+def test_oun_rates_mu_zero_after_p_underflows():
+    # p^2 underflows near t = 3000 at g = 0.1, where (1 - mu) p^2 / tau is 0/0;
+    # its limit at mu = 0 is 1
+    params = OunParams(G=0.6, g=0.1)
+    times = np.linspace(0.0, 3000.0, 50)
+    assert np.square(oun_p(times[-1], params)) == 0.0
+    rs, rd = correlated_oun_rates(times, params, 0.0)
+    assert np.all(np.isfinite(rd))
+    assert np.array_equal(rd, 2 * rs)
 
 
 def test_dephasing_generator_structure():

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from corrchan import measures
 from corrchan.channels import (apply, channel_at_time,
                                correlated_dephasing_channel,
                                correlated_nmad_channel)
-from corrchan.map_algebra import (correlated_oun_generator, dephasing_generator,
+from corrchan.errors import NumericError
+from corrchan.map_algebra import (DOUBLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS,
+                                  correlated_oun_generator, dephasing_generator,
                                   transfer_sampler)
 from corrchan.measures import (blp_measure, concurrence, nm_concurrence_measure,
                                positive_variation, probe_state,
@@ -270,6 +274,180 @@ def test_sss_free_family_below_fixed():
     fixed = sss_measure(sampler, markov_generator(G), t_max=100.0, n_points=300)
     assert free <= fixed + 1e-12
     assert free > 0
+
+
+def nelder_mead_zeta(l_sampler, reference, t_max, n_points):
+    """The free measure by Nelder-Mead from four starts (the time-averaged
+    and final rates of L(t), zero, the rates of `reference`), the oracle
+    for the exact minimiser."""
+    times = np.linspace(0.0, t_max, n_points)
+    l_stack = np.broadcast_to(l_sampler(times), times.shape + (16, 16))
+
+    def average_distance(rates):
+        l_star = dephasing_generator(*rates)
+        norms = np.sqrt(((l_stack - l_star) ** 2).sum(axis=(1, 2)))
+        return float(np.trapezoid(norms, times) / t_max)
+
+    diag = np.diagonal(l_stack, axis1=1, axis2=2)
+    singles = diag[:, list(SINGLE_FLIP_SLOTS)].mean(axis=1)
+    doubles = diag[:, list(DOUBLE_FLIP_SLOTS)].mean(axis=1)
+    starts = [(singles.mean(), doubles.mean()), (singles[-1], doubles[-1]), (0.0, 0.0),
+              (reference[1, 1], reference[5, 5])]
+    return min(minimize(average_distance, np.asarray(start, dtype=float),
+                        method="Nelder-Mead",
+                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000}).fun
+               for start in starts)
+
+
+def oun_free_and_oracle(G, g_inverse, mu, t_max, n_points):
+    params = OunParams(G=G, g=1.0 / g_inverse)
+    sampler = lambda t: correlated_oun_generator(t, params, mu)
+    reference = markov_generator(G)
+    return (sss_measure(sampler, reference, t_max, n_points, free=True),
+            nelder_mead_zeta(sampler, reference, t_max, n_points))
+
+
+# benchmark-like points (map_measures: t_max 100, 200 points) and CLI defaults
+@pytest.mark.parametrize("G, g_inverse, mu, t_max, n_points", [
+    (0.601, 8.2, 0.3, 100.0, 200), (0.601, 59.7, 0.6, 100.0, 200),
+    (0.601, 105.3, 0.9, 100.0, 200), (0.7, 12.5, 0.9, 100.0, 200),
+    (0.6, 10.0, 0.3, 100.0, 400), (0.6, 100.0, 0.6, 100.0, 400),
+])
+def test_sss_free_matches_nelder_mead(G, g_inverse, mu, t_max, n_points):
+    zeta, oracle = oun_free_and_oracle(G, g_inverse, mu, t_max, n_points)
+    assert zeta <= oracle + 1e-15
+    assert f"{zeta:.12g}" == f"{oracle:.12g}"
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0, 1e-4, 0.995])
+def test_sss_free_collinear_and_near_collinear(mu):
+    # mu = 0 (b = 2a) and mu = 1 (b = 0) put the rates on a line, where the
+    # objective is a weighted median; mu near 0 or 1 puts them next to one
+    zeta, oracle = oun_free_and_oracle(0.6, 10.0, mu, 100.0, 200)
+    assert zeta <= oracle + 1e-15
+    assert f"{zeta:.12g}" == f"{oracle:.12g}"
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+def test_sss_free_collinear_minimiser_is_exact(mu):
+    # on a line the minimum sits on a data point, a weighted median: no data
+    # point has a lower objective, checked by brute force over all of them. A
+    # long window crowds the rates at their asymptote, where the certified
+    # iteration alone stops about 1.6e-13 above the minimum
+    params = OunParams(G=0.6, g=1.0 / 50.0)
+    times = np.linspace(0.0, 3000.0, 50)
+    a, b, rest = measures._two_rate_points(correlated_oun_generator(times, params, mu))
+    assert np.all(rest == 0)
+    weights = np.gradient(times) / 3000.0
+    weights[[0, -1]] /= 2
+    x, y = measures._free_minimiser(a, b, rest, weights)
+    assert any(x == a_t and y == b_t for a_t, b_t in zip(a, b))
+    objective = lambda x, y: weights @ np.sqrt(8 * (a - x) ** 2 + 4 * (b - y) ** 2)
+    best = min(objective(a_t, b_t) for a_t, b_t in zip(a, b))
+    assert objective(x, y) <= best * (1 + 1e-15)  # up to the rounding of the sum
+
+
+def test_sss_free_minimiser_on_a_data_point():
+    # the optimum sits on the rates at one grid time, where the objective has
+    # a kink; Nelder-Mead stops about 1e-12 above it
+    params = OunParams(G=0.666, g=1.0 / 3.99)
+    times = np.linspace(0.0, 1.0, 3)
+    l_stack = correlated_oun_generator(times, params, 6.24e-4)
+    a, b, rest = measures._two_rate_points(l_stack)
+    weights = np.array([0.25, 0.5, 0.25])
+    x, y = measures._free_minimiser(a, b, rest, weights)
+    assert any(x == a_t and y == b_t for a_t, b_t in zip(a, b))
+    zeta, oracle = oun_free_and_oracle(0.666, 3.99, 6.24e-4, 1.0, 3)
+    assert zeta <= oracle + 1e-15
+
+
+@pytest.mark.parametrize("G, g_inverse, mu, t_max, n_points", [
+    # long windows crowd the late rates on a line; the minimum sits within
+    # about 1e-8 of a data point whose kink almost balances the rest
+    (1.205078125, 352.0, 0.25, 3921.5, 88), (2.0, 233.0, 0.5, 4084.0, 156),
+    # mu near 1 puts hundreds of rates within 1e-9 of one another, where f
+    # differs between them only by rounding
+    (1.236, 0.2269, 0.99999998, 16.37, 1000), (1.08, 0.262, 0.999999, 24.09, 400),
+])
+def test_sss_free_certifies_hard_geometry(G, g_inverse, mu, t_max, n_points):
+    zeta, oracle = oun_free_and_oracle(G, g_inverse, mu, t_max, n_points)
+    assert zeta <= oracle + 1e-15
+
+
+def generic_generator(times):
+    """A non-dephasing L(t): off-slot entries and unequal rates within each
+    slot group, so no two-rate generator reaches it (r_t > 0)."""
+    rng = np.random.default_rng(5)
+    base, drift = rng.normal(size=(16, 16)), rng.normal(size=(16, 16))
+    return 0.1 * base + np.sin(times)[:, None, None] * drift
+
+
+def test_sss_free_generic_generator():
+    zeta = sss_measure(generic_generator, np.zeros((16, 16)), 3.0, 50, free=True)
+    oracle = nelder_mead_zeta(generic_generator, np.zeros((16, 16)), 3.0, 50)
+    assert zeta <= oracle + 1e-15
+    assert f"{zeta:.12g}" == f"{oracle:.12g}"
+
+
+@pytest.mark.parametrize("case", ["oun", "generic"])
+def test_sss_free_certificate_is_sound(case, rng):
+    # at any point u the certified gap is at least f(u) - min f, and min f is
+    # at most the better of the solver's point and the Nelder-Mead oracle
+    times = np.linspace(0.0, 3.0, 50)
+    if case == "oun":
+        params = OunParams(G=0.6, g=0.5)
+        sampler = lambda t: correlated_oun_generator(t, params, 0.3)
+    else:
+        sampler = generic_generator
+    l_stack = sampler(times)
+    a, b, rest = measures._two_rate_points(l_stack)
+    weights = np.gradient(times) / 3.0
+    weights[[0, -1]] /= 2
+    objective = measures._Objective(np.stack([a, b], axis=1) * measures._METRIC,
+                                    rest, weights)
+    best = np.array(measures._free_minimiser(a, b, rest, weights)) * measures._METRIC
+    f_min = min(objective.value(best),
+                nelder_mead_zeta(sampler, np.zeros((16, 16)), 3.0, 50))
+    for scale in (1.0, 1e-2, 1e-4, 1e-8):
+        for u in best + scale * rng.normal(size=(5, 2)):
+            at_u = objective.local(u)
+            assert at_u.gap >= at_u.f - f_min - 1e-15 * at_u.f
+    for point in objective.points[::7]:
+        at_point = objective.local(point)
+        assert at_point.gap >= at_point.f - f_min - 1e-15 * at_point.f
+
+
+def test_two_rate_points_split_the_norm(rng):
+    # ||L - L*||_F^2 = r + 8 (a - x)^2 + 4 (b - y)^2 for L* with rates (x, y)
+    l_stack = generic_generator(np.linspace(0.0, 3.0, 7))
+    a, b, rest = measures._two_rate_points(l_stack)
+    assert np.all(rest > 0)
+    x, y = rng.normal(size=2)
+    full = ((l_stack - dephasing_generator(x, y)) ** 2).sum(axis=(1, 2))
+    np.testing.assert_allclose(rest + 8 * (a - x) ** 2 + 4 * (b - y) ** 2, full, rtol=1e-13)
+
+
+@pytest.mark.parametrize("rates", [(-0.3, -0.6), (0.0, 0.0), (1.7, -2.5)])
+def test_sss_free_zero_for_constant_dephasing_generator(rates):
+    l_const = dephasing_generator(*rates)
+    assert sss_measure(lambda t: l_const, np.zeros((16, 16)), 20.0, 256, free=True) == 0.0
+
+
+def test_sss_free_uncertified_raises(monkeypatch):
+    monkeypatch.setattr(measures, "SSS_MAX_ITERATIONS", 1)
+    with pytest.raises(NumericError, match="certificate"):
+        sss_measure(generic_generator, np.zeros((16, 16)), 3.0, 50, free=True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("free", [False, True])
+def test_sss_rejects_non_finite_generator(bad, free):
+    def sampler(times):
+        stack = correlated_oun_generator(times, OUN, 0.5)
+        stack[-1, 5, 5] = bad
+        return stack
+    with pytest.raises(NumericError, match="non-finite"):
+        sss_measure(sampler, markov_generator(1.0), 10.0, 20, free=free)
 
 
 def test_sss_validation():

@@ -2,7 +2,8 @@
 
 Each property is an invariant the package promises for any valid input:
 the correlated channels are CPTP, `apply` keeps the trace, the noise values
-stay in their range, and the success probability is a probability. The
+stay in their range, the success probability is a probability, and the free
+SSS measure is certified and lies between 0 and the Markov measure. The
 examples are derandomized, so the suite stays deterministic.
 """
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from corrchan.channels import (apply, channel_at_time, correlated_dephasing_channel,
                                correlated_nmad_channel, cptp_report)
-from corrchan.measures import PROBE_NAMES, probe_state
+from corrchan.map_algebra import correlated_oun_generator, dephasing_generator
+from corrchan.measures import PROBE_NAMES, SSS_TOL, probe_state, sss_measure
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 from corrchan.qec import success_probability_closed, success_vs_time
 
@@ -73,3 +75,16 @@ def test_success_probability_in_unit_interval(p, mu):
 def test_success_vs_time_in_unit_interval(noise, mu, times):
     values = success_vs_time(noise, mu, times).values
     assert np.all((0 <= values) & (values <= 1))
+
+
+@PROPERTY_SETTINGS
+@given(G=rates, g_inverse=st.floats(0.1, 1000.0), mu=mus, t_max=st.floats(0.1, 5000.0),
+       n_points=st.integers(2, 400))
+def test_sss_free_certified_and_below_markov(G, g_inverse, mu, t_max, n_points):
+    params = OunParams(G=G, g=1.0 / g_inverse)
+    sampler = lambda t: correlated_oun_generator(t, params, mu)
+    reference = dephasing_generator(-G / 2, -G)
+    zeta_markov = sss_measure(sampler, reference, t_max, n_points)
+    zeta_free = sss_measure(sampler, reference, t_max, n_points, free=True)  # certified
+    # within the certified gap of a minimum over a family holding the reference
+    assert 0 <= zeta_free <= zeta_markov * (1 + 2 * SSS_TOL)
