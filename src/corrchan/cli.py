@@ -139,6 +139,8 @@ def _cmd_tracedist(args) -> int:
 
 
 def _cmd_blp(args) -> int:
+    if args.random_probes < 0:
+        raise ValueError(f"--random-probes must be non-negative, got {args.random_probes}")
     noise = _noise_from_args(args)
     times = _time_grid(args)
     mus = _parse_mus(args.mu)

@@ -1,4 +1,8 @@
 import csv
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -243,6 +247,7 @@ def test_validation_exit_code(args, tmp_path):
     ["sss", "--g-inverse", "nan"],
     ["evolve", "--state=--", "--steps", "3"],  # argparse turns the value into []
     ["tracedist", "--pair=--", "--steps", "3"],
+    ["blp", "--random-probes", "-3", "--steps", "5"],
 ])
 def test_invalid_input_rejected_without_output(args, capsys):
     assert main(args) == 2
@@ -403,3 +408,43 @@ def test_golden_output(name, tmp_path, capsys):
     else:
         assert main(GOLDEN_STDOUT[name]) == 0
         assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.txt").read_text()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_commands_import_neither_scipy_nor_numpy_random(tmp_path):
+    """A cold run of every subcommand, `blp` without random probes and
+    `sss --family free` included, loads neither scipy nor numpy.random."""
+    commands = [["evolve"], ["concurrence"], ["tracedist"], ["blp"], ["volume"],
+                ["qec"], ["sss", "--g-inverse", "10"],
+                ["sss", "--g-inverse", "10", "--family", "free"]]
+    argvs = [cmd + ["--steps", "5", "--out", str(tmp_path / f"{k}.csv")]
+             for k, cmd in enumerate(commands)]
+    argvs += [["classify-errors"],
+              ["freeze-check", "--c", "0.5,0.5,-1", "--channel", "oun", "--mu", "1"]]
+    script = ("import json, sys\n"
+              "from corrchan.cli import main\n"
+              "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "loaded = [m for m in ('scipy', 'numpy.random') if m in sys.modules]\n"
+              "print(json.dumps([codes, loaded]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(argvs)
+    assert loaded == []
+
+
+def test_measures_minimize_forwards_to_scipy():
+    """The benchmark tracer reads `nit` and `success` from what
+    `measures.minimize` returns."""
+    from corrchan.measures import minimize
+
+    res = minimize(lambda x: (x[0] - 1) ** 2 + 2 * (x[1] + 0.5) ** 2, [0.0, 0.0],
+                   method="Nelder-Mead")
+    assert res.success
+    assert res.nit > 0
+    assert abs(res.x[0] - 1) < 1e-3 and abs(res.x[1] + 0.5) < 1e-3
