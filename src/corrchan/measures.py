@@ -477,7 +477,7 @@ def volume_trace(f: np.ndarray, times: Sequence[float]) -> VolumeTrace:
     f = np.asarray(f, dtype=float)
     if f.shape[:-2] != times.shape:
         raise ValueError(f"transfer-matrix stack of shape {f.shape} for {len(times)} times")
-    vols = lapack(np.linalg.det, f)
+    vols = lapack(np.linalg.det, f) + 0.0  # a det that underflows to -0.0 prints as 0
     series = TimeSeries(times=times, values=vols, label="volume")
     flags = np.zeros(len(times), dtype=int)
     if len(times) < 2:

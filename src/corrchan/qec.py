@@ -275,18 +275,24 @@ def success_probability_bruteforce(p, mu: float):
     return sum(error_probability(w, p, mu) for w in CORRECTABLE_ERRORS)
 
 
+def _probability(x):
+    return np.minimum(np.maximum(x, 0.0), 1.0)
+
+
 def success_probability_closed(p, mu: float):
     """Closed-form success probability: the degree-10 polynomial in p with
     mu-dependent coefficients, evaluated literally per entry of p. A single p
-    is a 0-d array, so it gives the same bits as inside a grid."""
+    is a 0-d array, so it gives the same bits as inside a grid. Round-off
+    carries the polynomial an ulp past 1 at p = +-1 for some mu, so the
+    result is clipped to [0, 1]."""
     p = _check_p_mu(p, mu)
-    return (
+    return _probability((
         2 + 4 * p**10 * (-1 + mu)**4 + 3 * mu - mu**3
         + p**8 * (26 - 47 * mu + 37 * mu**3 - 16 * mu**4)
         + 2 * p**2 * (10 + 11 * mu + 7 * mu**3 + 2 * mu**4)
         + 2 * p**6 * (12 + mu * (-7 + 12 * mu) * (-3 + mu**2))
         - 4 * p**4 * (-13 + mu + mu**2 * (-12 + mu * (5 + 4 * mu)))
-    ) / 128
+    ) / 128)
 
 
 def success_vs_time(noise: NoiseParams, mu: float, times: Sequence[float],
@@ -312,6 +318,8 @@ def success_vs_time(noise: NoiseParams, mu: float, times: Sequence[float],
                 f"closed form disagrees with brute force at t={times[i]}: "
                 f"{values[i]} vs {brute}")
     if normalized:
-        values = values / total_probability_mass(p, mu)
+        # the correctable words are part of the total mass, so the ratio is at
+        # most 1 but for round-off
+        values = _probability(values / total_probability_mass(p, mu))
     label = "p_success_normalized" if normalized else "p_success"
     return TimeSeries(times=times, values=values, label=label)

@@ -161,6 +161,25 @@ def test_sss_non_finite_generator_exits_3(family, monkeypatch, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("noise", ["rtn", "nmad"])
+def test_volume_non_finite_noise_exits_3(noise, monkeypatch, tmp_path):
+    import numpy as np
+
+    import corrchan.map_algebra as map_algebra_mod
+
+    real = map_algebra_mod.noise_p
+
+    def with_nan(params, t):
+        p = real(params, t)
+        p[len(p) // 2] = np.nan
+        return p
+
+    monkeypatch.setattr(map_algebra_mod, "noise_p", with_nan)
+    out = tmp_path / "x.csv"
+    assert main(["volume", "--noise", noise, "--steps", "20", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_sss_uncertified_minimiser_exits_3(monkeypatch, tmp_path):
     import corrchan.measures as measures_mod
 

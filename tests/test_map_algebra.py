@@ -3,18 +3,20 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from corrchan.channels import (KrausSet, correlated_dephasing_channel,
+from corrchan.channels import (KrausSet, channel_at_time, correlated_dephasing_channel,
                                correlated_nmad_channel, dephasing_weights,
                                fully_correlated_nmad_channel,
                                single_qubit_dephasing)
 from corrchan.errors import NumericError
+from corrchan import map_algebra
 from corrchan.map_algebra import (DOUBLE_FLIP_SLOTS, IDENTITY_SLOTS,
                                   SINGLE_FLIP_SLOTS, choi, computational_basis,
                                   correlated_oun_generator,
                                   correlated_oun_rates, dephasing_generator,
-                                  generator, kraus_from_choi, pauli_basis,
+                                  dephasing_transfer, generator, kraus_from_choi,
+                                  nmad_transfer, pauli_basis,
                                   transfer_matrix, transfer_sampler)
-from corrchan.noise import OunParams, RtnParams, oun_p, rtn_p
+from corrchan.noise import NmadParams, OunParams, RtnParams, oun_p, rtn_p
 
 OUN = OunParams(G=1.0, g=0.05)
 
@@ -108,6 +110,65 @@ def test_trace_preservation_iff_first_row_e1(rng):
     bad = KrausSet(dim=4, operators=(np.sqrt(0.9) * np.eye(4, dtype=complex),))
     f = transfer_matrix(bad, basis)
     assert np.abs(f[0] - e1).max() > 1e-3
+
+
+# Closed form against the Kraus oracle: the documented entrywise tolerance.
+CLOSED_FORM_TOL = 1e-14
+DEPHASING_PS = np.concatenate([[-1.0, -1e-8, 0.0, 1e-8, 1.0], np.linspace(-1, 1, 41)])
+DAMPING_PS = np.concatenate([[0.0, 1e-8, 1 - 1e-8, 1.0], np.linspace(0, 1, 41)])
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.5, 1.0])
+def test_closed_form_transfer_matches_kraus(mu):
+    basis = pauli_basis(2)
+    for transfer, channel, ps in ((dephasing_transfer, correlated_dephasing_channel,
+                                   DEPHASING_PS),
+                                  (nmad_transfer, correlated_nmad_channel, DAMPING_PS)):
+        closed = transfer(ps, mu)
+        assert closed.shape == ps.shape + (16, 16)
+        kraus = transfer_matrix(channel(ps, mu), basis)
+        assert np.abs(closed - kraus).max() <= CLOSED_FORM_TOL
+        for p, f in zip(ps[:5], closed):
+            assert np.array_equal(transfer(p, mu), f)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("noise", [RtnParams(a=0.8, gamma=0.05), OUN,
+                                   NmadParams(gamma0=1.0, g=0.05)],
+                         ids=["rtn", "oun", "nmad"])
+def test_transfer_sampler_matches_kraus(noise, mu):
+    times = np.linspace(0.0, 60.0, 61)
+    f = transfer_sampler(noise, mu)(times)
+    kraus = transfer_matrix(channel_at_time(noise, mu, times), pauli_basis(2))
+    assert np.abs(f - kraus).max() <= CLOSED_FORM_TOL
+
+
+@pytest.mark.parametrize("transfer,p,mu,error", [
+    (dephasing_transfer, 0.5, 1.5, ValueError),
+    (dephasing_transfer, 0.5, -0.1, ValueError),
+    (dephasing_transfer, 0.5, np.nan, ValueError),
+    (dephasing_transfer, -1.5, 0.5, ValueError),
+    (dephasing_transfer, np.nan, 0.5, NumericError),
+    (dephasing_transfer, [0.2, np.inf], 0.5, NumericError),
+    (nmad_transfer, 0.5, 2.0, ValueError),
+    (nmad_transfer, -0.1, 0.5, ValueError),
+    (nmad_transfer, 1.1, 0.5, ValueError),
+    (nmad_transfer, np.nan, 0.5, NumericError),
+])
+def test_closed_form_transfer_checks(transfer, p, mu, error):
+    with pytest.raises(error):
+        transfer(p, mu)
+
+
+def test_transfer_sampler_checks_mu():
+    with pytest.raises(ValueError):
+        transfer_sampler(OUN, 1.5)
+
+
+def test_non_finite_transfer_is_numeric_error(monkeypatch):
+    monkeypatch.setattr(map_algebra, "_FC_SQRT", np.full((16, 16), np.nan))
+    with pytest.raises(NumericError):
+        nmad_transfer(0.5, 0.5)
 
 
 # --------------------------------------------------------------------------
@@ -346,6 +407,22 @@ def test_transfer_matrix_dimension_mismatch():
 def test_generator_requires_positive_step():
     with pytest.raises(ValueError):
         generator(lambda t: np.eye(16), 1.0, h=0.0)
+
+
+@pytest.mark.parametrize("t,h", [(1.0, np.inf), (1.0, np.nan), (1.0, -np.inf),
+                                 (np.inf, 1e-4), (np.nan, 1e-4), (-np.inf, 1e-4)])
+def test_generator_rejects_non_finite_step_and_time(t, h):
+    # h = inf used to give the all-zero generator; h = nan and t = nan failed
+    # later with a message about negative times
+    sampled = []
+
+    def sampler(s):
+        sampled.append(s)
+        return np.eye(16)
+
+    with pytest.raises(ValueError, match="step h|time must be finite"):
+        generator(sampler, t, h=h)
+    assert not sampled
 
 
 @pytest.mark.parametrize("family,param_count", [("dephasing", 10), ("nmad", 10)])

@@ -513,6 +513,14 @@ def test_volume_trace_empty_grid():
         volume_trace(np.zeros((0, 16, 16)), [])
 
 
+def test_volume_trace_underflow_is_positive_zero():
+    # two entries of opposite sign whose product underflows: det is -0.0
+    f = np.diag([-1e-200, 1e-200] + [1.0] * 14)
+    assert np.signbit(np.linalg.det(f))
+    vols = volume_trace(f[None], [0.0]).series.values
+    assert vols[0] == 0 and not np.signbit(vols[0])
+
+
 def test_time_series_validation():
     from corrchan.measures import TimeSeries
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ examples are derandomized, so the suite stays deterministic.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corrchan.channels import (apply, channel_at_time, correlated_dephasing_channel,
                                correlated_nmad_channel, cptp_report)
@@ -64,16 +64,33 @@ def test_noise_values_in_range(noise, times):
     assert np.all((lo <= p) & (p <= 1))
 
 
+# At p = +-1 the closed-form polynomial rounds to 1 + 2^-52 for about 0.3 %
+# of mu, this one among them.
+MU_PAST_ONE = 0.725195331703765
+
+
 @PROPERTY_SETTINGS
 @given(p=st.floats(-1.0, 1.0), mu=mus)
+@example(p=1.0, mu=MU_PAST_ONE)
+@example(p=-1.0, mu=MU_PAST_ONE)
 def test_success_probability_in_unit_interval(p, mu):
     assert 0 <= success_probability_closed(p, mu) <= 1
 
 
 @PROPERTY_SETTINGS
 @given(noise=dephasing_noises, mu=mus, times=grids)
+@example(noise=RtnParams(a=1, gamma=1), mu=MU_PAST_ONE, times=np.array([0.0]))
 def test_success_vs_time_in_unit_interval(noise, mu, times):
     values = success_vs_time(noise, mu, times).values
+    assert np.all((0 <= values) & (values <= 1))
+
+
+@PROPERTY_SETTINGS
+@given(noise=dephasing_noises, mu=mus, times=grids)
+@example(noise=RtnParams(a=1, gamma=1), mu=MU_PAST_ONE, times=np.array([0.0]))
+@example(noise=OunParams(G=1, g=1), mu=MU_PAST_ONE, times=np.array([0.0, 1e-9]))
+def test_normalized_success_vs_time_in_unit_interval(noise, mu, times):
+    values = success_vs_time(noise, mu, times, normalized=True).values
     assert np.all((0 <= values) & (values <= 1))
 
 

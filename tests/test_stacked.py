@@ -1,17 +1,18 @@
-"""The stacked trajectory path against the single-time Kraus path.
+"""Grid evaluation against single-time evaluation.
 
 Channels built over a whole time grid must reproduce, bit for bit, the
 channels built one time at a time: the CSV bytes of the CLI depend on it.
-The same holds for the success probability of error correction and for the
-correlated OUN generator, which `qec` and `sss` evaluate over the grid.
+The same holds for the closed-form transfer matrices and their
+determinants, for the success probability of error correction and for the
+correlated OUN generator, which `volume`, `qec` and `sss` evaluate over the
+grid.
 """
 
 import numpy as np
 import pytest
 
 from corrchan.channels import apply, channel_at_time
-from corrchan.map_algebra import (correlated_oun_generator, pauli_basis, transfer_matrix,
-                                  transfer_sampler)
+from corrchan.map_algebra import correlated_oun_generator, transfer_sampler
 from corrchan.measures import concurrence, probe_state, random_bell_probes, trace_distance
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 from corrchan.qec import success_probability_closed, success_vs_time, total_probability_mass
@@ -34,7 +35,9 @@ def test_stacked_equals_single_time(noise, mu):
     conc = concurrence(states["phi+"])
     dist = trace_distance(states["phi+"], states["++"])
     dist_random = trace_distance(states["random"], states["++"])
-    dets = np.linalg.det(transfer_matrix(ch, pauli_basis(2)))
+    sampler = transfer_sampler(params, mu)
+    f_grid = sampler(TIMES)
+    dets = np.linalg.det(f_grid)
     for k, t in enumerate(TIMES):
         single = channel_at_time(params, mu, t)
         s1, s2, s3 = apply(single, rho1), apply(single, rho2), apply(single, rho3)
@@ -44,7 +47,9 @@ def test_stacked_equals_single_time(noise, mu):
         assert np.array_equal(conc[k], concurrence(s1))
         assert np.array_equal(dist[k], trace_distance(s1, s2))
         assert np.array_equal(dist_random[k], trace_distance(s3, s2))
-        assert np.array_equal(dets[k], np.linalg.det(transfer_sampler(params, mu)(t)))
+        f_single = sampler(t)
+        assert np.array_equal(f_grid[k], f_single)
+        assert np.array_equal(dets[k], np.linalg.det(f_single))
 
 
 # Long grids: a single time evaluated through Python floats instead of 0-d
@@ -64,7 +69,8 @@ def test_success_grid_equals_single_times(noise, mu):
     assert np.array_equal(plain, closed)
     # 64 chained words per point: every tenth point keeps the test short
     masses = np.array([total_probability_mass(p, mu) for p in singles[::10]])
-    assert np.array_equal(normalized[::10], closed[::10] / masses)
+    # the ratio is clipped to 1, which it exceeds by an ulp at mu = 1
+    assert np.array_equal(normalized[::10], np.minimum(closed[::10] / masses, 1.0))
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
