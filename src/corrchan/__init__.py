@@ -8,9 +8,10 @@ from .linalg import eig_hermitian, psd_sqrt, validate_density
 from .channels import (CptpReport, JointProbTable, KrausSet, apply,
                        apply_matrix, channel_at_time, completeness_residual,
                        correlated_dephasing_channel, correlated_nmad_channel,
-                       cptp_report, dephasing_weights,
-                       fully_correlated_nmad_channel, joint_prob_table,
-                       single_qubit_dephasing, uncorrelated_nmad_channel)
+                       cptp_report, dephasing_weights, evolve, evolve_damping,
+                       evolve_dephasing, fully_correlated_nmad_channel,
+                       joint_prob_table, single_qubit_dephasing,
+                       uncorrelated_nmad_channel)
 from .map_algebra import (OperatorBasis, choi, computational_basis,
                           correlated_oun_generator, correlated_oun_rates,
                           dephasing_generator, generator, kraus_from_choi,
@@ -20,9 +21,7 @@ from .measures import (MeasureResult, TimeSeries, VolumeTrace, blp_measure,
                        probe_state, random_bell_probes, sss_measure,
                        trace_distance, volume_trace)
 from .freezing import (BlochDiagonal, FreezingVerdict, bloch_diagonal_state,
-                       bloch_update, evolve_fcorr_nmad_closed_form,
-                       evolve_unital_closed_form, freezing_predicate,
-                       state_to_bloch_diagonal)
+                       bloch_update, freezing_predicate, state_to_bloch_diagonal)
 from .qec import (ALL_ERROR_STRINGS, CORRECTABLE_ERRORS, UNDETECTABLE_ERRORS,
                   ErrorClassification, build_codewords, classify_errors,
                   error_probability, error_probability_conditional,

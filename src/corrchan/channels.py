@@ -1,22 +1,25 @@
-"""Construction and application of correlated two-qubit channels.
+"""Correlated two-qubit channels: closed-form state evolution over a time
+grid, and Kraus sets as the single-channel oracle.
 
-A channel is a KrausSet: operators K_k with optional mixture weights w_k,
+`evolve(noise, mu, t, rho)` evolves a two-qubit state under the correlated
+channel of a noise family, at one time or over a time grid, in closed form
+from p(t). Correlated dephasing (RTN, OUN) scales entry (i, j) by 1, p or
+tau(mu) = mu + (1 - mu) p^2 as the basis states i and j differ in zero, one
+or two qubits (`evolve_dephasing`). Correlated amplitude damping (NMAD) is
+(1 - mu) times single-qubit damping on each qubit plus mu times fully
+correlated damping (`evolve_damping`). Neither sums Kraus terms that cancel,
+so the entries keep their relative accuracy where p or tau(mu) is small.
+
+A KrausSet is one channel: operators K_k with optional mixture weights w_k,
 acting as rho -> sum_k w_k K_k rho K_k^dag. The correlated dephasing channel
 carries its four joint probabilities as the weights; the correlated
 amplitude-damping channel carries the (1-mu)/mu split between its four
 uncorrelated and two fully correlated operators, so the mu = 0 and mu = 1
-limits are exact.
-
-Every factory takes the noise value p either as a float, for one channel, or
-as an array over a time grid, for one KrausSet covering the whole grid: the
-dephasing weights, or the amplitude-damping operators, then carry the
-leading time axis, and the joint-probability, range and completeness checks
-run once over the stack. `channel_at_time` builds the channel of a noise
-family at one time or over a grid; `apply_matrix` and `apply` broadcast over
-the stack.
+limits are exact. Every factory takes one noise value p. Kraus sets are the
+independent oracle of the closed forms, in the tests and in `cptp_report`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,69 +42,58 @@ _DEPHASING_OPS = {(i, j): np.kron(SIGMA[i], SIGMA[j]) for i in (0, 3) for j in (
 for _op in _DEPHASING_OPS.values():
     _op.setflags(write=False)
 
+# _FLIPS[i, j]: the number of qubits in which the basis states i and j of
+# |00>, |01>, |10>, |11> differ: 0 on the diagonal, 1 for the single-flip
+# coherences and 2 on the anti-diagonal.
+_FLIPS = np.array([[bin(i ^ j).count("1") for j in range(4)] for i in range(4)])
+
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """An operator-sum channel on states of dimension `dim`, or a stack of
-    such channels, one per time point.
+    """An operator-sum channel on states of dimension `dim`.
 
     `weights` are the mixture probabilities p_k of rho -> sum p_k K_k rho K_k^dag;
-    absent weights mean all ones. An operator of shape (*shape, dim, dim) or
-    a weight array of shape `shape` carries the stack axes; a (dim, dim)
-    operator or a float weight is shared by the whole stack, and `shape` is
-    () for a single channel. Completeness sum_k w_k K_k^dag K_k = I is the
-    class invariant, checked by the factory functions below.
+    absent weights mean all ones. Completeness sum_k w_k K_k^dag K_k = I is
+    the class invariant, checked by the factory functions below.
     """
 
     dim: int
     operators: tuple[np.ndarray, ...]
-    weights: tuple[float | np.ndarray, ...] | None = None
-    shape: tuple[int, ...] = field(init=False)
+    weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         for op in self.operators:
-            if op.shape[-2:] != (self.dim, self.dim):
+            if op.shape != (self.dim, self.dim):
                 raise ValueError(f"operator shape {op.shape} does not match dim {self.dim}")
         if self.weights is not None and len(self.weights) != len(self.operators):
             raise ValueError("weights and operators must have equal length")
-        stacks = {op.shape[:-2] for op in self.operators if op.ndim > 2}
-        stacks |= {w.shape for w in self.weights or () if isinstance(w, np.ndarray) and w.ndim}
-        if len(stacks) > 1:
-            raise ValueError(f"operators and weights have different stack shapes {stacks}")
-        object.__setattr__(self, "shape", stacks.pop() if stacks else ())
 
-    def weighted_operators(self, matrix_axes: int = 2):
-        """(w_k, K_k) pairs; a weight array gets `matrix_axes` trailing unit
-        axes, so that it broadcasts against the matrices it scales."""
+    def weighted_operators(self):
+        """(w_k, K_k) pairs."""
         ws = self.weights if self.weights is not None else (1.0,) * len(self.operators)
-        return tuple((w[(...,) + (None,) * matrix_axes] if isinstance(w, np.ndarray) else w, op)
-                     for w, op in zip(ws, self.operators))
+        return tuple(zip(ws, self.operators))
 
 
 @dataclass(frozen=True)
 class JointProbTable:
-    """Joint error probabilities p_ij = (1-mu) q_i q_j + mu q_i delta_ij, each
-    a float or an array over a time grid."""
+    """Joint error probabilities p_ij = (1-mu) q_i q_j + mu q_i delta_ij."""
 
     mu: float
-    entries: dict[tuple[int, int], float | np.ndarray]
+    entries: dict[tuple[int, int], float]
 
     def __post_init__(self):
-        values = np.array(list(self.entries.values()))
-        smallest = values.min()
+        values = list(self.entries.values())
+        smallest = min(values)
         if not smallest >= 0:
-            raise ValidationError("joint probability nonnegativity", float(smallest))
-        residual = np.abs(values.sum(axis=0) - 1.0).max()
+            raise ValidationError("joint probability nonnegativity", smallest)
+        residual = abs(sum(values) - 1.0)
         if not residual <= JOINT_PROB_TOL:
-            raise ValidationError("joint probability normalization", float(residual))
+            raise ValidationError("joint probability normalization", residual)
 
 
 def completeness_residual(channel: KrausSet) -> float:
-    """Max entrywise deviation of sum_k w_k K_k^dag K_k from the identity,
-    over the whole stack."""
-    acc = np.zeros(channel.shape + (channel.dim, channel.dim), dtype=complex)
-    for w, op in channel.weighted_operators():
-        acc += w * (dagger(op) @ op)
+    """Max entrywise deviation of sum_k w_k K_k^dag K_k from the identity."""
+    acc = sum(w * (dagger(op) @ op) for w, op in channel.weighted_operators())
     return float(np.abs(acc - np.eye(channel.dim)).max())
 
 
@@ -117,13 +109,23 @@ def _check_noise_value(p, lo: float, what: str) -> np.ndarray:
     return p
 
 
-def dephasing_weights(p):
+def _single_noise_value(p, lo: float, what: str) -> float:
+    """The one noise value of a Kraus set, checked as by _check_noise_value;
+    an array of values is a ValueError."""
+    p = _check_noise_value(p, lo, what)
+    if p.ndim:
+        raise ValueError(f"a Kraus set is one channel: {what} must be a single value, "
+                         f"got an array of shape {p.shape}")
+    return float(p)
+
+
+def dephasing_weights(p: float) -> tuple[float, float]:
     """Kraus weights (q0, q3) = ((1+p)/2, (1-p)/2) of single-qubit dephasing."""
-    p = _check_noise_value(p, -1, "noise value p")
+    p = _single_noise_value(p, -1, "noise value p")
     return (1 + p) / 2, (1 - p) / 2
 
 
-def joint_prob_table(p, mu: float) -> JointProbTable:
+def joint_prob_table(p: float, mu: float) -> JointProbTable:
     """Two-qubit dephasing joint probabilities over letters {0, 3}."""
     _check_mu(mu)
     q0, q3 = dephasing_weights(p)
@@ -144,7 +146,7 @@ def single_qubit_dephasing(p: float) -> KrausSet:
     return KrausSet(dim=2, operators=(SIGMA[0], SIGMA[3]), weights=(q0, q3))
 
 
-def correlated_dephasing_channel(p, mu: float) -> KrausSet:
+def correlated_dephasing_channel(p: float, mu: float) -> KrausSet:
     """Correlated two-qubit dephasing: the four sigma_i (x) sigma_j terms,
     i, j in {0, 3}, weighted by the joint probabilities p_ij.
 
@@ -158,52 +160,46 @@ def correlated_dephasing_channel(p, mu: float) -> KrausSet:
     return ks
 
 
-def _operator(dim: int, entries: dict, shape: tuple[int, ...]) -> np.ndarray:
-    """Complex (*shape, dim, dim) array, zero except for the given entries."""
-    op = np.zeros(shape + (dim, dim), dtype=complex)
+def _operator(dim: int, entries: dict) -> np.ndarray:
+    """Complex dim x dim matrix, zero except for the given entries."""
+    op = np.zeros((dim, dim), dtype=complex)
     for (i, j), value in entries.items():
-        op[..., i, j] = value
+        op[i, j] = value
     return op
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of the trailing matrix axes, over any leading stack axes."""
-    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return prod.reshape(prod.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
-
-
-def nmad_single_qubit_kraus(p) -> KrausSet:
+def nmad_single_qubit_kraus(p: float) -> KrausSet:
     """Single-qubit amplitude damping with probability p."""
-    p = _check_noise_value(p, 0, "damping probability p")
-    a0 = _operator(2, {(0, 0): 1, (1, 1): np.sqrt(1 - p)}, np.shape(p))
-    a1 = _operator(2, {(0, 1): np.sqrt(p)}, np.shape(p))
+    p = _single_noise_value(p, 0, "damping probability p")
+    a0 = _operator(2, {(0, 0): 1, (1, 1): np.sqrt(1 - p)})
+    a1 = _operator(2, {(0, 1): np.sqrt(p)})
     return KrausSet(dim=2, operators=(a0, a1))
 
 
-def uncorrelated_nmad_channel(p) -> KrausSet:
+def uncorrelated_nmad_channel(p: float) -> KrausSet:
     """Tensor square of single-qubit amplitude damping: operators A_i (x) A_j."""
     single = nmad_single_qubit_kraus(p)
-    ops = tuple(_kron(ai, aj) for ai in single.operators for aj in single.operators)
+    ops = tuple(np.kron(ai, aj) for ai in single.operators for aj in single.operators)
     ks = KrausSet(dim=4, operators=ops)
     _assert_complete(ks)
     return ks
 
 
-def fully_correlated_nmad_channel(p) -> KrausSet:
+def fully_correlated_nmad_channel(p: float) -> KrausSet:
     """Fully correlated amplitude damping: both qubits decay or neither does.
 
     E00 = diag(1, 1, 1, sqrt(1-p)) damps the |11> population;
     E11 has the single entry sqrt(p) at the |00><11| position.
     """
-    p = _check_noise_value(p, 0, "damping probability p")
-    e00 = _operator(4, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): np.sqrt(1 - p)}, np.shape(p))
-    e11 = _operator(4, {(0, 3): np.sqrt(p)}, np.shape(p))
+    p = _single_noise_value(p, 0, "damping probability p")
+    e00 = _operator(4, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): np.sqrt(1 - p)})
+    e11 = _operator(4, {(0, 3): np.sqrt(p)})
     ks = KrausSet(dim=4, operators=(e00, e11))
     _assert_complete(ks)
     return ks
 
 
-def correlated_nmad_channel(p, mu: float) -> KrausSet:
+def correlated_nmad_channel(p: float, mu: float) -> KrausSet:
     """Correlated amplitude damping (1-mu) E_uncorr + mu E_fcorr: the four
     uncorrelated operators with weight 1-mu, then the two fully correlated
     ones with weight mu.
@@ -223,29 +219,20 @@ def _assert_complete(channel: KrausSet) -> None:
 
 
 def apply_matrix(channel: KrausSet, m: np.ndarray) -> np.ndarray:
-    """Linear action of the channel on an arbitrary matrix (no state checks),
-    broadcast over the stack axes of the channel and of `m`."""
-    if m.shape[-2:] != (channel.dim, channel.dim):
+    """Linear action of the channel on an arbitrary dim x dim matrix (no
+    state checks)."""
+    if m.shape != (channel.dim, channel.dim):
         raise ValueError(f"matrix shape {m.shape} does not match channel dim {channel.dim}")
-    stack = channel.shape if len(channel.shape) >= m.ndim - 2 else m.shape[:-2]
-    out = np.zeros(stack + m.shape[-2:], dtype=complex)
-    for w, op in channel.weighted_operators():
-        out += w * (op @ m @ dagger(op))
-    return out
+    return sum(w * (op @ m @ dagger(op)) for w, op in channel.weighted_operators())
 
 
 def apply(channel: KrausSet, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel to a density matrix, or to a stack of them; the
-    output is validated again."""
-    rho = validate_density(rho)
-    if rho.shape[-1] != channel.dim:
-        raise ValueError(f"state dim {rho.shape[-1]} does not match channel dim {channel.dim}")
-    return validate_density(apply_matrix(channel, rho))
+    """Apply the channel to a density matrix; the output is validated again."""
+    return validate_density(apply_matrix(channel, validate_density(rho)))
 
 
-def channel_at_time(noise: NoiseParams, mu: float, t) -> KrausSet:
-    """Correlated channel at time t, or over an array of times as one
-    stacked KrausSet, for the given noise family.
+def channel_at_time(noise: NoiseParams, mu: float, t: float) -> KrausSet:
+    """Correlated channel at time t for the given noise family.
 
     RTN and OUN give the correlated dephasing channel at p(t); NMAD gives the
     correlated amplitude-damping channel at p(t) = 1 - G(t)^2.
@@ -254,6 +241,63 @@ def channel_at_time(noise: NoiseParams, mu: float, t) -> KrausSet:
     if isinstance(noise, NmadParams):
         return correlated_nmad_channel(p, mu)
     return correlated_dephasing_channel(p, mu)
+
+
+def _two_qubit_state(rho: np.ndarray) -> np.ndarray:
+    rho = validate_density(rho)
+    if rho.shape != (4, 4):
+        raise ValueError(f"closed-form evolution takes one two-qubit state, got shape {rho.shape}")
+    return rho
+
+
+def evolve_dephasing(rho: np.ndarray, p, mu: float) -> np.ndarray:
+    """The state rho under correlated dephasing at noise value p: entry
+    (i, j) is scaled by 1, p or tau = mu + (1 - mu) p^2 as the basis states
+    i and j differ in zero, one or two qubits. An array of p gives the
+    (*p.shape, 4, 4) stack of states."""
+    rho = _two_qubit_state(rho)
+    _check_mu(mu)
+    p = _check_noise_value(p, -1, "noise value p")
+    factors = np.stack([np.ones_like(p), p, mu + (1 - mu) * np.square(p)], axis=-1)
+    return validate_density(factors[..., _FLIPS] * rho)
+
+
+def _damp(rho: np.ndarray, p: np.ndarray, qubits: int) -> np.ndarray:
+    """Amplitude damping with probability p of the `qubits` (bit mask of
+    the basis index: 2 the first qubit, 1 the second, 3 both together) over
+    the axes of p: each side of an entry on which they are excited is
+    scaled by sqrt(1 - p), and the block where they are excited on both
+    sides moves, times p, to where they are in the ground state."""
+    excited = np.arange(4) & qubits == qubits
+    up = np.flatnonzero(excited)
+    down = up - qubits
+    scale = np.where(excited, np.sqrt(1 - p)[..., None], 1.0)
+    out = scale[..., :, None] * rho * scale[..., None, :]
+    out[..., down[:, None], down] += p[..., None, None] * rho[..., up[:, None], up]
+    return out
+
+
+def evolve_damping(rho: np.ndarray, p, mu: float) -> np.ndarray:
+    """The state rho under correlated amplitude damping at probability p:
+    (1 - mu) times single-qubit damping on each qubit plus mu times fully
+    correlated damping, in which |11> decays to |00> with probability p and
+    its coherences are scaled by sqrt(1 - p). An array of p gives the
+    (*p.shape, 4, 4) stack of states."""
+    rho = _two_qubit_state(rho)
+    _check_mu(mu)
+    p = _check_noise_value(p, 0, "damping probability p")
+    each = _damp(_damp(rho, p, 2), p, 1)
+    return validate_density((1 - mu) * each + mu * _damp(rho, p, 3))
+
+
+def evolve(noise: NoiseParams, mu: float, t, rho: np.ndarray) -> np.ndarray:
+    """The two-qubit state rho evolved to time t under the correlated channel
+    of the noise family, or to every time of an array t as a
+    (*t.shape, 4, 4) stack, in closed form from one evaluation of p(t):
+    `evolve_damping` for NMAD, `evolve_dephasing` for RTN and OUN. A grid
+    gives the same bits as its times one at a time."""
+    closed_form = evolve_damping if isinstance(noise, NmadParams) else evolve_dephasing
+    return closed_form(rho, noise_p(noise, t), mu)
 
 
 @dataclass(frozen=True)
@@ -274,11 +318,8 @@ def cptp_report(channel: KrausSet) -> CptpReport:
 
     The channel is CPTP iff the completeness residual is below 1e-10 and the
     smallest Choi eigenvalue is above -1e-9; the unital residual |E(I) - I|
-    distinguishes dephasing (0) from amplitude damping (> 0). Certifies one
-    channel; a stacked KrausSet is rejected.
+    distinguishes dephasing (0) from amplitude damping (> 0).
     """
-    if channel.shape:
-        raise ValueError(f"cptp_report takes a single channel, got a stack of shape {channel.shape}")
     from . import map_algebra  # deferred: map_algebra uses apply_matrix
 
     basis = map_algebra.pauli_basis(1 if channel.dim == 2 else 2)

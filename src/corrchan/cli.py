@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .noise import NmadParams, OunParams, RtnParams
-from .channels import apply, channel_at_time
+from .channels import evolve
 from .map_algebra import correlated_oun_generator, dephasing_generator, transfer_sampler
 from .measures import (PROBE_NAMES, PROBE_PAIRS, blp_measure, concurrence,
                        probe_state, random_bell_probes, sss_measure,
@@ -33,7 +33,8 @@ from .qec import classify_errors, success_vs_time
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    # + 0.0 turns -0.0 into 0.0, so that a signed zero prints as 0
+    return format(float(x) + 0.0, ".12g")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -92,7 +93,7 @@ def _cmd_evolve(args) -> int:
     rho0 = probe_state(args.state)
     rows = []
     for mu in mus:
-        for t, rho in zip(times, apply(channel_at_time(noise, mu, times), rho0)):
+        for t, rho in zip(times, evolve(noise, mu, times, rho0)):
             row = [_fmt(t), _fmt(mu)]
             for x in rho.flat:
                 row.extend((_fmt(x.real), _fmt(x.imag)))
@@ -110,7 +111,7 @@ def _cmd_concurrence(args) -> int:
     rho0 = probe_state(args.probe)
     rows = []
     for mu in mus:
-        cvals = concurrence(apply(channel_at_time(noise, mu, times), rho0))
+        cvals = concurrence(evolve(noise, mu, times, rho0))
         rows.extend([_fmt(t), _fmt(mu), _fmt(c)] for t, c in zip(times, cvals))
     _write_csv(args.out, ["t", "mu", "concurrence"], rows)
     return 0
@@ -131,8 +132,7 @@ def _cmd_tracedist(args) -> int:
     rho1, rho2 = probe_state(name1), probe_state(name2)
     rows = []
     for mu in mus:
-        ch = channel_at_time(noise, mu, times)
-        dvals = trace_distance(apply(ch, rho1), apply(ch, rho2))
+        dvals = trace_distance(evolve(noise, mu, times, rho1), evolve(noise, mu, times, rho2))
         rows.extend([_fmt(t), _fmt(mu), _fmt(d)] for t, d in zip(times, dvals))
     _write_csv(args.out, ["t", "mu", "trace_distance"], rows)
     return 0
@@ -152,10 +152,10 @@ def _cmd_blp(args) -> int:
             named.append((f"random{k}", randoms[2 * k], randoms[2 * k + 1]))
     rows = []
     for mu in mus:
-        ch = channel_at_time(noise, mu, times)
         best = 0.0
         for label, rho1, rho2 in named:
-            value = blp_measure(apply(ch, rho1), apply(ch, rho2), times).value
+            value = blp_measure(evolve(noise, mu, times, rho1), evolve(noise, mu, times, rho2),
+                                times).value
             best = max(best, value)
             rows.append([_fmt(mu), label, _fmt(value)])
         rows.append([_fmt(mu), "max", _fmt(best)])

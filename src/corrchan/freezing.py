@@ -1,13 +1,12 @@
-"""Closed-form evolved states, Bell-diagonal Bloch updates, and the
-freezing predicate.
+"""Bell-diagonal Bloch updates and the freezing predicate.
 
 Under the correlated unital (dephasing) channels a general two-qubit state
-evolves entrywise: single-flip coherences pick up the factor p, the
-anti-diagonal coherences pick up tau(mu) = mu + (1 - mu) p^2, and the
-diagonal is untouched. At mu = 1 the anti-diagonal factor is 1, which
-freezes every Bell-diagonal state. The fully correlated amplitude-damping
-channel preserves the Bell-diagonal form only on the c3 = -1 slice, where
-states with c1 = c2 freeze.
+evolves entrywise (`channels.evolve_dephasing`): single-flip coherences pick
+up the factor p, the anti-diagonal coherences pick up tau(mu) = mu +
+(1 - mu) p^2, and the diagonal is untouched. At mu = 1 the anti-diagonal
+factor is 1, which freezes every Bell-diagonal state. The fully correlated
+amplitude-damping channel preserves the Bell-diagonal form only on the
+c3 = -1 slice, where states with c1 = c2 freeze.
 """
 
 from dataclasses import dataclass
@@ -15,14 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .channels import SIGMA
+from .channels import _FLIPS, SIGMA
 from .linalg import validate_density
 
 BLOCH_EQ_TOL = 1e-9
 BELL_DIAGONAL_TOL = 1e-12
-
-_ANTI_DIAGONAL = ((0, 3), (1, 2), (2, 1), (3, 0))
-_SINGLE_FLIP = ((0, 1), (0, 2), (1, 0), (2, 0), (1, 3), (3, 1), (2, 3), (3, 2))
 
 _UNITAL_KINDS = {"rtn", "oun", "unital", "dephasing"}
 
@@ -89,42 +85,6 @@ def _unital_tau(p: float, mu: float) -> float:
 def _check_damping(p: float) -> None:
     if not 0 <= p <= 1:
         raise ValueError(f"damping probability p must lie in [0, 1], got {p}")
-
-
-def evolve_unital_closed_form(rho0: np.ndarray, p: float, mu: float) -> np.ndarray:
-    """Evolved state under the correlated dephasing channel, entry by entry:
-    anti-diagonal coherences scaled by tau(mu) = mu + (1-mu) p^2, single-flip
-    coherences by p, diagonal unchanged.
-    """
-    rho0 = validate_density(rho0)
-    if rho0.shape[0] != 4:
-        raise ValueError("closed-form evolution is defined for two-qubit states")
-    tau = _unital_tau(p, mu)
-    out = rho0.copy()
-    for i, j in _ANTI_DIAGONAL:
-        out[i, j] *= tau
-    for i, j in _SINGLE_FLIP:
-        out[i, j] *= p
-    return out
-
-
-def evolve_fcorr_nmad_closed_form(rho0: np.ndarray, p: float) -> np.ndarray:
-    """Evolved state under fully correlated amplitude damping: the |11>
-    population flows to |00| with probability p, fourth-row and -column
-    coherences are scaled by sqrt(1-p), everything else is unchanged.
-    """
-    rho0 = validate_density(rho0)
-    if rho0.shape[0] != 4:
-        raise ValueError("closed-form evolution is defined for two-qubit states")
-    _check_damping(p)
-    out = rho0.copy()
-    root = np.sqrt(1 - p)
-    out[0, 0] = rho0[0, 0] + p * rho0[3, 3]
-    out[3, 3] = (1 - p) * rho0[3, 3]
-    for k in (0, 1, 2):
-        out[k, 3] = root * rho0[k, 3]
-        out[3, k] = root * rho0[3, k]
-    return out
 
 
 def bloch_update(c, kind: str, p: float, mu: float | None = None):
@@ -205,8 +165,8 @@ def freezing_predicate(state, kind: str, mu: float) -> FreezingVerdict:
 
 
 def _unital_verdict_rho(rho: np.ndarray, mu: float) -> FreezingVerdict:
-    single = max(abs(rho[i, j]) for i, j in _SINGLE_FLIP)
-    anti = max(abs(rho[i, j]) for i, j in _ANTI_DIAGONAL)
+    single = np.abs(rho[_FLIPS == 1]).max()
+    anti = np.abs(rho[_FLIPS == 2]).max()
     if single > BLOCH_EQ_TOL:
         return FreezingVerdict("not_frozen",
                                "single-flip coherences decay with p(t) at every mu")

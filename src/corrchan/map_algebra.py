@@ -90,17 +90,15 @@ def computational_basis(dim: int) -> np.ndarray:
 
 
 def transfer_matrix(channel: KrausSet, basis: OperatorBasis) -> np.ndarray:
-    """F_kl = tr[G_k E(G_l)] for the given channel, as a real N x N array;
-    for a stacked channel, a (*channel.shape, N, N) stack. The Kraus sum is
-    the oracle of the closed forms behind `transfer_sampler`; it loses
-    relative accuracy where p or tau(mu) is small."""
+    """F_kl = tr[G_k E(G_l)] for the given channel, as a real N x N array.
+    The Kraus sum is the oracle of the closed forms behind
+    `transfer_sampler`; it loses relative accuracy where p or tau(mu) is
+    small."""
     if channel.dim != basis.dim:
         raise ValueError(f"channel dim {channel.dim} does not match basis dim {basis.dim}")
     b = basis.elements
-    eb = np.zeros(channel.shape + b.shape, dtype=complex)
-    for w, op in channel.weighted_operators(matrix_axes=3):
-        eb += w * np.einsum('...ij,ljk,...km->...lim', op, b, dagger(op))
-    f = np.einsum('kij,...lji->...kl', b, eb)
+    eb = sum(w * (op @ b @ dagger(op)) for w, op in channel.weighted_operators())
+    f = np.einsum('kij,lji->kl', b, eb)
     residue = np.abs(f.imag).max()
     if not residue <= _IMAG_TOL:
         raise NumericError(f"transfer matrix has imaginary residue {residue:.3e}")

@@ -8,7 +8,7 @@ them is evaluated over a caller-supplied probe family (see `probe_state` and
 `random_bell_probes`) rather than over all of state space.
 
 `trace_distance` and `concurrence` take one state or a stack of states of
-shape (..., 4, 4), such as a trajectory from `apply` over a time grid, and
+shape (..., 4, 4), such as a trajectory from `channels.evolve` over a time grid, and
 return a float or an array; the trajectory measures take such stacks.
 """
 
@@ -477,7 +477,7 @@ def volume_trace(f: np.ndarray, times: Sequence[float]) -> VolumeTrace:
     f = np.asarray(f, dtype=float)
     if f.shape[:-2] != times.shape:
         raise ValueError(f"transfer-matrix stack of shape {f.shape} for {len(times)} times")
-    vols = lapack(np.linalg.det, f) + 0.0  # a det that underflows to -0.0 prints as 0
+    vols = lapack(np.linalg.det, f)
     series = TimeSeries(times=times, values=vols, label="volume")
     flags = np.zeros(len(times), dtype=int)
     if len(times) < 2:

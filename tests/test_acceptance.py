@@ -9,11 +9,10 @@ import numpy as np
 
 from corrchan.channels import (apply, channel_at_time,
                                correlated_dephasing_channel,
-                               correlated_nmad_channel,
+                               correlated_nmad_channel, evolve,
+                               evolve_damping, evolve_dephasing,
                                fully_correlated_nmad_channel)
-from corrchan.freezing import (bloch_diagonal_state,
-                               evolve_fcorr_nmad_closed_form,
-                               evolve_unital_closed_form)
+from corrchan.freezing import bloch_diagonal_state
 from corrchan.map_algebra import (choi, correlated_oun_generator,
                                   dephasing_generator, generator,
                                   kraus_from_choi, pauli_basis,
@@ -95,15 +94,21 @@ def test_criterion_4_closed_form_kraus_agreement():
         p = rng.uniform(-1, 1)
         mu = rng.uniform(0, 1)
         kraus = apply(correlated_dephasing_channel(p, mu), rho)
-        worst = max(worst, np.abs(evolve_unital_closed_form(rho, p, mu) - kraus).max())
+        worst = max(worst, np.abs(evolve_dephasing(rho, p, mu) - kraus).max())
     for _ in range(50):
         rho = random_density(4, rng)
         p = rng.uniform(0, 1)
         kraus = apply(fully_correlated_nmad_channel(p), rho)
-        worst = max(worst, np.abs(evolve_fcorr_nmad_closed_form(rho, p) - kraus).max())
+        worst = max(worst, np.abs(evolve_damping(rho, p, 1.0) - kraus).max())
+    for _ in range(50):
+        rho = random_density(4, rng)
+        p = rng.uniform(0, 1)
+        mu = rng.uniform(0, 1)
+        kraus = apply(correlated_nmad_channel(p, mu), rho)
+        worst = max(worst, np.abs(evolve_damping(rho, p, mu) - kraus).max())
     assert worst < 1e-12
-    report(4, f"dephasing and damping closed forms match the Kraus path on "
-              f"50 random states each (max |diff| {worst:.2e})")
+    report(4, f"dephasing, fully correlated and correlated damping closed forms "
+              f"match the Kraus path on 50 random states each (max |diff| {worst:.2e})")
 
 
 def test_criterion_5_volume_formula_and_witness():
@@ -172,7 +177,7 @@ def test_criterion_7_measure_monotonicity_in_mu():
     times = np.linspace(0, 50, 400)
     values = []
     for mu in mus:
-        traj = apply(channel_at_time(NMAD, mu, times), phi)
+        traj = evolve(NMAD, mu, times, phi)
         values.append(nm_concurrence_measure(traj, times).value)
     conc_elapsed = time.perf_counter() - start
     assert all(b > a for a, b in zip(values, values[1:])), values

@@ -5,11 +5,11 @@ from corrchan.channels import (SIGMA, KrausSet, apply, apply_matrix,
                                channel_at_time, completeness_residual,
                                correlated_dephasing_channel,
                                correlated_nmad_channel, cptp_report,
-                               dephasing_weights, fully_correlated_nmad_channel,
-                               joint_prob_table, single_qubit_dephasing,
-                               uncorrelated_nmad_channel)
+                               dephasing_weights, evolve_damping,
+                               evolve_dephasing, fully_correlated_nmad_channel,
+                               joint_prob_table, nmad_single_qubit_kraus,
+                               single_qubit_dephasing, uncorrelated_nmad_channel)
 from corrchan.errors import NumericError, ValidationError
-from corrchan.freezing import evolve_fcorr_nmad_closed_form, evolve_unital_closed_form
 from corrchan.measures import probe_state
 from corrchan.noise import NmadParams, OunParams, RtnParams
 
@@ -120,7 +120,7 @@ def test_apply_matches_closed_form(rng):
         mu = rng.uniform(0, 1)
         rho = random_density(4, rng)
         out = apply(correlated_dephasing_channel(p, mu), rho)
-        assert np.abs(out - evolve_unital_closed_form(rho, p, mu)).max() < 1e-12
+        assert np.abs(out - evolve_dephasing(rho, p, mu)).max() < 1e-12
 
 
 def test_fcorr_nmad_matches_closed_form(rng):
@@ -128,7 +128,7 @@ def test_fcorr_nmad_matches_closed_form(rng):
         p = rng.uniform(0, 1)
         rho = random_density(4, rng)
         out = apply(fully_correlated_nmad_channel(p), rho)
-        assert np.abs(out - evolve_fcorr_nmad_closed_form(rho, p)).max() < 1e-12
+        assert np.abs(out - evolve_damping(rho, p, 1.0)).max() < 1e-12
 
 
 def test_mu_interpolation_linearity(rng):
@@ -204,27 +204,46 @@ def test_non_finite_noise_value_is_numeric_error():
             factory(np.array([0.2, np.nan]), 0.5)
 
 
-def test_stacked_channel_checks_every_point():
+def test_closed_form_checks_every_point():
+    rho = probe_state("alpha")
     with pytest.raises(ValueError, match="1.5"):
-        correlated_dephasing_channel(np.array([0.2, 1.5, -0.3]), 0.5)
+        evolve_dephasing(rho, np.array([0.2, 1.5, -0.3]), 0.5)
     with pytest.raises(ValueError, match="-0.2"):
-        correlated_nmad_channel(np.array([0.1, -0.2]), 0.5)
+        evolve_damping(rho, np.array([0.1, -0.2]), 0.5)
+    with pytest.raises(ValueError, match="1.1"):
+        evolve_damping(rho, np.array([0.1, 0.4, 1.1]), 0.5)
+    for evolve_family in (evolve_dephasing, evolve_damping):
+        with pytest.raises(NumericError):
+            evolve_family(rho, np.array([0.2, np.nan, 0.3]), 0.5)
+        with pytest.raises(ValueError):
+            evolve_family(rho, np.array([0.2, 0.3]), 1.5)
 
 
-def test_stacked_channel_shapes():
+def test_closed_form_shapes(rng):
     ps = np.linspace(0, 1, 7)
-    deph = correlated_dephasing_channel(ps, 0.3)
-    nmad = correlated_nmad_channel(ps, 0.3)
-    assert deph.shape == nmad.shape == (7,)
-    assert all(op.shape == (4, 4) for op in deph.operators)
-    assert all(w.shape == (7,) for w in deph.weights)
-    assert all(op.shape == (7, 4, 4) for op in nmad.operators)
-    assert completeness_residual(nmad) < 1e-12
-    assert correlated_dephasing_channel(0.5, 0.3).shape == ()
+    rho = probe_state("alpha")
+    for evolve_family in (evolve_dephasing, evolve_damping):
+        assert evolve_family(rho, ps, 0.3).shape == (7, 4, 4)
+        assert evolve_family(rho, 0.5, 0.3).shape == (4, 4)
+        with pytest.raises(ValueError):
+            evolve_family(random_density(2, rng), ps, 0.3)
+        with pytest.raises(ValueError):
+            evolve_family(np.stack([rho, rho]), ps[:2], 0.3)
+
+
+def test_kraus_factories_take_one_p():
+    ps = np.array([0.2, 0.5])
+    for factory in (dephasing_weights, single_qubit_dephasing, nmad_single_qubit_kraus,
+                    uncorrelated_nmad_channel, fully_correlated_nmad_channel):
+        with pytest.raises(ValueError, match="single value"):
+            factory(ps)
+    for factory in (joint_prob_table, correlated_dephasing_channel, correlated_nmad_channel):
+        with pytest.raises(ValueError, match="single value"):
+            factory(ps, 0.5)
+    with pytest.raises(ValueError, match="single value"):
+        channel_at_time(OunParams(G=1.0, g=0.05), 0.5, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        KrausSet(dim=2, operators=(np.zeros((3, 2, 2)), np.zeros((4, 2, 2))))
-    with pytest.raises(ValueError):
-        cptp_report(nmad)
+        KrausSet(dim=2, operators=(np.zeros((3, 2, 2)), np.zeros((3, 2, 2))))
 
 
 def test_channel_at_time_dispatch():

@@ -467,3 +467,19 @@ def test_measures_minimize_forwards_to_scipy():
     assert res.success
     assert res.nit > 0
     assert abs(res.x[0] - 1) < 1e-3 and abs(res.x[1] + 0.5) < 1e-3
+
+
+def test_trajectory_commands_build_no_kraus_set(monkeypatch, tmp_path):
+    """evolve, concurrence, tracedist and blp evolve states in closed form;
+    Kraus sets are the oracle of the tests and of cptp_report only."""
+    from corrchan.channels import KrausSet
+
+    def forbidden(self):
+        raise AssertionError("a trajectory command built a KrausSet")
+
+    monkeypatch.setattr(KrausSet, "__post_init__", forbidden)
+    for command in (["evolve"], ["concurrence"], ["tracedist"],
+                    ["blp", "--random-probes", "1"]):
+        for noise in ("rtn", "oun", "nmad"):
+            out = tmp_path / "x.csv"
+            assert main(command + ["--noise", noise, "--steps", "5", "--out", str(out)]) == 0

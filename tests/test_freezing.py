@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from corrchan.channels import (apply, apply_matrix, channel_at_time,
-                               correlated_dephasing_channel,
-                               fully_correlated_nmad_channel)
+                               correlated_dephasing_channel, evolve_damping,
+                               evolve_dephasing, fully_correlated_nmad_channel)
 from corrchan.errors import ValidationError
 from corrchan.freezing import (BlochDiagonal, bloch_diagonal_state,
-                               bloch_update, evolve_fcorr_nmad_closed_form,
-                               evolve_unital_closed_form, freezing_predicate,
+                               bloch_update, freezing_predicate,
                                state_to_bloch_diagonal)
 from corrchan.measures import concurrence, probe_state, trace_distance
 from corrchan.noise import NmadParams, OunParams, RtnParams
@@ -39,11 +38,11 @@ def test_unital_closed_form_identity_limits(rng):
     # mu = 1 freezes X-states exactly (single-flip coherences, which would
     # still pick up p, vanish for this family); p = 1 freezes any state
     x = random_x_state(rng)
-    assert np.abs(evolve_unital_closed_form(x, 0.3, 1.0) - x).max() == 0.0
+    assert np.abs(evolve_dephasing(x, 0.3, 1.0) - x).max() == 0.0
     rho = random_density(4, rng)
-    assert np.abs(evolve_unital_closed_form(rho, 1.0, 0.4) - rho).max() == 0.0
+    assert np.abs(evolve_dephasing(rho, 1.0, 0.4) - rho).max() == 0.0
     # general states are not frozen at mu = 1: single-flip slots decay with p
-    moved = evolve_unital_closed_form(rho, 0.3, 1.0)
+    moved = evolve_dephasing(rho, 0.3, 1.0)
     assert np.abs(moved - rho).max() > 1e-3
 
 
@@ -53,13 +52,13 @@ def test_unital_closed_form_matches_kraus(rng):
         mu = rng.uniform(0, 1)
         rho = random_density(4, rng)
         kraus = apply(correlated_dephasing_channel(p, mu), rho)
-        assert np.abs(evolve_unital_closed_form(rho, p, mu) - kraus).max() < 1e-12
+        assert np.abs(evolve_dephasing(rho, p, mu) - kraus).max() < 1e-12
 
 
 def test_fcorr_closed_form_boundaries(rng):
     rho = random_density(4, rng)
-    assert np.abs(evolve_fcorr_nmad_closed_form(rho, 0.0) - rho).max() == 0.0
-    out = evolve_fcorr_nmad_closed_form(probe_state("11"), 1.0)
+    assert np.abs(evolve_damping(rho, 0.0, 1.0) - rho).max() == 0.0
+    out = evolve_damping(probe_state("11"), 1.0, 1.0)
     assert np.abs(out - probe_state("00")).max() < 1e-15
 
 
@@ -68,26 +67,26 @@ def test_fcorr_closed_form_matches_kraus(rng):
         p = rng.uniform(0, 1)
         rho = random_density(4, rng)
         kraus = apply(fully_correlated_nmad_channel(p), rho)
-        assert np.abs(evolve_fcorr_nmad_closed_form(rho, p) - kraus).max() < 1e-12
+        assert np.abs(evolve_damping(rho, p, 1.0) - kraus).max() < 1e-12
 
 
 def test_closed_form_domain_errors(rng):
     rho = random_density(4, rng)
     with pytest.raises(ValueError):
-        evolve_unital_closed_form(rho, 1.5, 0.5)
+        evolve_dephasing(rho, 1.5, 0.5)
     with pytest.raises(ValueError):
-        evolve_unital_closed_form(rho, 0.5, -0.2)
+        evolve_dephasing(rho, 0.5, -0.2)
     with pytest.raises(ValueError):
-        evolve_fcorr_nmad_closed_form(rho, -0.5)
+        evolve_damping(rho, -0.5, 1.0)
     with pytest.raises(ValueError):
-        evolve_unital_closed_form(random_density(2, rng), 0.5, 0.5)
+        evolve_dephasing(random_density(2, rng), 0.5, 0.5)
 
 
 PHI_PLUS = probe_state("phi+")
 
 
 @pytest.mark.parametrize("call", [
-    lambda: evolve_unital_closed_form(PHI_PLUS, np.nan, 0.5),
+    lambda: evolve_dephasing(PHI_PLUS, -1.5, 0.5),
     lambda: bloch_update((0.6, 0.6, -1.0), "nmad", p=np.nan),
     lambda: bloch_update((0.6, 0.6, -1.0), "nmad", p=1.5),
     lambda: bloch_update((0.6, 0.6, -1.0), "nmad", p=-0.1),
@@ -130,7 +129,7 @@ def test_bloch_update_unital_matches_closed_form(rng):
     c = random_bloch_triple(rng)
     p, mu = 0.45, 0.3
     updated = bloch_update(c, "oun", p=p, mu=mu)
-    rho_evolved = evolve_unital_closed_form(bloch_diagonal_state(c), p, mu)
+    rho_evolved = evolve_dephasing(bloch_diagonal_state(c), p, mu)
     expected = state_to_bloch_diagonal(rho_evolved)
     assert np.abs(np.array(updated) - np.array(expected.c)).max() < 1e-12
 

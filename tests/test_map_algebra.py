@@ -126,7 +126,7 @@ def test_closed_form_transfer_matches_kraus(mu):
                                   (nmad_transfer, correlated_nmad_channel, DAMPING_PS)):
         closed = transfer(ps, mu)
         assert closed.shape == ps.shape + (16, 16)
-        kraus = transfer_matrix(channel(ps, mu), basis)
+        kraus = np.stack([transfer_matrix(channel(p, mu), basis) for p in ps])
         assert np.abs(closed - kraus).max() <= CLOSED_FORM_TOL
         for p, f in zip(ps[:5], closed):
             assert np.array_equal(transfer(p, mu), f)
@@ -139,7 +139,8 @@ def test_closed_form_transfer_matches_kraus(mu):
 def test_transfer_sampler_matches_kraus(noise, mu):
     times = np.linspace(0.0, 60.0, 61)
     f = transfer_sampler(noise, mu)(times)
-    kraus = transfer_matrix(channel_at_time(noise, mu, times), pauli_basis(2))
+    kraus = np.stack([transfer_matrix(channel_at_time(noise, mu, t), pauli_basis(2))
+                      for t in times])
     assert np.abs(f - kraus).max() <= CLOSED_FORM_TOL
 
 

@@ -1,7 +1,8 @@
 """Property tests over (p, mu, time grid) for every channel family.
 
 Each property is an invariant the package promises for any valid input:
-the correlated channels are CPTP, `apply` keeps the trace, the noise values
+the correlated channels are CPTP, the closed-form `evolve` keeps the trace
+and agrees with the Kraus `apply` at every time, the noise values
 stay in their range, the success probability is a probability, and the free
 SSS measure is certified and lies between 0 and the Markov measure. The
 examples are derandomized, so the suite stays deterministic.
@@ -11,7 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from corrchan.channels import (apply, channel_at_time, correlated_dephasing_channel,
-                               correlated_nmad_channel, cptp_report)
+                               correlated_nmad_channel, cptp_report, evolve)
 from corrchan.map_algebra import correlated_oun_generator, dephasing_generator
 from corrchan.measures import PROBE_NAMES, SSS_TOL, probe_state, sss_measure
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
@@ -21,6 +22,7 @@ PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
                              database=None)
 
 TRACE_TOL = 1e-12
+KRAUS_TOL = 1e-12
 
 mus = st.floats(0.0, 1.0)
 rates = st.floats(0.01, 5.0)
@@ -51,9 +53,12 @@ def test_channel_at_time_is_cptp(noise, mu, t):
 @PROPERTY_SETTINGS
 @given(noise=noises, mu=mus, times=grids, name=st.sampled_from(PROBE_NAMES))
 def test_apply_preserves_trace(noise, mu, times, name):
-    states = apply(channel_at_time(noise, mu, times), probe_state(name))
+    rho = probe_state(name)
+    states = evolve(noise, mu, times, rho)
     traces = np.trace(states, axis1=-2, axis2=-1)
     assert np.abs(traces - 1).max() <= TRACE_TOL
+    kraus = np.stack([apply(channel_at_time(noise, mu, t), rho) for t in times])
+    assert np.abs(states - kraus).max() <= KRAUS_TOL
 
 
 @PROPERTY_SETTINGS

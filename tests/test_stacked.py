@@ -1,17 +1,18 @@
 """Grid evaluation against single-time evaluation.
 
-Channels built over a whole time grid must reproduce, bit for bit, the
-channels built one time at a time: the CSV bytes of the CLI depend on it.
-The same holds for the closed-form transfer matrices and their
-determinants, for the success probability of error correction and for the
-correlated OUN generator, which `volume`, `qec` and `sss` evaluate over the
-grid.
+States evolved in closed form over a whole time grid must reproduce, bit
+for bit, the states evolved one time at a time: the CSV bytes of the CLI
+depend on it. They must also agree with the Kraus oracle, applied one time
+at a time, to 1e-12. Bit equality also holds for the closed-form transfer
+matrices and their determinants, for the success probability of error
+correction and for the correlated OUN generator, which `volume`, `qec` and
+`sss` evaluate over the grid.
 """
 
 import numpy as np
 import pytest
 
-from corrchan.channels import apply, channel_at_time
+from corrchan.channels import apply, channel_at_time, evolve
 from corrchan.map_algebra import correlated_oun_generator, transfer_sampler
 from corrchan.measures import concurrence, probe_state, random_bell_probes, trace_distance
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
@@ -21,6 +22,7 @@ NOISES = {"rtn": RtnParams(a=0.8, gamma=0.05),
           "oun": OunParams(G=1.0, g=0.05),
           "nmad": NmadParams(gamma0=1.0, g=0.05)}
 TIMES = np.linspace(0.0, 60.0, 41)
+KRAUS_TOL = 1e-12
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
@@ -29,8 +31,7 @@ def test_stacked_equals_single_time(noise, mu):
     params = NOISES[noise]
     rho1, rho2 = probe_state("phi+"), probe_state("++")
     rho3 = random_bell_probes(1, seed=3)[0]
-    ch = channel_at_time(params, mu, TIMES)
-    states = {name: apply(ch, rho) for name, rho in
+    states = {name: evolve(params, mu, TIMES, rho) for name, rho in
               (("phi+", rho1), ("++", rho2), ("random", rho3))}
     conc = concurrence(states["phi+"])
     dist = trace_distance(states["phi+"], states["++"])
@@ -39,11 +40,13 @@ def test_stacked_equals_single_time(noise, mu):
     f_grid = sampler(TIMES)
     dets = np.linalg.det(f_grid)
     for k, t in enumerate(TIMES):
-        single = channel_at_time(params, mu, t)
-        s1, s2, s3 = apply(single, rho1), apply(single, rho2), apply(single, rho3)
+        s1, s2, s3 = (evolve(params, mu, t, rho) for rho in (rho1, rho2, rho3))
         assert np.array_equal(states["phi+"][k], s1)
         assert np.array_equal(states["++"][k], s2)
         assert np.array_equal(states["random"][k], s3)
+        kraus = channel_at_time(params, mu, t)
+        for rho, state in ((rho1, s1), (rho2, s2), (rho3, s3)):
+            assert np.abs(apply(kraus, rho) - state).max() <= KRAUS_TOL
         assert np.array_equal(conc[k], concurrence(s1))
         assert np.array_equal(dist[k], trace_distance(s1, s2))
         assert np.array_equal(dist_random[k], trace_distance(s3, s2))

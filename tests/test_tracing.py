@@ -39,9 +39,9 @@ def test_tracer_installs_and_uninstalls():
         assert ("corrchan.cli", "ThreadPoolExecutor") in patched
         assert ("corrchan.measures", "minimize") in patched
         assert ("corrchan.channels", "channel_at_time") in patched
-        assert ("corrchan.cli", "channel_at_time") in patched
+        assert ("corrchan.cli", "evolve") in patched
     finally:
         tracer.uninstall()
     after = bindings()
     assert all(after[key] is obj for key, obj in before.items())
-    assert inspect.isfunction(corrchan.cli.channel_at_time)
+    assert inspect.isfunction(corrchan.cli.evolve)

@@ -70,18 +70,21 @@ def _kraus(noise, p, mu):
             for i in (0, 3) for j in (0, 3)]
 
 
+def mp_apply(noise, mu, p, m):
+    """Image of the sparse matrix m under the channel at noise value p, as
+    the Kraus sum in the current mpmath precision."""
+    image = {}
+    for w, k in _kraus(noise, mp.mpf(p), mu):
+        for ij, x in _matmul(_matmul(k, m), _dagger(k)).items():
+            image[ij] = image.get(ij, 0) + w * x
+    return image
+
+
 def mp_volume(noise, mu, p):
     """det F from the Kraus operators at noise value p, in DPS-digit
     arithmetic; p is the float p(t) or an mpmath number."""
     with mp.workdps(DPS):
-        ops = _kraus(noise, mp.mpf(p), mu)
-        images = []
-        for gl in _BASIS:
-            image = {}
-            for w, k in ops:
-                for ij, x in _matmul(_matmul(k, gl), _dagger(k)).items():
-                    image[ij] = image.get(ij, 0) + w * x
-            images.append(image)
+        images = [mp_apply(noise, mu, p, gl) for gl in _BASIS]
         f = mp.matrix(16, 16)
         for a, gk in enumerate(_BASIS):
             for b, image in enumerate(images):
