@@ -3,8 +3,9 @@ emitted as deterministic CSV.
 
 Every numeric subcommand writes RFC-4180 CSV (header row, '.' decimal,
 12 significant digits) to --out, one row per sample, rows in grid order.
-All rows are computed before the output is opened, so a sweep that fails
-part-way leaves no partial CSV behind.
+A subcommand returns its header and all of its rows, and only then does
+`main` open the output and write them, so a sweep that fails part-way
+leaves no partial CSV behind.
 Exit codes: 0 success, 2 invalid usage or parameters, 3 numeric failure.
 
 Options can also be supplied through --config FILE, a plain text file of
@@ -21,15 +22,18 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError
 from .noise import NmadParams, OunParams, RtnParams
-from .channels import evolve
+from .channels import _check_mu, evolve
 from .map_algebra import correlated_oun_generator, dephasing_generator, transfer_sampler
 from .measures import (PROBE_NAMES, PROBE_PAIRS, blp_measure, concurrence,
                        probe_state, random_bell_probes, sss_measure,
                        trace_distance, volume_trace)
 from .freezing import freezing_predicate
 from .qec import classify_errors, success_vs_time
+
+
+Table = tuple[list[str], list[list[str]]]  # CSV header and rows
 
 
 def _fmt(x: float) -> str:
@@ -48,9 +52,8 @@ def _parse_mus(text: str) -> list[float]:
     mus = _parse_floats(text)
     if not mus:
         raise ValueError("at least one mu value is required")
-    for m in mus:
-        if not 0 <= m <= 1:
-            raise ValueError(f"mu values must lie in [0, 1], got {m}")
+    for mu in mus:
+        _check_mu(mu)
     return mus
 
 
@@ -86,35 +89,30 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 # --------------------------------------------------------------------------
 
 
-def _cmd_evolve(args) -> int:
+def _sweep(args, columns: list[str], cells) -> Table:
+    """Header and rows `t, mu, *columns` over the time grid, for each mu in
+    turn; `cells(noise, mu, times)` yields one list of cells per time."""
     noise = _noise_from_args(args)
     times = _time_grid(args)
     mus = _parse_mus(args.mu)
+    rows = [[_fmt(t), _fmt(mu), *row] for mu in mus
+            for t, row in zip(times, cells(noise, mu, times))]
+    return ["t", "mu", *columns], rows
+
+
+def _cmd_evolve(args) -> Table:
     rho0 = probe_state(args.state)
-    rows = []
-    for mu in mus:
-        for t, rho in zip(times, evolve(noise, mu, times, rho0)):
-            row = [_fmt(t), _fmt(mu)]
-            for x in rho.flat:
-                row.extend((_fmt(x.real), _fmt(x.imag)))
-            rows.append(row)
-    header = ["t", "mu"] + [f"rho{i}{j}_{part}" for i in range(1, 5)
-                            for j in range(1, 5) for part in ("re", "im")]
-    _write_csv(args.out, header, rows)
-    return 0
+    columns = [f"rho{i}{j}_{part}" for i in range(1, 5)
+               for j in range(1, 5) for part in ("re", "im")]
+    return _sweep(args, columns, lambda noise, mu, times: (
+        [_fmt(y) for x in rho.flat for y in (x.real, x.imag)]
+        for rho in evolve(noise, mu, times, rho0)))
 
 
-def _cmd_concurrence(args) -> int:
-    noise = _noise_from_args(args)
-    times = _time_grid(args)
-    mus = _parse_mus(args.mu)
+def _cmd_concurrence(args) -> Table:
     rho0 = probe_state(args.probe)
-    rows = []
-    for mu in mus:
-        cvals = concurrence(evolve(noise, mu, times, rho0))
-        rows.extend([_fmt(t), _fmt(mu), _fmt(c)] for t, c in zip(times, cvals))
-    _write_csv(args.out, ["t", "mu", "concurrence"], rows)
-    return 0
+    return _sweep(args, ["concurrence"], lambda noise, mu, times: (
+        [_fmt(c)] for c in concurrence(evolve(noise, mu, times, rho0))))
 
 
 def _split_pair(text: str) -> tuple[str, str]:
@@ -124,21 +122,15 @@ def _split_pair(text: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _cmd_tracedist(args) -> int:
-    noise = _noise_from_args(args)
-    times = _time_grid(args)
-    mus = _parse_mus(args.mu)
+def _cmd_tracedist(args) -> Table:
     name1, name2 = _split_pair(args.pair)
     rho1, rho2 = probe_state(name1), probe_state(name2)
-    rows = []
-    for mu in mus:
-        dvals = trace_distance(evolve(noise, mu, times, rho1), evolve(noise, mu, times, rho2))
-        rows.extend([_fmt(t), _fmt(mu), _fmt(d)] for t, d in zip(times, dvals))
-    _write_csv(args.out, ["t", "mu", "trace_distance"], rows)
-    return 0
+    return _sweep(args, ["trace_distance"], lambda noise, mu, times: (
+        [_fmt(d)] for d in trace_distance(evolve(noise, mu, times, rho1),
+                                          evolve(noise, mu, times, rho2))))
 
 
-def _cmd_blp(args) -> int:
+def _cmd_blp(args) -> Table:
     if args.random_probes < 0:
         raise ValueError(f"--random-probes must be non-negative, got {args.random_probes}")
     noise = _noise_from_args(args)
@@ -159,11 +151,10 @@ def _cmd_blp(args) -> int:
             best = max(best, value)
             rows.append([_fmt(mu), label, _fmt(value)])
         rows.append([_fmt(mu), "max", _fmt(best)])
-    _write_csv(args.out, ["mu", "pair", "blp"], rows)
-    return 0
+    return ["mu", "pair", "blp"], rows
 
 
-def _cmd_sss(args) -> int:
+def _cmd_sss(args) -> Table:
     mus = _parse_mus(args.mu)
     g_inverses = _parse_floats(args.g_inverse)
     if not g_inverses or not all(0 < gi < np.inf for gi in g_inverses):
@@ -177,58 +168,41 @@ def _cmd_sss(args) -> int:
                                reference, args.tmax, n_points=args.steps,
                                free=args.family == "free")
             rows.append([_fmt(g_inv), _fmt(mu), _fmt(zeta)])
-    _write_csv(args.out, ["g_inverse", "mu", "zeta"], rows)
-    return 0
+    return ["g_inverse", "mu", "zeta"], rows
 
 
-def _cmd_volume(args) -> int:
-    noise = _noise_from_args(args)
-    times = _time_grid(args)
-    mus = _parse_mus(args.mu)
-    rows = []
-    for mu in mus:
+def _cmd_volume(args) -> Table:
+    def cells(noise, mu, times):
         trace = volume_trace(transfer_sampler(noise, mu)(times), times)
-        rows.extend([_fmt(t), _fmt(mu), _fmt(v), str(flag)]
-                    for t, v, flag in zip(times, trace.series.values, trace.witness_flags))
-    _write_csv(args.out, ["t", "mu", "volume", "witness_flag"], rows)
-    return 0
+        return ([_fmt(v), str(flag)]
+                for v, flag in zip(trace.series.values, trace.witness_flags))
+    return _sweep(args, ["volume", "witness_flag"], cells)
 
 
-def _cmd_qec(args) -> int:
-    noise = _noise_from_args(args)
-    times = _time_grid(args)
-    mus = _parse_mus(args.mu)
-    rows = []
-    for mu in mus:
-        series = success_vs_time(noise, mu, times, normalized=args.normalized)
-        rows.extend([_fmt(t), _fmt(mu), _fmt(v)]
-                    for t, v in zip(series.times, series.values))
+def _cmd_qec(args) -> Table:
     column = "p_success_normalized" if args.normalized else "p_success"
-    _write_csv(args.out, ["t", "mu", column], rows)
-    return 0
+    return _sweep(args, [column], lambda noise, mu, times: (
+        [_fmt(v)] for v in success_vs_time(noise, mu, times,
+                                           normalized=args.normalized).values))
 
 
-def _cmd_classify_errors(args) -> int:
+def _cmd_classify_errors(args) -> None:
     cls = classify_errors()
     print(f"undetectable ({len(cls.undetectable)}): " + " ".join(sorted(cls.undetectable)))
     print(f"detectable ({len(cls.detectable)}): " + " ".join(sorted(cls.detectable)))
     print(f"correctable ({len(cls.correctable)}): " + " ".join(sorted(cls.correctable)))
-    return 0
 
 
-def _cmd_freeze_check(args) -> int:
+def _cmd_freeze_check(args) -> None:
     if args.c is not None:
         state = tuple(_parse_floats(args.c))
         if len(state) != 3:
             raise ValueError(f"--c expects three components, got {args.c!r}")
     else:
         state = probe_state(args.state)
-    if not 0 <= args.mu <= 1:
-        raise ValueError(f"mu must lie in [0, 1], got {args.mu}")
     verdict = freezing_predicate(state, args.channel, args.mu)
     print(verdict.status)
     print(f"reason: {verdict.reason}")
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -421,13 +395,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        table = args.func(args)
+        if table is not None:
+            _write_csv(args.out, *table)
+        return 0
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .channels import _FLIPS, SIGMA
+from .channels import _FLIPS, SIGMA, _check_mu
 from .linalg import validate_density
 
 BLOCH_EQ_TOL = 1e-9
@@ -77,8 +77,7 @@ def _unital_tau(p: float, mu: float) -> float:
     """tau(mu) = mu + (1 - mu) p^2; ValueError for NaN or out-of-range p, mu."""
     if not abs(p) <= 1:
         raise ValueError(f"noise value p must lie in [-1, 1], got {p}")
-    if not 0 <= mu <= 1:
-        raise ValueError(f"correlation factor mu must lie in [0, 1], got {mu}")
+    _check_mu(mu)
     return mu + (1 - mu) * p * p
 
 
@@ -133,11 +132,13 @@ def freezing_predicate(state, kind: str, mu: float) -> FreezingVerdict:
     c1 = c2, c3 = -1 Bell-diagonal family, and only in the fully correlated
     limit; at mu < 1 the uncorrelated branch still moves those states, which
     is reported as "conditional". A Bloch triple must describe a state:
-    anything else raises ValidationError instead of getting a verdict.
+    anything else raises ValidationError instead of getting a verdict, and
+    mu outside [0, 1] (or NaN) raises ValueError.
     """
     kind = kind.lower()
     if kind not in _UNITAL_KINDS and kind != "nmad":
         raise ValueError(f"unknown channel kind {kind!r}")
+    _check_mu(mu)
     if isinstance(state, np.ndarray):
         rho = validate_density(state)
         if kind in _UNITAL_KINDS:

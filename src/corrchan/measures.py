@@ -43,7 +43,6 @@ class TimeSeries:
 
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         if len(self.times) != len(self.values):
@@ -105,20 +104,11 @@ def positive_variation(times: Sequence[float], values: Sequence[float]) -> Measu
     if len(values) != len(times):
         raise ValueError(f"{len(values)} values for {len(times)} grid points")
     diffs = np.diff(values)
-    rising = _rises(values)
-    detail = []
-    i = 0
-    n = len(diffs)
-    while i < n:
-        if rising[i]:
-            j = i
-            while j + 1 < n and rising[j + 1]:
-                j += 1
-            contribution = float(diffs[i:j + 1].sum())
-            detail.append(((float(times[i]), float(times[j + 1])), contribution))
-            i = j + 1
-        i += 1
-    return MeasureResult(value=sum(c for _, c in detail), detail=tuple(detail))
+    # +1 where a rising run starts, -1 one past where it ends
+    edges = np.diff(np.concatenate(([0], _rises(values), [0])))
+    detail = tuple(((float(times[i]), float(times[j])), float(diffs[i:j].sum()))
+                   for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)))
+    return MeasureResult(value=sum(c for _, c in detail), detail=detail)
 
 
 def blp_measure(rho1: np.ndarray, rho2: np.ndarray,
@@ -478,7 +468,7 @@ def volume_trace(f: np.ndarray, times: Sequence[float]) -> VolumeTrace:
     if f.shape[:-2] != times.shape:
         raise ValueError(f"transfer-matrix stack of shape {f.shape} for {len(times)} times")
     vols = lapack(np.linalg.det, f)
-    series = TimeSeries(times=times, values=vols, label="volume")
+    series = TimeSeries(times=times, values=vols)
     flags = np.zeros(len(times), dtype=int)
     if len(times) < 2:
         return VolumeTrace(series=series, witness_intervals=(), witness_flags=flags)

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .channels import _check_mu
 from .errors import NumericError, ValidationError
 from .measures import TimeSeries
 from .noise import NmadParams, NoiseParams, noise_p
@@ -215,8 +216,7 @@ def _check_p_mu(p, mu: float) -> np.ndarray:
     outside = p[~(np.abs(p) <= 1)]
     if outside.size:
         raise ValueError(f"noise value p must lie in [-1, 1], got {outside[0]}")
-    if not 0 <= mu <= 1:
-        raise ValueError(f"correlation factor mu must lie in [0, 1], got {mu}")
+    _check_mu(mu)
     return p
 
 
@@ -321,5 +321,4 @@ def success_vs_time(noise: NoiseParams, mu: float, times: Sequence[float],
         # the correctable words are part of the total mass, so the ratio is at
         # most 1 but for round-off
         values = _probability(values / total_probability_mass(p, mu))
-    label = "p_success_normalized" if normalized else "p_success"
-    return TimeSeries(times=times, values=values, label=label)
+    return TimeSeries(times=times, values=values)

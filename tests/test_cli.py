@@ -275,22 +275,33 @@ def test_invalid_input_rejected_without_output(args, capsys):
     assert err.startswith("error: ")
 
 
-def test_failed_sweep_leaves_no_csv(monkeypatch, tmp_path):
+# each CSV subcommand and the cli binding it calls once per mu (sss: per g^-1)
+SWEEP_BINDINGS = {"evolve": "evolve", "concurrence": "evolve", "tracedist": "evolve",
+                  "blp": "evolve", "volume": "transfer_sampler",
+                  "qec": "success_vs_time", "sss": "sss_measure"}
+
+
+@pytest.mark.parametrize("command", SWEEP_BINDINGS)
+def test_failed_sweep_leaves_no_csv(command, monkeypatch, tmp_path):
     import corrchan.cli as cli_mod
 
-    real = cli_mod.success_vs_time
-    done = []
+    binding = SWEEP_BINDINGS[command]
+    real = getattr(cli_mod, binding)
+    seen = []
 
-    def fail_on_second_mu(noise, mu, times, normalized):
-        if done:
-            raise NumericError("spot check failed")
-        done.append(mu)
-        return real(noise, mu, times, normalized=normalized)
+    def fail_on_second_value(*args, **kwargs):
+        # the grid commands fail at the second mu; sss, with one mu, at the
+        # second g^-1
+        seen.append(len(seen) if command == "sss" else args[1])
+        if len(set(seen)) > 1:
+            raise NumericError("injected failure")
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "success_vs_time", fail_on_second_mu)
+    monkeypatch.setattr(cli_mod, binding, fail_on_second_value)
     out = tmp_path / "x.csv"
-    assert main(["qec", "--noise", "oun", "--mu", "0,0.5", "--tmax", "5",
-                 "--steps", "3", "--out", str(out)]) == 3
+    sweep = ["--mu", "0.5", "--g-inverse", "10,50"] if command == "sss" else ["--mu", "0,0.5"]
+    assert main([command, *sweep, "--tmax", "5", "--steps", "3", "--out", str(out)]) == 3
+    assert len(set(seen)) == 2
     assert not out.exists()
 
 

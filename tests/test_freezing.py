@@ -257,3 +257,13 @@ def test_predicate_rejects_triples_that_are_not_states(c):
     # raw triples go through BlochDiagonal; NaN must not reach eigvalsh
     with pytest.raises(ValidationError):
         freezing_predicate(c, "oun", 1.0)
+
+
+@pytest.mark.parametrize("mu", [np.nan, -0.1, 1.5])
+@pytest.mark.parametrize("kind", ["rtn", "nmad"])
+@pytest.mark.parametrize("state", [(0.2, 0.2, -1.0), "psi+"], ids=["bloch", "psi+"])
+def test_predicate_rejects_invalid_mu(state, kind, mu):
+    # both states get "conditional" at any valid mu < 1, so a missing check shows
+    state = probe_state(state) if isinstance(state, str) else state
+    with pytest.raises(ValueError, match="mu must lie in"):
+        freezing_predicate(state, kind, mu)

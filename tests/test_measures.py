@@ -74,11 +74,37 @@ def test_positive_variation_simple():
     assert abs(contribution - 0.4) < 1e-12
 
 
+def reference_rising_runs(times, values):
+    """Rising runs and their increments, found one grid point at a time."""
+    rising = [b - a > measures.RISE_THRESHOLD for a, b in zip(values, values[1:])]
+    detail, start = [], None
+    for k, up in enumerate(rising + [False]):
+        if up and start is None:
+            start = k
+        elif not up and start is not None:
+            detail.append(((times[start], times[k]), values[k] - values[start]))
+            start = None
+    return detail
+
+
 def test_positive_variation_value_equals_detail_sum(rng):
-    values = rng.normal(size=200).cumsum()
-    times = np.arange(200.0)
-    result = positive_variation(times, values)
-    assert abs(result.value - sum(c for _, c in result.detail)) < 1e-10
+    cases = [rng.normal(size=200).cumsum() for _ in range(5)]
+    cases += [
+        [0.0, 1.0, 2.0, 1.0, 0.0, 1.0, 2.0],  # runs touch both ends
+        [3.0, 2.0, 2.5, 2.0, 1.0],  # one run in the middle
+        np.arange(10.0),  # rising everywhere
+        -np.arange(10.0),  # never rising
+        np.full(6, 0.5),  # flat
+        [0.0, 1.0],  # a single rising step
+    ]
+    for values in cases:
+        times = np.arange(float(len(values)))
+        result = positive_variation(times, values)
+        expected = reference_rising_runs(times, np.asarray(values, dtype=float))
+        assert [iv for iv, _ in result.detail] == [iv for iv, _ in expected]
+        assert np.allclose([c for _, c in result.detail], [c for _, c in expected],
+                           rtol=0, atol=1e-12)
+        assert abs(result.value - sum(c for _, c in result.detail)) < 1e-10
 
 
 def test_positive_variation_threshold_suppresses_noise():

@@ -3,7 +3,9 @@
 `perfbench/tracing.py` patches names of the package from outside (every
 public function of the layer modules, `cli.ThreadPoolExecutor` and
 `measures.minimize`); a package change that drops one of them breaks
-`perfbench/run.py --trace 1`.
+`perfbench/run.py --trace 1`. The sweeps call their layer functions through
+`cli`'s own bindings, so those must be patched too, or the per-layer
+attribution of the sweeps goes missing.
 """
 
 import importlib.util
@@ -39,7 +41,8 @@ def test_tracer_installs_and_uninstalls():
         assert ("corrchan.cli", "ThreadPoolExecutor") in patched
         assert ("corrchan.measures", "minimize") in patched
         assert ("corrchan.channels", "channel_at_time") in patched
-        assert ("corrchan.cli", "evolve") in patched
+        for name in ("evolve", "transfer_sampler", "success_vs_time", "sss_measure"):
+            assert ("corrchan.cli", name) in patched
     finally:
         tracer.uninstall()
     after = bindings()
