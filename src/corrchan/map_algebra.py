@@ -1,28 +1,28 @@
-"""Operator-basis machinery: transfer matrix F, time-local generator
-L = dF/dt F^-1, Choi matrix and Kraus extraction.
+"""Closed-form transfer matrices and generators of the correlated channels.
 
 The two-qubit Hermitian basis is G_ij = (1/2) sigma_i (x) sigma_j in row-major
-(i, j) order; F_kl = tr[G_k E(G_l)] is real for Hermiticity-preserving maps.
+(i, j) order, slot a = 4i + j; F_kl = tr[G_k E(G_l)] is real for
+Hermiticity-preserving maps.
 
 `transfer_sampler` builds F(t) of the correlated channels in closed form, as
 a float array over a time grid, with no Kraus set: for correlated dephasing
 F is diagonal with multiset {1 x4, p x8, tau(mu) x4}, tau(mu) = mu +
 (1 - mu) p^2 (`dephasing_transfer`); for correlated amplitude damping
-F = (1 - mu) F1 (x) F1 + mu F_fc (`nmad_transfer`). `transfer_matrix`, the
-Kraus sum tr[G_k sum_i w_i K_i G_l K_i^dag], is the independent oracle of
-both, in the tests and in `channels.cptp_report`; the two agree entry by
-entry to 1e-14 absolute, while only the closed form keeps its relative
-accuracy where p(t) or tau(mu) is small and the Kraus sum cancels.
+F = (1 - mu) F1 (x) F1 + mu F_fc (`nmad_transfer`). `dephasing_generator`
+and `correlated_oun_generator` give the time-local generator L = dF/dt F^-1
+of correlated dephasing in the same slots. The Kraus sum
+`oracle.transfer_matrix` and the finite-difference `oracle.generator` are
+their independent oracle in the tests; the Kraus sum agrees entry by entry
+to 1e-14 absolute, while only the closed form keeps its relative accuracy
+where p(t) or tau(mu) is small and the Kraus sum cancels.
 """
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
-from .channels import SIGMA, KrausSet, _check_mu, _check_noise_value
-from .linalg import dagger, lapack
+from .errors import NumericError
+from .channels import _check_mu, _check_noise_value
 from .noise import NmadParams, NoiseParams, OunParams, noise_p, oun_p
 
 # Diagonal slot groups of the two-qubit basis under correlated dephasing,
@@ -49,60 +49,6 @@ for (_i, _j), _sign in zip(_FC_PAIRS, _FC_PAIR_SIGNS):
     _FC_CONST[_i, _j] = _FC_CONST[_j, _i] = _sign / 2
     _FC_SQRT[_i, _j] = _FC_SQRT[_j, _i] = -_sign / 2
 _FC_LINEAR[np.ix_((3, 12), IDENTITY_SLOTS)] = (.5, -.5, -.5, .5)
-
-_IMAG_TOL = 1e-9
-_SINGULAR_TOL = 1e-12
-KRAUS_RANK_CUTOFF = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorBasis:
-    """Orthonormal Hermitian operator basis with G_0 = I/sqrt(d)."""
-
-    dim: int
-    elements: np.ndarray  # shape (N, d, d)
-
-    @property
-    def size(self) -> int:
-        return self.elements.shape[0]
-
-
-def pauli_basis(n_qubits: int) -> OperatorBasis:
-    """Normalized Pauli basis: sigma_i/sqrt(2) for one qubit, the sixteen
-    (1/2) sigma_i (x) sigma_j for two, ordered row-major over (i, j).
-    """
-    if n_qubits == 1:
-        els = np.stack([s / np.sqrt(2) for s in SIGMA])
-        return OperatorBasis(dim=2, elements=els)
-    if n_qubits == 2:
-        els = np.stack([0.5 * np.kron(si, sj) for si in SIGMA for sj in SIGMA])
-        return OperatorBasis(dim=4, elements=els)
-    raise ValueError(f"only 1 or 2 qubits supported, got {n_qubits}")
-
-
-def computational_basis(dim: int) -> np.ndarray:
-    """Matrix units tau_a = |i><j|, a = dim*i + j (row-major)."""
-    taus = np.zeros((dim * dim, dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            taus[dim * i + j, i, j] = 1.0
-    return taus
-
-
-def transfer_matrix(channel: KrausSet, basis: OperatorBasis) -> np.ndarray:
-    """F_kl = tr[G_k E(G_l)] for the given channel, as a real N x N array.
-    The Kraus sum is the oracle of the closed forms behind
-    `transfer_sampler`; it loses relative accuracy where p or tau(mu) is
-    small."""
-    if channel.dim != basis.dim:
-        raise ValueError(f"channel dim {channel.dim} does not match basis dim {basis.dim}")
-    b = basis.elements
-    eb = sum(w * (op @ b @ dagger(op)) for w, op in channel.weighted_operators())
-    f = np.einsum('kij,lji->kl', b, eb)
-    residue = np.abs(f.imag).max()
-    if not residue <= _IMAG_TOL:
-        raise NumericError(f"transfer matrix has imaginary residue {residue:.3e}")
-    return f.real.copy()
 
 
 def _slot_diagonal(identity, single, double) -> np.ndarray:
@@ -161,36 +107,13 @@ def transfer_sampler(noise: NoiseParams, mu: float) -> Callable:
 
     F is built in closed form from p(t) (`dephasing_transfer` for RTN and
     OUN, `nmad_transfer` for NMAD), with no Kraus set; it agrees with the
-    Kraus oracle `transfer_matrix(channel_at_time(noise, mu, t), basis)` to
-    1e-14 per entry. mu outside [0, 1] is a ValueError; a non-finite p(t)
-    or F(t) a NumericError.
+    Kraus oracle `oracle.transfer_matrix(oracle.channel_at_time(noise, mu,
+    t), basis)` to 1e-14 per entry. mu outside [0, 1] is a ValueError; a
+    non-finite p(t) or F(t) a NumericError.
     """
     _check_mu(mu)
     transfer = nmad_transfer if isinstance(noise, NmadParams) else dephasing_transfer
     return lambda t: transfer(noise_p(noise, t), mu)
-
-
-def generator(f_sampler: Callable[[float], np.ndarray], t: float, h: float = 1e-4) -> np.ndarray:
-    """Time-local generator L = dF/dt F^-1 at time t.
-
-    dF/dt by central difference (F(t+h) - F(t-h)) / 2h, falling back to a
-    forward difference for t < h. Raises NumericError when F(t) is singular
-    (|det F| <= 1e-12); the measures built on L are not defined there. The
-    step h must be positive and finite, and t finite.
-    """
-    if not 0 < h < np.inf:
-        raise ValueError(f"step h must be positive and finite, got {h}")
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    f_t = f_sampler(t)
-    det = lapack(np.linalg.det, f_t)
-    if not abs(det) > _SINGULAR_TOL:
-        raise NumericError(f"transfer matrix singular at t={t} (det {det:.3e})")
-    if t < h:
-        fdot = (f_sampler(t + h) - f_t) / h
-    else:
-        fdot = (f_sampler(t + h) - f_sampler(t - h)) / (2 * h)
-    return fdot @ lapack(np.linalg.inv, f_t)
 
 
 def dephasing_generator(rate_single, rate_double) -> np.ndarray:
@@ -225,45 +148,3 @@ def correlated_oun_rates(t, params: OunParams, mu: float):
 def correlated_oun_generator(t, params: OunParams, mu: float) -> np.ndarray:
     """Analytic generator matrix of the correlated OUN channel, per time."""
     return dephasing_generator(*correlated_oun_rates(t, params, mu))
-
-
-def choi(f: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    """Choi matrix S_ab = sum_rs F_sr tr[G_r tau_a^dag G_s tau_b].
-
-    The tau_a are the computational matrix units |i><j| (row-major); in that
-    basis the map acts as E(rho) = sum_ab S_ab tau_a rho tau_b^dag, so S is
-    Hermitian and PSD exactly when the map is completely positive.
-    """
-    taus = computational_basis(basis.dim)
-    b = basis.elements
-    tdag = np.conj(np.transpose(taus, (0, 2, 1)))
-    s = np.einsum('sr,rij,ajk,skl,bli->ab', f.astype(complex), b, tdag, b, taus,
-                  optimize=True)
-    return s
-
-
-def kraus_from_choi(s: np.ndarray, dim: int) -> KrausSet:
-    """Extract Kraus operators from a Choi matrix by eigendecomposition.
-
-    Each eigenpair with eigenvalue above 1e-10 contributes sqrt(lambda) times
-    the eigenvector reshaped (row-major) to a dim x dim operator. Eigenvalues
-    in [-1e-6, 0) are clamped as round-off; anything lower means the map is
-    not completely positive.
-    """
-    res = float(np.abs(s - s.conj().T).max())
-    if not res <= 1e-10:
-        raise ValidationError("Choi hermiticity", res)
-    w, v = lapack(np.linalg.eigh, s)
-    if not w.min() >= -1e-6:
-        raise ValidationError("complete positivity", float(w.min()))
-    ops = []
-    for lam, vec in zip(w[::-1], v[:, ::-1].T):
-        if lam > KRAUS_RANK_CUTOFF:
-            ops.append(np.sqrt(lam) * vec.reshape(dim, dim))
-    ks = KrausSet(dim=dim, operators=tuple(ops))
-    from .channels import completeness_residual
-
-    comp = completeness_residual(ks)
-    if not comp <= 1e-8:
-        raise NumericError(f"extracted Kraus set incomplete (residual {comp:.3e})")
-    return ks

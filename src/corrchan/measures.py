@@ -424,7 +424,7 @@ def sss_measure(l_sampler: Callable[[np.ndarray], np.ndarray],
     (x, y), minimised by `_free_minimiser` up to a certified relative gap of
     SSS_TOL, or NumericError; `reference` only sets the matrix shape. The
     free measure vanishes for any semigroup of that structure. An L(t) with
-    a NaN or infinite entry raises NumericError.
+    a NaN or infinite entry, or a measure that overflows, raises NumericError.
     """
     if not 0 < t_max < np.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
@@ -438,7 +438,10 @@ def sss_measure(l_sampler: Callable[[np.ndarray], np.ndarray],
 
     def average_distance(l_star: np.ndarray) -> float:
         norms = np.sqrt(((l_stack - l_star) ** 2).sum(axis=(1, 2)))
-        return float(np.trapezoid(norms, times) / t_max)
+        zeta = float(np.trapezoid(norms, times) / t_max)
+        if not np.isfinite(zeta):
+            raise NumericError(f"SSS measure is not finite ({zeta})")
+        return zeta
 
     if not free:
         return average_distance(reference)

@@ -61,7 +61,8 @@ class RtnParams:
     @property
     def omega(self) -> complex:
         """sqrt((2a/gamma)^2 - 1); real in the oscillatory regime, imaginary otherwise."""
-        return complex(np.sqrt(complex((2 * self.a / self.gamma) ** 2 - 1)))
+        r = 2 * self.a / self.gamma
+        return complex(np.sqrt(complex(r * r - 1)))
 
     @property
     def is_nonmarkovian_regime(self) -> bool:
@@ -138,7 +139,8 @@ def oun_p(t, params: OunParams):
 
 
 def _nmad_l(params: NmadParams) -> complex:
-    return complex(np.sqrt(complex(params.g ** 2 - 2 * params.gamma0 * params.g)))
+    g = params.g
+    return complex(np.sqrt(complex(g * g - 2 * params.gamma0 * g)))
 
 
 def nmad_decoherence(t, params: NmadParams):

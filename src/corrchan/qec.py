@@ -238,27 +238,6 @@ def error_probability(word: str, p, mu: float):
     return prob * q[word[5]]
 
 
-def error_probability_conditional(word: str, p: float, mu: float) -> float:
-    """Normalized conditional-chain variant: p_(e_1) times the product of
-    the transition probabilities p_(e_k+1 | e_k) = p_(e_k e_k+1) / p_(e_k).
-
-    Unlike `error_probability`, this defines a probability distribution over
-    all 64 words (it sums to one); it is provided for comparison with the
-    unnormalized chained model.
-    """
-    _check_word(word)
-    _check_p_mu(p, mu)
-    q = _marginals(p)
-    prob = q[word[0]]
-    for k in range(5):
-        a, b = word[k], word[k + 1]
-        if prob == 0.0:
-            return 0.0
-        joint = (1 - mu) * q[a] * q[b] + (mu * q[a] if a == b else 0.0)
-        prob *= joint / q[a]
-    return prob
-
-
 def total_probability_mass(p, mu: float):
     """Diagnostic: the chained model's total mass over all 64 words, per entry of p.
 

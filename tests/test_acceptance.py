@@ -7,20 +7,18 @@ import time
 
 import numpy as np
 
-from corrchan.channels import (apply, channel_at_time,
-                               correlated_dephasing_channel,
-                               correlated_nmad_channel, evolve,
-                               evolve_damping, evolve_dephasing,
-                               fully_correlated_nmad_channel)
+from corrchan.channels import evolve, evolve_damping, evolve_dephasing
 from corrchan.freezing import bloch_diagonal_state
-from corrchan.map_algebra import (choi, correlated_oun_generator,
-                                  dephasing_generator, generator,
-                                  kraus_from_choi, pauli_basis,
-                                  transfer_matrix, transfer_sampler)
+from corrchan.map_algebra import (correlated_oun_generator, dephasing_generator,
+                                  transfer_sampler)
 from corrchan.measures import (concurrence, nm_concurrence_measure,
                                positive_variation, probe_state, sss_measure,
                                trace_distance, volume_trace)
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
+from corrchan.oracle import (apply, channel_at_time, choi,
+                             correlated_dephasing_channel, correlated_nmad_channel,
+                             fully_correlated_nmad_channel, generator,
+                             kraus_from_choi, pauli_basis, transfer_matrix)
 from corrchan.qec import (CORRECTABLE_ERRORS, UNDETECTABLE_ERRORS,
                           classify_errors, greedy_correctable_set,
                           success_probability_bruteforce,

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from corrchan.channels import (SIGMA, KrausSet, apply, apply_matrix,
-                               channel_at_time, completeness_residual,
-                               correlated_dephasing_channel,
-                               correlated_nmad_channel, cptp_report,
-                               dephasing_weights, evolve_damping,
-                               evolve_dephasing, fully_correlated_nmad_channel,
-                               joint_prob_table, nmad_single_qubit_kraus,
-                               single_qubit_dephasing, uncorrelated_nmad_channel)
+from corrchan.channels import SIGMA, evolve_damping, evolve_dephasing
 from corrchan.errors import NumericError, ValidationError
 from corrchan.measures import probe_state
 from corrchan.noise import NmadParams, OunParams, RtnParams
+from corrchan.oracle import (KrausSet, apply, apply_matrix, channel_at_time,
+                             completeness_residual, correlated_dephasing_channel,
+                             correlated_nmad_channel, cptp_report,
+                             dephasing_weights, fully_correlated_nmad_channel,
+                             joint_prob_table, nmad_single_qubit_kraus,
+                             single_qubit_dephasing, uncorrelated_nmad_channel)
 
 from conftest import random_density
 
@@ -32,18 +31,18 @@ def test_joint_prob_normalization(rng):
         p = rng.uniform(-1, 1)
         mu = rng.uniform(0, 1)
         table = joint_prob_table(p, mu)
-        assert abs(sum(table.entries.values()) - 1) < 1e-12
-        assert all(v >= 0 for v in table.entries.values())
+        assert abs(sum(table.values()) - 1) < 1e-12
+        assert all(v >= 0 for v in table.values())
 
 
 def test_joint_prob_limits_exact():
     q0, q3 = dephasing_weights(0.37)
     table0 = joint_prob_table(0.37, 0.0)
     q = {0: q0, 3: q3}
-    for (i, j), v in table0.entries.items():
+    for (i, j), v in table0.items():
         assert v == q[i] * q[j]
     table1 = joint_prob_table(0.37, 1.0)
-    for (i, j), v in table1.entries.items():
+    for (i, j), v in table1.items():
         assert v == (q[i] if i == j else 0.0)
 
 

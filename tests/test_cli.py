@@ -180,6 +180,23 @@ def test_volume_non_finite_noise_exits_3(noise, monkeypatch, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["volume", "--noise", "rtn", "--a", "1e160", "--gamma", "1e-10"],
+    ["evolve", "--noise", "nmad", "--g", "1e160"],
+    ["sss", "--G", "1e300"],
+    ["sss", "--G", "1e300", "--family", "free"],
+], ids=["volume-rtn", "evolve-nmad", "sss-markov", "sss-free"])
+def test_overflow_of_finite_parameters_exits_3(args, tmp_path):
+    # finite parameters whose squares or norms overflow: a numeric failure,
+    # not a traceback (exit 1) or rows of inf (exit 0)
+    import numpy as np
+
+    out = tmp_path / "x.csv"
+    with np.errstate(all="ignore"):
+        assert main(args + ["--steps", "5", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_sss_uncertified_minimiser_exits_3(monkeypatch, tmp_path):
     import corrchan.measures as measures_mod
 
@@ -445,7 +462,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_commands_import_neither_scipy_nor_numpy_random(tmp_path):
     """A cold run of every subcommand, `blp` without random probes and
-    `sss --family free` included, loads neither scipy nor numpy.random."""
+    `sss --family free` included, loads neither scipy nor numpy.random, nor
+    the Kraus oracle `corrchan.oracle`."""
     commands = [["evolve"], ["concurrence"], ["tracedist"], ["blp"], ["volume"],
                 ["qec"], ["sss", "--g-inverse", "10"],
                 ["sss", "--g-inverse", "10", "--family", "free"]]
@@ -456,7 +474,8 @@ def test_commands_import_neither_scipy_nor_numpy_random(tmp_path):
     script = ("import json, sys\n"
               "from corrchan.cli import main\n"
               "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-              "loaded = [m for m in ('scipy', 'numpy.random') if m in sys.modules]\n"
+              "loaded = [m for m in ('scipy', 'numpy.random', 'corrchan.oracle')\n"
+              "          if m in sys.modules]\n"
               "print(json.dumps([codes, loaded]))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -483,7 +502,7 @@ def test_measures_minimize_forwards_to_scipy():
 def test_trajectory_commands_build_no_kraus_set(monkeypatch, tmp_path):
     """evolve, concurrence, tracedist and blp evolve states in closed form;
     Kraus sets are the oracle of the tests and of cptp_report only."""
-    from corrchan.channels import KrausSet
+    from corrchan.oracle import KrausSet
 
     def forbidden(self):
         raise AssertionError("a trajectory command built a KrausSet")

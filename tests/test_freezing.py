@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from corrchan.channels import (apply, apply_matrix, channel_at_time,
-                               correlated_dephasing_channel, evolve_damping,
-                               evolve_dephasing, fully_correlated_nmad_channel)
+from corrchan.channels import evolve_damping, evolve_dephasing
 from corrchan.errors import ValidationError
 from corrchan.freezing import (BlochDiagonal, bloch_diagonal_state,
                                bloch_update, freezing_predicate,
                                state_to_bloch_diagonal)
 from corrchan.measures import concurrence, probe_state, trace_distance
 from corrchan.noise import NmadParams, OunParams, RtnParams
+from corrchan.oracle import (apply, apply_matrix, channel_at_time,
+                             correlated_dephasing_channel,
+                             fully_correlated_nmad_channel)
 
 from conftest import random_bloch_triple, random_density
 

@@ -3,20 +3,19 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from corrchan.channels import (KrausSet, channel_at_time, correlated_dephasing_channel,
-                               correlated_nmad_channel, dephasing_weights,
-                               fully_correlated_nmad_channel,
-                               single_qubit_dephasing)
 from corrchan.errors import NumericError
 from corrchan import map_algebra
 from corrchan.map_algebra import (DOUBLE_FLIP_SLOTS, IDENTITY_SLOTS,
-                                  SINGLE_FLIP_SLOTS, choi, computational_basis,
-                                  correlated_oun_generator,
+                                  SINGLE_FLIP_SLOTS, correlated_oun_generator,
                                   correlated_oun_rates, dephasing_generator,
-                                  dephasing_transfer, generator, kraus_from_choi,
-                                  nmad_transfer, pauli_basis,
-                                  transfer_matrix, transfer_sampler)
+                                  dephasing_transfer, nmad_transfer,
+                                  transfer_sampler)
 from corrchan.noise import NmadParams, OunParams, RtnParams, oun_p, rtn_p
+from corrchan.oracle import (KrausSet, channel_at_time, choi, computational_basis,
+                             correlated_dephasing_channel, correlated_nmad_channel,
+                             dephasing_weights, fully_correlated_nmad_channel,
+                             generator, kraus_from_choi, pauli_basis,
+                             single_qubit_dephasing, transfer_matrix)
 
 OUN = OunParams(G=1.0, g=0.05)
 
@@ -32,8 +31,7 @@ def identity_channel(dim=4):
 
 @pytest.mark.parametrize("n_qubits,dim", [(1, 2), (2, 4)])
 def test_basis_orthonormal(n_qubits, dim):
-    basis = pauli_basis(n_qubits)
-    els = basis.elements
+    els = pauli_basis(n_qubits)
     gram = np.einsum('aij,bji->ab', els, els)
     assert np.abs(gram - np.eye(len(els))).max() < 1e-12
     assert np.abs(els[0] - np.eye(dim) / np.sqrt(dim)).max() < 1e-12
@@ -42,7 +40,7 @@ def test_basis_orthonormal(n_qubits, dim):
 
 
 def test_two_qubit_basis_traces():
-    els = pauli_basis(2).elements
+    els = pauli_basis(2)
     assert abs(np.trace(els[0]) - 2.0) < 1e-12  # tr[I4]/2
     for g in els[1:]:
         assert abs(np.trace(g)) < 1e-12

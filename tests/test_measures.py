@@ -3,8 +3,7 @@ import pytest
 from scipy.optimize import minimize
 
 from corrchan import measures
-from corrchan.channels import (apply, correlated_dephasing_channel,
-                               correlated_nmad_channel, evolve)
+from corrchan.channels import evolve
 from corrchan.cli import _fmt
 from corrchan.errors import NumericError
 from corrchan.map_algebra import (DOUBLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS,
@@ -15,6 +14,7 @@ from corrchan.measures import (blp_measure, concurrence, nm_concurrence_measure,
                                random_bell_probes, sss_measure, trace_distance,
                                volume_trace)
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
+from corrchan.oracle import apply, correlated_dephasing_channel, correlated_nmad_channel
 
 from conftest import random_density
 
@@ -474,6 +474,16 @@ def test_sss_rejects_non_finite_generator(bad, free):
         return stack
     with pytest.raises(NumericError, match="non-finite"):
         sss_measure(sampler, markov_generator(1.0), 10.0, 20, free=free)
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_sss_rejects_overflowing_measure(free):
+    # every entry of L(t) is finite, but the Frobenius norms overflow to inf
+    params = OunParams(G=1e300, g=0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="SSS measure is not finite"):
+            sss_measure(lambda t: correlated_oun_generator(t, params, 0.5),
+                        markov_generator(params.G), 10.0, 20, free=free)
 
 
 def test_sss_validation():

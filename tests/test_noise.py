@@ -352,6 +352,19 @@ def test_non_finite_noise_values_raise_numeric_error():
             noise_p(NMAD_OSC, np.array([1.0, np.inf]))
 
 
+def test_overflowing_squares_raise_numeric_error():
+    # (2a/gamma)^2 and g^2 overflow; as Python float powers they raised
+    # OverflowError, now they are inf and the noise value is not finite
+    times = np.linspace(0.0, 1.0, 3)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError):
+            rtn_p(times, RtnParams(a=1e160, gamma=1e-10))
+        with pytest.raises(NumericError):
+            nmad_p(times, NmadParams(gamma0=1.0, g=1e160))
+        with pytest.raises(NumericError):
+            nmad_gamma(1.0, NmadParams(gamma0=1.0, g=1e160))
+
+
 def test_nan_time_rejected():
     with pytest.raises(ValueError):
         rtn_p(np.nan, RTN)

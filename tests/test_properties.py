@@ -11,11 +11,12 @@ examples are derandomized, so the suite stays deterministic.
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from corrchan.channels import (apply, channel_at_time, correlated_dephasing_channel,
-                               correlated_nmad_channel, cptp_report, evolve)
+from corrchan.channels import evolve
 from corrchan.map_algebra import correlated_oun_generator, dephasing_generator
 from corrchan.measures import PROBE_NAMES, SSS_TOL, probe_state, sss_measure
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
+from corrchan.oracle import (apply, channel_at_time, correlated_dephasing_channel,
+                             correlated_nmad_channel, cptp_report)
 from corrchan.qec import success_probability_closed, success_vs_time
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,

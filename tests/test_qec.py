@@ -8,7 +8,7 @@ from corrchan.noise import NmadParams, OunParams, RtnParams
 from corrchan.qec import (ALL_ERROR_STRINGS, CORRECTABLE_ERRORS,
                           UNDETECTABLE_ERRORS, apply_word, build_codewords,
                           classify_errors, codeword_supports,
-                          error_probability, error_probability_conditional,
+                          error_probability,
                           greedy_correctable_set, is_detectable,
                           success_probability_bruteforce,
                           success_probability_closed, success_vs_time,
@@ -180,9 +180,7 @@ def test_domain_errors():
     lambda: error_probability("IIIIII", np.nan, 0.5),
     lambda: success_probability_bruteforce(np.nan, 0.5),
     lambda: total_probability_mass(np.nan, 0.5),
-    lambda: error_probability_conditional("IIIIII", np.nan, 0.5),
-], ids=["closed", "closed-array", "chained", "bruteforce", "mass",
-        "conditional"])
+], ids=["closed", "closed-array", "chained", "bruteforce", "mass"])
 def test_nan_rejected(call):
     with pytest.raises(ValueError):
         call()
@@ -233,7 +231,7 @@ def test_success_in_unit_interval():
 
 
 # --------------------------------------------------------------------------
-# Probability-mass diagnostics and the conditional variant
+# Probability-mass diagnostics
 # --------------------------------------------------------------------------
 
 
@@ -255,20 +253,6 @@ def test_total_mass_mu1():
     p = 0.4
     q0, q3 = (1 + p) / 2, (1 - p) / 2
     assert abs(total_probability_mass(p, 1.0) - (q0**6 + q3**6)) < 1e-12
-
-
-def test_conditional_chain_is_normalized(rng):
-    for _ in range(5):
-        p = rng.uniform(-0.9, 0.9)
-        mu = rng.uniform(0, 1)
-        total = sum(error_probability_conditional(w, p, mu) for w in ALL_ERROR_STRINGS)
-        assert abs(total - 1.0) < 1e-12
-
-
-def test_conditional_chain_handles_degenerate_marginals():
-    assert error_probability_conditional("IIIIII", 1.0, 0.5) == 1.0
-    assert error_probability_conditional("ZIIIII", 1.0, 0.5) == 0.0
-    assert error_probability_conditional("IZIIII", 1.0, 0.5) == 0.0
 
 
 # --------------------------------------------------------------------------

@@ -12,10 +12,11 @@ correction and for the correlated OUN generator, which `volume`, `qec` and
 import numpy as np
 import pytest
 
-from corrchan.channels import apply, channel_at_time, evolve
+from corrchan.channels import evolve
 from corrchan.map_algebra import correlated_oun_generator, transfer_sampler
 from corrchan.measures import concurrence, probe_state, random_bell_probes, trace_distance
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
+from corrchan.oracle import apply, channel_at_time
 from corrchan.qec import success_probability_closed, success_vs_time, total_probability_mass
 
 NOISES = {"rtn": RtnParams(a=0.8, gamma=0.05),
