@@ -2,10 +2,12 @@
 emitted as deterministic CSV.
 
 Every numeric subcommand writes RFC-4180 CSV (header row, '.' decimal,
-12 significant digits) to --out, one row per sample, rows in grid order.
-A subcommand returns its header and all of its rows, and only then does
-`main` open the output and write them, so a sweep that fails part-way
-leaves no partial CSV behind.
+12 significant digits, lines ending in CRLF, no field quoted) to --out,
+one row per sample, rows in grid order. A subcommand returns its header
+and all of its lines, and only then does `main` open the output and write
+them, so a sweep that fails part-way leaves no partial CSV behind. Numpy
+warnings are silenced while a command runs: every invariant rejects NaN and
+inf itself, and a numeric failure prints one `numeric failure:` line.
 Exit codes: 0 success, 2 invalid usage or parameters, 3 numeric failure.
 
 Options can also be supplied through --config FILE, a plain text file of
@@ -15,7 +17,6 @@ command-line flags override file values.
 
 import argparse
 import contextlib
-import csv
 import sys
 # Unused here, but perfbench/tracing.py patches this name when it installs.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -33,12 +34,19 @@ from .freezing import freezing_predicate
 from .qec import classify_errors, success_vs_time
 
 
-Table = tuple[list[str], list[list[str]]]  # CSV header and rows
+Table = tuple[list[str], list[str]]  # CSV header and formatted lines
 
 
 def _fmt(x: float) -> str:
     # + 0.0 turns -0.0 into 0.0, so that a signed zero prints as 0
     return format(float(x) + 0.0, ".12g")
+
+
+def _lines(data: np.ndarray) -> list[str]:
+    """One CSV line per row of a 2-d float array, each cell as `_fmt`
+    prints it ('%.12g' and '.12g' format a float alike)."""
+    line = ",".join(["%.12g"] * data.shape[1])
+    return [line % tuple(row) for row in (data + 0.0).tolist()]
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -76,12 +84,12 @@ def _noise_from_args(args) -> RtnParams | OunParams | NmadParams:
     raise ValueError(f"unknown noise family {kind!r}")
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
+    # the bytes of csv.writer's excel dialect: no field here needs quoting
+    text = "\r\n".join([",".join(header), *lines, ""])
     with (contextlib.nullcontext(sys.stdout) if path == "-"
           else open(path, "w", newline="")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text)
 
 
 # --------------------------------------------------------------------------
@@ -90,29 +98,34 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _sweep(args, columns: list[str], cells) -> Table:
-    """Header and rows `t, mu, *columns` over the time grid, for each mu in
-    turn; `cells(noise, mu, times)` yields one list of cells per time."""
+    """Header and lines `t, mu, *columns` over the time grid, for each mu in
+    turn; `cells(noise, mu, times)` returns a float array of shape (n,) or
+    (n, len(columns))."""
     noise = _noise_from_args(args)
     times = _time_grid(args)
     mus = _parse_mus(args.mu)
-    rows = [[_fmt(t), _fmt(mu), *row] for mu in mus
-            for t, row in zip(times, cells(noise, mu, times))]
-    return ["t", "mu", *columns], rows
+    lines = []
+    for mu in mus:
+        lines += _lines(np.column_stack([times, np.full_like(times, mu),
+                                         cells(noise, mu, times)]))
+    return ["t", "mu", *columns], lines
 
 
 def _cmd_evolve(args) -> Table:
     rho0 = probe_state(args.state)
     columns = [f"rho{i}{j}_{part}" for i in range(1, 5)
                for j in range(1, 5) for part in ("re", "im")]
-    return _sweep(args, columns, lambda noise, mu, times: (
-        [_fmt(y) for x in rho.flat for y in (x.real, x.imag)]
-        for rho in evolve(noise, mu, times, rho0)))
+
+    def cells(noise, mu, times):
+        rho = evolve(noise, mu, times, rho0)
+        return np.stack([rho.real, rho.imag], axis=-1).reshape(len(times), -1)
+    return _sweep(args, columns, cells)
 
 
 def _cmd_concurrence(args) -> Table:
     rho0 = probe_state(args.probe)
-    return _sweep(args, ["concurrence"], lambda noise, mu, times: (
-        [_fmt(c)] for c in concurrence(evolve(noise, mu, times, rho0))))
+    return _sweep(args, ["concurrence"], lambda noise, mu, times:
+                  concurrence(evolve(noise, mu, times, rho0)))
 
 
 def _split_pair(text: str) -> tuple[str, str]:
@@ -125,9 +138,9 @@ def _split_pair(text: str) -> tuple[str, str]:
 def _cmd_tracedist(args) -> Table:
     name1, name2 = _split_pair(args.pair)
     rho1, rho2 = probe_state(name1), probe_state(name2)
-    return _sweep(args, ["trace_distance"], lambda noise, mu, times: (
-        [_fmt(d)] for d in trace_distance(evolve(noise, mu, times, rho1),
-                                          evolve(noise, mu, times, rho2))))
+    return _sweep(args, ["trace_distance"], lambda noise, mu, times:
+                  trace_distance(evolve(noise, mu, times, rho1),
+                                 evolve(noise, mu, times, rho2)))
 
 
 def _cmd_blp(args) -> Table:
@@ -142,16 +155,16 @@ def _cmd_blp(args) -> Table:
         randoms = random_bell_probes(2 * args.random_probes, seed=args.seed)
         for k in range(args.random_probes):
             named.append((f"random{k}", randoms[2 * k], randoms[2 * k + 1]))
-    rows = []
+    lines = []
     for mu in mus:
         best = 0.0
         for label, rho1, rho2 in named:
             value = blp_measure(evolve(noise, mu, times, rho1), evolve(noise, mu, times, rho2),
                                 times).value
             best = max(best, value)
-            rows.append([_fmt(mu), label, _fmt(value)])
-        rows.append([_fmt(mu), "max", _fmt(best)])
-    return ["mu", "pair", "blp"], rows
+            lines.append(f"{_fmt(mu)},{label},{_fmt(value)}")
+        lines.append(f"{_fmt(mu)},max,{_fmt(best)}")
+    return ["mu", "pair", "blp"], lines
 
 
 def _cmd_sss(args) -> Table:
@@ -167,23 +180,22 @@ def _cmd_sss(args) -> Table:
             zeta = sss_measure(lambda t: correlated_oun_generator(t, params, mu),
                                reference, args.tmax, n_points=args.steps,
                                free=args.family == "free")
-            rows.append([_fmt(g_inv), _fmt(mu), _fmt(zeta)])
-    return ["g_inverse", "mu", "zeta"], rows
+            rows.append([g_inv, mu, zeta])
+    return ["g_inverse", "mu", "zeta"], _lines(np.array(rows, dtype=float))
 
 
 def _cmd_volume(args) -> Table:
     def cells(noise, mu, times):
         trace = volume_trace(transfer_sampler(noise, mu)(times), times)
-        return ([_fmt(v), str(flag)]
-                for v, flag in zip(trace.series.values, trace.witness_flags))
+        # the 0/1 flags print as 0 and 1 through '%.12g'
+        return np.column_stack([trace.series.values, trace.witness_flags])
     return _sweep(args, ["volume", "witness_flag"], cells)
 
 
 def _cmd_qec(args) -> Table:
     column = "p_success_normalized" if args.normalized else "p_success"
-    return _sweep(args, [column], lambda noise, mu, times: (
-        [_fmt(v)] for v in success_vs_time(noise, mu, times,
-                                           normalized=args.normalized).values))
+    return _sweep(args, [column], lambda noise, mu, times:
+                  success_vs_time(noise, mu, times, normalized=args.normalized).values)
 
 
 def _cmd_classify_errors(args) -> None:
@@ -395,7 +407,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        table = args.func(args)
+        with np.errstate(all="ignore"):
+            table = args.func(args)
         if table is not None:
             _write_csv(args.out, *table)
         return 0

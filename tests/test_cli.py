@@ -1,14 +1,21 @@
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from corrchan.cli import main
+from corrchan.cli import _fmt, _lines, main
 from corrchan.errors import NumericError
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def read_csv(path):
@@ -188,12 +195,28 @@ def test_volume_non_finite_noise_exits_3(noise, monkeypatch, tmp_path):
 ], ids=["volume-rtn", "evolve-nmad", "sss-markov", "sss-free"])
 def test_overflow_of_finite_parameters_exits_3(args, tmp_path):
     # finite parameters whose squares or norms overflow: a numeric failure,
-    # not a traceback (exit 1) or rows of inf (exit 0)
-    import numpy as np
-
+    # not a traceback (exit 1) or rows of inf (exit 0); `main` itself keeps
+    # numpy from warning, which the test configuration would turn into errors
     out = tmp_path / "x.csv"
-    with np.errstate(all="ignore"):
-        assert main(args + ["--steps", "5", "--out", str(out)]) == 3
+    assert main(args + ["--steps", "5", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["evolve", "--noise", "nmad", "--g", "1e160"],
+    ["sss", "--G", "1e300"],
+], ids=["evolve-nmad", "sss-markov"])
+def test_numeric_failure_prints_one_stderr_line(args, tmp_path):
+    # a fresh interpreter that shows warnings, where a numpy RuntimeWarning
+    # would print two lines before the failure
+    out = tmp_path / "x.csv"
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "corrchan.cli", *args,
+                           "--steps", "5", "--out", str(out)],
+                          env=_ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("numeric failure: ")
     assert not out.exists()
 
 
@@ -457,7 +480,26 @@ def test_golden_output(name, tmp_path, capsys):
         assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.txt").read_text()
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+@pytest.mark.parametrize("name", GOLDEN_CSV)
+def test_golden_csv_needs_no_quoting(name):
+    """Re-writing a golden through csv.writer (excel dialect) gives the same
+    bytes, so `_write_csv` joining fields with ',' and CRLF loses nothing."""
+    data = (GOLDEN_DIR / f"{name}.csv").read_bytes()
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(csv.reader(io.StringIO(data.decode(), newline="")))
+    assert buffer.getvalue().encode() == data
+
+
+@pytest.mark.parametrize("x", [
+    -0.0, 0.0, 1.0, 5e-324, -5e-324, 1e-300, 1 - 1e-15, 0.1 + 0.2, 1e16, 1e17,
+    -1.5, 2.0 / 3.0, 123456789012.5, 1e300, 100.0 / 11.0,
+])
+def test_lines_formats_like_fmt(x):
+    # witness flags 0.0 and 1.0, and a t = 0, mu row, in the same array
+    data = np.array([[x, 0.0, 1.0], [0.0, 0.5, x]])
+    expected = [",".join(format(v + 0.0, ".12g") for v in row) for row in data.tolist()]
+    assert _lines(data) == expected
+    assert _lines(data)[0].split(",")[0] == _fmt(x)
 
 
 def test_commands_import_neither_scipy_nor_numpy_random(tmp_path):
@@ -477,10 +519,8 @@ def test_commands_import_neither_scipy_nor_numpy_random(tmp_path):
               "loaded = [m for m in ('scipy', 'numpy.random', 'corrchan.oracle')\n"
               "          if m in sys.modules]\n"
               "print(json.dumps([codes, loaded]))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(argvs)
