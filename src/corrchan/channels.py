@@ -16,7 +16,6 @@ command imports.
 
 import numpy as np
 
-from .errors import NumericError
 from .linalg import validate_density
 from .noise import NmadParams, NoiseParams, noise_p
 
@@ -34,14 +33,13 @@ _FLIPS = np.array([[bin(i ^ j).count("1") for j in range(4)] for i in range(4)])
 
 
 def _check_noise_value(p, lo: float, what: str) -> np.ndarray:
-    """p as a float array (0-d for a single value); NumericError if it is not
-    finite, ValueError if it leaves [lo, 1]."""
+    """p as a float array (0-d for a single value); ValueError if any entry
+    is NaN or leaves [lo, 1]. A p passed in by a caller is input: a NaN
+    computed by a noise function is already a NumericError there."""
     p = np.asarray(p, dtype=float)
-    if not np.isfinite(p).all():
-        raise NumericError(f"{what} is not finite")
-    outside = p[(p < lo) | (p > 1)]
-    if outside.size:
-        raise ValueError(f"{what} must lie in [{lo:g}, 1], got {outside[0]}")
+    inside = (p >= lo) & (p <= 1)
+    if not inside.all():
+        raise ValueError(f"{what} must lie in [{lo:g}, 1], got {p[~inside][0]}")
     return p
 
 

@@ -26,10 +26,10 @@ import numpy as np
 from .errors import NumericError
 from .noise import NmadParams, OunParams, RtnParams
 from .channels import _check_mu, evolve
-from .map_algebra import correlated_oun_generator, dephasing_generator, transfer_sampler
-from .measures import (PROBE_NAMES, PROBE_PAIRS, blp_measure, concurrence,
-                       probe_state, random_bell_probes, sss_measure,
-                       trace_distance, volume_trace)
+from .map_algebra import accessible_volume, correlated_oun_generator, dephasing_generator
+from .measures import (PROBE_NAMES, PROBE_PAIRS, RISE_THRESHOLD, blp_measure,
+                       concurrence, probe_state, random_bell_probes, sss_measure,
+                       trace_distance)
 from .freezing import freezing_predicate
 from .qec import classify_errors, success_vs_time
 
@@ -186,9 +186,9 @@ def _cmd_sss(args) -> Table:
 
 def _cmd_volume(args) -> Table:
     def cells(noise, mu, times):
-        trace = volume_trace(transfer_sampler(noise, mu)(times), times)
-        # the 0/1 flags print as 0 and 1 through '%.12g'
-        return np.column_stack([trace.series.values, trace.witness_flags])
+        volume = accessible_volume(noise, mu, times)
+        # 1 where V rose from the previous point; the flags print as 0 and 1
+        return np.column_stack([volume, np.diff(volume, prepend=volume[0]) > RISE_THRESHOLD])
     return _sweep(args, ["volume", "witness_flag"], cells)
 
 

@@ -1,4 +1,4 @@
-"""Bell-diagonal Bloch updates and the freezing predicate.
+"""Bell-diagonal states and the freezing predicate.
 
 Under the correlated unital (dephasing) channels a general two-qubit state
 evolves entrywise (`channels.evolve_dephasing`): single-flip coherences pick
@@ -18,7 +18,6 @@ from .channels import _FLIPS, SIGMA, _check_mu
 from .linalg import validate_density
 
 BLOCH_EQ_TOL = 1e-9
-BELL_DIAGONAL_TOL = 1e-12
 
 _UNITAL_KINDS = {"rtn", "oun", "unital", "dephasing"}
 
@@ -58,60 +57,6 @@ def bloch_diagonal_state(c) -> np.ndarray:
     for ci, sigma in zip((c1, c2, c3), SIGMA[1:]):
         rho += ci * np.kron(sigma, sigma)
     return rho / 4
-
-
-def state_to_bloch_diagonal(rho: np.ndarray) -> BlochDiagonal:
-    """Extract the Bloch triple of a Bell-diagonal state.
-
-    Raises ValidationError when rho deviates from the Bell-diagonal form by
-    more than 1e-12 in any entry.
-    """
-    c = tuple(float(np.trace(rho @ np.kron(s, s)).real) for s in SIGMA[1:])
-    residual = float(np.abs(rho - bloch_diagonal_state(c)).max())
-    if not residual <= BELL_DIAGONAL_TOL:
-        raise ValidationError("Bell-diagonal form", residual)
-    return BlochDiagonal(*c)
-
-
-def _unital_tau(p: float, mu: float) -> float:
-    """tau(mu) = mu + (1 - mu) p^2; ValueError for NaN or out-of-range p, mu."""
-    if not abs(p) <= 1:
-        raise ValueError(f"noise value p must lie in [-1, 1], got {p}")
-    _check_mu(mu)
-    return mu + (1 - mu) * p * p
-
-
-def _check_damping(p: float) -> None:
-    if not 0 <= p <= 1:
-        raise ValueError(f"damping probability p must lie in [0, 1], got {p}")
-
-
-def bloch_update(c, kind: str, p: float, mu: float | None = None):
-    """Bloch-triple update of a Bell-diagonal state under the named channel.
-
-    Unital channels map (c1, c2, c3) to (c1 tau, c2 tau, c3). The fully
-    correlated amplitude-damping channel preserves the form only for
-    c3 = -1, where the coherence c1 - c2 is scaled by sqrt(1-p) while
-    c1 + c2 is conserved. Accepts a BlochDiagonal or any 3-sequence (the
-    update is linear, so it applies to non-state triples as well).
-    """
-    c1, c2, c3 = _as_triple(c)
-    kind = kind.lower()
-    if kind in _UNITAL_KINDS:
-        if mu is None:
-            raise ValueError("unital update requires the correlation factor mu")
-        tau = _unital_tau(p, mu)
-        return (c1 * tau, c2 * tau, c3)
-    if kind == "nmad":
-        _check_damping(p)
-        if not abs(c3 + 1) <= BLOCH_EQ_TOL:
-            raise ValueError(
-                f"fully correlated amplitude damping preserves the Bell-diagonal "
-                f"form only for c3 = -1, got c3 = {c3}")
-        root = np.sqrt(1 - p)
-        total, diff = c1 + c2, c1 - c2
-        return (0.5 * (total + diff * root), 0.5 * (total - diff * root), -1.0)
-    raise ValueError(f"unknown channel kind {kind!r}")
 
 
 @dataclass(frozen=True)

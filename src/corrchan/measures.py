@@ -1,6 +1,6 @@
 """Non-Markovianity indicators: trace distance and the information-backflow
-measure, concurrence and its revival measure, the temporal-self-similarity
-measure, and the accessible-state volume witness.
+measure, concurrence and its revival measure, and the temporal-self-similarity
+measure. The accessible-state volume is `map_algebra.accessible_volume`.
 
 The backflow-style measures integrate the positive increments of a scalar
 trajectory on a time grid; the maximization over initial states that defines
@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NumericError
-from .linalg import eig_hermitian, lapack, psd_sqrt, validate_density
+from .linalg import eig_hermitian, psd_sqrt, validate_density
 from .channels import SIGMA
 from .map_algebra import (DOUBLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS,
                           dephasing_generator)
@@ -59,16 +59,6 @@ class MeasureResult:
     detail: tuple[tuple[tuple[float, float], float], ...] = field(default_factory=tuple)
 
 
-@dataclass(frozen=True, eq=False)
-class VolumeTrace:
-    """Accessible-state volume V(t) = det F(t), its rising intervals, and one
-    witness flag per point: 1 where V rose from the previous point."""
-
-    series: TimeSeries
-    witness_intervals: tuple[tuple[float, float], ...]
-    witness_flags: np.ndarray
-
-
 def _value(x):
     """A 0-d result as a float; a stacked one as its array."""
     return float(x) if np.ndim(x) == 0 else x
@@ -83,11 +73,6 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray):
         raise ValueError(f"dimension mismatch: {rho1.shape} vs {rho2.shape}")
     w, _ = eig_hermitian(rho1 - rho2)
     return _value(0.5 * np.abs(w).sum(axis=-1))
-
-
-def _rises(values: np.ndarray) -> np.ndarray:
-    """Whether each forward difference of `values` exceeds RISE_THRESHOLD."""
-    return np.diff(values) > RISE_THRESHOLD
 
 
 def positive_variation(times: Sequence[float], values: Sequence[float]) -> MeasureResult:
@@ -105,7 +90,7 @@ def positive_variation(times: Sequence[float], values: Sequence[float]) -> Measu
         raise ValueError(f"{len(values)} values for {len(times)} grid points")
     diffs = np.diff(values)
     # +1 where a rising run starts, -1 one past where it ends
-    edges = np.diff(np.concatenate(([0], _rises(values), [0])))
+    edges = np.diff(np.concatenate(([0], diffs > RISE_THRESHOLD, [0])))
     detail = tuple(((float(times[i]), float(times[j])), float(diffs[i:j].sum()))
                    for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)))
     return MeasureResult(value=sum(c for _, c in detail), detail=detail)
@@ -449,33 +434,3 @@ def sss_measure(l_sampler: Callable[[np.ndarray], np.ndarray],
     weights = (np.append(steps, 0.0) + np.insert(steps, 0, 0.0)) / (2 * t_max)
     return average_distance(dephasing_generator(*_free_minimiser(
         *_two_rate_points(l_stack), weights)))
-
-
-# --------------------------------------------------------------------------
-# Accessible-state volume
-# --------------------------------------------------------------------------
-
-
-def volume_trace(f: np.ndarray, times: Sequence[float]) -> VolumeTrace:
-    """Volume of accessible states V(t) = det F(t) with its non-Markovianity
-    witness: the intervals where the discrete forward difference of V is
-    positive (above RISE_THRESHOLD), and the matching per-point flags.
-
-    `f` is the stack of transfer matrices F(t) over `times`, shape
-    (len(times), N, N).
-    """
-    times = np.asarray(times, dtype=float)
-    if len(times) == 0:
-        raise ValueError("grid must not be empty")
-    f = np.asarray(f, dtype=float)
-    if f.shape[:-2] != times.shape:
-        raise ValueError(f"transfer-matrix stack of shape {f.shape} for {len(times)} times")
-    vols = lapack(np.linalg.det, f)
-    series = TimeSeries(times=times, values=vols)
-    flags = np.zeros(len(times), dtype=int)
-    if len(times) < 2:
-        return VolumeTrace(series=series, witness_intervals=(), witness_flags=flags)
-    flags[1:] = _rises(vols)
-    detail = positive_variation(times, vols).detail
-    return VolumeTrace(series=series, witness_intervals=tuple(iv for iv, _ in detail),
-                       witness_flags=flags)

@@ -131,10 +131,12 @@ def rtn_p(t, params: RtnParams):
 def oun_p(t, params: OunParams):
     """OUN dephasing function exp[-(G/2)(t + (exp(-g t) - 1)/g)].
 
-    Strictly decreasing from p(0) = 1; stays in (0, 1].
+    Strictly decreasing from p(0) = 1; stays in (0, 1]. expm1 keeps
+    exp(-g t) - 1 accurate for slow environments (g t << 1), so the
+    exponent is off by a few rounding errors of t at most.
     """
     t = _check_time(t)
-    return _finite(np.exp(-(params.G / 2) * (t + (np.exp(-params.g * t) - 1) / params.g)),
+    return _finite(np.exp(-(params.G / 2) * (t + np.expm1(-params.g * t) / params.g)),
                    "OUN p(t)", 0.0, 1.0)
 
 

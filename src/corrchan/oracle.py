@@ -1,11 +1,12 @@
-"""The Kraus, Choi and transfer-matrix oracle of the closed forms.
+"""The test references of the closed forms: Kraus sets, Choi and transfer
+matrices, Bloch updates and codeword vectors.
 
 The correlated channels are built here as the paper writes them, as Kraus
 mixtures (1 - mu) E (x) E + mu E_fc, one channel at one noise value p. No
 command imports this module: `channels.evolve` and
-`map_algebra.transfer_sampler` compute the same states and transfer
-matrices in closed form from p(t), and the tests check them against the
-Kraus sums here. `cptp_report` certifies a constructed channel.
+`map_algebra.accessible_volume` compute states and det F(t) in closed form
+from p(t), and the tests check them against the Kraus sums here.
+`cptp_report` certifies a constructed channel.
 
 A KrausSet is one channel: operators K_k with optional mixture weights w_k,
 acting as rho -> sum_k w_k K_k rho K_k^dag. The correlated dephasing channel
@@ -17,10 +18,15 @@ limits are exact.
 The operator basis is an (N, d, d) array: the normalized Pauli basis, for
 two qubits G_ij = (1/2) sigma_i (x) sigma_j in row-major (i, j) order.
 `transfer_matrix` gives F_kl = tr[G_k E(G_l)], real for
-Hermiticity-preserving maps; `generator` the time-local L = dF/dt F^-1 by
-finite differences; `choi` and `kraus_from_choi` the round trip through the
-Choi matrix. The Kraus sums agree with the closed forms to 1e-14 absolute,
-but lose relative accuracy where p or tau(mu) is small and terms cancel.
+Hermiticity-preserving maps, and `transfer_sampler` the same F(t) in closed
+form over a time grid; `generator` the time-local L = dF/dt F^-1 by finite
+differences; `choi` and `kraus_from_choi` the round trip through the Choi
+matrix. The Kraus sums agree with the closed forms to 1e-14 absolute, but
+lose relative accuracy where p or tau(mu) is small and terms cancel.
+
+`bloch_update` is the reference of `freezing`, and `build_codewords`,
+`apply_word` and `greedy_correctable_set` that of the exact integer route
+of `qec`.
 """
 
 from dataclasses import dataclass
@@ -30,11 +36,16 @@ import numpy as np
 
 from .channels import SIGMA, _check_mu, _check_noise_value
 from .errors import NumericError, ValidationError
+from .freezing import (BLOCH_EQ_TOL, _UNITAL_KINDS, BlochDiagonal, _as_triple,
+                       bloch_diagonal_state)
 from .linalg import dagger, lapack, validate_density
+from .map_algebra import IDENTITY_SLOTS, _slot_diagonal
 from .noise import NmadParams, NoiseParams, noise_p
+from .qec import ALL_ERROR_STRINGS, _check_word, _xor_word, is_detectable
 
 COMPLETENESS_TOL = 1e-10
 JOINT_PROB_TOL = 1e-12
+BELL_DIAGONAL_TOL = 1e-12
 KRAUS_RANK_CUTOFF = 1e-10
 _IMAG_TOL = 1e-9
 _SINGULAR_TOL = 1e-12
@@ -248,8 +259,8 @@ def computational_basis(dim: int) -> np.ndarray:
 def transfer_matrix(channel: KrausSet, basis: np.ndarray) -> np.ndarray:
     """F_kl = tr[G_k E(G_l)] for the given channel, as a real N x N array.
     The Kraus sum is the oracle of the closed forms behind
-    `map_algebra.transfer_sampler`; it loses relative accuracy where p or
-    tau(mu) is small."""
+    `transfer_sampler`; it loses relative accuracy where p or tau(mu) is
+    small."""
     if channel.dim != basis.shape[-1]:
         raise ValueError(f"channel dim {channel.dim} does not match basis dim "
                          f"{basis.shape[-1]}")
@@ -259,6 +270,76 @@ def transfer_matrix(channel: KrausSet, basis: np.ndarray) -> np.ndarray:
     if not residue <= _IMAG_TOL:
         raise NumericError(f"transfer matrix has imaginary residue {residue:.3e}")
     return f.real.copy()
+
+
+# Transfer matrix of fully correlated amplitude damping,
+# F_fc(p) = _FC_CONST + sqrt(1 - p) _FC_SQRT + p _FC_LINEAR, every entry 0,
+# +-1/2 or 1. The population slots (I and Z only, IDENTITY_SLOTS) mix only
+# through rows 3 (I Z) and 12 (Z I), where |11> decays to |00>; the twelve
+# coherence slots mix in the six pairs below.
+_FC_PAIRS = ((1, 13), (2, 14), (4, 7), (8, 11), (5, 10), (6, 9))
+_FC_PAIR_SIGNS = (1, 1, 1, 1, 1, -1)
+_FC_CONST = np.diag([1, .5, .5, 1, .5, .5, .5, .5, .5, .5, .5, .5, 1, .5, .5, 1])
+_FC_SQRT = np.diag([0, .5, .5, 0, .5, .5, .5, .5, .5, .5, .5, .5, 0, .5, .5, 0])
+_FC_LINEAR = np.zeros((16, 16))
+for (_i, _j), _sign in zip(_FC_PAIRS, _FC_PAIR_SIGNS):
+    _FC_CONST[_i, _j] = _FC_CONST[_j, _i] = _sign / 2
+    _FC_SQRT[_i, _j] = _FC_SQRT[_j, _i] = -_sign / 2
+_FC_LINEAR[np.ix_((3, 12), IDENTITY_SLOTS)] = (.5, -.5, -.5, .5)
+
+
+def _checked_transfer(f: np.ndarray) -> np.ndarray:
+    if not np.isfinite(f).all():
+        raise NumericError("transfer matrix F(t) is not finite")
+    return f
+
+
+def dephasing_transfer(p, mu: float) -> np.ndarray:
+    """Closed-form F of correlated dephasing: diagonal, 1 on the identity
+    slots, p on the single-flip slots and tau = mu + (1 - mu) p^2 on the
+    double-flip slots. An array of p gives the (..., 16, 16) stack.
+    """
+    _check_mu(mu)
+    p = _check_noise_value(p, -1, "noise value p")
+    return _checked_transfer(_slot_diagonal(1.0, p, mu + (1 - mu) * np.square(p)))
+
+
+def nmad_transfer(p, mu: float) -> np.ndarray:
+    """Closed-form F of correlated amplitude damping,
+    F = (1 - mu) F1 (x) F1 + mu F_fc, where
+    F1 = [[1, 0, 0, 0], [0, s, 0, 0], [0, 0, s, 0], [p, 0, 0, 1 - p]],
+    s = sqrt(1 - p), is single-qubit damping and F_fc that of the fully
+    correlated channel. An array of p gives the (..., 16, 16) stack.
+    """
+    _check_mu(mu)
+    p = _check_noise_value(p, 0, "damping probability p")
+    s = np.sqrt(1 - p)
+    f1 = np.zeros(p.shape + (4, 4))
+    f1[..., 0, 0] = 1
+    f1[..., 1, 1] = f1[..., 2, 2] = s
+    f1[..., 3, 0] = p
+    f1[..., 3, 3] = 1 - p
+    f1f1 = (f1[..., :, None, :, None] * f1[..., None, :, None, :]).reshape(p.shape + (16, 16))
+    p, s = p[..., None, None], s[..., None, None]
+    f_fc = _FC_CONST + s * _FC_SQRT + p * _FC_LINEAR
+    return _checked_transfer((1 - mu) * f1f1 + mu * f_fc)
+
+
+def transfer_sampler(noise: NoiseParams, mu: float) -> Callable:
+    """t -> F(t) in the two-qubit Pauli basis for the correlated channel of
+    the given noise family; an array of times gives the stack of F(t), the
+    same bits as one time at a time.
+
+    F is built in closed form from p(t) (`dephasing_transfer` for RTN and
+    OUN, `nmad_transfer` for NMAD), with no Kraus set; it agrees with the
+    Kraus sum `transfer_matrix(channel_at_time(noise, mu, t), basis)` to
+    1e-14 per entry. `map_algebra.accessible_volume` gives det F(t) with no
+    matrix. mu outside [0, 1] is a ValueError; a non-finite p(t) or F(t) a
+    NumericError.
+    """
+    _check_mu(mu)
+    transfer = nmad_transfer if isinstance(noise, NmadParams) else dephasing_transfer
+    return lambda t: transfer(noise_p(noise, t), mu)
 
 
 def generator(f_sampler: Callable[[float], np.ndarray], t: float, h: float = 1e-4) -> np.ndarray:
@@ -356,3 +437,118 @@ def cptp_report(channel: KrausSet) -> CptpReport:
         choi_min_eigenvalue=float(lapack(np.linalg.eigvalsh, s).min()),
         unital_residual=float(np.abs(apply_matrix(channel, eye) - eye).max()),
     )
+
+
+# --------------------------------------------------------------------------
+# Bell-diagonal Bloch updates
+# --------------------------------------------------------------------------
+
+
+def state_to_bloch_diagonal(rho: np.ndarray) -> BlochDiagonal:
+    """Extract the Bloch triple of a Bell-diagonal state.
+
+    Raises ValidationError when rho deviates from the Bell-diagonal form by
+    more than 1e-12 in any entry.
+    """
+    c = tuple(float(np.trace(rho @ np.kron(s, s)).real) for s in SIGMA[1:])
+    residual = float(np.abs(rho - bloch_diagonal_state(c)).max())
+    if not residual <= BELL_DIAGONAL_TOL:
+        raise ValidationError("Bell-diagonal form", residual)
+    return BlochDiagonal(*c)
+
+
+def bloch_update(c, kind: str, p: float, mu: float | None = None):
+    """Bloch-triple update of a Bell-diagonal state under the named channel.
+
+    Unital channels map (c1, c2, c3) to (c1 tau, c2 tau, c3), with
+    tau = mu + (1 - mu) p^2. The fully correlated amplitude-damping channel
+    preserves the form only for c3 = -1, where the coherence c1 - c2 is
+    scaled by sqrt(1-p) while c1 + c2 is conserved. Accepts a BlochDiagonal
+    or any 3-sequence (the update is linear, so it applies to non-state
+    triples as well). p and mu are checked as by `channels.evolve`.
+    """
+    c1, c2, c3 = _as_triple(c)
+    kind = kind.lower()
+    if kind in _UNITAL_KINDS:
+        if mu is None:
+            raise ValueError("unital update requires the correlation factor mu")
+        p = float(_check_noise_value(p, -1, "noise value p"))
+        _check_mu(mu)
+        tau = mu + (1 - mu) * p * p
+        return (c1 * tau, c2 * tau, c3)
+    if kind == "nmad":
+        p = float(_check_noise_value(p, 0, "damping probability p"))
+        if not abs(c3 + 1) <= BLOCH_EQ_TOL:
+            raise ValueError(
+                f"fully correlated amplitude damping preserves the Bell-diagonal "
+                f"form only for c3 = -1, got c3 = {c3}")
+        root = np.sqrt(1 - p)
+        total, diff = c1 + c2, c1 - c2
+        return (0.5 * (total + diff * root), 0.5 * (total - diff * root), -1.0)
+    raise ValueError(f"unknown channel kind {kind!r}")
+
+
+# --------------------------------------------------------------------------
+# Codeword vectors of the six-qubit code
+# --------------------------------------------------------------------------
+
+
+def build_codewords() -> tuple[np.ndarray, np.ndarray]:
+    """Logical codewords as 64-dimensional state vectors.
+
+    Built as the threefold tensor product of (|00> +- |11>)/sqrt(2): each
+    codeword has eight nonzero amplitudes of magnitude 1/(2 sqrt 2), all
+    positive for |0_conc> and signed by the parity of |11> pairs for
+    |1_conc>.
+    """
+    plus = np.zeros(4)
+    minus = np.zeros(4)
+    plus[0] = plus[3] = 1 / np.sqrt(2)
+    minus[0], minus[3] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+    zero = np.kron(np.kron(plus, plus), plus)
+    one = np.kron(np.kron(minus, minus), minus)
+    return zero, one
+
+
+def apply_word(word: str, vec: np.ndarray) -> np.ndarray:
+    """Apply a six-qubit Pauli word over {I, X, Z} to a 64-vector.
+
+    Qubit k corresponds to bit 5 - k of the basis index (leftmost qubit is
+    the most significant bit).
+    """
+    _check_word(word, alphabet="IXZ")
+    out = vec.copy()
+    idx = np.arange(64)
+    zmask = sum(1 << (5 - k) for k, ch in enumerate(word) if ch == 'Z')
+    xmask = sum(1 << (5 - k) for k, ch in enumerate(word) if ch == 'X')
+    if zmask:
+        signs = (-1.0) ** np.bitwise_count(np.bitwise_and(idx, zmask))
+        out = out * signs
+    if xmask:
+        out = out[np.bitwise_xor(idx, xmask)]
+    return out
+
+
+def is_detectable_numeric(word: str) -> bool:
+    """`qec.is_detectable` through the codeword vectors of `build_codewords`:
+    equal diagonal matrix elements between the two codewords and vanishing
+    off-diagonal ones, to 1e-12, an independent route to the exact integer
+    one."""
+    _check_word(word)
+    zero, one = build_codewords()
+    e_zero, e_one = apply_word(word, zero), apply_word(word, one)
+    return (abs(zero @ e_zero - one @ e_one) < 1e-12
+            and abs(zero @ e_one) < 1e-12 and abs(one @ e_zero) < 1e-12)
+
+
+def greedy_correctable_set() -> frozenset[str]:
+    """Maximal correctable set built greedily, lowest weight first then
+    lexicographic, accepting a string when all its products with the set so
+    far remain detectable; it rebuilds `qec.CORRECTABLE_ERRORS`.
+    """
+    detectable = frozenset(w for w in ALL_ERROR_STRINGS if is_detectable(w))
+    chosen: list[str] = []
+    for w in sorted(ALL_ERROR_STRINGS, key=lambda s: (s.count('Z'), s)):
+        if w in detectable and all(_xor_word(w, c) in detectable for c in chosen):
+            chosen.append(w)
+    return frozenset(chosen)

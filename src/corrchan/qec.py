@@ -1,4 +1,4 @@
-"""Six-qubit concatenated code under correlated dephasing: codewords, error
+"""Six-qubit concatenated code under correlated dephasing: error
 classification, chained error probabilities and the success probability.
 
 The code concatenates a three-qubit phase-flip outer code (|+++>, |--->)
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import _check_mu
+from .channels import _check_mu, _check_noise_value
 from .errors import NumericError, ValidationError
 from .measures import TimeSeries
 from .noise import NmadParams, NoiseParams, noise_p
@@ -56,29 +56,12 @@ def _check_word(word: str, alphabet: str = "IZ") -> str:
 # --------------------------------------------------------------------------
 
 
-def build_codewords() -> tuple[np.ndarray, np.ndarray]:
-    """Logical codewords as 64-dimensional state vectors.
-
-    Built as the threefold tensor product of (|00> +- |11>)/sqrt(2): each
-    codeword has eight nonzero amplitudes of magnitude 1/(2 sqrt 2), all
-    positive for |0_conc> and signed by the parity of |11> pairs for
-    |1_conc>.
-    """
-    plus = np.zeros(4)
-    minus = np.zeros(4)
-    plus[0] = plus[3] = 1 / np.sqrt(2)
-    minus[0], minus[3] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-    zero = np.kron(np.kron(plus, plus), plus)
-    one = np.kron(np.kron(minus, minus), minus)
-    return zero, one
-
-
 def codeword_supports() -> tuple[dict[int, int], dict[int, int]]:
     """Exact codeword amplitudes as {basis index: sign}, in units of 1/(2 sqrt 2).
 
-    Independent of `build_codewords`: the support is enumerated directly as
-    the strings whose pairs are all 00 or 11, with the sign of |1_conc> given
-    by the parity of 11-pairs.
+    Independent of `oracle.build_codewords`: the support is enumerated
+    directly as the strings whose pairs are all 00 or 11, with the sign of
+    |1_conc> given by the parity of 11-pairs.
     """
     zero, one = {}, {}
     for a, b, c in itertools.product((0, 1), repeat=3):
@@ -86,25 +69,6 @@ def codeword_supports() -> tuple[dict[int, int], dict[int, int]]:
         zero[idx] = 1
         one[idx] = (-1) ** (a + b + c)
     return zero, one
-
-
-def apply_word(word: str, vec: np.ndarray) -> np.ndarray:
-    """Apply a six-qubit Pauli word over {I, X, Z} to a 64-vector.
-
-    Qubit k corresponds to bit 5 - k of the basis index (leftmost qubit is
-    the most significant bit).
-    """
-    _check_word(word, alphabet="IXZ")
-    out = vec.copy()
-    idx = np.arange(64)
-    zmask = sum(1 << (5 - k) for k, ch in enumerate(word) if ch == 'Z')
-    xmask = sum(1 << (5 - k) for k, ch in enumerate(word) if ch == 'X')
-    if zmask:
-        signs = (-1.0) ** np.bitwise_count(np.bitwise_and(idx, zmask))
-        out = out * signs
-    if xmask:
-        out = out[np.bitwise_xor(idx, xmask)]
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -125,27 +89,16 @@ def _matrix_element(bra: dict[int, int], ket: dict[int, int], word: str) -> int:
     return total
 
 
-def is_detectable(word: str, codewords: tuple[np.ndarray, np.ndarray] | None = None) -> bool:
+def is_detectable(word: str) -> bool:
     """Error detectability: equal diagonal matrix elements between the two
-    codewords and vanishing off-diagonal ones.
-
-    With no `codewords` argument the test runs on the exact integer support
-    representation; passing explicit codeword vectors checks the same
-    condition numerically (tolerance 1e-12) as an independent route.
-    """
+    codewords and vanishing off-diagonal ones, on the exact integer support
+    representation (`oracle.is_detectable_numeric` checks the same condition
+    on state vectors)."""
     _check_word(word)
-    if codewords is None:
-        zero, one = codeword_supports()
-        return (_matrix_element(zero, zero, word) == _matrix_element(one, one, word)
-                and _matrix_element(zero, one, word) == 0
-                and _matrix_element(one, zero, word) == 0)
-    zero, one = codewords
-    evec = apply_word(word, one)
-    d0 = zero @ apply_word(word, zero)
-    d1 = one @ evec
-    off = abs(zero @ evec)
-    off2 = abs(one @ apply_word(word, zero))
-    return abs(d0 - d1) < 1e-12 and off < 1e-12 and off2 < 1e-12
+    zero, one = codeword_supports()
+    return (_matrix_element(zero, zero, word) == _matrix_element(one, one, word)
+            and _matrix_element(zero, one, word) == 0
+            and _matrix_element(one, zero, word) == 0)
 
 
 @dataclass(frozen=True)
@@ -162,19 +115,20 @@ def _xor_word(a: str, b: str) -> str:
 _DEFAULT_CLASSIFICATION: "ErrorClassification | None" = None
 
 
-def classify_errors(codewords: tuple[np.ndarray, np.ndarray] | None = None) -> ErrorClassification:
+def classify_errors() -> ErrorClassification:
     """Partition {I, Z}^(x6) into undetectable and detectable errors and
     attach the canonical correctable set.
 
     The correctable set is the fixed 32-element list `CORRECTABLE_ERRORS`,
     verified here: every element is detectable and every pairwise product
     E_a E_b (the XOR of the Z-patterns, since Z-strings are involutions) is
-    detectable. Use `greedy_correctable_set` to rebuild it from scratch.
+    detectable. `oracle.greedy_correctable_set` rebuilds it from scratch.
+    The result is computed once per process.
     """
     global _DEFAULT_CLASSIFICATION
-    if codewords is None and _DEFAULT_CLASSIFICATION is not None:
+    if _DEFAULT_CLASSIFICATION is not None:
         return _DEFAULT_CLASSIFICATION
-    detectable = frozenset(w for w in ALL_ERROR_STRINGS if is_detectable(w, codewords))
+    detectable = frozenset(w for w in ALL_ERROR_STRINGS if is_detectable(w))
     undetectable = frozenset(ALL_ERROR_STRINGS) - detectable
     for a in CORRECTABLE_ERRORS:
         if a not in detectable:
@@ -185,24 +139,10 @@ def classify_errors(codewords: tuple[np.ndarray, np.ndarray] | None = None) -> E
             if _xor_word(a, b) not in detectable:
                 raise ValidationError("pairwise correctability", 0.0,
                                       f"product of {a} and {b} is undetectable")
-    classification = ErrorClassification(undetectable=undetectable, detectable=detectable,
-                                         correctable=frozenset(CORRECTABLE_ERRORS))
-    if codewords is None:
-        _DEFAULT_CLASSIFICATION = classification
-    return classification
-
-
-def greedy_correctable_set() -> frozenset[str]:
-    """Maximal correctable set built greedily, lowest weight first then
-    lexicographic, accepting a string when all its products with the set so
-    far remain detectable.
-    """
-    detectable = frozenset(w for w in ALL_ERROR_STRINGS if is_detectable(w))
-    chosen: list[str] = []
-    for w in sorted(ALL_ERROR_STRINGS, key=lambda s: (s.count('Z'), s)):
-        if w in detectable and all(_xor_word(w, c) in detectable for c in chosen):
-            chosen.append(w)
-    return frozenset(chosen)
+    _DEFAULT_CLASSIFICATION = ErrorClassification(
+        undetectable=undetectable, detectable=detectable,
+        correctable=frozenset(CORRECTABLE_ERRORS))
+    return _DEFAULT_CLASSIFICATION
 
 
 # --------------------------------------------------------------------------
@@ -212,10 +152,7 @@ def greedy_correctable_set() -> frozenset[str]:
 
 def _check_p_mu(p, mu: float) -> np.ndarray:
     """p as a float array (0-d for one p); ValueError for NaN or out of range."""
-    p = np.asarray(p, dtype=float)
-    outside = p[~(np.abs(p) <= 1)]
-    if outside.size:
-        raise ValueError(f"noise value p must lie in [-1, 1], got {outside[0]}")
+    p = _check_noise_value(p, -1, "noise value p")
     _check_mu(mu)
     return p
 

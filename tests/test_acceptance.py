@@ -9,19 +9,19 @@ import numpy as np
 
 from corrchan.channels import evolve, evolve_damping, evolve_dephasing
 from corrchan.freezing import bloch_diagonal_state
-from corrchan.map_algebra import (correlated_oun_generator, dephasing_generator,
-                                  transfer_sampler)
+from corrchan.map_algebra import (accessible_volume, correlated_oun_generator,
+                                  dephasing_generator)
 from corrchan.measures import (concurrence, nm_concurrence_measure,
                                positive_variation, probe_state, sss_measure,
-                               trace_distance, volume_trace)
+                               trace_distance)
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 from corrchan.oracle import (apply, channel_at_time, choi,
                              correlated_dephasing_channel, correlated_nmad_channel,
                              fully_correlated_nmad_channel, generator,
-                             kraus_from_choi, pauli_basis, transfer_matrix)
+                             greedy_correctable_set, kraus_from_choi, pauli_basis,
+                             transfer_matrix, transfer_sampler)
 from corrchan.qec import (CORRECTABLE_ERRORS, UNDETECTABLE_ERRORS,
-                          classify_errors, greedy_correctable_set,
-                          success_probability_bruteforce,
+                          classify_errors, success_probability_bruteforce,
                           success_probability_closed)
 
 from conftest import random_bloch_triple, random_density
@@ -112,28 +112,26 @@ def test_criterion_4_closed_form_kraus_agreement():
 def test_criterion_5_volume_formula_and_witness():
     rng = np.random.default_rng(5)
     worst = 0.0
+    basis = pauli_basis(2)
     for noise in (RTN, OUN):
-        sampler = transfer_sampler(noise, 0.0)
         for _ in range(50):
             t = rng.uniform(0, 30)
             mu = rng.uniform(0, 1)
-            f = transfer_sampler(noise, mu)(t)
-            p = noise_p(noise, t)
-            expected = p ** 8 * (mu + (1 - mu) * p * p) ** 4
-            worst = max(worst, abs(np.linalg.det(f) - expected))
+            f = transfer_matrix(channel_at_time(noise, mu, t), basis)
+            worst = max(worst, abs(accessible_volume(noise, mu, t) - np.linalg.det(f)))
     assert worst < 1e-10
     times = np.linspace(0, 100, 1000)
     for mu in (0.0, 0.5, 0.9):
-        trace = volume_trace(transfer_sampler(OUN, mu)(times), times)
-        assert trace.witness_intervals == ()
+        assert positive_variation(times, accessible_volume(OUN, mu, times)).detail == ()
     rises = []
     for mu in (0.0, 0.5, 0.9):
-        trace = volume_trace(transfer_sampler(RTN, mu)(times), times)
-        assert len(trace.witness_intervals) > 0
-        rises.append(positive_variation(times, trace.series.values).value)
+        witness = positive_variation(times, accessible_volume(RTN, mu, times))
+        assert len(witness.detail) > 0
+        rises.append(witness.value)
     assert rises[0] < rises[1] < rises[2]
-    report(5, f"det F closed form within {worst:.2e}; OUN witness empty; RTN "
-              f"positive variation {rises[0]:.3f} < {rises[1]:.3f} < {rises[2]:.3f}")
+    report(5, f"V = p^8 tau^4 matches det of the Kraus F within {worst:.2e}; "
+              f"OUN witness empty; RTN positive variation "
+              f"{rises[0]:.3f} < {rises[1]:.3f} < {rises[2]:.3f}")
 
 
 def test_criterion_6_freezing():

@@ -169,7 +169,8 @@ def test_sss_non_finite_generator_exits_3(family, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("noise", ["rtn", "nmad"])
-def test_volume_non_finite_noise_exits_3(noise, monkeypatch, tmp_path):
+def test_volume_nan_noise_value_exits_2_without_csv(noise, monkeypatch, tmp_path):
+    # a NaN p handed to the volume is bad input, like p outside its range
     import numpy as np
 
     import corrchan.map_algebra as map_algebra_mod
@@ -183,7 +184,7 @@ def test_volume_non_finite_noise_exits_3(noise, monkeypatch, tmp_path):
 
     monkeypatch.setattr(map_algebra_mod, "noise_p", with_nan)
     out = tmp_path / "x.csv"
-    assert main(["volume", "--noise", noise, "--steps", "20", "--out", str(out)]) == 3
+    assert main(["volume", "--noise", noise, "--steps", "20", "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -317,7 +318,7 @@ def test_invalid_input_rejected_without_output(args, capsys):
 
 # each CSV subcommand and the cli binding it calls once per mu (sss: per g^-1)
 SWEEP_BINDINGS = {"evolve": "evolve", "concurrence": "evolve", "tracedist": "evolve",
-                  "blp": "evolve", "volume": "transfer_sampler",
+                  "blp": "evolve", "volume": "accessible_volume",
                   "qec": "success_vs_time", "sss": "sss_measure"}
 
 
@@ -525,6 +526,74 @@ def test_commands_import_neither_scipy_nor_numpy_random(tmp_path):
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(argvs)
     assert loaded == []
+
+
+# Public functions of the modules `corrchan.cli` imports that no subcommand
+# calls, each kept for a reason of its own.
+UNREACHED_BY_COMMANDS = {
+    # the NMAD decay rate gamma(t); no command prints it yet
+    "corrchan.noise.nmad_gamma",
+    # the concurrence-revival indicator, waiting for a command of its own
+    "corrchan.measures.nm_concurrence_measure",
+    # a forwarder kept only so that perfbench/tracing.py finds the name to wrap
+    "corrchan.measures.minimize",
+}
+
+
+def test_commands_reach_every_public_function(tmp_path):
+    """Every subcommand, run in one fresh interpreter under a profile hook,
+    reaches every public function of the modules the CLI imports except the
+    ones in UNREACHED_BY_COMMANDS; the test references live in
+    `corrchan.oracle`, which no command loads."""
+    grid = ["--steps", "5"]
+    argvs = [[cmd, "--noise", noise, *grid]
+             for cmd in ("evolve", "concurrence", "tracedist", "volume")
+             for noise in ("rtn", "oun", "nmad")]
+    argvs += [["blp", "--noise", noise, "--random-probes", "1", *grid]
+              for noise in ("rtn", "oun", "nmad")]
+    argvs += [["qec", "--noise", noise, *flag, *grid]
+              for noise in ("rtn", "oun") for flag in ([], ["--normalized"])]
+    argvs += [["sss", "--g-inverse", "10", "--steps", "20", *family]
+              for family in ([], ["--family", "free"])]
+    argvs = [argv + ["--out", str(tmp_path / f"{k}.csv")] for k, argv in enumerate(argvs)]
+    argvs += [["classify-errors"],
+              ["freeze-check", "--c", "0.5,0.5,-1", "--channel", "oun", "--mu", "1"],
+              ["freeze-check", "--c", "0.5,0.5,-1", "--channel", "nmad", "--mu", "0.5"],
+              ["freeze-check", "--state", "psi+", "--channel", "nmad", "--mu", "1"],
+              ["freeze-check", "--state", "phi+", "--channel", "rtn", "--mu", "1"]]
+    script = ("import inspect, json, sys\n"
+              "import corrchan.cli\n"
+              "codes = set()\n"
+              "def hook(frame, event, arg):\n"
+              "    if event == 'call':\n"
+              "        codes.add(frame.f_code)\n"
+              "sys.setprofile(hook)\n"
+              "exits = [corrchan.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "sys.setprofile(None)\n"
+              "unreached = sorted(f'{name}.{attr}' for name, module in list(sys.modules.items())\n"
+              "                   if name.startswith('corrchan.')\n"
+              "                   for attr, obj in vars(module).items()\n"
+              "                   if inspect.isfunction(obj) and obj.__module__ == name\n"
+              "                   and not attr.startswith('_') and obj.__code__ not in codes)\n"
+              "print(json.dumps([exits, unreached, 'corrchan.oracle' in sys.modules]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          env=_ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    exits, unreached, oracle_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert exits == [0] * len(argvs)
+    assert set(unreached) == UNREACHED_BY_COMMANDS
+    assert not oracle_loaded
+
+
+def test_volume_calls_no_determinant(monkeypatch, tmp_path):
+    """V(t) is the product of the eigenvalues of F(t), for every family."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("volume called a determinant")
+
+    monkeypatch.setattr(np.linalg, "det", forbidden)
+    for noise in ("rtn", "oun", "nmad"):
+        out = tmp_path / "x.csv"
+        assert main(["volume", "--noise", noise, "--steps", "5", "--out", str(out)]) == 0
 
 
 def test_measures_minimize_forwards_to_scipy():

@@ -3,14 +3,12 @@ import pytest
 
 from corrchan.channels import evolve_damping, evolve_dephasing
 from corrchan.errors import ValidationError
-from corrchan.freezing import (BlochDiagonal, bloch_diagonal_state,
-                               bloch_update, freezing_predicate,
-                               state_to_bloch_diagonal)
+from corrchan.freezing import BlochDiagonal, bloch_diagonal_state, freezing_predicate
 from corrchan.measures import concurrence, probe_state, trace_distance
 from corrchan.noise import NmadParams, OunParams, RtnParams
-from corrchan.oracle import (apply, apply_matrix, channel_at_time,
+from corrchan.oracle import (apply, apply_matrix, bloch_update, channel_at_time,
                              correlated_dephasing_channel,
-                             fully_correlated_nmad_channel)
+                             fully_correlated_nmad_channel, state_to_bloch_diagonal)
 
 from conftest import random_bloch_triple, random_density
 

@@ -4,17 +4,16 @@ from scipy.optimize import minimize
 
 from corrchan import measures
 from corrchan.channels import evolve
-from corrchan.cli import _fmt
 from corrchan.errors import NumericError
 from corrchan.map_algebra import (DOUBLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS,
-                                  correlated_oun_generator, dephasing_generator,
-                                  transfer_sampler)
+                                  accessible_volume, correlated_oun_generator,
+                                  dephasing_generator)
 from corrchan.measures import (blp_measure, concurrence, nm_concurrence_measure,
                                positive_variation, probe_state,
-                               random_bell_probes, sss_measure, trace_distance,
-                               volume_trace)
+                               random_bell_probes, sss_measure, trace_distance)
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
-from corrchan.oracle import apply, correlated_dephasing_channel, correlated_nmad_channel
+from corrchan.oracle import (apply, correlated_dephasing_channel,
+                             correlated_nmad_channel, transfer_sampler)
 
 from conftest import random_density
 
@@ -517,13 +516,12 @@ def test_volume_closed_form(noise, rng):
 def test_volume_witness_empty_for_oun():
     times = np.linspace(0, 100, 1000)
     for mu in (0.0, 0.5, 0.9):
-        trace = volume_trace(transfer_sampler(OUN, mu)(times), times)
-        assert trace.witness_intervals == ()
+        assert positive_variation(times, accessible_volume(OUN, mu, times)).detail == ()
 
 
 def test_volume_increases_with_mu_for_oun():
     t = 10.0
-    vols = [np.linalg.det(transfer_sampler(OUN, mu)(t)) for mu in (0.0, 0.5, 0.9)]
+    vols = [accessible_volume(OUN, mu, t) for mu in (0.0, 0.5, 0.9)]
     assert vols[0] < vols[1] < vols[2]
 
 
@@ -532,30 +530,16 @@ def test_volume_witness_nonempty_for_rtn_and_grows_with_mu():
     rises = []
     peaks = []
     for mu in (0.0, 0.5, 0.9):
-        trace = volume_trace(transfer_sampler(RTN, mu)(times), times)
-        assert len(trace.witness_intervals) > 0
-        rises.append(positive_variation(times, trace.series.values).value)
+        vals = accessible_volume(RTN, mu, times)
+        witness = positive_variation(times, vals)
+        assert len(witness.detail) > 0
+        rises.append(witness.value)
         # height of the tallest revival (local maximum after the first decay)
-        vals = trace.series.values
         interior = [vals[i] for i in range(1, len(vals) - 1)
                     if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]]
         peaks.append(max(interior))
     assert rises[0] < rises[1] < rises[2]
     assert peaks[0] < peaks[1] < peaks[2]
-
-
-def test_volume_trace_empty_grid():
-    with pytest.raises(ValueError):
-        volume_trace(np.zeros((0, 16, 16)), [])
-
-
-def test_volume_trace_underflow_prints_as_zero():
-    # two entries of opposite sign whose product underflows: det is -0.0
-    f = np.diag([-1e-200, 1e-200] + [1.0] * 14)
-    assert np.signbit(np.linalg.det(f))
-    vols = volume_trace(f[None], [0.0]).series.values
-    assert vols[0] == 0
-    assert _fmt(vols[0]) == "0"
 
 
 def test_time_series_validation():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from corrchan.errors import NumericError
+from corrchan.map_algebra import correlated_oun_rates
 from corrchan.noise import (NmadParams, OunParams, RtnParams, nmad_decoherence,
                             nmad_gamma, nmad_p, noise_p, oun_p, rtn_p)
 
@@ -152,6 +153,28 @@ def test_oun_markov_limit():
 def test_oun_direct_evaluation():
     expected = np.exp(-0.5 * (10 + 20 * (np.exp(-0.5) - 1)))
     assert abs(oun_p(10.0, OunParams(G=1.0, g=0.05)) - expected) < 1e-15
+
+
+@pytest.mark.parametrize("g", [1e-300, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, 10.0])
+def test_oun_slow_environment_matches_mpmath(g):
+    # for g t << 1 the exponent t + (exp(-g t) - 1)/g is a difference of
+    # nearly equal terms, and so are 1 - exp(-g t) in the generator rates
+    params = OunParams(G=1.0, g=g)
+    times = np.array([0.5, 5.0, 50.0])
+    p = oun_p(times, params)
+    for mu in (0.0, 0.5, 1.0):
+        rate_single, rate_double = correlated_oun_rates(times, params, mu)
+        for k, t in enumerate(times):
+            with mp.workdps(50):
+                t, gm = mp.mpf(float(t)), mp.mpf(g)
+                decayed = -mp.expm1(-gm * t)
+                exact_p = mp.exp(-(t - decayed / gm) / 2)
+                exact_single = -decayed / 2
+                exact_double = (2 * exact_single if mu == 0 else -decayed * (1 - mu)
+                                * exact_p ** 2 / (mu + (1 - mu) * exact_p ** 2))
+            assert abs(p[k] - exact_p) <= 1e-14 * exact_p
+            assert abs(rate_single[k] - exact_single) <= 1e-14 * abs(exact_single)
+            assert abs(rate_double[k] - exact_double) <= 1e-14 * abs(exact_double)
 
 
 def test_oun_strictly_decreasing():

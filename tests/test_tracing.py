@@ -44,7 +44,7 @@ def test_tracer_installs_and_uninstalls():
         assert ("corrchan.cli", "ThreadPoolExecutor") in patched
         assert ("corrchan.measures", "minimize") in patched
         assert ("corrchan.channels", "evolve") in patched
-        for name in ("evolve", "transfer_sampler", "success_vs_time", "sss_measure"):
+        for name in ("evolve", "accessible_volume", "success_vs_time", "sss_measure"):
             assert ("corrchan.cli", name) in patched
     finally:
         tracer.uninstall()

@@ -1,13 +1,16 @@
-"""The accessible-state volume V(t) = det F(t) against an mpmath oracle.
+"""The accessible-state volume V(t) = det F(t) against two mpmath oracles.
 
-The oracle builds F_kl = tr[G_k E(G_l)] from the Kraus operators of each
-channel in 60-digit arithmetic and takes its determinant there. It starts
-from the noise value p(t) that the package computes, so that it checks the
-transfer matrix and the determinant: where p(t) or tau(mu) is small, a
-double-precision Kraus sum cancels and loses relative accuracy, and the
-printed volume must still be right to all 12 significant digits. For OUN,
-whose p(t) = exp(x) keeps its relative accuracy, the printed volume is
-also checked against p(t) evaluated in mpmath.
+The first builds F_kl = tr[G_k E(G_l)] from the Kraus operators of each
+channel in 60-digit arithmetic and takes its determinant there; the second
+evaluates the product of the eigenvalues of F (p^8 tau^4 for dephasing, the
+sixteen diagonal entries of the triangular superoperator for amplitude
+damping) in the same precision, and the two agree. Both start from the
+noise value p(t) that the package computes, so that they check the volume
+itself: where p(t) or tau(mu) is small, a double-precision Kraus sum
+cancels, and where F is nearly singular a determinant loses relative
+accuracy, and the printed volume must still be right to all 12 significant
+digits. For OUN, whose p(t) = exp(x) keeps its relative accuracy, the
+printed volume is also checked against p(t) evaluated in mpmath.
 """
 
 import mpmath as mp
@@ -15,14 +18,13 @@ import numpy as np
 import pytest
 
 from corrchan.cli import main
-from corrchan.map_algebra import transfer_sampler
-from corrchan.measures import volume_trace
+from corrchan.map_algebra import accessible_volume
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 
 DPS = 60
-# numpy's det goes through log|det|, so its relative error grows with |ln V|
-# (about 1e-13 at V ~ 1e-193).
-REL_TOL = 2e-13
+# V is a product of powers of sums of nonnegative terms, taken by squaring:
+# a few dozen roundings of relative size 1.1e-16 at most
+REL_TOL = 1e-14
 
 
 def _mp_oun_p(noise, t):
@@ -92,10 +94,27 @@ def mp_volume(noise, mu, p):
         return mp.det(f)
 
 
+def mp_closed_volume(noise, mu, p):
+    """The product of the eigenvalues of F at noise value p, in DPS-digit
+    arithmetic: p^8 tau^4 for dephasing; for amplitude damping the sixteen
+    diagonal entries (1 - mu) a_i a_j + mu e_i e_j of the superoperator, with
+    a = (1, s, s, s^2), e = (1, 1, 1, s) and s = sqrt(1 - p)."""
+    with mp.workdps(DPS):
+        p, mu = mp.mpf(p), mp.mpf(mu)
+        if not isinstance(noise, NmadParams):
+            return p ** 8 * (mu + (1 - mu) * p ** 2) ** 4
+        s = mp.sqrt(1 - p)
+        a, e = (1, s, s, s ** 2), (1, 1, 1, s)
+        return mp.fprod((1 - mu) * ai * aj + mu * ei * ej
+                        for ai, ei in zip(a, e) for aj, ej in zip(a, e))
+
+
 def _check_against_oracle(noise, mu, times):
-    vols = volume_trace(transfer_sampler(noise, mu)(times), times).series.values
+    vols = accessible_volume(noise, mu, times)
     for t, v, p in zip(times, vols, noise_p(noise, times)):
         exact = mp_volume(noise, mu, p)
+        closed = mp_closed_volume(noise, mu, p)
+        assert abs(closed - exact) <= mp.mpf(10) ** (10 - DPS) * abs(exact), (t, closed, exact)
         assert abs(v - exact) <= REL_TOL * abs(exact), (t, v, exact)
         assert format(v, ".12g") == format(float(exact), ".12g"), (t, v, exact)
 
@@ -141,3 +160,29 @@ def test_oun_volume_far_below_double_precision_cancellation(tmp_path):
         with mp.workdps(DPS):
             exact = mp_volume(OUN, 0.0, _mp_oun_p(OUN, t))
         assert v == format(float(exact), ".12g"), t
+
+
+@pytest.mark.parametrize("noise", [OUN, RTN, NMAD], ids=["oun", "rtn", "nmad"])
+def test_default_preset_volume_matches_closed_form(noise, tmp_path):
+    # the three presets of `volume --noise {oun,rtn,nmad}` with default
+    # arguments, 1000 points for each mu in 0, 0.5, 0.9. A printed cell may
+    # differ from the exact value only where that lies within REL_TOL of the
+    # midpoint between two 12-digit decimals, where rounding decides.
+    out = tmp_path / "volume.csv"
+    kind = {OUN: "oun", RTN: "rtn", NMAD: "nmad"}[noise]
+    assert main(["volume", "--noise", kind, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    times = np.linspace(0.0, 100.0, 1000)
+    ps = noise_p(noise, times)
+    assert len(rows) == 3 * len(times)
+    for k, mu in enumerate((0.0, 0.5, 0.9)):
+        vols = accessible_volume(noise, mu, times)
+        for t, v, p, row in zip(times, vols, ps, rows[k * len(times):]):
+            exact = mp_closed_volume(noise, mu, p)
+            assert abs(v - exact) <= REL_TOL * exact, (mu, t, v, exact)
+            assert row[2] == format(v, ".12g")
+            with mp.workdps(DPS):
+                printed, right = mp.mpf(row[2]), mp.mpf(mp.nstr(exact, 12))
+                if printed != right:
+                    midpoint = (printed + right) / 2
+                    assert abs(exact - midpoint) <= REL_TOL * exact, (mu, t, row[2], exact)
