@@ -8,7 +8,8 @@ and all of its lines, and only then does `main` open the output and write
 them, so a sweep that fails part-way leaves no partial CSV behind. Numpy
 warnings are silenced while a command runs: every invariant rejects NaN and
 inf itself, and a numeric failure prints one `numeric failure:` line.
-Exit codes: 0 success, 2 invalid usage or parameters, 3 numeric failure.
+Exit codes: 0 success, 2 invalid usage or parameters, 3 numeric failure or
+out of memory. `main` builds the options of the invoked subcommand only.
 
 Options can also be supplied through --config FILE, a plain text file of
 `key = value` lines using the long option names (without leading dashes);
@@ -146,6 +147,8 @@ def _cmd_tracedist(args) -> Table:
 def _cmd_blp(args) -> Table:
     if args.random_probes < 0:
         raise ValueError(f"--random-probes must be non-negative, got {args.random_probes}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     noise = _noise_from_args(args)
     times = _time_grid(args)
     mus = _parse_mus(args.mu)
@@ -170,8 +173,13 @@ def _cmd_blp(args) -> Table:
 def _cmd_sss(args) -> Table:
     mus = _parse_mus(args.mu)
     g_inverses = _parse_floats(args.g_inverse)
-    if not g_inverses or not all(0 < gi < np.inf for gi in g_inverses):
+    if not g_inverses:
         raise ValueError("--g-inverse requires positive finite values")
+    for g_inv in g_inverses:
+        # 1 / g_inv is the OUN rate g, and overflows below about 5.6e-309
+        if not (0 < g_inv < np.inf and 1.0 / g_inv < np.inf):
+            raise ValueError("--g-inverse requires positive finite values with a finite "
+                             f"inverse, got {g_inv!r}")
     reference = dephasing_generator(-args.G / 2, -args.G)
     rows = []
     for g_inv in g_inverses:
@@ -253,96 +261,107 @@ def _add_common(sub):
                      help="key = value file of option defaults; flags override")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The `corrchan` parser with every subcommand's name and help, but the
+    options and `func` of the subcommand named `command` only; any other
+    value, None included, adds no subcommand's options."""
     parser = argparse.ArgumentParser(
         prog="corrchan",
         description="Correlated non-Markovian channels: trajectories, measures "
                     "and error-correction sweeps, as deterministic CSV.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("evolve", help="evolved density-matrix entries over time")
-    _add_noise_options(sub)
-    _add_grid_options(sub)
-    sub.add_argument("--state", default="phi+", choices=PROBE_NAMES,
-                     help="initial probe state (default %(default)s)")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_evolve)
+    def subcommand(name, func, help):
+        """The subparser of `name` if it is `command`, to add options to."""
+        sub = subs.add_parser(name, help=help)
+        if name != command:
+            return None
+        sub.set_defaults(func=func)
+        return sub
 
-    sub = subs.add_parser("concurrence", help="concurrence of an evolving probe state")
-    _add_noise_options(sub)
-    _add_grid_options(sub)
-    sub.add_argument("--probe", default="phi+", choices=PROBE_NAMES,
-                     help="initial probe state (default %(default)s)")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_concurrence)
+    if sub := subcommand("evolve", _cmd_evolve,
+                         help="evolved density-matrix entries over time"):
+        _add_noise_options(sub)
+        _add_grid_options(sub)
+        sub.add_argument("--state", default="phi+", choices=PROBE_NAMES,
+                         help="initial probe state (default %(default)s)")
+        _add_common(sub)
 
-    sub = subs.add_parser("tracedist", help="trace distance of an evolving probe pair")
-    _add_noise_options(sub)
-    _add_grid_options(sub)
-    sub.add_argument("--pair", default="phi+:phi-",
-                     help="probe pair as name:name (default %(default)s)")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_tracedist)
+    if sub := subcommand("concurrence", _cmd_concurrence,
+                         help="concurrence of an evolving probe state"):
+        _add_noise_options(sub)
+        _add_grid_options(sub)
+        sub.add_argument("--probe", default="phi+", choices=PROBE_NAMES,
+                         help="initial probe state (default %(default)s)")
+        _add_common(sub)
 
-    sub = subs.add_parser("blp", help="information-backflow measure over a probe family")
-    _add_noise_options(sub)
-    _add_grid_options(sub)
-    sub.add_argument("--pairs", default=",".join(f"{a}:{b}" for a, b in PROBE_PAIRS),
-                     help="comma-separated probe pairs (default %(default)s)")
-    sub.add_argument("--random-probes", type=int, default=0,
-                     help="additional random local-unitary probe pairs (default 0)")
-    sub.add_argument("--seed", type=int, default=0, help="seed for random probes")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_blp)
+    if sub := subcommand("tracedist", _cmd_tracedist,
+                         help="trace distance of an evolving probe pair"):
+        _add_noise_options(sub)
+        _add_grid_options(sub)
+        sub.add_argument("--pair", default="phi+:phi-",
+                         help="probe pair as name:name (default %(default)s)")
+        _add_common(sub)
 
-    sub = subs.add_parser("sss", help="temporal-self-similarity measure for correlated OUN")
-    sub.add_argument("--G", type=float, default=0.6,
-                     help="OUN effective relaxation rate (default %(default)s)")
-    sub.add_argument("--g-inverse", default="10,50,100",
-                     help="comma-separated environment correlation times (default %(default)s)")
-    sub.add_argument("--mu", default="0,0.3,0.6,0.9",
-                     help="comma-separated correlation factors (default %(default)s)")
-    sub.add_argument("--tmax", type=float, default=100.0,
-                     help="averaging window length (default %(default)s)")
-    sub.add_argument("--steps", type=int, default=400,
-                     help="quadrature grid points (default %(default)s)")
-    sub.add_argument("--family", choices=("markov", "free"), default="markov",
-                     help="comparison generator family: the fixed memoryless-limit "
-                          "generator, or free two-rate minimization (default %(default)s)")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_sss)
+    if sub := subcommand("blp", _cmd_blp,
+                         help="information-backflow measure over a probe family"):
+        _add_noise_options(sub)
+        _add_grid_options(sub)
+        sub.add_argument("--pairs", default=",".join(f"{a}:{b}" for a, b in PROBE_PAIRS),
+                         help="comma-separated probe pairs (default %(default)s)")
+        sub.add_argument("--random-probes", type=int, default=0,
+                         help="additional random local-unitary probe pairs (default 0)")
+        sub.add_argument("--seed", type=int, default=0, help="seed for random probes")
+        _add_common(sub)
 
-    sub = subs.add_parser("volume", help="accessible-state volume and its witness")
-    _add_noise_options(sub, default="rtn")
-    _add_grid_options(sub, steps=1000)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_volume)
+    if sub := subcommand("sss", _cmd_sss,
+                         help="temporal-self-similarity measure for correlated OUN"):
+        sub.add_argument("--G", type=float, default=0.6,
+                         help="OUN effective relaxation rate (default %(default)s)")
+        sub.add_argument("--g-inverse", default="10,50,100",
+                         help="comma-separated environment correlation times "
+                              "(default %(default)s)")
+        sub.add_argument("--mu", default="0,0.3,0.6,0.9",
+                         help="comma-separated correlation factors (default %(default)s)")
+        sub.add_argument("--tmax", type=float, default=100.0,
+                         help="averaging window length (default %(default)s)")
+        sub.add_argument("--steps", type=int, default=400,
+                         help="quadrature grid points (default %(default)s)")
+        sub.add_argument("--family", choices=("markov", "free"), default="markov",
+                         help="comparison generator family: the fixed memoryless-limit "
+                              "generator, or free two-rate minimization (default %(default)s)")
+        _add_common(sub)
 
-    sub = subs.add_parser("qec", help="error-correction success probability over time")
-    _add_noise_options(sub)
-    _add_grid_options(sub, tmax=50.0, steps=200)
-    sub.add_argument("--normalized", action="store_true",
-                     help="divide by the total chained probability mass")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_qec)
+    if sub := subcommand("volume", _cmd_volume,
+                         help="accessible-state volume and its witness"):
+        _add_noise_options(sub, default="rtn")
+        _add_grid_options(sub, steps=1000)
+        _add_common(sub)
 
-    sub = subs.add_parser("classify-errors",
-                          help="print the undetectable / detectable / correctable sets")
-    sub.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    sub.set_defaults(func=_cmd_classify_errors)
+    if sub := subcommand("qec", _cmd_qec,
+                         help="error-correction success probability over time"):
+        _add_noise_options(sub)
+        _add_grid_options(sub, tmax=50.0, steps=200)
+        sub.add_argument("--normalized", action="store_true",
+                         help="divide by the total chained probability mass")
+        _add_common(sub)
 
-    sub = subs.add_parser("freeze-check", help="freezing verdict for a state and channel")
-    sub.add_argument("--state", default="psi+", choices=PROBE_NAMES,
-                     help="probe state (default %(default)s)")
-    sub.add_argument("--c", default=None,
-                     help="Bell-diagonal Bloch triple c1,c2,c3 (overrides --state)")
-    sub.add_argument("--channel", default="nmad",
-                     choices=("rtn", "oun", "unital", "dephasing", "nmad"),
-                     help="channel kind (default %(default)s)")
-    sub.add_argument("--mu", type=float, default=1.0,
-                     help="correlation factor (default %(default)s)")
-    sub.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    sub.set_defaults(func=_cmd_freeze_check)
+    if sub := subcommand("classify-errors", _cmd_classify_errors,
+                         help="print the undetectable / detectable / correctable sets"):
+        sub.add_argument("--config", default=None, help=argparse.SUPPRESS)
+
+    if sub := subcommand("freeze-check", _cmd_freeze_check,
+                         help="freezing verdict for a state and channel"):
+        sub.add_argument("--state", default="psi+", choices=PROBE_NAMES,
+                         help="probe state (default %(default)s)")
+        sub.add_argument("--c", default=None,
+                         help="Bell-diagonal Bloch triple c1,c2,c3 (overrides --state)")
+        sub.add_argument("--channel", default="nmad",
+                         choices=("rtn", "oun", "unital", "dephasing", "nmad"),
+                         help="channel kind (default %(default)s)")
+        sub.add_argument("--mu", type=float, default=1.0,
+                         help="correlation factor (default %(default)s)")
+        sub.add_argument("--config", default=None, help=argparse.SUPPRESS)
 
     return parser
 
@@ -394,10 +413,11 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv = _apply_config(argv)
-        args = parser.parse_args(argv)
+        # the top-level parser's only option is -h, so only argv[0] can name
+        # the subcommand whose options need building
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         for name, value in vars(args).items():
             if isinstance(value, list):  # argparse reads `--name=--` as []
                 raise ValueError(f"--{name.replace('_', '-')} requires a value, got '--'")
@@ -414,6 +434,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -161,18 +161,26 @@ def _marginals(p):
     return {'I': (1 + p) / 2, 'Z': (1 - p) / 2}
 
 
+def _word_probabilities(words, p, mu: float):
+    """Chained probability of each word in turn, per entry of p, from one
+    check of p and mu and the four pair factors p_ab built once for all
+    words. A generator, so that a sum holds one word's array at a time."""
+    q = _marginals(_check_p_mu(p, mu))
+    pair = {(a, b): (1 - mu) * q[a] * q[b] + (mu * q[a] if a == b else 0.0)
+            for a in "IZ" for b in "IZ"}
+    for word in words:
+        prob = 1.0
+        for k in range(5):
+            prob *= pair[word[k], word[k + 1]]
+        yield prob * q[word[5]]
+
+
 def error_probability(word: str, p, mu: float):
     """Chained probability of a six-letter error word: the product of the
     five adjacent-pair joint probabilities p_(e_k e_k+1) times the
     single-letter probability of the last letter, per entry of p.
     """
-    _check_word(word)
-    q = _marginals(_check_p_mu(p, mu))
-    prob = 1.0
-    for k in range(5):
-        a, b = word[k], word[k + 1]
-        prob *= (1 - mu) * q[a] * q[b] + (mu * q[a] if a == b else 0.0)
-    return prob * q[word[5]]
+    return next(_word_probabilities([_check_word(word)], p, mu))
 
 
 def total_probability_mass(p, mu: float):
@@ -181,14 +189,15 @@ def total_probability_mass(p, mu: float):
     Strictly below 1 for mu < 1 and |p| < 1 (the chained model is not a
     normalized distribution); equals (p_0^2 + p_3^2)^5 at mu = 0.
     """
-    return sum(error_probability(w, p, mu) for w in ALL_ERROR_STRINGS)
+    return sum(_word_probabilities(ALL_ERROR_STRINGS, p, mu))
 
 
 def success_probability_bruteforce(p, mu: float):
-    """Success probability as the explicit sum of `error_probability` over
-    the 32-element correctable set, per entry of p."""
+    """Success probability as the explicit sum of the chained word
+    probabilities (`error_probability`) over the 32-element correctable set,
+    per entry of p."""
     classify_errors()
-    return sum(error_probability(w, p, mu) for w in CORRECTABLE_ERRORS)
+    return sum(_word_probabilities(CORRECTABLE_ERRORS, p, mu))
 
 
 def _probability(x):

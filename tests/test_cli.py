@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -353,6 +354,101 @@ def test_usage_exit_codes(capsys):
     capsys.readouterr()
 
 
+SUBCOMMANDS = ("evolve", "concurrence", "tracedist", "blp", "sss", "volume", "qec",
+               "classify-errors", "freeze-check")
+
+
+def _parser_with_every_option():
+    """One parser holding every subcommand's options, as `main` built it
+    before it built only the invoked subcommand's."""
+    from corrchan.cli import build_parser
+
+    def subparsers(parser):
+        [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    parser = build_parser(None)
+    for name in SUBCOMMANDS:
+        subparsers(parser)[name] = subparsers(build_parser(name))[name]
+    return parser
+
+
+def _usage_cases(config):
+    """(argv, exit code) pairs: help, usage errors and --config before the
+    subcommand, at the top level and for every subcommand."""
+    cases = [([], 2), (["--help"], 0), (["no-such-command"], 2), (["--", "qec"], 2),
+             (["--config", config, "qec", "--mu", "0.5"], 0),
+             (["--config", config, "qec", "--help"], 0),
+             (["--config", config, "freeze-check", "--bogus"], 2)]
+    bad_value = {"evolve": ["--steps", "two"], "concurrence": ["--noise", "zzz"],
+                 "tracedist": ["--tmax", "x"], "blp": ["--random-probes", "1.5"],
+                 "sss": ["--family", "zzz"], "volume": ["--G", "g"], "qec": ["--steps", "3.5"],
+                 "classify-errors": ["stray"], "freeze-check": ["--channel", "zzz"]}
+    for sub in SUBCOMMANDS:
+        missing = ["--config"] if sub == "classify-errors" else ["--mu"]
+        cases += [([sub, "--help"], 0), ([sub, "--bogus"], 2),
+                  ([sub, *bad_value[sub]], 2), ([sub, *missing], 2)]
+    return cases
+
+
+def test_usage_matches_a_parser_with_every_option(monkeypatch, capsys, tmp_path):
+    """`main` builds only the invoked subcommand's options; on help, usage
+    errors and --config it prints what a parser with every option prints."""
+    import corrchan.cli as cli_mod
+
+    config = tmp_path / "grid.cfg"
+    config.write_text("tmax = 2\nsteps = 3\n")
+    every = _parser_with_every_option()
+    for argv, code in _usage_cases(str(config)):
+        assert main(list(argv)) == code, argv
+        lazy = capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(cli_mod, "build_parser", lambda command: every)
+            assert main(list(argv)) == code, argv
+        assert capsys.readouterr() == lazy, argv
+
+
+def test_classify_errors_builds_no_other_options(monkeypatch, capsys):
+    # a deterministic guard on the parser cost: no other subcommand's options
+    added = []
+    real = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert main(["classify-errors"]) == 0
+    capsys.readouterr()
+    # -h on the top-level parser and on each of the nine subparsers
+    assert added.count(("-h", "--help")) == 1 + len(SUBCOMMANDS)
+    assert [args for args in added if args != ("-h", "--help")] == [("--config",)]
+
+
+def test_out_of_memory_exits_3_without_csv(capsys, tmp_path):
+    # 10**15 grid points need 8 PB, beyond any 47-bit user address space, so
+    # the allocation fails without touching memory
+    out = tmp_path / "x.csv"
+    assert main(["qec", "--steps", str(10 ** 15), "--out", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("out of memory: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["blp", "--random-probes", "1", "--seed", "-1", "--steps", "5"],
+     "--seed must be non-negative, got -1"),
+    # 1 / 1e-320 overflows to inf
+    (["sss", "--g-inverse", "1e-320"],
+     "--g-inverse requires positive finite values with a finite inverse, got 1e-320"),
+])
+def test_boundary_error_names_the_option(args, message, capsys):
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_default_preset_runtime(tmp_path):
     import time
     start = time.perf_counter()
@@ -537,6 +633,8 @@ UNREACHED_BY_COMMANDS = {
     "corrchan.measures.nm_concurrence_measure",
     # a forwarder kept only so that perfbench/tracing.py finds the name to wrap
     "corrchan.measures.minimize",
+    # one word's probability; the sums over words check p once per call instead
+    "corrchan.qec.error_probability",
 }
 
 

@@ -164,6 +164,31 @@ def test_chain_structure():
     assert abs(error_probability(word, p, mu) - expected) < 1e-15
 
 
+def _word_probability_per_word(word, p, mu):
+    """The chained probability of one word, each pair factor written out."""
+    p = np.asarray(p, dtype=float)
+    q = {"I": (1 + p) / 2, "Z": (1 - p) / 2}
+    prob = 1.0
+    for k in range(5):
+        a, b = word[k], word[k + 1]
+        prob *= (1 - mu) * q[a] * q[b] + (mu * q[a] if a == b else 0.0)
+    return prob * q[word[5]]
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.57, 0.9, 1.0])
+def test_word_sums_bit_identical_to_per_word_reference(mu):
+    # the sums build the pair factors once per call; the bits must not move
+    p = np.concatenate([np.linspace(-1, 1, 1001), [1.0, -1.0, 0.0, -0.0, 1e-300]])
+    for words, total in ((ALL_ERROR_STRINGS, total_probability_mass),
+                         (CORRECTABLE_ERRORS, success_probability_bruteforce)):
+        expected = sum(_word_probability_per_word(w, p, mu) for w in words)
+        assert np.array_equal(total(p, mu), expected)
+        for x in (0.37, -1.0, 1.0, 0.0):
+            assert total(x, mu) == sum(_word_probability_per_word(w, x, mu) for w in words)
+    for w in ALL_ERROR_STRINGS:
+        assert np.array_equal(error_probability(w, p, mu), _word_probability_per_word(w, p, mu))
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         error_probability("IIIIII", 1.5, 0.5)
