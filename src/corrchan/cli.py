@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericError
 from .noise import NmadParams, OunParams, RtnParams
 from .channels import _check_mu, evolve
-from .map_algebra import accessible_volume, correlated_oun_generator, dephasing_generator
+from .map_algebra import accessible_volume, correlated_oun_rates
 from .measures import (PROBE_NAMES, PROBE_PAIRS, RISE_THRESHOLD, blp_measure,
                        concurrence, probe_state, random_bell_probes, sss_measure,
                        trace_distance)
@@ -50,17 +50,18 @@ def _lines(data: np.ndarray) -> list[str]:
     return [line % tuple(row) for row in (data + 0.0).tolist()]
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(text: str, option: str) -> list[float]:
+    """The numbers of the comma-separated list `text` given to `option`; an
+    empty item is an error."""
     try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
+        return [float(tok) for tok in text.split(",")]
     except ValueError:
-        raise ValueError(f"expected a comma-separated list of numbers, got {text!r}") from None
+        raise ValueError(f"{option} expects a comma-separated list of numbers, "
+                         f"got {text!r}") from None
 
 
 def _parse_mus(text: str) -> list[float]:
-    mus = _parse_floats(text)
-    if not mus:
-        raise ValueError("at least one mu value is required")
+    mus = _parse_floats(text, "--mu")
     for mu in mus:
         _check_mu(mu)
     return mus
@@ -172,21 +173,19 @@ def _cmd_blp(args) -> Table:
 
 def _cmd_sss(args) -> Table:
     mus = _parse_mus(args.mu)
-    g_inverses = _parse_floats(args.g_inverse)
-    if not g_inverses:
-        raise ValueError("--g-inverse requires positive finite values")
+    g_inverses = _parse_floats(args.g_inverse, "--g-inverse")
     for g_inv in g_inverses:
         # 1 / g_inv is the OUN rate g, and overflows below about 5.6e-309
         if not (0 < g_inv < np.inf and 1.0 / g_inv < np.inf):
             raise ValueError("--g-inverse requires positive finite values with a finite "
                              f"inverse, got {g_inv!r}")
-    reference = dephasing_generator(-args.G / 2, -args.G)
+    times = _time_grid(args)
+    reference = (-args.G / 2, -args.G)  # the memoryless-limit rates
     rows = []
     for g_inv in g_inverses:
         params = OunParams(G=args.G, g=1.0 / g_inv)
         for mu in mus:
-            zeta = sss_measure(lambda t: correlated_oun_generator(t, params, mu),
-                               reference, args.tmax, n_points=args.steps,
+            zeta = sss_measure(times, correlated_oun_rates(times, params, mu), reference,
                                free=args.family == "free")
             rows.append([g_inv, mu, zeta])
     return ["g_inverse", "mu", "zeta"], _lines(np.array(rows, dtype=float))
@@ -215,7 +214,7 @@ def _cmd_classify_errors(args) -> None:
 
 def _cmd_freeze_check(args) -> None:
     if args.c is not None:
-        state = tuple(_parse_floats(args.c))
+        state = tuple(_parse_floats(args.c, "--c"))
         if len(state) != 3:
             raise ValueError(f"--c expects three components, got {args.c!r}")
     else:

@@ -1,5 +1,5 @@
 """Closed forms of the correlated channels as maps: the accessible-state
-volume and the time-local dephasing generators.
+volume and the rates of the time-local dephasing generator.
 
 The two-qubit Hermitian basis is G_ij = (1/2) sigma_i (x) sigma_j in row-major
 (i, j) order, slot a = 4i + j; the transfer matrix F_kl = tr[G_k E(G_l)] is
@@ -9,11 +9,14 @@ real for Hermiticity-preserving maps.
 of F, from one evaluation of p(t) and with no matrix: for correlated
 dephasing F is diagonal with multiset {1 x4, p x8, tau(mu) x4}, tau(mu) =
 mu + (1 - mu) p^2; for correlated amplitude damping the superoperator is
-triangular in the computational basis. `dephasing_generator` and
-`correlated_oun_generator` give the time-local generator L = dF/dt F^-1 of
-correlated dephasing in the same slots. The closed-form F itself, the Kraus
-sum `oracle.transfer_matrix` and the finite-difference `oracle.generator`
-are their independent oracle in the tests.
+triangular in the computational basis. The time-local generator
+L = dF/dt F^-1 of correlated dephasing is diagonal too, with 0 on the
+identity slots and one rate on each flip group: `correlated_oun_rates`
+gives the two rates of the correlated OUN channel. The closed-form F and L
+as 16 x 16 matrices (`oracle.dephasing_transfer`,
+`oracle.correlated_oun_generator`), the Kraus sum `oracle.transfer_matrix`
+and the finite-difference `oracle.generator` are their independent oracle
+in the tests.
 """
 
 import numpy as np
@@ -27,21 +30,6 @@ from .noise import NmadParams, NoiseParams, OunParams, noise_p, oun_p
 IDENTITY_SLOTS = (0, 3, 12, 15)
 SINGLE_FLIP_SLOTS = (1, 2, 4, 7, 8, 11, 13, 14)
 DOUBLE_FLIP_SLOTS = (5, 6, 9, 10)
-_IDENTITY_DIAG = 17 * np.array(IDENTITY_SLOTS)  # (a, a) in a flattened 16 x 16
-_SINGLE_FLIP_DIAG = 17 * np.array(SINGLE_FLIP_SLOTS)
-_DOUBLE_FLIP_DIAG = 17 * np.array(DOUBLE_FLIP_SLOTS)
-
-
-def _slot_diagonal(identity, single, double) -> np.ndarray:
-    """(..., 16, 16) diagonal matrices with `identity`, `single` and `double`
-    on the identity, single-flip and double-flip slots; `single` and
-    `double` are equally shaped arrays over the stack axes."""
-    single, double = np.asarray(single, dtype=float), np.asarray(double, dtype=float)
-    flat = np.zeros(single.shape + (256,))
-    flat[..., _IDENTITY_DIAG] = identity
-    flat[..., _SINGLE_FLIP_DIAG] = single[..., None]
-    flat[..., _DOUBLE_FLIP_DIAG] = double[..., None]
-    return flat.reshape(single.shape + (16, 16))
 
 
 def accessible_volume(noise: NoiseParams, mu: float, t):
@@ -72,17 +60,9 @@ def accessible_volume(noise: NoiseParams, mu: float, t):
     return np.square(np.square(p2)) * np.square(np.square(mu + (1 - mu) * p2))
 
 
-def dephasing_generator(rate_single, rate_double) -> np.ndarray:
-    """Diagonal two-qubit dephasing generator: 0 on the identity-like slots,
-    `rate_single` on the eight single-flip slots, `rate_double` on the four
-    double-flip slots. Two rate arrays of one shape give the (..., 16, 16)
-    stack of generators.
-    """
-    return _slot_diagonal(0.0, rate_single, rate_double)
-
-
 def correlated_oun_rates(t, params: OunParams, mu: float):
-    """Closed-form generator rates of the correlated OUN channel, per time.
+    """Closed-form generator rates (single-flip, double-flip) of the
+    correlated OUN channel, at a time or over an array of times.
 
     Differentiating log of the diagonal F entries gives
       rate_single = -(G/2)(1 - exp(-g t)),
@@ -99,8 +79,3 @@ def correlated_oun_rates(t, params: OunParams, mu: float):
     tau = mu + (1 - mu) * p2
     rate_double = G * np.expm1(-g * t) * (1 - mu) * p2 / tau
     return rate_single, rate_double
-
-
-def correlated_oun_generator(t, params: OunParams, mu: float) -> np.ndarray:
-    """Analytic generator matrix of the correlated OUN channel, per time."""
-    return dephasing_generator(*correlated_oun_rates(t, params, mu))

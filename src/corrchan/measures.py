@@ -10,18 +10,19 @@ them is evaluated over a caller-supplied probe family (see `probe_state` and
 `trace_distance` and `concurrence` take one state or a stack of states of
 shape (..., 4, 4), such as a trajectory from `channels.evolve` over a time grid, and
 return a float or an array; the trajectory measures take such stacks.
+`sss_measure` takes the two rates of a dephasing generator over a time grid,
+not the 16 x 16 matrices, whose Frobenius distances follow from the rates.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NumericError
 from .linalg import eig_hermitian, psd_sqrt, validate_density
 from .channels import SIGMA
-from .map_algebra import (DOUBLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS,
-                          dephasing_generator)
+from .map_algebra import DOUBLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS
 
 RISE_THRESHOLD = 1e-12
 
@@ -201,29 +202,11 @@ def random_bell_probes(count: int, seed: int = 0) -> list[np.ndarray]:
 SSS_TOL = 1e-12
 SSS_MAX_ITERATIONS = 100
 
-# |L - L*|_F^2 = r + 8 (a - x)^2 + 4 (b - y)^2 for L* with rates (x, y): in
-# coordinates scaled by _METRIC the free objective is a sum of Euclidean distances
+# A dephasing generator is 0 on the identity slots and has one rate on each
+# flip group, so |L - L*|_F^2 = 8 (a - x)^2 + 4 (b - y)^2 for rates (a, b) and
+# (x, y): in coordinates scaled by _METRIC the free objective is a sum of
+# Euclidean distances
 _METRIC = np.sqrt([len(SINGLE_FLIP_SLOTS), len(DOUBLE_FLIP_SLOTS)])
-_OFF_SLOTS = np.ones((16, 16))
-_OFF_SLOTS[SINGLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS] = 0.0
-_OFF_SLOTS[DOUBLE_FLIP_SLOTS, DOUBLE_FLIP_SLOTS] = 0.0
-
-
-def _two_rate_points(l_stack: np.ndarray):
-    """Per time, the mean single-flip rate a, the mean double-flip rate b,
-    and the rest r of ||L(t)||_F^2 that no two-rate generator reaches: the
-    entries off the twelve rate slots plus the spread within each slot group.
-    """
-    diag = np.diagonal(l_stack, axis1=1, axis2=2)
-    rest = np.einsum("tij,ij,tij->t", l_stack, _OFF_SLOTS, l_stack)
-    means = []
-    for slots in (SINGLE_FLIP_SLOTS, DOUBLE_FLIP_SLOTS):
-        values = diag[:, list(slots)]
-        # first + mean offset: exact when the slots of a group agree
-        mean = values[:, 0] + (values - values[:, :1]).mean(axis=1)
-        rest = rest + ((values - mean[:, None]) ** 2).sum(axis=1)
-        means.append(mean)
-    return means[0], means[1], rest
 
 
 def _weighted_median(a, b, weights):
@@ -263,13 +246,13 @@ class _Local(NamedTuple):
 
 
 class _Objective:
-    """f(u) = sum_t w_t sqrt(r_t + |u - Q_t|^2) in scaled coordinates."""
+    """f(u) = sum_t w_t |u - Q_t| in scaled coordinates."""
 
-    def __init__(self, points, rest, weights):
-        self.points, self.rest, self.weights = points, rest, weights
+    def __init__(self, points, weights):
+        self.points, self.weights = points, weights
 
     def value(self, u) -> float:
-        return float(self.weights @ np.sqrt(self.rest + ((u - self.points) ** 2).sum(axis=1)))
+        return float(self.weights @ np.sqrt(((u - self.points) ** 2).sum(axis=1)))
 
     def local(self, u) -> _Local:
         """f(u), a bound on f(u) - min f, the distances d_t, and the
@@ -277,10 +260,9 @@ class _Objective:
         rho = SSS_TOL f / 6 from u; the nearer ones form a kink at u.
 
         The bound is a duality gap. Each term is a support function,
-        w sqrt(r + |v|^2) = max over |(y, eta)| <= w of y.v + eta sqrt(r), so
-        any y_t with sum y_t = 0 gives min f >= sum_t (eta_t sqrt(r_t) - y_t.Q_t).
-        y_t = w_t e_t, with e_t the unit vector from Q_t to u, leaves no gap
-        but sums to the gradient. The nearest terms, while 2 sum w_t d_t
+        w |v| = max over |y| <= w of y.v, so any y_t with sum y_t = 0 gives
+        min f >= -sum_t y_t.Q_t. y_t = w_t e_t, with e_t the unit vector from
+        Q_t to u, leaves no gap but sums to the gradient. The nearest terms, while 2 sum w_t d_t
         <= SSS_TOL f / 2, take any y_t at a gap of at most 2 w_t d_t: that
         cancels up to their weight W of the rest's gradient g (Vardi and
         Zhang, PNAS 97, 1423, 2000, for terms at u). The rest of g is
@@ -288,7 +270,7 @@ class _Objective:
         takes up to 2 w_t s_t at a gap of d_t s_t per unit, cheapest first.
         """
         diff = u - self.points
-        dist = np.sqrt(self.rest + (diff ** 2).sum(axis=1))
+        dist = np.sqrt((diff ** 2).sum(axis=1))
         f = float(self.weights @ dist)
         unit = diff / np.where(dist > 0, dist, 1.0)[:, None]
 
@@ -307,12 +289,10 @@ class _Objective:
         far_weights = np.where(near, 0.0, self.weights)
         step_grad = far_weights @ unit
         step_least = max(float(np.hypot(*step_grad)) - float(self.weights[near].sum()), 0.0)
-        # sum (w / d)(I - e e^T), with 1 - e_x^2 = e_y^2 + r / d^2 kept exact
-        scale = np.where(near, 1.0, dist)
-        curv = far_weights / scale
+        # sum (w / d)(I - e e^T), with 1 - e_x^2 = e_y^2 kept exact
+        curv = far_weights / np.where(near, 1.0, dist)
         cross = -curv @ (unit[:, 0] * unit[:, 1])
-        hess = (np.array([[curv @ unit[:, 1] ** 2, cross], [cross, curv @ unit[:, 0] ** 2]])
-                + curv @ (self.rest / scale ** 2) * np.eye(2))
+        hess = np.array([[curv @ unit[:, 1] ** 2, cross], [cross, curv @ unit[:, 0] ** 2]])
         return _Local(f, gap, step_least, step_grad, hess, dist)
 
 
@@ -332,24 +312,23 @@ def _line_search(objective, u, f, step, slope):
     return None
 
 
-def _free_minimiser(a, b, rest, weights):
-    """Rates (x, y) minimising f(x, y) = sum_t w_t sqrt(r_t + 8 (a_t - x)^2
+def _free_minimiser(a, b, weights):
+    """Rates (x, y) minimising f(x, y) = sum_t w_t sqrt(8 (a_t - x)^2
     + 4 (b_t - y)^2), a weighted Fermat-Weber problem, with a certificate.
 
-    Exactly collinear points with r = 0 (correlated OUN at mu = 0 or 1) give
-    a weighted median. Otherwise damped Newton steps run, from a kink along
-    its least subgradient, with a Weiszfeld step (Tohoku Math. J. 43, 1937)
+    Exactly collinear points (correlated OUN at mu = 0 or 1) give a weighted
+    median. Otherwise damped Newton steps run, from a kink along its least
+    subgradient, with a Weiszfeld step (Tohoku Math. J. 43, 1937)
     where Newton fails to descend, until f(z) - min f <= SSS_TOL * f(z) is
     certified (`_Objective.local`), at the iterate or at the data point
     nearest to it; a minimiser on a data point is returned exactly. Raises
     NumericError when no certificate holds after SSS_MAX_ITERATIONS steps.
     """
-    if np.all(rest == 0):
-        median = _weighted_median(a, b, weights)
-        if median is not None:
-            return median
+    median = _weighted_median(a, b, weights)
+    if median is not None:
+        return median
     points = np.stack([a, b], axis=1) * _METRIC
-    objective = _Objective(points, rest, weights)
+    objective = _Objective(points, weights)
     u = weights @ points / weights.sum()
     for _ in range(SSS_MAX_ITERATIONS):
         here = objective.local(u)
@@ -391,46 +370,46 @@ def _free_minimiser(a, b, rest, weights):
                        f"in {SSS_MAX_ITERATIONS} steps")
 
 
-def sss_measure(l_sampler: Callable[[np.ndarray], np.ndarray],
-                reference: np.ndarray,
-                t_max: float,
-                n_points: int = 256,
-                free: bool = False) -> float:
-    """Temporal-self-similarity measure: (1/T) integral_0^T ||L(t) - L*||_F dt
-    by trapezoidal quadrature, with the Frobenius norm on generator matrices.
+def sss_measure(times, rates, reference, free: bool = False) -> float:
+    """Temporal-self-similarity measure: (1/T) integral ||L(t) - L*||_F dt
+    over the window T of the grid `times`, by trapezoidal quadrature, with
+    the Frobenius norm on two-qubit dephasing generators.
 
-    `l_sampler` maps the grid to the stack of L(t) in one call (one matrix
-    is broadcast). L* is the fixed `reference`, typically the memoryless-limit
+    Such a generator is 0 on the four identity slots and has one rate on the
+    eight single-flip and another on the four double-flip slots
+    (`oracle.dephasing_generator` builds the matrix), so for L(t) with
+    `rates` (a(t), b(t)) over `times`, such as `correlated_oun_rates`, and L*
+    with the rate pair `reference` (x, y), ||L(t) - L*||_F =
+    sqrt(8 (a - x)^2 + 4 (b - y)^2). L* is typically the memoryless-limit
     generator, so the measure reads the time-averaged distance of L(t) from
     the semigroup the dynamics would follow without environmental or channel
-    memory. With `free`, L* instead ranges over the constant dephasing
-    generators with rates (x, y) on the eight single-flip and four
-    double-flip slots. The objective is then a weighted geometric median in
-    (x, y), minimised by `_free_minimiser` up to a certified relative gap of
-    SSS_TOL, or NumericError; `reference` only sets the matrix shape. The
-    free measure vanishes for any semigroup of that structure. An L(t) with
-    a NaN or infinite entry, or a measure that overflows, raises NumericError.
+    memory. A constant rate broadcasts over the grid. With `free`, (x, y)
+    instead ranges over all rate pairs and `reference` is not used. The
+    objective is then a weighted geometric median in (x, y), minimised by
+    `_free_minimiser` up to a certified relative gap of SSS_TOL, or
+    NumericError. The free measure vanishes for any constant L(t). A
+    non-finite rate, or a measure that overflows, raises NumericError.
     """
-    if not 0 < t_max < np.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    if n_points < 2:
-        raise ValueError("grid must contain at least two points")
-    reference = np.asarray(reference, dtype=float)
-    times = np.linspace(0.0, t_max, n_points)
-    l_stack = np.broadcast_to(l_sampler(times), times.shape + reference.shape)
-    if not np.isfinite(l_stack).all():
-        raise NumericError("generator L(t) has a non-finite entry")
+    times = np.asarray(times, dtype=float)
+    if not (times.ndim == 1 and len(times) > 1 and np.isfinite(times).all()
+            and np.all(np.diff(times) > 0)):
+        raise ValueError("times must be a finite, strictly increasing grid of at "
+                         "least two points")
+    span = times[-1] - times[0]
+    a, b = (np.broadcast_to(np.asarray(rate, dtype=float), times.shape) for rate in rates)
+    for name, rate in (("single-flip", a), ("double-flip", b)):
+        if not np.isfinite(rate).all():
+            raise NumericError(f"{name} rate of L(t) has a non-finite value")
 
-    def average_distance(l_star: np.ndarray) -> float:
-        norms = np.sqrt(((l_stack - l_star) ** 2).sum(axis=(1, 2)))
-        zeta = float(np.trapezoid(norms, times) / t_max)
+    def average_distance(x, y) -> float:
+        norms = np.sqrt(8 * (a - x) ** 2 + 4 * (b - y) ** 2)
+        zeta = float(np.trapezoid(norms, times) / span)
         if not np.isfinite(zeta):
             raise NumericError(f"SSS measure is not finite ({zeta})")
         return zeta
 
     if not free:
-        return average_distance(reference)
+        return average_distance(*reference)
     steps = np.diff(times)
-    weights = (np.append(steps, 0.0) + np.insert(steps, 0, 0.0)) / (2 * t_max)
-    return average_distance(dephasing_generator(*_free_minimiser(
-        *_two_rate_points(l_stack), weights)))
+    weights = (np.append(steps, 0.0) + np.insert(steps, 0, 0.0)) / (2 * span)
+    return average_distance(*_free_minimiser(a, b, weights))

@@ -1,5 +1,5 @@
 """The test references of the closed forms: Kraus sets, Choi and transfer
-matrices, Bloch updates and codeword vectors.
+matrices, 16 x 16 dephasing generators, Bloch updates and codeword vectors.
 
 The correlated channels are built here as the paper writes them, as Kraus
 mixtures (1 - mu) E (x) E + mu E_fc, one channel at one noise value p. No
@@ -19,10 +19,12 @@ The operator basis is an (N, d, d) array: the normalized Pauli basis, for
 two qubits G_ij = (1/2) sigma_i (x) sigma_j in row-major (i, j) order.
 `transfer_matrix` gives F_kl = tr[G_k E(G_l)], real for
 Hermiticity-preserving maps, and `transfer_sampler` the same F(t) in closed
-form over a time grid; `generator` the time-local L = dF/dt F^-1 by finite
-differences; `choi` and `kraus_from_choi` the round trip through the Choi
-matrix. The Kraus sums agree with the closed forms to 1e-14 absolute, but
-lose relative accuracy where p or tau(mu) is small and terms cancel.
+form over a time grid; `dephasing_generator` and `correlated_oun_generator`
+the time-local L = dF/dt F^-1 of correlated dephasing as 16 x 16 matrices
+from its two rates, and `generator` the same L by finite differences;
+`choi` and `kraus_from_choi` the round trip through the Choi matrix. The
+Kraus sums agree with the closed forms to 1e-14 absolute, but lose relative
+accuracy where p or tau(mu) is small and terms cancel.
 
 `bloch_update` is the reference of `freezing`, and `build_codewords`,
 `apply_word` and `greedy_correctable_set` that of the exact integer route
@@ -39,8 +41,9 @@ from .errors import NumericError, ValidationError
 from .freezing import (BLOCH_EQ_TOL, _UNITAL_KINDS, BlochDiagonal, _as_triple,
                        bloch_diagonal_state)
 from .linalg import dagger, lapack, validate_density
-from .map_algebra import IDENTITY_SLOTS, _slot_diagonal
-from .noise import NmadParams, NoiseParams, noise_p
+from .map_algebra import (DOUBLE_FLIP_SLOTS, IDENTITY_SLOTS, SINGLE_FLIP_SLOTS,
+                          correlated_oun_rates)
+from .noise import NmadParams, NoiseParams, OunParams, noise_p
 from .qec import ALL_ERROR_STRINGS, _check_word, _xor_word, is_detectable
 
 COMPLETENESS_TOL = 1e-10
@@ -288,6 +291,23 @@ for (_i, _j), _sign in zip(_FC_PAIRS, _FC_PAIR_SIGNS):
 _FC_LINEAR[np.ix_((3, 12), IDENTITY_SLOTS)] = (.5, -.5, -.5, .5)
 
 
+_IDENTITY_DIAG = 17 * np.array(IDENTITY_SLOTS)  # (a, a) in a flattened 16 x 16
+_SINGLE_FLIP_DIAG = 17 * np.array(SINGLE_FLIP_SLOTS)
+_DOUBLE_FLIP_DIAG = 17 * np.array(DOUBLE_FLIP_SLOTS)
+
+
+def _slot_diagonal(identity, single, double) -> np.ndarray:
+    """(..., 16, 16) diagonal matrices with `identity`, `single` and `double`
+    on the identity, single-flip and double-flip slots; `single` and
+    `double` are equally shaped arrays over the stack axes."""
+    single, double = np.asarray(single, dtype=float), np.asarray(double, dtype=float)
+    flat = np.zeros(single.shape + (256,))
+    flat[..., _IDENTITY_DIAG] = identity
+    flat[..., _SINGLE_FLIP_DIAG] = single[..., None]
+    flat[..., _DOUBLE_FLIP_DIAG] = double[..., None]
+    return flat.reshape(single.shape + (16, 16))
+
+
 def _checked_transfer(f: np.ndarray) -> np.ndarray:
     if not np.isfinite(f).all():
         raise NumericError("transfer matrix F(t) is not finite")
@@ -340,6 +360,20 @@ def transfer_sampler(noise: NoiseParams, mu: float) -> Callable:
     _check_mu(mu)
     transfer = nmad_transfer if isinstance(noise, NmadParams) else dephasing_transfer
     return lambda t: transfer(noise_p(noise, t), mu)
+
+
+def dephasing_generator(rate_single, rate_double) -> np.ndarray:
+    """Diagonal two-qubit dephasing generator: 0 on the identity-like slots,
+    `rate_single` on the eight single-flip slots, `rate_double` on the four
+    double-flip slots. Two rate arrays of one shape give the (..., 16, 16)
+    stack of generators.
+    """
+    return _slot_diagonal(0.0, rate_single, rate_double)
+
+
+def correlated_oun_generator(t, params: OunParams, mu: float) -> np.ndarray:
+    """Analytic generator matrix of the correlated OUN channel, per time."""
+    return dephasing_generator(*correlated_oun_rates(t, params, mu))
 
 
 def generator(f_sampler: Callable[[float], np.ndarray], t: float, h: float = 1e-4) -> np.ndarray:

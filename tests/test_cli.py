@@ -155,14 +155,14 @@ def test_sss_non_finite_generator_exits_3(family, monkeypatch, tmp_path):
 
     import corrchan.cli as cli_mod
 
-    real = cli_mod.correlated_oun_generator
+    real = cli_mod.correlated_oun_rates
 
     def with_nan(t, params, mu):
-        stack = real(t, params, mu)
-        stack[len(stack) // 2, 1, 1] = np.nan
-        return stack
+        single, double = real(t, params, mu)
+        single[len(single) // 2] = np.nan
+        return single, double
 
-    monkeypatch.setattr(cli_mod, "correlated_oun_generator", with_nan)
+    monkeypatch.setattr(cli_mod, "correlated_oun_rates", with_nan)
     out = tmp_path / "x.csv"
     assert main(["sss", "--mu", "0.5", "--steps", "20", "--family", family,
                  "--out", str(out)]) == 3
@@ -443,6 +443,16 @@ def test_out_of_memory_exits_3_without_csv(capsys, tmp_path):
     # 1 / 1e-320 overflows to inf
     (["sss", "--g-inverse", "1e-320"],
      "--g-inverse requires positive finite values with a finite inverse, got 1e-320"),
+    # sss checks its grid like the other grid commands
+    (["sss", "--steps", "1"], "--steps must be at least 2, got 1"),
+    (["sss", "--tmax", "nan"], "--tmax must be positive and finite, got nan"),
+    # an empty list item is an error, not a shorter list: no verdict, no rows
+    (["freeze-check", "--c", "0.5,,0.5,-1", "--channel", "oun", "--mu", "1"],
+     "--c expects a comma-separated list of numbers, got '0.5,,0.5,-1'"),
+    (["qec", "--mu", "0,,0.9"], "--mu expects a comma-separated list of numbers, got '0,,0.9'"),
+    (["sss", "--g-inverse", "10,"],
+     "--g-inverse expects a comma-separated list of numbers, got '10,'"),
+    (["sss", "--mu", ""], "--mu expects a comma-separated list of numbers, got ''"),
 ])
 def test_boundary_error_names_the_option(args, message, capsys):
     assert main(args) == 2

@@ -6,11 +6,11 @@ import pytest
 from corrchan.errors import NumericError
 from corrchan import oracle
 from corrchan.map_algebra import (DOUBLE_FLIP_SLOTS, IDENTITY_SLOTS,
-                                  SINGLE_FLIP_SLOTS, correlated_oun_generator,
-                                  correlated_oun_rates, dephasing_generator)
+                                  SINGLE_FLIP_SLOTS, correlated_oun_rates)
 from corrchan.noise import NmadParams, OunParams, RtnParams, oun_p, rtn_p
 from corrchan.oracle import (KrausSet, channel_at_time, choi, computational_basis,
                              correlated_dephasing_channel, correlated_nmad_channel,
+                             correlated_oun_generator, dephasing_generator,
                              dephasing_transfer, dephasing_weights,
                              fully_correlated_nmad_channel, generator,
                              kraus_from_choi, nmad_transfer, pauli_basis,

@@ -6,14 +6,14 @@ from corrchan import measures
 from corrchan.channels import evolve
 from corrchan.errors import NumericError
 from corrchan.map_algebra import (DOUBLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS,
-                                  accessible_volume, correlated_oun_generator,
-                                  dephasing_generator)
+                                  accessible_volume, correlated_oun_rates)
 from corrchan.measures import (blp_measure, concurrence, nm_concurrence_measure,
                                positive_variation, probe_state,
                                random_bell_probes, sss_measure, trace_distance)
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 from corrchan.oracle import (apply, correlated_dephasing_channel,
-                             correlated_nmad_channel, transfer_sampler)
+                             correlated_nmad_channel, correlated_oun_generator,
+                             dephasing_generator, transfer_sampler)
 
 from conftest import random_density
 
@@ -256,47 +256,37 @@ def test_measure_halved_grid_stability():
 
 
 def test_sss_zero_for_time_independent_generator():
-    l_const = dephasing_generator(-0.3, -0.6)
-    zeta = sss_measure(lambda t: l_const, np.zeros((16, 16)), t_max=20.0,
-                       n_points=256, free=True)
+    times = np.linspace(0.0, 20.0, 256)
+    zeta = sss_measure(times, (-0.3, -0.6), (0.0, 0.0), free=True)
     assert zeta < 1e-9
-    zeta_fixed = sss_measure(lambda t: l_const, l_const, t_max=20.0,
-                             n_points=256)
-    assert zeta_fixed == 0.0
+    assert sss_measure(times, (-0.3, -0.6), (-0.3, -0.6)) == 0.0
 
 
 def markov_generator(G):
     return dephasing_generator(-G / 2, -G)
 
 
+def oun_sss(G, g_inverse, mu, t_max, n_points, free=False):
+    """zeta of correlated OUN against the memoryless-limit rates (-G/2, -G)."""
+    times = np.linspace(0.0, t_max, n_points)
+    rates = correlated_oun_rates(times, OunParams(G=G, g=1.0 / g_inverse), mu)
+    return sss_measure(times, rates, (-G / 2, -G), free=free)
+
+
 def test_sss_increases_with_mu():
-    G = 0.6
-    params = OunParams(G=G, g=1.0 / 50.0)
-    zetas = [sss_measure(lambda t: correlated_oun_generator(t, params, mu),
-                         markov_generator(G), t_max=100.0, n_points=300)
-             for mu in (0.0, 0.5, 0.9)]
+    zetas = [oun_sss(0.6, 50.0, mu, 100.0, 300) for mu in (0.0, 0.5, 0.9)]
     assert zetas[0] < zetas[1] < zetas[2]
 
 
 def test_sss_increases_with_correlation_time():
-    G = 0.6
-    mu = 0.5
-    zetas = []
-    for g_inv in (10.0, 50.0, 100.0):
-        params = OunParams(G=G, g=1.0 / g_inv)
-        zetas.append(sss_measure(lambda t: correlated_oun_generator(t, params, mu),
-                                 markov_generator(G), t_max=100.0, n_points=300))
+    zetas = [oun_sss(0.6, g_inv, 0.5, 100.0, 300) for g_inv in (10.0, 50.0, 100.0)]
     assert zetas[0] < zetas[1] < zetas[2]
 
 
 def test_sss_free_family_below_fixed():
     # the minimized family can only do better than any fixed member
-    G = 0.6
-    params = OunParams(G=G, g=0.02)
-    sampler = lambda t: correlated_oun_generator(t, params, 0.3)
-    free = sss_measure(sampler, markov_generator(G), t_max=100.0, n_points=300,
-                       free=True)
-    fixed = sss_measure(sampler, markov_generator(G), t_max=100.0, n_points=300)
+    free = oun_sss(0.6, 50.0, 0.3, 100.0, 300, free=True)
+    fixed = oun_sss(0.6, 50.0, 0.3, 100.0, 300)
     assert free <= fixed + 1e-12
     assert free > 0
 
@@ -304,7 +294,8 @@ def test_sss_free_family_below_fixed():
 def nelder_mead_zeta(l_sampler, reference, t_max, n_points):
     """The free measure by Nelder-Mead from four starts (the time-averaged
     and final rates of L(t), zero, the rates of `reference`), the oracle
-    for the exact minimiser."""
+    for the exact minimiser. It works on the 16 x 16 generators, not on
+    the two-rate norm of `sss_measure`."""
     times = np.linspace(0.0, t_max, n_points)
     l_stack = np.broadcast_to(l_sampler(times), times.shape + (16, 16))
 
@@ -326,10 +317,9 @@ def nelder_mead_zeta(l_sampler, reference, t_max, n_points):
 
 def oun_free_and_oracle(G, g_inverse, mu, t_max, n_points):
     params = OunParams(G=G, g=1.0 / g_inverse)
-    sampler = lambda t: correlated_oun_generator(t, params, mu)
-    reference = markov_generator(G)
-    return (sss_measure(sampler, reference, t_max, n_points, free=True),
-            nelder_mead_zeta(sampler, reference, t_max, n_points))
+    return (oun_sss(G, g_inverse, mu, t_max, n_points, free=True),
+            nelder_mead_zeta(lambda t: correlated_oun_generator(t, params, mu),
+                             markov_generator(G), t_max, n_points))
 
 
 # benchmark-like points (map_measures: t_max 100, 200 points) and CLI defaults
@@ -361,11 +351,10 @@ def test_sss_free_collinear_minimiser_is_exact(mu):
     # iteration alone stops about 1.6e-13 above the minimum
     params = OunParams(G=0.6, g=1.0 / 50.0)
     times = np.linspace(0.0, 3000.0, 50)
-    a, b, rest = measures._two_rate_points(correlated_oun_generator(times, params, mu))
-    assert np.all(rest == 0)
+    a, b = correlated_oun_rates(times, params, mu)
     weights = np.gradient(times) / 3000.0
     weights[[0, -1]] /= 2
-    x, y = measures._free_minimiser(a, b, rest, weights)
+    x, y = measures._free_minimiser(a, b, weights)
     assert any(x == a_t and y == b_t for a_t, b_t in zip(a, b))
     objective = lambda x, y: weights @ np.sqrt(8 * (a - x) ** 2 + 4 * (b - y) ** 2)
     best = min(objective(a_t, b_t) for a_t, b_t in zip(a, b))
@@ -376,20 +365,19 @@ def test_sss_free_minimiser_on_a_data_point():
     # the optimum sits on the rates at one grid time, where the objective has
     # a kink; Nelder-Mead stops about 1e-12 above it
     params = OunParams(G=0.666, g=1.0 / 3.99)
-    times = np.linspace(0.0, 1.0, 3)
-    l_stack = correlated_oun_generator(times, params, 6.24e-4)
-    a, b, rest = measures._two_rate_points(l_stack)
-    weights = np.array([0.25, 0.5, 0.25])
-    x, y = measures._free_minimiser(a, b, rest, weights)
+    a, b = correlated_oun_rates(np.linspace(0.0, 1.0, 3), params, 6.24e-4)
+    x, y = measures._free_minimiser(a, b, np.array([0.25, 0.5, 0.25]))
     assert any(x == a_t and y == b_t for a_t, b_t in zip(a, b))
     zeta, oracle = oun_free_and_oracle(0.666, 3.99, 6.24e-4, 1.0, 3)
     assert zeta <= oracle + 1e-15
 
 
-@pytest.mark.parametrize("G, g_inverse, mu, t_max, n_points", [
-    # long windows crowd the late rates on a line; the minimum sits within
-    # about 1e-8 of a data point whose kink almost balances the rest
-    (1.205078125, 352.0, 0.25, 3921.5, 88), (2.0, 233.0, 0.5, 4084.0, 156),
+# long windows crowd the late rates on a line; the minimum sits within
+# about 1e-8 of a data point whose kink almost balances the rest
+LONG_WINDOWS = [(1.205078125, 352.0, 0.25, 3921.5, 88), (2.0, 233.0, 0.5, 4084.0, 156)]
+
+
+@pytest.mark.parametrize("G, g_inverse, mu, t_max, n_points", LONG_WINDOWS + [
     # mu near 1 puts hundreds of rates within 1e-9 of one another, where f
     # differs between them only by rounding
     (1.236, 0.2269, 0.99999998, 16.37, 1000), (1.08, 0.262, 0.999999, 24.09, 400),
@@ -399,40 +387,24 @@ def test_sss_free_certifies_hard_geometry(G, g_inverse, mu, t_max, n_points):
     assert zeta <= oracle + 1e-15
 
 
-def generic_generator(times):
-    """A non-dephasing L(t): off-slot entries and unequal rates within each
-    slot group, so no two-rate generator reaches it (r_t > 0)."""
-    rng = np.random.default_rng(5)
-    base, drift = rng.normal(size=(16, 16)), rng.normal(size=(16, 16))
-    return 0.1 * base + np.sin(times)[:, None, None] * drift
+CERTIFICATE_CASES = {"oun": (0.6, 2.0, 0.3, 3.0, 50), "oun_long_window": LONG_WINDOWS[0]}
 
 
-def test_sss_free_generic_generator():
-    zeta = sss_measure(generic_generator, np.zeros((16, 16)), 3.0, 50, free=True)
-    oracle = nelder_mead_zeta(generic_generator, np.zeros((16, 16)), 3.0, 50)
-    assert zeta <= oracle + 1e-15
-    assert f"{zeta:.12g}" == f"{oracle:.12g}"
-
-
-@pytest.mark.parametrize("case", ["oun", "generic"])
+@pytest.mark.parametrize("case", CERTIFICATE_CASES)
 def test_sss_free_certificate_is_sound(case, rng):
     # at any point u the certified gap is at least f(u) - min f, and min f is
     # at most the better of the solver's point and the Nelder-Mead oracle
-    times = np.linspace(0.0, 3.0, 50)
-    if case == "oun":
-        params = OunParams(G=0.6, g=0.5)
-        sampler = lambda t: correlated_oun_generator(t, params, 0.3)
-    else:
-        sampler = generic_generator
-    l_stack = sampler(times)
-    a, b, rest = measures._two_rate_points(l_stack)
-    weights = np.gradient(times) / 3.0
+    G, g_inverse, mu, t_max, n_points = CERTIFICATE_CASES[case]
+    params = OunParams(G=G, g=1.0 / g_inverse)
+    times = np.linspace(0.0, t_max, n_points)
+    a, b = correlated_oun_rates(times, params, mu)
+    weights = np.gradient(times) / t_max
     weights[[0, -1]] /= 2
-    objective = measures._Objective(np.stack([a, b], axis=1) * measures._METRIC,
-                                    rest, weights)
-    best = np.array(measures._free_minimiser(a, b, rest, weights)) * measures._METRIC
+    objective = measures._Objective(np.stack([a, b], axis=1) * measures._METRIC, weights)
+    best = np.array(measures._free_minimiser(a, b, weights)) * measures._METRIC
     f_min = min(objective.value(best),
-                nelder_mead_zeta(sampler, np.zeros((16, 16)), 3.0, 50))
+                nelder_mead_zeta(lambda t: correlated_oun_generator(t, params, mu),
+                                 np.zeros((16, 16)), t_max, n_points))
     for scale in (1.0, 1e-2, 1e-4, 1e-8):
         for u in best + scale * rng.normal(size=(5, 2)):
             at_u = objective.local(u)
@@ -442,56 +414,40 @@ def test_sss_free_certificate_is_sound(case, rng):
         assert at_point.gap >= at_point.f - f_min - 1e-15 * at_point.f
 
 
-def test_two_rate_points_split_the_norm(rng):
-    # ||L - L*||_F^2 = r + 8 (a - x)^2 + 4 (b - y)^2 for L* with rates (x, y)
-    l_stack = generic_generator(np.linspace(0.0, 3.0, 7))
-    a, b, rest = measures._two_rate_points(l_stack)
-    assert np.all(rest > 0)
-    x, y = rng.normal(size=2)
-    full = ((l_stack - dephasing_generator(x, y)) ** 2).sum(axis=(1, 2))
-    np.testing.assert_allclose(rest + 8 * (a - x) ** 2 + 4 * (b - y) ** 2, full, rtol=1e-13)
-
-
 @pytest.mark.parametrize("rates", [(-0.3, -0.6), (0.0, 0.0), (1.7, -2.5)])
 def test_sss_free_zero_for_constant_dephasing_generator(rates):
-    l_const = dephasing_generator(*rates)
-    assert sss_measure(lambda t: l_const, np.zeros((16, 16)), 20.0, 256, free=True) == 0.0
+    assert sss_measure(np.linspace(0.0, 20.0, 256), rates, (0.0, 0.0), free=True) == 0.0
 
 
 def test_sss_free_uncertified_raises(monkeypatch):
     monkeypatch.setattr(measures, "SSS_MAX_ITERATIONS", 1)
     with pytest.raises(NumericError, match="certificate"):
-        sss_measure(generic_generator, np.zeros((16, 16)), 3.0, 50, free=True)
+        oun_sss(0.6, 2.0, 0.5, 3.0, 50, free=True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("free", [False, True])
 def test_sss_rejects_non_finite_generator(bad, free):
-    def sampler(times):
-        stack = correlated_oun_generator(times, OUN, 0.5)
-        stack[-1, 5, 5] = bad
-        return stack
-    with pytest.raises(NumericError, match="non-finite"):
-        sss_measure(sampler, markov_generator(1.0), 10.0, 20, free=free)
+    times = np.linspace(0.0, 10.0, 20)
+    single, double = correlated_oun_rates(times, OUN, 0.5)
+    double[-1] = bad
+    with pytest.raises(NumericError, match="double-flip rate of L\\(t\\) has a non-finite"):
+        sss_measure(times, (single, double), (-0.5, -1.0), free=free)
 
 
 @pytest.mark.parametrize("free", [False, True])
 def test_sss_rejects_overflowing_measure(free):
-    # every entry of L(t) is finite, but the Frobenius norms overflow to inf
-    params = OunParams(G=1e300, g=0.1)
+    # every rate of L(t) is finite, but the Frobenius norms overflow to inf
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="SSS measure is not finite"):
-            sss_measure(lambda t: correlated_oun_generator(t, params, 0.5),
-                        markov_generator(params.G), 10.0, 20, free=free)
+            oun_sss(1e300, 10.0, 0.5, 10.0, 20, free=free)
 
 
 def test_sss_validation():
-    with pytest.raises(ValueError):
-        sss_measure(lambda t: np.zeros((16, 16)), np.zeros((16, 16)), t_max=0.0,
-                    free=True)
-    for t_max in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            sss_measure(lambda t: np.zeros((16, 16)), np.zeros((16, 16)), t_max=t_max)
+    for times in ([0.0], [0.0, 0.0], [0.0, 2.0, 1.0], [0.0, np.nan], [0.0, np.inf],
+                  [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="strictly increasing grid"):
+            sss_measure(times, (0.0, 0.0), (0.0, 0.0), free=True)
 
 
 # --------------------------------------------------------------------------

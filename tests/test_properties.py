@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from corrchan.channels import evolve
-from corrchan.map_algebra import correlated_oun_generator, dephasing_generator
+from corrchan.map_algebra import correlated_oun_rates
 from corrchan.measures import PROBE_NAMES, SSS_TOL, probe_state, sss_measure
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 from corrchan.oracle import (apply, channel_at_time, correlated_dephasing_channel,
@@ -104,10 +104,9 @@ def test_normalized_success_vs_time_in_unit_interval(noise, mu, times):
 @given(G=rates, g_inverse=st.floats(0.1, 1000.0), mu=mus, t_max=st.floats(0.1, 5000.0),
        n_points=st.integers(2, 400))
 def test_sss_free_certified_and_below_markov(G, g_inverse, mu, t_max, n_points):
-    params = OunParams(G=G, g=1.0 / g_inverse)
-    sampler = lambda t: correlated_oun_generator(t, params, mu)
-    reference = dephasing_generator(-G / 2, -G)
-    zeta_markov = sss_measure(sampler, reference, t_max, n_points)
-    zeta_free = sss_measure(sampler, reference, t_max, n_points, free=True)  # certified
+    times = np.linspace(0.0, t_max, n_points)
+    rates = correlated_oun_rates(times, OunParams(G=G, g=1.0 / g_inverse), mu)
+    zeta_markov = sss_measure(times, rates, (-G / 2, -G))
+    zeta_free = sss_measure(times, rates, (-G / 2, -G), free=True)  # certified
     # within the certified gap of a minimum over a family holding the reference
     assert 0 <= zeta_free <= zeta_markov * (1 + 2 * SSS_TOL)

@@ -4,16 +4,16 @@ States evolved in closed form over a whole time grid must reproduce, bit
 for bit, the states evolved one time at a time: the CSV bytes of the CLI
 depend on it. They must also agree with the Kraus oracle, applied one time
 at a time, to 1e-12. Bit equality also holds for the accessible-state
-volume, the success probability of error correction and the correlated OUN
-generator, which `volume`, `qec` and `sss` evaluate over the grid, and for
-the closed-form transfer matrices of the oracle.
+volume, the success probability of error correction and the rates of the
+correlated OUN generator, which `volume`, `qec` and `sss` evaluate over the
+grid, and for the closed-form transfer matrices of the oracle.
 """
 
 import numpy as np
 import pytest
 
 from corrchan.channels import evolve
-from corrchan.map_algebra import accessible_volume, correlated_oun_generator
+from corrchan.map_algebra import accessible_volume, correlated_oun_rates
 from corrchan.measures import concurrence, probe_state, random_bell_probes, trace_distance
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 from corrchan.oracle import apply, channel_at_time, transfer_sampler
@@ -80,7 +80,7 @@ def test_success_grid_equals_single_times(noise, mu):
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
 def test_oun_generator_grid_equals_single_times(mu):
     params = NOISES["oun"]
-    stack = correlated_oun_generator(GENERATOR_TIMES, params, mu)
-    assert stack.shape == GENERATOR_TIMES.shape + (16, 16)
-    singles = np.stack([correlated_oun_generator(t, params, mu) for t in GENERATOR_TIMES])
-    assert np.array_equal(stack, singles)
+    grid = np.stack(correlated_oun_rates(GENERATOR_TIMES, params, mu))
+    assert grid.shape == (2,) + GENERATOR_TIMES.shape
+    singles = np.array([correlated_oun_rates(t, params, mu) for t in GENERATOR_TIMES]).T
+    assert np.array_equal(grid, singles)
