@@ -10,14 +10,14 @@ from .noise import (NmadParams, NoiseParams, OunParams, RtnParams,
 from .linalg import eig_hermitian, psd_sqrt, validate_density
 from .channels import evolve, evolve_damping, evolve_dephasing
 from .map_algebra import accessible_volume, correlated_oun_rates
-from .measures import (MeasureResult, TimeSeries, blp_measure, concurrence,
-                       nm_concurrence_measure, positive_variation, probe_state,
-                       random_bell_probes, sss_measure, trace_distance)
+from .measures import (blp_measure, concurrence, nm_concurrence_measure,
+                       positive_variation, probe_state, random_bell_probes,
+                       sss_measure, trace_distance)
 from .freezing import (BlochDiagonal, FreezingVerdict, bloch_diagonal_state,
                        freezing_predicate)
 from .qec import (ALL_ERROR_STRINGS, CORRECTABLE_ERRORS, UNDETECTABLE_ERRORS,
-                  ErrorClassification, classify_errors, error_probability,
-                  is_detectable, success_probability_bruteforce,
+                  ErrorClassification, classify_errors, is_detectable,
+                  success_probability_bruteforce,
                   success_probability_closed, success_vs_time,
                   total_probability_mass)
 

@@ -75,14 +75,22 @@ def _time_grid(args) -> np.ndarray:
     return np.linspace(0.0, args.tmax, args.steps)
 
 
+def _noise_params(family, **options):
+    """`family(**options)`; a parameter error names the option of its name."""
+    try:
+        return family(**options)
+    except ValueError as exc:
+        raise ValueError(f"--{exc}") from None
+
+
 def _noise_from_args(args) -> RtnParams | OunParams | NmadParams:
     kind = args.noise
     if kind == "rtn":
-        return RtnParams(a=args.a, gamma=args.gamma)
+        return _noise_params(RtnParams, a=args.a, gamma=args.gamma)
     if kind == "oun":
-        return OunParams(G=args.G, g=args.g)
+        return _noise_params(OunParams, G=args.G, g=args.g)
     if kind == "nmad":
-        return NmadParams(gamma0=args.gamma0, g=args.g)
+        return _noise_params(NmadParams, gamma0=args.gamma0, g=args.g)
     raise ValueError(f"unknown noise family {kind!r}")
 
 
@@ -163,8 +171,7 @@ def _cmd_blp(args) -> Table:
     for mu in mus:
         best = 0.0
         for label, rho1, rho2 in named:
-            value = blp_measure(evolve(noise, mu, times, rho1), evolve(noise, mu, times, rho2),
-                                times).value
+            value = blp_measure(evolve(noise, mu, times, rho1), evolve(noise, mu, times, rho2))
             best = max(best, value)
             lines.append(f"{_fmt(mu)},{label},{_fmt(value)}")
         lines.append(f"{_fmt(mu)},max,{_fmt(best)}")
@@ -183,7 +190,7 @@ def _cmd_sss(args) -> Table:
     reference = (-args.G / 2, -args.G)  # the memoryless-limit rates
     rows = []
     for g_inv in g_inverses:
-        params = OunParams(G=args.G, g=1.0 / g_inv)
+        params = _noise_params(OunParams, G=args.G, g=1.0 / g_inv)
         for mu in mus:
             zeta = sss_measure(times, correlated_oun_rates(times, params, mu), reference,
                                free=args.family == "free")
@@ -202,7 +209,7 @@ def _cmd_volume(args) -> Table:
 def _cmd_qec(args) -> Table:
     column = "p_success_normalized" if args.normalized else "p_success"
     return _sweep(args, [column], lambda noise, mu, times:
-                  success_vs_time(noise, mu, times, normalized=args.normalized).values)
+                  success_vs_time(noise, mu, times, normalized=args.normalized))
 
 
 def _cmd_classify_errors(args) -> None:

@@ -2,9 +2,10 @@
 measure, concurrence and its revival measure, and the temporal-self-similarity
 measure. The accessible-state volume is `map_algebra.accessible_volume`.
 
-The backflow-style measures integrate the positive increments of a scalar
-trajectory on a time grid; the maximization over initial states that defines
-them is evaluated over a caller-supplied probe family (see `probe_state` and
+Each measure of a trajectory is a plain float. The backflow-style measures
+sum the positive increments of a scalar trajectory, whatever grid it was
+sampled on; the maximization over initial states that defines them is
+evaluated over a caller-supplied probe family (see `probe_state` and
 `random_bell_probes`) rather than over all of state space.
 
 `trace_distance` and `concurrence` take one state or a stack of states of
@@ -14,8 +15,7 @@ return a float or an array; the trajectory measures take such stacks.
 not the 16 x 16 matrices, whose Frobenius distances follow from the rates.
 """
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,28 +38,6 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-@dataclass(frozen=True, eq=False)
-class TimeSeries:
-    """A scalar trajectory sampled on a strictly increasing time grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.times) != len(self.values):
-            raise ValueError("times and values must have equal length")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class MeasureResult:
-    """Integrated positive increase, with the contributing intervals."""
-
-    value: float
-    detail: tuple[tuple[tuple[float, float], float], ...] = field(default_factory=tuple)
-
-
 def _value(x):
     """A 0-d result as a float; a stacked one as its array."""
     return float(x) if np.ndim(x) == 0 else x
@@ -76,37 +54,35 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray):
     return _value(0.5 * np.abs(w).sum(axis=-1))
 
 
-def positive_variation(times: Sequence[float], values: Sequence[float]) -> MeasureResult:
-    """Sum of increments above RISE_THRESHOLD, grouped into rising intervals.
+def positive_variation(values) -> float:
+    """Sum of the increments above RISE_THRESHOLD, one term per rising run.
 
     This is the trapezoidal evaluation of the integral of dX/dt over the
     regions where X increases; the threshold suppresses sign flips at noise
-    level.
+    level. `values` must be 1-d, finite and at least two points long.
     """
-    times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if len(times) < 2:
-        raise ValueError("grid must contain at least two points")
-    if len(values) != len(times):
-        raise ValueError(f"{len(values)} values for {len(times)} grid points")
+    if values.ndim != 1 or len(values) < 2:
+        raise ValueError("positive variation needs a 1-d series of at least two "
+                         f"points, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError("positive variation needs finite values")
     diffs = np.diff(values)
     # +1 where a rising run starts, -1 one past where it ends
     edges = np.diff(np.concatenate(([0], diffs > RISE_THRESHOLD, [0])))
-    detail = tuple(((float(times[i]), float(times[j])), float(diffs[i:j].sum()))
-                   for i, j in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)))
-    return MeasureResult(value=sum(c for _, c in detail), detail=detail)
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    return sum((float(diffs[i:j].sum()) for i, j in zip(starts, ends)), 0.0)
 
 
-def blp_measure(rho1: np.ndarray, rho2: np.ndarray,
-                times: Sequence[float]) -> MeasureResult:
+def blp_measure(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Information backflow of one trajectory pair: the integrated positive
-    increase of the trace distance D(rho1(t), rho2(t)) over the grid.
+    increase of the trace distance D(rho1(t), rho2(t)) along it.
 
-    `rho1` and `rho2` are the two trajectories as (len(times), d, d) stacks.
-    Maximization over initial pairs is the caller's job; evaluate over a
-    probe family and take the max.
+    `rho1` and `rho2` are the two trajectories as (n, d, d) stacks over the
+    same time grid. Maximization over initial pairs is the caller's job;
+    evaluate over a probe family and take the max.
     """
-    return positive_variation(times, trace_distance(rho1, rho2))
+    return positive_variation(trace_distance(rho1, rho2))
 
 
 _YY = np.kron(SIGMA[2], SIGMA[2])
@@ -137,10 +113,10 @@ def concurrence(rho: np.ndarray):
     return _value(np.where(c < 1.0, c, 1.0))
 
 
-def nm_concurrence_measure(states: np.ndarray, times: Sequence[float]) -> MeasureResult:
+def nm_concurrence_measure(states: np.ndarray) -> float:
     """Integrated positive increase of the concurrence along a trajectory,
-    given as a (len(times), 4, 4) stack of states."""
-    return positive_variation(times, concurrence(states))
+    given as an (n, 4, 4) stack of states."""
+    return positive_variation(concurrence(states))
 
 
 # --------------------------------------------------------------------------

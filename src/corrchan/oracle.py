@@ -26,9 +26,9 @@ from its two rates, and `generator` the same L by finite differences;
 Kraus sums agree with the closed forms to 1e-14 absolute, but lose relative
 accuracy where p or tau(mu) is small and terms cancel.
 
-`bloch_update` is the reference of `freezing`, and `build_codewords`,
-`apply_word` and `greedy_correctable_set` that of the exact integer route
-of `qec`.
+`bloch_update` is the reference of `freezing`; `build_codewords`,
+`apply_word` and `greedy_correctable_set` are that of the pair rule of
+`qec`, and `error_probability` that of its sums over words.
 """
 
 from dataclasses import dataclass
@@ -44,7 +44,8 @@ from .linalg import dagger, lapack, validate_density
 from .map_algebra import (DOUBLE_FLIP_SLOTS, IDENTITY_SLOTS, SINGLE_FLIP_SLOTS,
                           correlated_oun_rates)
 from .noise import NmadParams, NoiseParams, OunParams, noise_p
-from .qec import ALL_ERROR_STRINGS, _check_word, _xor_word, is_detectable
+from .qec import (ALL_ERROR_STRINGS, _check_word, _word_probabilities, _xor_word,
+                  is_detectable)
 
 COMPLETENESS_TOL = 1e-10
 JOINT_PROB_TOL = 1e-12
@@ -566,8 +567,7 @@ def apply_word(word: str, vec: np.ndarray) -> np.ndarray:
 def is_detectable_numeric(word: str) -> bool:
     """`qec.is_detectable` through the codeword vectors of `build_codewords`:
     equal diagonal matrix elements between the two codewords and vanishing
-    off-diagonal ones, to 1e-12, an independent route to the exact integer
-    one."""
+    off-diagonal ones, to 1e-12, an independent route to the pair rule."""
     _check_word(word)
     zero, one = build_codewords()
     e_zero, e_one = apply_word(word, zero), apply_word(word, one)
@@ -586,3 +586,12 @@ def greedy_correctable_set() -> frozenset[str]:
         if w in detectable and all(_xor_word(w, c) in detectable for c in chosen):
             chosen.append(w)
     return frozenset(chosen)
+
+
+def error_probability(word: str, p, mu: float):
+    """Chained probability of a six-letter error word: the product of the
+    five adjacent-pair joint probabilities p_(e_k e_k+1) times the
+    single-letter probability of the last letter, per entry of p; one term
+    of the sums of `qec`.
+    """
+    return next(_word_probabilities([_check_word(word)], p, mu))

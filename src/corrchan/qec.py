@@ -7,9 +7,12 @@ codewords supported on the eight basis strings whose qubit pairs are 00 or
 11. The error model is {I, Z}^(x6) with nearest-neighbour correlated
 probabilities p_ij = (1-mu) p_i p_j + mu p_i delta_ij.
 
-All matrix elements of Z-strings between codewords are exact signed integer
-sums (in units of 1/8), so error classification needs no floating-point
-tolerance.
+Detectability follows from the pair rule, with no matrix elements and no
+tolerance: a Z-string acts on each inner pair as the identity (II or ZZ) or
+as the inner logical Z (one Z), which swaps that pair's outer |+> and |->.
+A word is undetectable exactly when it flips all three pairs, which maps
+|0_conc> to |1_conc>. `oracle.is_detectable_numeric` checks the rule on the
+codeword vectors.
 """
 
 import itertools
@@ -20,7 +23,6 @@ import numpy as np
 
 from .channels import _check_mu, _check_noise_value
 from .errors import NumericError, ValidationError
-from .measures import TimeSeries
 from .noise import NmadParams, NoiseParams, noise_p
 
 ALL_ERROR_STRINGS = tuple(''.join(w) for w in itertools.product('IZ', repeat=6))
@@ -52,53 +54,15 @@ def _check_word(word: str, alphabet: str = "IZ") -> str:
 
 
 # --------------------------------------------------------------------------
-# Codewords
-# --------------------------------------------------------------------------
-
-
-def codeword_supports() -> tuple[dict[int, int], dict[int, int]]:
-    """Exact codeword amplitudes as {basis index: sign}, in units of 1/(2 sqrt 2).
-
-    Independent of `oracle.build_codewords`: the support is enumerated
-    directly as the strings whose pairs are all 00 or 11, with the sign of
-    |1_conc> given by the parity of 11-pairs.
-    """
-    zero, one = {}, {}
-    for a, b, c in itertools.product((0, 1), repeat=3):
-        idx = 48 * a + 12 * b + 3 * c  # pair k = 11 contributes bits 2^(5-2k) + 2^(4-2k)
-        zero[idx] = 1
-        one[idx] = (-1) ** (a + b + c)
-    return zero, one
-
-
-# --------------------------------------------------------------------------
 # Detectability and classification
 # --------------------------------------------------------------------------
 
 
-def _matrix_element(bra: dict[int, int], ket: dict[int, int], word: str) -> int:
-    """<bra| E |ket> for a Z-string E, as an exact integer in units of 1/8."""
-    zmask = sum(1 << (5 - k) for k, ch in enumerate(word) if ch == 'Z')
-    total = 0
-    for idx, sk in ket.items():
-        sb = bra.get(idx)
-        if sb is None:
-            continue
-        sign = -1 if (idx & zmask).bit_count() % 2 else 1
-        total += sb * sk * sign
-    return total
-
-
 def is_detectable(word: str) -> bool:
-    """Error detectability: equal diagonal matrix elements between the two
-    codewords and vanishing off-diagonal ones, on the exact integer support
-    representation (`oracle.is_detectable_numeric` checks the same condition
-    on state vectors)."""
+    """Error detectability by the pair rule: some inner pair (qubits 2k,
+    2k+1) carries no Z or two, so the word does not flip every pair."""
     _check_word(word)
-    zero, one = codeword_supports()
-    return (_matrix_element(zero, zero, word) == _matrix_element(one, one, word)
-            and _matrix_element(zero, one, word) == 0
-            and _matrix_element(one, zero, word) == 0)
+    return any(word[k] == word[k + 1] for k in (0, 2, 4))
 
 
 @dataclass(frozen=True)
@@ -175,14 +139,6 @@ def _word_probabilities(words, p, mu: float):
         yield prob * q[word[5]]
 
 
-def error_probability(word: str, p, mu: float):
-    """Chained probability of a six-letter error word: the product of the
-    five adjacent-pair joint probabilities p_(e_k e_k+1) times the
-    single-letter probability of the last letter, per entry of p.
-    """
-    return next(_word_probabilities([_check_word(word)], p, mu))
-
-
 def total_probability_mass(p, mu: float):
     """Diagnostic: the chained model's total mass over all 64 words, per entry of p.
 
@@ -194,8 +150,8 @@ def total_probability_mass(p, mu: float):
 
 def success_probability_bruteforce(p, mu: float):
     """Success probability as the explicit sum of the chained word
-    probabilities (`error_probability`) over the 32-element correctable set,
-    per entry of p."""
+    probabilities (`oracle.error_probability`) over the 32-element
+    correctable set, per entry of p."""
     classify_errors()
     return sum(_word_probabilities(CORRECTABLE_ERRORS, p, mu))
 
@@ -221,8 +177,8 @@ def success_probability_closed(p, mu: float):
 
 
 def success_vs_time(noise: NoiseParams, mu: float, times: Sequence[float],
-                    normalized: bool = False) -> TimeSeries:
-    """Success probability along a time grid for RTN or OUN dephasing.
+                    normalized: bool = False) -> np.ndarray:
+    """Success probability at each time of a grid for RTN or OUN dephasing.
 
     Evaluates the noise and the closed form once over the whole grid and
     spot-checks five grid points against the brute-force sum. With
@@ -246,4 +202,4 @@ def success_vs_time(noise: NoiseParams, mu: float, times: Sequence[float],
         # the correctable words are part of the total mass, so the ratio is at
         # most 1 but for round-off
         values = _probability(values / total_probability_mass(p, mu))
-    return TimeSeries(times=times, values=values)
+    return values

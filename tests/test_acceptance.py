@@ -121,12 +121,12 @@ def test_criterion_5_volume_formula_and_witness():
     assert worst < 1e-10
     times = np.linspace(0, 100, 1000)
     for mu in (0.0, 0.5, 0.9):
-        assert positive_variation(times, accessible_volume(OUN, mu, times)).detail == ()
+        assert positive_variation(accessible_volume(OUN, mu, times)) == 0
     rises = []
     for mu in (0.0, 0.5, 0.9):
-        witness = positive_variation(times, accessible_volume(RTN, mu, times))
-        assert len(witness.detail) > 0
-        rises.append(witness.value)
+        witness = positive_variation(accessible_volume(RTN, mu, times))
+        assert witness > 0
+        rises.append(witness)
     assert rises[0] < rises[1] < rises[2]
     report(5, f"V = p^8 tau^4 matches det of the Kraus F within {worst:.2e}; "
               f"OUN witness empty; RTN positive variation "
@@ -173,7 +173,7 @@ def test_criterion_7_measure_monotonicity_in_mu():
     values = []
     for mu in mus:
         traj = evolve(NMAD, mu, times, phi)
-        values.append(nm_concurrence_measure(traj, times).value)
+        values.append(nm_concurrence_measure(traj))
     conc_elapsed = time.perf_counter() - start
     assert all(b > a for a, b in zip(values, values[1:])), values
     assert conc_elapsed < 30.0

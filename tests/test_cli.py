@@ -453,6 +453,11 @@ def test_out_of_memory_exits_3_without_csv(capsys, tmp_path):
     (["sss", "--g-inverse", "10,"],
      "--g-inverse expects a comma-separated list of numbers, got '10,'"),
     (["sss", "--mu", ""], "--mu expects a comma-separated list of numbers, got ''"),
+    # a noise parameter error names its option
+    (["sss", "--G", "nan"], "--G must be positive and finite, got nan"),
+    (["qec", "--noise", "rtn", "--a", "-1"], "--a must be positive and finite, got -1.0"),
+    (["evolve", "--noise", "nmad", "--gamma0", "-1"],
+     "--gamma0 must be positive and finite, got -1.0"),
 ])
 def test_boundary_error_names_the_option(args, message, capsys):
     assert main(args) == 2
@@ -643,8 +648,6 @@ UNREACHED_BY_COMMANDS = {
     "corrchan.measures.nm_concurrence_measure",
     # a forwarder kept only so that perfbench/tracing.py finds the name to wrap
     "corrchan.measures.minimize",
-    # one word's probability; the sums over words check p once per call instead
-    "corrchan.qec.error_probability",
 }
 
 

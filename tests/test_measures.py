@@ -63,14 +63,8 @@ def test_trace_distance_dim_mismatch(rng):
 
 
 def test_positive_variation_simple():
-    times = [0.0, 1.0, 2.0, 3.0, 4.0]
-    values = [1.0, 0.5, 0.8, 0.9, 0.2]
-    result = positive_variation(times, values)
-    assert abs(result.value - 0.4) < 1e-12
-    assert len(result.detail) == 1
-    (t0, t1), contribution = result.detail[0]
-    assert (t0, t1) == (1.0, 3.0)
-    assert abs(contribution - 0.4) < 1e-12
+    # one rising run, 0.5 -> 0.8 -> 0.9
+    assert abs(positive_variation([1.0, 0.5, 0.8, 0.9, 0.2]) - 0.4) < 1e-12
 
 
 def reference_rising_runs(times, values):
@@ -98,23 +92,30 @@ def test_positive_variation_value_equals_detail_sum(rng):
     ]
     for values in cases:
         times = np.arange(float(len(values)))
-        result = positive_variation(times, values)
         expected = reference_rising_runs(times, np.asarray(values, dtype=float))
-        assert [iv for iv, _ in result.detail] == [iv for iv, _ in expected]
-        assert np.allclose([c for _, c in result.detail], [c for _, c in expected],
-                           rtol=0, atol=1e-12)
-        assert abs(result.value - sum(c for _, c in result.detail)) < 1e-10
+        assert abs(positive_variation(values) - sum(c for _, c in expected)) < 1e-10
 
 
 def test_positive_variation_threshold_suppresses_noise():
-    times = np.arange(5.0)
     values = [0.5, 0.5 + 1e-15, 0.5, 0.5 + 1e-15, 0.5]
-    assert positive_variation(times, values).value == 0.0
+    assert positive_variation(values) == 0.0
 
 
 def test_positive_variation_needs_grid():
     with pytest.raises(ValueError):
-        positive_variation([0.0], [1.0])
+        positive_variation([1.0])
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0.0, np.nan, 1.0], "finite"),
+    ([0.0, np.inf, 1.0], "finite"),
+    ([0.0, -np.inf], "finite"),
+    (np.zeros((3, 2)), "1-d series"),
+    (0.5, "1-d series"),
+])
+def test_positive_variation_rejects_bad_values(values, message):
+    with pytest.raises(ValueError, match=message):
+        positive_variation(values)
 
 
 # --------------------------------------------------------------------------
@@ -130,22 +131,19 @@ def pair_trajectory(noise, mu, name1, name2, times):
 def test_blp_identical_states_zero():
     times = np.linspace(0, 10, 120)
     rhos = np.broadcast_to(probe_state("phi+"), (len(times), 4, 4))
-    result = blp_measure(rhos, rhos, times)
-    assert result.value == 0.0
+    assert blp_measure(rhos, rhos) == 0.0
 
 
 @pytest.mark.parametrize("pair", [("phi+", "phi-"), ("++", "--"), ("00", "11")])
 @pytest.mark.parametrize("mu", [0.0, 0.5, 0.9])
 def test_blp_zero_under_oun(pair, mu):
     times = np.linspace(0, 60, 150)
-    result = blp_measure(*pair_trajectory(OUN, mu, *pair, times), times)
-    assert result.value < 1e-10
+    assert blp_measure(*pair_trajectory(OUN, mu, *pair, times)) < 1e-10
 
 
 def test_blp_positive_under_rtn():
     times = np.linspace(0, 100, 400)
-    result = blp_measure(*pair_trajectory(RTN, 0.0, "++", "--", times), times)
-    assert result.value > 0.1
+    assert blp_measure(*pair_trajectory(RTN, 0.0, "++", "--", times)) > 0.1
     # D(t) for this pair equals |p(t)|, so backflow tracks the revivals
     d0 = trace_distance(*pair_trajectory(RTN, 0.0, "++", "--", 3.0))
     assert abs(d0 - abs(noise_p(RTN, 3.0))) < 1e-10
@@ -222,13 +220,12 @@ def state_trajectory(noise, mu, name, times):
 def test_nm_concurrence_frozen_bell_state():
     times = np.linspace(0, 50, 150)
     for noise in (RTN, OUN):
-        result = nm_concurrence_measure(state_trajectory(noise, 1.0, "phi+", times), times)
-        assert result.value == 0.0
+        assert nm_concurrence_measure(state_trajectory(noise, 1.0, "phi+", times)) == 0.0
 
 
 def test_nm_concurrence_increases_with_mu_under_nmad():
     times = np.linspace(0, 50, 300)
-    values = [nm_concurrence_measure(state_trajectory(NMAD, mu, "phi+", times), times).value
+    values = [nm_concurrence_measure(state_trajectory(NMAD, mu, "phi+", times))
               for mu in (0.0, 0.5, 0.9)]
     assert values[0] < values[1] < values[2]
     assert values[2] > 0.1
@@ -238,15 +235,14 @@ def test_nm_concurrence_increases_with_mu_under_nmad():
 def test_nm_concurrence_zero_under_oun(name):
     times = np.linspace(0, 60, 200)
     for mu in (0.0, 0.9):
-        result = nm_concurrence_measure(state_trajectory(OUN, mu, name, times), times)
-        assert result.value < 1e-10
+        assert nm_concurrence_measure(state_trajectory(OUN, mu, name, times)) < 1e-10
 
 
 def test_measure_halved_grid_stability():
     coarse = np.linspace(0, 60, 300)
     fine = np.linspace(0, 60, 600)
-    v1 = nm_concurrence_measure(state_trajectory(RTN, 0.5, "phi+", coarse), coarse).value
-    v2 = nm_concurrence_measure(state_trajectory(RTN, 0.5, "phi+", fine), fine).value
+    v1 = nm_concurrence_measure(state_trajectory(RTN, 0.5, "phi+", coarse))
+    v2 = nm_concurrence_measure(state_trajectory(RTN, 0.5, "phi+", fine))
     assert abs(v1 - v2) / v2 < 0.02
 
 
@@ -472,7 +468,7 @@ def test_volume_closed_form(noise, rng):
 def test_volume_witness_empty_for_oun():
     times = np.linspace(0, 100, 1000)
     for mu in (0.0, 0.5, 0.9):
-        assert positive_variation(times, accessible_volume(OUN, mu, times)).detail == ()
+        assert positive_variation(accessible_volume(OUN, mu, times)) == 0
 
 
 def test_volume_increases_with_mu_for_oun():
@@ -487,23 +483,15 @@ def test_volume_witness_nonempty_for_rtn_and_grows_with_mu():
     peaks = []
     for mu in (0.0, 0.5, 0.9):
         vals = accessible_volume(RTN, mu, times)
-        witness = positive_variation(times, vals)
-        assert len(witness.detail) > 0
-        rises.append(witness.value)
+        witness = positive_variation(vals)
+        assert witness > 0
+        rises.append(witness)
         # height of the tallest revival (local maximum after the first decay)
         interior = [vals[i] for i in range(1, len(vals) - 1)
                     if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]]
         peaks.append(max(interior))
     assert rises[0] < rises[1] < rises[2]
     assert peaks[0] < peaks[1] < peaks[2]
-
-
-def test_time_series_validation():
-    from corrchan.measures import TimeSeries
-    with pytest.raises(ValueError):
-        TimeSeries(times=np.array([0.0, 1.0]), values=np.array([1.0]))
-    with pytest.raises(ValueError):
-        TimeSeries(times=np.array([0.0, 0.0]), values=np.array([1.0, 2.0]))
 
 
 def test_probe_state_unknown_name():

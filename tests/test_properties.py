@@ -87,7 +87,7 @@ def test_success_probability_in_unit_interval(p, mu):
 @given(noise=dephasing_noises, mu=mus, times=grids)
 @example(noise=RtnParams(a=1, gamma=1), mu=MU_PAST_ONE, times=np.array([0.0]))
 def test_success_vs_time_in_unit_interval(noise, mu, times):
-    values = success_vs_time(noise, mu, times).values
+    values = success_vs_time(noise, mu, times)
     assert np.all((0 <= values) & (values <= 1))
 
 
@@ -96,7 +96,7 @@ def test_success_vs_time_in_unit_interval(noise, mu, times):
 @example(noise=RtnParams(a=1, gamma=1), mu=MU_PAST_ONE, times=np.array([0.0]))
 @example(noise=OunParams(G=1, g=1), mu=MU_PAST_ONE, times=np.array([0.0, 1e-9]))
 def test_normalized_success_vs_time_in_unit_interval(noise, mu, times):
-    values = success_vs_time(noise, mu, times, normalized=True).values
+    values = success_vs_time(noise, mu, times, normalized=True)
     assert np.all((0 <= values) & (values <= 1))
 
 

@@ -66,8 +66,8 @@ GENERATOR_TIMES = np.linspace(0.0, 100.0, 4001)
 @pytest.mark.parametrize("noise", ["rtn", "oun"])
 def test_success_grid_equals_single_times(noise, mu):
     params = NOISES[noise]
-    plain = success_vs_time(params, mu, QEC_TIMES).values
-    normalized = success_vs_time(params, mu, QEC_TIMES, normalized=True).values
+    plain = success_vs_time(params, mu, QEC_TIMES)
+    normalized = success_vs_time(params, mu, QEC_TIMES, normalized=True)
     singles = [noise_p(params, t) for t in QEC_TIMES]
     closed = np.array([success_probability_closed(p, mu) for p in singles])
     assert np.array_equal(plain, closed)
