@@ -1,13 +1,20 @@
 """Correlated two-qubit channels in closed form over a time grid.
 
-`evolve(noise, mu, t, rho)` evolves a two-qubit state under the correlated
-channel of a noise family, at one time or over a time grid, in closed form
-from p(t). Correlated dephasing (RTN, OUN) scales entry (i, j) by 1, p or
-tau(mu) = mu + (1 - mu) p^2 as the basis states i and j differ in zero, one
-or two qubits (`evolve_dephasing`). Correlated amplitude damping (NMAD) is
+`evolve(noise, mu, t, rho)` evolves a two-qubit state, or a stack of them,
+under the correlated channel of a noise family, at one time or over a time
+grid, in closed form from one evaluation of p(t). Correlated dephasing
+(RTN, OUN) scales entry (i, j) by 1, p or tau(mu) = mu + (1 - mu) p^2 as
+the basis states i and j differ in zero, one or two qubits
+(`evolve_dephasing`). Correlated amplitude damping (NMAD) is
 (1 - mu) times single-qubit damping on each qubit plus mu times fully
 correlated damping (`evolve_damping`). Neither sums Kraus terms that cancel,
 so the entries keep their relative accuracy where p or tau(mu) is small.
+
+The initial states, p and mu are validated; the evolved states are not. They
+are a CPTP closed form applied to a valid state, and the consumer that
+measures or prints one validates it there (`measures.trace_distance`,
+`measures.concurrence`, the `evolve` command), so every state is checked
+once.
 
 The Kraus sets of the same channels, one channel at one noise value, are
 the independent oracle of these closed forms and live in `oracle`, which no
@@ -48,23 +55,28 @@ def _check_mu(mu: float) -> None:
         raise ValueError(f"correlation factor mu must lie in [0, 1], got {mu}")
 
 
-def _two_qubit_state(rho: np.ndarray) -> np.ndarray:
+def _two_qubit_states(rho: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The validated two-qubit state rho, or (k, 4, 4) stack of them, with
+    a unit axis per axis of p inserted before the matrix axes, so that it
+    broadcasts against the (*p.shape, 4, 4) factors of the channel."""
     rho = validate_density(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"closed-form evolution takes one two-qubit state, got shape {rho.shape}")
-    return rho
+    if rho.shape[-2:] != (4, 4) or rho.ndim > 3:
+        raise ValueError("closed-form evolution takes a two-qubit state or a (k, 4, 4) "
+                         f"stack of them, got shape {rho.shape}")
+    return rho.reshape(rho.shape[:-2] + (1,) * p.ndim + (4, 4))
 
 
 def evolve_dephasing(rho: np.ndarray, p, mu: float) -> np.ndarray:
     """The state rho under correlated dephasing at noise value p: entry
     (i, j) is scaled by 1, p or tau = mu + (1 - mu) p^2 as the basis states
     i and j differ in zero, one or two qubits. An array of p gives the
-    (*p.shape, 4, 4) stack of states."""
-    rho = _two_qubit_state(rho)
+    (*p.shape, 4, 4) stack of states, a (k, 4, 4) stack of initial states
+    the (k, *p.shape, 4, 4) one."""
     _check_mu(mu)
     p = _check_noise_value(p, -1, "noise value p")
+    rho = _two_qubit_states(rho, p)
     factors = np.stack([np.ones_like(p), p, mu + (1 - mu) * np.square(p)], axis=-1)
-    return validate_density(factors[..., _FLIPS] * rho)
+    return factors[..., _FLIPS] * rho
 
 
 def _damp(rho: np.ndarray, p: np.ndarray, qubits: int) -> np.ndarray:
@@ -87,19 +99,25 @@ def evolve_damping(rho: np.ndarray, p, mu: float) -> np.ndarray:
     (1 - mu) times single-qubit damping on each qubit plus mu times fully
     correlated damping, in which |11> decays to |00> with probability p and
     its coherences are scaled by sqrt(1 - p). An array of p gives the
-    (*p.shape, 4, 4) stack of states."""
-    rho = _two_qubit_state(rho)
+    (*p.shape, 4, 4) stack of states, a (k, 4, 4) stack of initial states
+    the (k, *p.shape, 4, 4) one."""
     _check_mu(mu)
     p = _check_noise_value(p, 0, "damping probability p")
+    rho = _two_qubit_states(rho, p)
     each = _damp(_damp(rho, p, 2), p, 1)
-    return validate_density((1 - mu) * each + mu * _damp(rho, p, 3))
+    return (1 - mu) * each + mu * _damp(rho, p, 3)
 
 
 def evolve(noise: NoiseParams, mu: float, t, rho: np.ndarray) -> np.ndarray:
     """The two-qubit state rho evolved to time t under the correlated channel
     of the noise family, or to every time of an array t as a
     (*t.shape, 4, 4) stack, in closed form from one evaluation of p(t):
-    `evolve_damping` for NMAD, `evolve_dephasing` for RTN and OUN. A grid
-    gives the same bits as its times one at a time."""
+    `evolve_damping` for NMAD, `evolve_dephasing` for RTN and OUN. A
+    (k, 4, 4) stack of initial states gives the (k, *t.shape, 4, 4) stack
+    of their trajectories. A grid gives the same bits as its times one at a
+    time, and a stack the same bits as its states one at a time.
+
+    rho, mu and the noise values are validated; the returned states are not
+    (see the module docstring): validate them where they are consumed."""
     closed_form = evolve_damping if isinstance(noise, NmadParams) else evolve_dephasing
     return closed_form(rho, noise_p(noise, t), mu)

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import NumericError
 from .noise import NmadParams, OunParams, RtnParams
 from .channels import _check_mu, evolve
+from .linalg import validate_density
 from .map_algebra import accessible_volume, correlated_oun_rates
 from .measures import (PROBE_NAMES, PROBE_PAIRS, RISE_THRESHOLD, blp_measure,
                        concurrence, probe_state, random_bell_probes, sss_measure,
@@ -127,7 +128,7 @@ def _cmd_evolve(args) -> Table:
                for j in range(1, 5) for part in ("re", "im")]
 
     def cells(noise, mu, times):
-        rho = evolve(noise, mu, times, rho0)
+        rho = validate_density(evolve(noise, mu, times, rho0))
         return np.stack([rho.real, rho.imag], axis=-1).reshape(len(times), -1)
     return _sweep(args, columns, cells)
 
@@ -147,10 +148,15 @@ def _split_pair(text: str) -> tuple[str, str]:
 
 def _cmd_tracedist(args) -> Table:
     name1, name2 = _split_pair(args.pair)
-    rho1, rho2 = probe_state(name1), probe_state(name2)
+    probes = np.stack([probe_state(name1), probe_state(name2)])
     return _sweep(args, ["trace_distance"], lambda noise, mu, times:
-                  trace_distance(evolve(noise, mu, times, rho1),
-                                 evolve(noise, mu, times, rho2)))
+                  trace_distance(*evolve(noise, mu, times, probes)))
+
+
+def _pair_backflows(states: np.ndarray) -> list[float]:
+    """`blp_measure` of each trajectory pair (states[2k], states[2k + 1])
+    of a stack, in order."""
+    return [blp_measure(states[k], states[k + 1]) for k in range(0, len(states), 2)]
 
 
 def _cmd_blp(args) -> Table:
@@ -161,20 +167,19 @@ def _cmd_blp(args) -> Table:
     noise = _noise_from_args(args)
     times = _time_grid(args)
     mus = _parse_mus(args.mu)
-    pairs = [(_split_pair(tok)) for tok in args.pairs.split(",")]
-    named = [(f"{a}:{b}", probe_state(a), probe_state(b)) for a, b in pairs]
-    if args.random_probes > 0:
-        randoms = random_bell_probes(2 * args.random_probes, seed=args.seed)
-        for k in range(args.random_probes):
-            named.append((f"random{k}", randoms[2 * k], randoms[2 * k + 1]))
+    pairs = [_split_pair(tok) for tok in args.pairs.split(",")]
+    labels = [f"{a}:{b}" for a, b in pairs]
+    probes = [probe_state(name) for pair in pairs for name in pair]
+    if args.random_probes > 0:  # numpy.random is imported only for random probes
+        labels += [f"random{k}" for k in range(args.random_probes)]
+        probes += random_bell_probes(2 * args.random_probes, seed=args.seed)
+    probes = np.stack(probes)
     lines = []
     for mu in mus:
-        best = 0.0
-        for label, rho1, rho2 in named:
-            value = blp_measure(evolve(noise, mu, times, rho1), evolve(noise, mu, times, rho2))
-            best = max(best, value)
-            lines.append(f"{_fmt(mu)},{label},{_fmt(value)}")
-        lines.append(f"{_fmt(mu)},max,{_fmt(best)}")
+        # one mu's trajectories are freed before the next mu's are evolved
+        values = _pair_backflows(evolve(noise, mu, times, probes))
+        lines += [f"{_fmt(mu)},{label},{_fmt(value)}" for label, value in zip(labels, values)]
+        lines.append(f"{_fmt(mu)},max,{_fmt(max([0.0, *values]))}")
     return ["mu", "pair", "blp"], lines
 
 

@@ -38,6 +38,13 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return float(np.abs(m - dagger(m)).max())
 
 
+def _check_nonempty(m: np.ndarray) -> None:
+    """ValidationError if the matrix or stack m holds no entries."""
+    if m.size == 0:
+        raise ValidationError("nonemptiness", 0.0,
+                              f"expected at least one matrix, got shape {m.shape}")
+
+
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
@@ -45,9 +52,10 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     M @ V = V @ diag(w); on a stack, both carry its leading axes.
 
     Raises:
-        ValidationError: input not Hermitian within 1e-8.
+        ValidationError: input empty or not Hermitian within 1e-8.
         NumericError: the iteration failed to converge.
     """
+    _check_nonempty(m)
     res = hermiticity_residual(m)
     if not res <= EIG_HERMITICITY_TOL:
         raise ValidationError("hermiticity", res)
@@ -73,9 +81,10 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     """Check that M, or every matrix of a stack, is a density matrix of
     dimension 2 or 4.
 
-    Verifies finiteness, hermiticity (1e-10), unit trace (1e-10) and
-    positivity (smallest eigenvalue >= -1e-9). Returns the input array on
-    success; raises ValidationError naming the violated invariant otherwise.
+    Verifies that there is at least one matrix, finiteness, hermiticity
+    (1e-10), unit trace (1e-10) and positivity (smallest eigenvalue
+    >= -1e-9). Returns the input array on success; raises ValidationError
+    naming the violated invariant otherwise.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -84,6 +93,7 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     if d not in (2, 4):
         raise ValidationError("dimension", float(d),
                               f"density matrices must be 2x2 or 4x4, got {d}x{d}")
+    _check_nonempty(m)
     if not np.isfinite(m).all():
         raise ValidationError("finiteness", float(np.count_nonzero(~np.isfinite(m))),
                               "matrix has NaN or infinite entries")

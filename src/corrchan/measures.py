@@ -9,8 +9,11 @@ evaluated over a caller-supplied probe family (see `probe_state` and
 `random_bell_probes`) rather than over all of state space.
 
 `trace_distance` and `concurrence` take one state or a stack of states of
-shape (..., 4, 4), such as a trajectory from `channels.evolve` over a time grid, and
-return a float or an array; the trajectory measures take such stacks.
+shape (..., 4, 4), such as a trajectory from `channels.evolve` over a time
+grid, and return a float or an array; the trajectory measures take such
+stacks. They validate the states they are given: `channels.evolve` does not
+validate the states it returns, so this is where an evolved state is
+checked, once.
 `sss_measure` takes the two rates of a dephasing generator over a time grid,
 not the 16 x 16 matrices, whose Frobenius distances follow from the rates.
 """

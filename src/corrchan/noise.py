@@ -165,7 +165,7 @@ def nmad_decoherence(t, params: NmadParams):
     damp = np.exp(-g * t / 2)
     x = l * t / 2
     val = damp * (np.cosh(x) + (g / l) * np.sinh(x))
-    residue = np.abs(val.imag).max()
+    residue = np.abs(val.imag).max(initial=0.0)
     if not residue < IMAG_RESIDUE_TOL:
         raise NumericError(f"imaginary residue {residue:.3e} in decoherence function")
     return _finite(val.real, "NMAD G(t)")

@@ -224,10 +224,14 @@ def test_closed_form_shapes(rng):
     for evolve_family in (evolve_dephasing, evolve_damping):
         assert evolve_family(rho, ps, 0.3).shape == (7, 4, 4)
         assert evolve_family(rho, 0.5, 0.3).shape == (4, 4)
+        assert evolve_family(np.stack([rho, rho]), ps[:2], 0.3).shape == (2, 2, 4, 4)
+        assert evolve_family(np.stack([rho, rho, rho]), 0.5, 0.3).shape == (3, 4, 4)
         with pytest.raises(ValueError):
             evolve_family(random_density(2, rng), ps, 0.3)
-        with pytest.raises(ValueError):
-            evolve_family(np.stack([rho, rho]), ps[:2], 0.3)
+        for malformed in (np.stack([random_density(2, rng)] * 2), np.stack([[rho]] * 2),
+                          np.zeros((0, 4, 4)), np.ones((2, 4, 3))):
+            with pytest.raises(ValueError):
+                evolve_family(malformed, ps, 0.3)
 
 
 def test_kraus_factories_take_one_p():

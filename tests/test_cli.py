@@ -733,3 +733,30 @@ def test_trajectory_commands_build_no_kraus_set(monkeypatch, tmp_path):
         for noise in ("rtn", "oun", "nmad"):
             out = tmp_path / "x.csv"
             assert main(command + ["--noise", noise, "--steps", "5", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command, matrices", [("evolve", 1503), ("concurrence", 1503),
+                                               ("tracedist", 3006), ("blp", 12024)])
+def test_default_preset_validates_each_state_once(command, matrices, monkeypatch, tmp_path):
+    """The default presets evolve 1, 1, 2 and 8 probe states over 500 times
+    for each of 3 mu, in one `evolve` call per mu. Each evolved state is
+    validated once, where it is measured or printed, and each probe state
+    once per mu as the input of `evolve`."""
+    import corrchan.cli as cli_mod
+
+    eigvalsh, evolve = np.linalg.eigvalsh, cli_mod.evolve
+    solved, evolve_calls = [], []
+
+    def counting_eigvalsh(m):
+        solved.append(m.size // 16)
+        return eigvalsh(m)
+
+    def counting_evolve(*args):
+        evolve_calls.append(args)
+        return evolve(*args)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(cli_mod, "evolve", counting_evolve)
+    assert main([command, "--out", str(tmp_path / "x.csv")]) == 0
+    assert sum(solved) == matrices
+    assert len(evolve_calls) == 3

@@ -35,6 +35,14 @@ def test_eig_rejects_non_hermitian():
         eig_hermitian(m)
 
 
+@pytest.mark.parametrize("check", [validate_density, eig_hermitian, psd_sqrt])
+def test_empty_stack_rejected_with_its_shape(check):
+    with pytest.raises(ValidationError,
+                       match=r"expected at least one matrix, got shape \(0, 4, 4\)") as info:
+        check(np.zeros((0, 4, 4), dtype=complex))
+    assert info.value.invariant == "nonemptiness"
+
+
 def test_eig_reconstruction(rng):
     for dim in (2, 4, 8):
         m = random_hermitian(dim, rng)

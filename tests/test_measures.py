@@ -4,7 +4,7 @@ from scipy.optimize import minimize
 
 from corrchan import measures
 from corrchan.channels import evolve
-from corrchan.errors import NumericError
+from corrchan.errors import NumericError, ValidationError
 from corrchan.map_algebra import (DOUBLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS,
                                   accessible_volume, correlated_oun_rates)
 from corrchan.measures import (blp_measure, concurrence, nm_concurrence_measure,
@@ -60,6 +60,13 @@ def test_trace_distance_dim_mismatch(rng):
 # --------------------------------------------------------------------------
 # Positive variation engine
 # --------------------------------------------------------------------------
+
+
+def test_measures_reject_empty_stacks():
+    empty = np.zeros((0, 4, 4), dtype=complex)
+    for measure in (lambda: trace_distance(empty, empty), lambda: concurrence(empty)):
+        with pytest.raises(ValidationError, match=r"at least one matrix, got shape \(0, 4, 4\)"):
+            measure()
 
 
 def test_positive_variation_simple():

@@ -1,8 +1,8 @@
 """Property tests over (p, mu, time grid) for every channel family.
 
 Each property is an invariant the package promises for any valid input:
-the correlated channels are CPTP, the closed-form `evolve` keeps the trace
-and agrees with the Kraus `apply` at every time, the noise values
+the correlated channels are CPTP, the closed-form `evolve` gives density
+matrices and agrees with the Kraus `apply` at every time, the noise values
 stay in their range, the success probability is a probability, and the free
 SSS measure is certified and lies between 0 and the Markov measure. The
 examples are derandomized, so the suite stays deterministic.
@@ -11,7 +11,8 @@ examples are derandomized, so the suite stays deterministic.
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from corrchan.channels import evolve
+from corrchan.channels import evolve, evolve_damping, evolve_dephasing
+from corrchan.linalg import validate_density
 from corrchan.map_algebra import correlated_oun_rates
 from corrchan.measures import PROBE_NAMES, SSS_TOL, probe_state, sss_measure
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
@@ -51,15 +52,41 @@ def test_channel_at_time_is_cptp(noise, mu, t):
     assert cptp_report(channel_at_time(noise, mu, t)).accepted
 
 
+# The first zero of the NMAD decoherence function G(t) in the oscillatory
+# regime, where p(t) = 1 - G(t)^2 rounds to 1: G(t) = exp(-gt/2) (cos(wt/2)
+# + (g/w) sin(wt/2)) with w = sqrt(2 gamma0 g - g^2).
+NMAD_OSC = NmadParams(gamma0=1.0, g=0.05)
+_W = np.sqrt(2 * NMAD_OSC.gamma0 * NMAD_OSC.g - NMAD_OSC.g ** 2)
+NMAD_ZERO = 2 * (np.pi - np.arctan(_W / NMAD_OSC.g)) / _W
+
+
 @PROPERTY_SETTINGS
 @given(noise=noises, mu=mus, times=grids, name=st.sampled_from(PROBE_NAMES))
+@example(noise=RtnParams(a=0.8, gamma=0.05), mu=0.0, times=np.array([0.0, 30.0]), name="alpha")
+@example(noise=OunParams(G=1.0, g=0.05), mu=1.0, times=np.array([0.0, 30.0]), name="++")
+@example(noise=NMAD_OSC, mu=0.0, times=np.array([0.0, NMAD_ZERO]), name="11")
+@example(noise=NMAD_OSC, mu=1.0, times=np.array([NMAD_ZERO]), name="phi+")
 def test_apply_preserves_trace(noise, mu, times, name):
     rho = probe_state(name)
-    states = evolve(noise, mu, times, rho)
+    states = validate_density(evolve(noise, mu, times, rho))
     traces = np.trace(states, axis1=-2, axis2=-1)
     assert np.abs(traces - 1).max() <= TRACE_TOL
     kraus = np.stack([apply(channel_at_time(noise, mu, t), rho) for t in times])
     assert np.abs(states - kraus).max() <= KRAUS_TOL
+
+
+@PROPERTY_SETTINGS
+@given(p=st.floats(-1.0, 1.0), mu=mus, name=st.sampled_from(PROBE_NAMES))
+@example(p=1.0, mu=0.0, name="alpha")
+@example(p=1.0, mu=1.0, name="psi+")
+@example(p=-1.0, mu=0.0, name="alpha")
+@example(p=-1.0, mu=1.0, name="++")
+def test_closed_forms_give_density_matrices(p, mu, name):
+    """p = -1 is out of reach of the noise functions at t > 0, so the closed
+    forms take p directly; a damping probability is |p|."""
+    rho = probe_state(name)
+    validate_density(evolve_dephasing(rho, p, mu))
+    validate_density(evolve_damping(rho, abs(p), mu))
 
 
 @PROPERTY_SETTINGS

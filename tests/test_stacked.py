@@ -1,8 +1,9 @@
 """Grid evaluation against single-time evaluation.
 
 States evolved in closed form over a whole time grid must reproduce, bit
-for bit, the states evolved one time at a time: the CSV bytes of the CLI
-depend on it. They must also agree with the Kraus oracle, applied one time
+for bit, the states evolved one time at a time, and a stack of initial
+states the states evolved one at a time: the CSV bytes of the CLI depend on
+it. They must also agree with the Kraus oracle, applied one time
 at a time, to 1e-12. Bit equality also holds for the accessible-state
 volume, the success probability of error correction and the rates of the
 correlated OUN generator, which `volume`, `qec` and `sss` evaluate over the
@@ -13,8 +14,11 @@ import numpy as np
 import pytest
 
 from corrchan.channels import evolve
+from corrchan.errors import ValidationError
+from corrchan.linalg import validate_density
 from corrchan.map_algebra import accessible_volume, correlated_oun_rates
-from corrchan.measures import concurrence, probe_state, random_bell_probes, trace_distance
+from corrchan.measures import (PROBE_NAMES, concurrence, probe_state, random_bell_probes,
+                               trace_distance)
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 from corrchan.oracle import apply, channel_at_time, transfer_sampler
 from corrchan.qec import success_probability_closed, success_vs_time, total_probability_mass
@@ -54,6 +58,29 @@ def test_stacked_equals_single_time(noise, mu):
         f_single = sampler(t)
         assert np.array_equal(f_grid[k], f_single)
         assert np.array_equal(volumes[k], accessible_volume(params, mu, t))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("noise", sorted(NOISES))
+def test_probe_stack_equals_each_probe(noise, mu):
+    params = NOISES[noise]
+    probes = np.stack([probe_state(name) for name in PROBE_NAMES]
+                      + random_bell_probes(2, seed=5))
+    for t in (TIMES, TIMES[7]):
+        states = evolve(params, mu, t, probes)
+        assert states.shape == (len(probes), *np.shape(t), 4, 4)
+        for probe, state in zip(probes, states):
+            assert np.array_equal(state, evolve(params, mu, t, probe))
+
+
+@pytest.mark.parametrize("noise", sorted(NOISES))
+def test_empty_grid_gives_empty_stack(noise):
+    rho = probe_state("phi+")
+    states = evolve(NOISES[noise], 0.5, np.array([]), rho)
+    assert states.shape == (0, 4, 4)
+    assert evolve(NOISES[noise], 0.5, np.array([]), np.stack([rho, rho])).shape == (2, 0, 4, 4)
+    with pytest.raises(ValidationError, match=r"at least one matrix, got shape \(0, 4, 4\)"):
+        validate_density(states)
 
 
 # Long grids: a single time evaluated through Python floats instead of 0-d
