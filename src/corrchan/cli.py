@@ -9,7 +9,8 @@ them, so a sweep that fails part-way leaves no partial CSV behind. Numpy
 warnings are silenced while a command runs: every invariant rejects NaN and
 inf itself, and a numeric failure prints one `numeric failure:` line.
 Exit codes: 0 success, 2 invalid usage or parameters, 3 numeric failure or
-out of memory. `main` builds the options of the invoked subcommand only.
+out of memory. When the first argument names a subcommand, `main` builds the
+subparser of that subcommand only.
 
 Options can also be supplied through --config FILE, a plain text file of
 `key = value` lines using the long option names (without leading dashes);
@@ -115,10 +116,13 @@ def _sweep(args, columns: list[str], cells) -> Table:
     noise = _noise_from_args(args)
     times = _time_grid(args)
     mus = _parse_mus(args.mu)
+    # the t cells and each mu are formatted once, not once per row
+    t_cells = _lines(times[:, None])
     lines = []
     for mu in mus:
-        lines += _lines(np.column_stack([times, np.full_like(times, mu),
-                                         cells(noise, mu, times)]))
+        values = _lines(np.reshape(cells(noise, mu, times), (len(times), -1)))
+        row = "%s," + _fmt(mu) + ",%s"
+        lines += [row % pair for pair in zip(t_cells, values)]
     return ["t", "mu", *columns], lines
 
 
@@ -159,6 +163,11 @@ def _pair_backflows(states: np.ndarray) -> list[float]:
     return [blp_measure(states[k], states[k + 1]) for k in range(0, len(states), 2)]
 
 
+# probe states per `evolve` call in `blp`: an even number, so that a chunk
+# holds whole pairs, and the memory of a sweep does not grow with the probes
+_BLP_CHUNK = 16
+
+
 def _cmd_blp(args) -> Table:
     if args.random_probes < 0:
         raise ValueError(f"--random-probes must be non-negative, got {args.random_probes}")
@@ -176,8 +185,10 @@ def _cmd_blp(args) -> Table:
     probes = np.stack(probes)
     lines = []
     for mu in mus:
-        # one mu's trajectories are freed before the next mu's are evolved
-        values = _pair_backflows(evolve(noise, mu, times, probes))
+        # one chunk's trajectories are freed before the next chunk's are evolved
+        values = []
+        for start in range(0, len(probes), _BLP_CHUNK):
+            values += _pair_backflows(evolve(noise, mu, times, probes[start:start + _BLP_CHUNK]))
         lines += [f"{_fmt(mu)},{label},{_fmt(value)}" for label, value in zip(labels, values)]
         lines.append(f"{_fmt(mu)},max,{_fmt(max([0.0, *values]))}")
     return ["mu", "pair", "blp"], lines
@@ -272,50 +283,42 @@ def _add_common(sub):
                      help="key = value file of option defaults; flags override")
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The `corrchan` parser with every subcommand's name and help, but the
-    options and `func` of the subcommand named `command` only; any other
-    value, None included, adds no subcommand's options."""
-    parser = argparse.ArgumentParser(
-        prog="corrchan",
-        description="Correlated non-Markovian channels: trajectories, measures "
-                    "and error-correction sweeps, as deterministic CSV.")
-    subs = parser.add_subparsers(dest="command", required=True)
+# each subcommand's handler and help, in the order of the usage line
+_SUBCOMMANDS = {
+    "evolve": (_cmd_evolve, "evolved density-matrix entries over time"),
+    "concurrence": (_cmd_concurrence, "concurrence of an evolving probe state"),
+    "tracedist": (_cmd_tracedist, "trace distance of an evolving probe pair"),
+    "blp": (_cmd_blp, "information-backflow measure over a probe family"),
+    "sss": (_cmd_sss, "temporal-self-similarity measure for correlated OUN"),
+    "volume": (_cmd_volume, "accessible-state volume and its witness"),
+    "qec": (_cmd_qec, "error-correction success probability over time"),
+    "classify-errors": (_cmd_classify_errors,
+                        "print the undetectable / detectable / correctable sets"),
+    "freeze-check": (_cmd_freeze_check, "freezing verdict for a state and channel"),
+}
 
-    def subcommand(name, func, help):
-        """The subparser of `name` if it is `command`, to add options to."""
-        sub = subs.add_parser(name, help=help)
-        if name != command:
-            return None
-        sub.set_defaults(func=func)
-        return sub
 
-    if sub := subcommand("evolve", _cmd_evolve,
-                         help="evolved density-matrix entries over time"):
+def _add_options(sub, command: str) -> None:
+    """Add the options of subcommand `command` to its subparser `sub`."""
+    if command == "evolve":
         _add_noise_options(sub)
         _add_grid_options(sub)
         sub.add_argument("--state", default="phi+", choices=PROBE_NAMES,
                          help="initial probe state (default %(default)s)")
         _add_common(sub)
-
-    if sub := subcommand("concurrence", _cmd_concurrence,
-                         help="concurrence of an evolving probe state"):
+    elif command == "concurrence":
         _add_noise_options(sub)
         _add_grid_options(sub)
         sub.add_argument("--probe", default="phi+", choices=PROBE_NAMES,
                          help="initial probe state (default %(default)s)")
         _add_common(sub)
-
-    if sub := subcommand("tracedist", _cmd_tracedist,
-                         help="trace distance of an evolving probe pair"):
+    elif command == "tracedist":
         _add_noise_options(sub)
         _add_grid_options(sub)
         sub.add_argument("--pair", default="phi+:phi-",
                          help="probe pair as name:name (default %(default)s)")
         _add_common(sub)
-
-    if sub := subcommand("blp", _cmd_blp,
-                         help="information-backflow measure over a probe family"):
+    elif command == "blp":
         _add_noise_options(sub)
         _add_grid_options(sub)
         sub.add_argument("--pairs", default=",".join(f"{a}:{b}" for a, b in PROBE_PAIRS),
@@ -324,9 +327,7 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
                          help="additional random local-unitary probe pairs (default 0)")
         sub.add_argument("--seed", type=int, default=0, help="seed for random probes")
         _add_common(sub)
-
-    if sub := subcommand("sss", _cmd_sss,
-                         help="temporal-self-similarity measure for correlated OUN"):
+    elif command == "sss":
         sub.add_argument("--G", type=float, default=0.6,
                          help="OUN effective relaxation rate (default %(default)s)")
         sub.add_argument("--g-inverse", default="10,50,100",
@@ -342,27 +343,19 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
                          help="comparison generator family: the fixed memoryless-limit "
                               "generator, or free two-rate minimization (default %(default)s)")
         _add_common(sub)
-
-    if sub := subcommand("volume", _cmd_volume,
-                         help="accessible-state volume and its witness"):
+    elif command == "volume":
         _add_noise_options(sub, default="rtn")
         _add_grid_options(sub, steps=1000)
         _add_common(sub)
-
-    if sub := subcommand("qec", _cmd_qec,
-                         help="error-correction success probability over time"):
+    elif command == "qec":
         _add_noise_options(sub)
         _add_grid_options(sub, tmax=50.0, steps=200)
         sub.add_argument("--normalized", action="store_true",
                          help="divide by the total chained probability mass")
         _add_common(sub)
-
-    if sub := subcommand("classify-errors", _cmd_classify_errors,
-                         help="print the undetectable / detectable / correctable sets"):
+    elif command == "classify-errors":
         sub.add_argument("--config", default=None, help=argparse.SUPPRESS)
-
-    if sub := subcommand("freeze-check", _cmd_freeze_check,
-                         help="freezing verdict for a state and channel"):
+    elif command == "freeze-check":
         sub.add_argument("--state", default="psi+", choices=PROBE_NAMES,
                          help="probe state (default %(default)s)")
         sub.add_argument("--c", default=None,
@@ -374,6 +367,27 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
                          help="correlation factor (default %(default)s)")
         sub.add_argument("--config", default=None, help=argparse.SUPPRESS)
 
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The `corrchan` parser. When `command` names a subcommand, its only
+    subparser is that subcommand's, with its options and `func`, and the
+    usage line still lists every name. Any other value, None included,
+    gives a subparser with only the name and help of each subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="corrchan",
+        description="Correlated non-Markovian channels: trajectories, measures "
+                    "and error-correction sweeps, as deterministic CSV.")
+    if command in _SUBCOMMANDS:
+        subs = parser.add_subparsers(dest="command", required=True,
+                                     metavar="{%s}" % ",".join(_SUBCOMMANDS))
+        func, summary = _SUBCOMMANDS[command]
+        sub = subs.add_parser(command, help=summary)
+        sub.set_defaults(func=func)
+        _add_options(sub, command)
+    else:
+        subs = parser.add_subparsers(dest="command", required=True)
+        for name, (_, summary) in _SUBCOMMANDS.items():
+            subs.add_parser(name, help=summary)
     return parser
 
 
@@ -427,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config(argv)
         # the top-level parser's only option is -h, so only argv[0] can name
-        # the subcommand whose options need building
+        # the subcommand whose subparser needs building
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         for name, value in vars(args).items():
             if isinstance(value, list):  # argparse reads `--name=--` as []

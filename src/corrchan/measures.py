@@ -217,11 +217,39 @@ class _Local(NamedTuple):
     """The free objective at one point u; see `_Objective.local`."""
 
     f: float
-    gap: float
     least: float
     grad: np.ndarray
     hess: np.ndarray
     dist: np.ndarray
+    unit: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def gap(self) -> float:
+        """A bound on f(u) - min f, computed on each read: a sort of the
+        distances and a fractional knapsack over the points.
+
+        The bound is a duality gap. Each term is a support function,
+        w |v| = max over |y| <= w of y.v, so any y_t with sum y_t = 0 gives
+        min f >= -sum_t y_t.Q_t. y_t = w_t e_t, with e_t the unit vector from
+        Q_t to u, leaves no gap but sums to the gradient. The nearest terms, while 2 sum w_t d_t
+        <= SSS_TOL f / 2, take any y_t at a gap of at most 2 w_t d_t: that
+        cancels up to their weight W of the rest's gradient g (Vardi and
+        Zhang, PNAS 97, 1423, 2000, for terms at u). The rest of g is
+        cancelled along c = -g/|g| by the others: one with s_t = -e_t.c > 0
+        takes up to 2 w_t s_t at a gap of d_t s_t per unit, cheapest first.
+        """
+        dist, unit, weights = self.dist, self.unit, self.weights
+        by_dist = np.argsort(dist)
+        moved = 2 * np.cumsum(weights[by_dist] * dist[by_dist])
+        m = int(np.searchsorted(moved, SSS_TOL * self.f / 2, side="right"))
+        others = by_dist[m:]
+        grad = weights[others] @ unit[others]
+        need = max(float(np.hypot(*grad)) - float(weights[by_dist[:m]].sum()), 0.0)
+        share = np.maximum(unit[others] @ grad, 0.0) / max(np.hypot(*grad), 1e-300)
+        return (moved[m - 1] if m else 0.0) + (
+            _cheapest_fill(need, 2 * weights[others] * share, dist[others] * share)
+            if need > 0 else 0.0)
 
 
 class _Objective:
@@ -234,35 +262,14 @@ class _Objective:
         return float(self.weights @ np.sqrt(((u - self.points) ** 2).sum(axis=1)))
 
     def local(self, u) -> _Local:
-        """f(u), a bound on f(u) - min f, the distances d_t, and the
-        gradient, least subgradient norm and Hessian of the terms more than
-        rho = SSS_TOL f / 6 from u; the nearer ones form a kink at u.
-
-        The bound is a duality gap. Each term is a support function,
-        w |v| = max over |y| <= w of y.v, so any y_t with sum y_t = 0 gives
-        min f >= -sum_t y_t.Q_t. y_t = w_t e_t, with e_t the unit vector from
-        Q_t to u, leaves no gap but sums to the gradient. The nearest terms, while 2 sum w_t d_t
-        <= SSS_TOL f / 2, take any y_t at a gap of at most 2 w_t d_t: that
-        cancels up to their weight W of the rest's gradient g (Vardi and
-        Zhang, PNAS 97, 1423, 2000, for terms at u). The rest of g is
-        cancelled along c = -g/|g| by the others: one with s_t = -e_t.c > 0
-        takes up to 2 w_t s_t at a gap of d_t s_t per unit, cheapest first.
-        """
+        """f(u), the distances d_t and unit vectors e_t from the points to u,
+        the bound `_Local.gap` on f(u) - min f, and the gradient, least
+        subgradient norm and Hessian of the terms more than
+        rho = SSS_TOL f / 6 from u; the nearer ones form a kink at u."""
         diff = u - self.points
         dist = np.sqrt((diff ** 2).sum(axis=1))
         f = float(self.weights @ dist)
         unit = diff / np.where(dist > 0, dist, 1.0)[:, None]
-
-        by_dist = np.argsort(dist)
-        moved = 2 * np.cumsum(self.weights[by_dist] * dist[by_dist])
-        m = int(np.searchsorted(moved, SSS_TOL * f / 2, side="right"))
-        others = by_dist[m:]
-        grad = self.weights[others] @ unit[others]
-        need = max(float(np.hypot(*grad)) - float(self.weights[by_dist[:m]].sum()), 0.0)
-        share = np.maximum(unit[others] @ grad, 0.0) / max(np.hypot(*grad), 1e-300)
-        gap = (moved[m - 1] if m else 0.0) + (
-            _cheapest_fill(need, 2 * self.weights[others] * share, dist[others] * share)
-            if need > 0 else 0.0)
 
         near = dist <= SSS_TOL * f / 6
         far_weights = np.where(near, 0.0, self.weights)
@@ -272,7 +279,7 @@ class _Objective:
         curv = far_weights / np.where(near, 1.0, dist)
         cross = -curv @ (unit[:, 0] * unit[:, 1])
         hess = np.array([[curv @ unit[:, 1] ** 2, cross], [cross, curv @ unit[:, 0] ** 2]])
-        return _Local(f, gap, step_least, step_grad, hess, dist)
+        return _Local(f, step_least, step_grad, hess, dist, unit, self.weights)
 
 
 # relative rounding error allowed in f, a sum of up to thousands of terms
@@ -281,14 +288,15 @@ _F_ROUNDING = 64 * np.finfo(float).eps
 
 def _line_search(objective, u, f, step, slope):
     """The first u + step / 2^k (k < 60) with Armijo decrease, up to the
-    rounding error of f, or None."""
+    rounding error of f, and f there; or None, inf."""
     alpha = 1.0
     for _ in range(60):
         trial = u + alpha * step
-        if objective.value(trial) <= f + 1e-4 * alpha * slope + _F_ROUNDING * f:
-            return trial
+        f_trial = objective.value(trial)
+        if f_trial <= f + 1e-4 * alpha * slope + _F_ROUNDING * f:
+            return trial, f_trial
         alpha *= 0.5
-    return None
+    return None, np.inf
 
 
 def _free_minimiser(a, b, weights):
@@ -299,9 +307,11 @@ def _free_minimiser(a, b, weights):
     median. Otherwise damped Newton steps run, from a kink along its least
     subgradient, with a Weiszfeld step (Tohoku Math. J. 43, 1937)
     where Newton fails to descend, until f(z) - min f <= SSS_TOL * f(z) is
-    certified (`_Objective.local`), at the iterate or at the data point
-    nearest to it; a minimiser on a data point is returned exactly. Raises
-    NumericError when no certificate holds after SSS_MAX_ITERATIONS steps.
+    certified (`_Local.gap`), at the data point nearest to the iterate or at
+    the iterate, checked in that order; a minimiser on a data point is
+    returned exactly. The gap is evaluated only where f at another point
+    leaves the certificate possible. Raises NumericError when no certificate
+    holds after SSS_MAX_ITERATIONS steps.
     """
     median = _weighted_median(a, b, weights)
     if median is not None:
@@ -312,16 +322,18 @@ def _free_minimiser(a, b, weights):
     for _ in range(SSS_MAX_ITERATIONS):
         here = objective.local(u)
         k = np.argmin(here.dist)
-        there = objective.local(points[k])
-        if there.gap <= SSS_TOL * there.f:
+        f_k = objective.value(points[k])
+        # f(z) - f(z') <= f(z) - min f <= gap at z for any point z': where
+        # f(z) - f(z') exceeds twice the tolerance (a margin for rounding),
+        # no certificate can hold at z, and its gap is not evaluated
+        if f_k - here.f <= 2 * SSS_TOL * f_k and objective.local(points[k]).gap <= SSS_TOL * f_k:
             return a[k], b[k]
-        if here.gap <= SSS_TOL * here.f:
-            return tuple(u / _METRIC)
-        if there.f < here.f * (1 - _F_ROUNDING):
+        z, at_z = u, here
+        if f_k < here.f * (1 - _F_ROUNDING):
             # descent methods can stall next to a kink: step out from on it,
             # but not on a rounding-level difference, which in a tight
             # cluster of rates sends the iterate from one point to the next
-            u, here = points[k], there
+            u, here = points[k], objective.local(points[k])
         norm = np.hypot(*here.grad)
         if here.least < norm:
             # u sits on a kink: descend along -grad, by the curvature away from it
@@ -331,17 +343,22 @@ def _free_minimiser(a, b, weights):
             step = -np.linalg.solve(here.hess, here.grad)
         else:
             step = None
-        trial = None
+        trial, f_trial = None, np.inf
         if step is not None:
             # the minimiser lies within max_t |u - Q_t| of u
             step *= min(1.0, here.dist.max() / np.hypot(*step))
             # directional derivative, with the kink's share norm - least
             slope = here.grad @ step + (norm - here.least) * np.hypot(*step)
-            trial = _line_search(objective, u, here.f, step, slope)
+            trial, f_trial = _line_search(objective, u, here.f, step, slope)
         if trial is None and here.least == norm:
             # no kink at u: the Weiszfeld step never increases f
             inv = weights / here.dist
             trial = inv @ points / inv.sum()
+        # z is checked before the jump, but after the step, so that f at the
+        # trial as well as at the nearest point can rule its gap out
+        if (at_z.f - min(f_k, f_trial) <= 2 * SSS_TOL * at_z.f
+                and at_z.gap <= SSS_TOL * at_z.f):
+            return tuple(z / _METRIC)
         if trial is None:
             break
         u = trial

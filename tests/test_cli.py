@@ -117,6 +117,35 @@ def test_blp_subcommand(tmp_path):
         assert vals["00:11"] == 0.0  # dephasing-insensitive pair
 
 
+BLP_ARGV = ["blp", "--random-probes", "20", "--mu", "0,0.7", "--tmax", "30", "--steps", "40"]
+
+
+def test_blp_evolves_at_most_one_chunk_at_once(monkeypatch, tmp_path):
+    # 4 default pairs and 20 random ones are 48 probe states per mu
+    import corrchan.cli as cli_mod
+
+    evolve, sizes = cli_mod.evolve, []
+
+    def counting_evolve(noise, mu, times, probes):
+        sizes.append(len(probes))
+        return evolve(noise, mu, times, probes)
+
+    monkeypatch.setattr(cli_mod, "evolve", counting_evolve)
+    assert main([*BLP_ARGV, "--out", str(tmp_path / "x.csv")]) == 0
+    assert sum(sizes) == 2 * 48
+    assert max(sizes) <= cli_mod._BLP_CHUNK < 48
+
+
+def test_blp_chunks_write_the_csv_of_one_stack(monkeypatch, tmp_path):
+    import corrchan.cli as cli_mod
+
+    chunked, whole = tmp_path / "chunked.csv", tmp_path / "whole.csv"
+    assert main([*BLP_ARGV, "--out", str(chunked)]) == 0
+    monkeypatch.setattr(cli_mod, "_BLP_CHUNK", sys.maxsize)
+    assert main([*BLP_ARGV, "--out", str(whole)]) == 0
+    assert chunked.read_bytes() == whole.read_bytes()
+
+
 def test_sss_subcommand_monotone(tmp_path):
     out = tmp_path / "sss.csv"
     assert main(["sss", "--G", "0.6", "--g-inverse", "10,100",
@@ -386,8 +415,9 @@ def _usage_cases(config):
                  "classify-errors": ["stray"], "freeze-check": ["--channel", "zzz"]}
     for sub in SUBCOMMANDS:
         missing = ["--config"] if sub == "classify-errors" else ["--mu"]
+        # `--` ends the subcommand's options: x is a top-level usage error
         cases += [([sub, "--help"], 0), ([sub, "--bogus"], 2),
-                  ([sub, *bad_value[sub]], 2), ([sub, *missing], 2)]
+                  ([sub, *bad_value[sub]], 2), ([sub, *missing], 2), ([sub, "--", "x"], 2)]
     return cases
 
 
@@ -420,9 +450,25 @@ def test_classify_errors_builds_no_other_options(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
     assert main(["classify-errors"]) == 0
     capsys.readouterr()
-    # -h on the top-level parser and on each of the nine subparsers
-    assert added.count(("-h", "--help")) == 1 + len(SUBCOMMANDS)
+    # -h on the top-level parser and on the one subparser: two parsers in all
+    assert added.count(("-h", "--help")) == 2
     assert [args for args in added if args != ("-h", "--help")] == [("--config",)]
+
+
+def test_free_sss_preset_evaluates_few_gaps(monkeypatch, tmp_path):
+    # a deterministic guard on the solver cost: the costly certificate is
+    # evaluated only where f elsewhere does not already rule it out
+    import corrchan.measures as measures_mod
+
+    gap, evaluated = measures_mod._Local.gap, []
+
+    def counting_gap(self):
+        evaluated.append(self.f)
+        return gap.fget(self)
+
+    monkeypatch.setattr(measures_mod._Local, "gap", property(counting_gap))
+    assert main(["sss", "--family", "free", "--out", str(tmp_path / "x.csv")]) == 0
+    assert 0 < len(evaluated) <= 48
 
 
 def test_out_of_memory_exits_3_without_csv(capsys, tmp_path):
@@ -612,6 +658,33 @@ def test_lines_formats_like_fmt(x):
     expected = [",".join(format(v + 0.0, ".12g") for v in row) for row in data.tolist()]
     assert _lines(data) == expected
     assert _lines(data)[0].split(",")[0] == _fmt(x)
+
+
+@pytest.mark.parametrize("width", [1, 2, 32])
+def test_sweep_rows_equal_one_array_per_mu(width):
+    """`_sweep` formats the t cells once and each mu once; its lines are
+    those of the array [t, mu, cells] of each mu in turn."""
+    from corrchan.cli import _sweep
+
+    rng = np.random.default_rng(width)
+    args = argparse.Namespace(noise="oun", G=1.0, g=0.05, mu="-0.0,1e-300", tmax=7.0, steps=50)
+    cells = []
+
+    def random_cells(noise, mu, times):
+        values = rng.normal(size=(len(times), width)) * 10.0 ** rng.integers(
+            -300, 300, size=(len(times), width))
+        values[::7] = -0.0
+        cells.append(values[:, 0] if width == 1 else values)
+        return cells[-1]
+
+    header, lines = _sweep(args, [f"c{k}" for k in range(width)], random_cells)
+    times = np.linspace(0.0, 7.0, 50)
+    expected = []
+    for mu, values in zip((-0.0, 1e-300), cells):
+        expected += _lines(np.column_stack([times, np.full_like(times, mu), values]))
+    assert header == ["t", "mu", *(f"c{k}" for k in range(width))]
+    assert lines == expected
+    assert lines[0].split(",")[:2] == ["0", "0"]
 
 
 def test_commands_import_neither_scipy_nor_numpy_random(tmp_path):
