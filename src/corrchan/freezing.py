@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .channels import _FLIPS, SIGMA, _check_mu
-from .linalg import validate_density
+from .linalg import lapack, validate_density
 
 BLOCH_EQ_TOL = 1e-9
 
@@ -34,7 +34,7 @@ class BlochDiagonal:
         if not np.all(np.isfinite(self.c)):
             raise ValidationError("finite Bloch components", float("nan"),
                                   f"Bloch components must be finite, got {self.c}")
-        smallest = float(np.linalg.eigvalsh(bloch_diagonal_state(self)).min())
+        smallest = float(lapack(np.linalg.eigvalsh, bloch_diagonal_state(self)).min())
         if not smallest >= -1e-10:
             raise ValidationError("Bell-diagonal positivity", smallest)
 

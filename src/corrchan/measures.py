@@ -13,7 +13,8 @@ shape (..., 4, 4), such as a trajectory from `channels.evolve` over a time
 grid, and return a float or an array; the trajectory measures take such
 stacks. They validate the states they are given: `channels.evolve` does not
 validate the states it returns, so this is where an evolved state is
-checked, once.
+checked, once. `blp_measure` also takes a stack of trajectory pairs, whose
+trace distances it evaluates in one call.
 `sss_measure` takes the two rates of a dephasing generator over a time grid,
 not the 16 x 16 matrices, whose Frobenius distances follow from the rates.
 """
@@ -77,15 +78,20 @@ def positive_variation(values) -> float:
     return sum((float(diffs[i:j].sum()) for i, j in zip(starts, ends)), 0.0)
 
 
-def blp_measure(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Information backflow of one trajectory pair: the integrated positive
+def blp_measure(rho1: np.ndarray, rho2: np.ndarray):
+    """Information backflow of a trajectory pair: the integrated positive
     increase of the trace distance D(rho1(t), rho2(t)) along it.
 
     `rho1` and `rho2` are the two trajectories as (n, d, d) stacks over the
-    same time grid. Maximization over initial pairs is the caller's job;
-    evaluate over a probe family and take the max.
+    same time grid, which gives a float; or k such pairs as (k, n, d, d)
+    stacks, whose trace distances are taken in one call, which gives the
+    list of the k floats, pair by pair. Maximization over initial pairs is
+    the caller's job; evaluate over a probe family and take the max.
     """
-    return positive_variation(trace_distance(rho1, rho2))
+    distances = trace_distance(rho1, rho2)
+    if np.ndim(distances) == 2:
+        return [positive_variation(row) for row in distances]
+    return positive_variation(distances)
 
 
 _YY = np.kron(SIGMA[2], SIGMA[2])

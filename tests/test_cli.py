@@ -530,17 +530,29 @@ def test_numeric_failure_exit_code(monkeypatch, tmp_path):
                  "--steps", "3", "--out", str(tmp_path / "x.csv")]) == 3
 
 
-def test_lapack_failure_exits_3(monkeypatch, tmp_path):
-    import numpy as np
-
+def test_lapack_failure_exits_3(monkeypatch, tmp_path, capsys):
+    """A LAPACK failure exits 3, prints no verdict and writes no CSV."""
     def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        raise np.linalg.LinAlgError("did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
-    out = tmp_path / "x.csv"
-    assert main(["concurrence", "--noise", "rtn", "--mu", "0.5", "--tmax", "5",
-                 "--steps", "3", "--out", str(out)]) == 3
-    assert not out.exists()
+    concurrence = ["concurrence", "--noise", "rtn", "--mu", "0.5", "--tmax", "5",
+                   "--steps", "3", "--out", str(tmp_path / "x.csv")]
+    for routines, command in [
+            # `concurrence` reaches eigh through psd_sqrt
+            (["eigh"], concurrence),
+            # a valid state reaches eigvalsh only when its Cholesky
+            # certificate fails
+            (["cholesky", "eigvalsh"], concurrence),
+            # the positivity check of a Bloch triple
+            (["eigvalsh"], ["freeze-check", "--c", "0.5,0.5,-1"])]:
+        with monkeypatch.context() as patch:
+            for name in routines:
+                patch.setattr(np.linalg, name, no_convergence)
+            assert main(command) == 3, routines
+        assert not (tmp_path / "x.csv").exists()
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("numeric failure: ") and "did not converge" in stderr
 
 
 OVERDAMPED_GRID = ["--tmax", "1000", "--steps", "3", "--mu", "0.5"]
@@ -814,11 +826,16 @@ def test_default_preset_validates_each_state_once(command, matrices, monkeypatch
     """The default presets evolve 1, 1, 2 and 8 probe states over 500 times
     for each of 3 mu, in one `evolve` call per mu. Each evolved state is
     validated once, where it is measured or printed, and each probe state
-    once per mu as the input of `evolve`."""
+    once per mu as the input of `evolve`. Every one of these valid states is
+    certified by the Cholesky factorisation, so none reaches eigvalsh."""
     import corrchan.cli as cli_mod
 
-    eigvalsh, evolve = np.linalg.eigvalsh, cli_mod.evolve
-    solved, evolve_calls = [], []
+    cholesky, eigvalsh, evolve = np.linalg.cholesky, np.linalg.eigvalsh, cli_mod.evolve
+    factored, solved, evolve_calls = [], [], []
+
+    def counting_cholesky(m):
+        factored.append(m.size // 16)
+        return cholesky(m)
 
     def counting_eigvalsh(m):
         solved.append(m.size // 16)
@@ -828,8 +845,10 @@ def test_default_preset_validates_each_state_once(command, matrices, monkeypatch
         evolve_calls.append(args)
         return evolve(*args)
 
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(cli_mod, "evolve", counting_evolve)
     assert main([command, "--out", str(tmp_path / "x.csv")]) == 0
-    assert sum(solved) == matrices
+    assert sum(factored) == matrices
+    assert sum(solved) == 0
     assert len(evolve_calls) == 3

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from corrchan.errors import NumericError, ValidationError
-from corrchan.linalg import eig_hermitian, lapack, psd_sqrt, validate_density
+from corrchan.linalg import (_CHOLESKY_MARGIN, MIN_EIGENVALUE, eig_hermitian, lapack,
+                             psd_sqrt, validate_density)
 
 from conftest import random_density, random_hermitian
 
@@ -33,6 +34,14 @@ def test_eig_rejects_non_hermitian():
     m = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(ValidationError):
         eig_hermitian(m)
+
+
+def test_hermiticity_check_leaves_real_input_alone():
+    m = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValidationError) as info:
+        eig_hermitian(m)
+    assert info.value.residual == 1.0
+    assert np.array_equal(m, [[0, 1], [0, 0]])
 
 
 @pytest.mark.parametrize("check", [validate_density, eig_hermitian, psd_sqrt])
@@ -124,6 +133,32 @@ def test_validate_density_hermiticity():
     with pytest.raises(ValidationError) as info:
         validate_density(m)
     assert info.value.invariant == "hermiticity"
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+@pytest.mark.parametrize("smallest", [
+    0.0, 1e-12, -1e-12, -5e-10, -1e-9 - 1e-11, -1e-9 + 1e-11,
+    -1e-9 + _CHOLESKY_MARGIN / 2, -2e-9, -1e-6])
+def test_positivity_decision_matches_eigvalsh(smallest, stacked, dim, rng):
+    """The Cholesky certificate accepts and rejects exactly the states whose
+    smallest eigvalsh eigenvalue is below -1e-9, and a rejection carries
+    that eigenvalue, for a state alone or in the middle of a stack."""
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u, _ = np.linalg.qr(x)
+    rest = np.linspace(1.0, 2.0, dim - 1)
+    w = np.concatenate(([smallest], (1.0 - smallest) * rest / rest.sum()))
+    m = (u * w) @ u.conj().T
+    if stacked:
+        m = np.stack([random_density(dim, rng), m, random_density(dim, rng)])
+    reference = float(np.linalg.eigvalsh(m).min())
+    if reference >= MIN_EIGENVALUE:
+        assert validate_density(m) is m
+    else:
+        with pytest.raises(ValidationError) as info:
+            validate_density(m)
+        assert info.value.invariant == "positivity"
+        assert info.value.residual == reference
 
 
 # --------------------------------------------------------------------------

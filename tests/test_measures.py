@@ -156,6 +156,17 @@ def test_blp_positive_under_rtn():
     assert abs(d0 - abs(noise_p(RTN, 3.0))) < 1e-10
 
 
+def test_blp_of_stacked_pairs_matches_each_pair():
+    """A (k, n, 4, 4) stack of pairs gives the k per-pair measures, in order
+    and bit for bit."""
+    times = np.linspace(0, 100, 300)
+    names = ["++", "--", "phi+", "phi-", "00", "11"]
+    states = evolve(RTN, 0.3, times, np.stack([probe_state(n) for n in names]))
+    values = blp_measure(states[0::2], states[1::2])
+    assert values == [blp_measure(states[k], states[k + 1]) for k in range(0, 6, 2)]
+    assert all(type(v) is float for v in values) and values[0] > 0.1
+
+
 # --------------------------------------------------------------------------
 # Concurrence
 # --------------------------------------------------------------------------
