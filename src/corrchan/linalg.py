@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernel: Hermitian eigendecomposition, PSD square root
-and density-matrix validation.
+"""Dense complex-matrix kernel: Hermitian eigendecomposition and
+density-matrix validation.
 
 All matrices are plain complex numpy arrays. Every function takes one matrix
 of shape (d, d) or a stack of shape (..., d, d); a stack goes through numpy's
@@ -21,7 +21,6 @@ from .errors import NumericError, ValidationError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 MIN_EIGENVALUE = -1e-9
-NOT_PSD_THRESHOLD = -1e-6
 EIG_HERMITICITY_TOL = 1e-8
 # A factorisation of M - (MIN_EIGENVALUE + margin) I proves lambda_min(M) >
 # MIN_EIGENVALUE as long as the margin exceeds Cholesky's backward error,
@@ -36,11 +35,6 @@ def lapack(fn, *args):
         return fn(*args)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"{fn.__name__} failed: {exc}") from exc
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of the trailing two axes."""
-    return m.conj().swapaxes(-1, -2)
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
@@ -75,20 +69,6 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("hermiticity", res)
     w, v = lapack(np.linalg.eigh, m)
     return w[..., ::-1], v[..., ::-1]
-
-
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Positive-semidefinite square root R of a Hermitian PSD matrix, R @ R = M.
-
-    Eigenvalues in [-1e-6, 0) are treated as round-off and clamped to zero;
-    anything below that threshold is a genuine violation.
-    """
-    w, v = eig_hermitian(m)
-    smallest = w.min()
-    if not smallest >= NOT_PSD_THRESHOLD:
-        raise ValidationError("positive semidefiniteness", float(smallest))
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
 def validate_density(m: np.ndarray) -> np.ndarray:

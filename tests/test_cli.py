@@ -538,8 +538,8 @@ def test_lapack_failure_exits_3(monkeypatch, tmp_path, capsys):
     concurrence = ["concurrence", "--noise", "rtn", "--mu", "0.5", "--tmax", "5",
                    "--steps", "3", "--out", str(tmp_path / "x.csv")]
     for routines, command in [
-            # `concurrence` reaches eigh through psd_sqrt
-            (["eigh"], concurrence),
+            # the concurrence of a state that is not X-shaped takes one eigh
+            (["eigh"], concurrence + ["--probe", "alpha"]),
             # a valid state reaches eigvalsh only when its Cholesky
             # certificate fails
             (["cholesky", "eigvalsh"], concurrence),
@@ -747,6 +747,8 @@ def test_commands_reach_every_public_function(tmp_path):
              for noise in ("rtn", "oun", "nmad")]
     argvs += [["blp", "--noise", noise, "--random-probes", "1", *grid]
               for noise in ("rtn", "oun", "nmad")]
+    # states and differences that are not X-shaped take the LAPACK routes
+    argvs += [["concurrence", "--probe", "alpha", *grid], ["tracedist", "--pair", "++:--", *grid]]
     argvs += [["qec", "--noise", noise, *flag, *grid]
               for noise in ("rtn", "oun") for flag in ([], ["--normalized"])]
     argvs += [["sss", "--g-inverse", "10", "--steps", "20", *family]
@@ -827,7 +829,10 @@ def test_default_preset_validates_each_state_once(command, matrices, monkeypatch
     for each of 3 mu, in one `evolve` call per mu. Each evolved state is
     validated once, where it is measured or printed, and each probe state
     once per mu as the input of `evolve`. Every one of these valid states is
-    certified by the Cholesky factorisation, so none reaches eigvalsh."""
+    certified by the Cholesky factorisation, so validation reaches no
+    eigvalsh. The only matrices eigvalsh sees are the 3 x 500 differences
+    of the `++:--` pair of `blp`, the one default pair that is not
+    X-shaped; every other trace distance and concurrence is in closed form."""
     import corrchan.cli as cli_mod
 
     cholesky, eigvalsh, evolve = np.linalg.cholesky, np.linalg.eigvalsh, cli_mod.evolve
@@ -850,5 +855,5 @@ def test_default_preset_validates_each_state_once(command, matrices, monkeypatch
     monkeypatch.setattr(cli_mod, "evolve", counting_evolve)
     assert main([command, "--out", str(tmp_path / "x.csv")]) == 0
     assert sum(factored) == matrices
-    assert sum(solved) == 0
+    assert sum(solved) == (1500 if command == "blp" else 0)
     assert len(evolve_calls) == 3

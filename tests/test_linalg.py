@@ -3,7 +3,8 @@ import pytest
 
 from corrchan.errors import NumericError, ValidationError
 from corrchan.linalg import (_CHOLESKY_MARGIN, MIN_EIGENVALUE, eig_hermitian, lapack,
-                             psd_sqrt, validate_density)
+                             validate_density)
+from corrchan.oracle import psd_sqrt
 
 from conftest import random_density, random_hermitian
 

@@ -52,6 +52,24 @@ def test_trace_distance_contracts_under_channels(rng):
             assert after <= before + 1e-12
 
 
+def test_two_by_two_states_take_the_eigvalsh_route(monkeypatch):
+    """A 2 x 2 matrix is never X-shaped, even when diagonal: its trace
+    distance is an eigensolve, one call for the whole stack."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    zero, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    assert not measures._x_shaped(np.stack([zero, one])).any()
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert trace_distance(zero, one) == 1.0
+    assert trace_distance(np.stack([zero, zero]), np.stack([one, zero])).tolist() == [1.0, 0.0]
+    assert calls == [(1, 2, 2), (2, 2, 2)]
+
+
 def test_trace_distance_dim_mismatch(rng):
     with pytest.raises(ValueError):
         trace_distance(random_density(2, rng), random_density(4, rng))
@@ -219,6 +237,14 @@ def test_concurrence_local_unitary_invariant(rng):
         u2 = q * (np.diag(r) / np.abs(np.diag(r)))
         u = np.kron(u1, u2)
         assert abs(concurrence(u @ rho @ u.conj().T) - c0) < 1e-10
+
+
+def test_concurrence_of_population_rounded_below_zero():
+    """A valid X state may hold a population just below 0 (validation allows
+    eigenvalues down to -1e-9); its product with another reads 0, not NaN."""
+    rho = np.diag([0.5, -1e-10, 1e-10, 0.5]).astype(complex)
+    rho[0, 3] = rho[3, 0] = 0.5
+    assert concurrence(rho) == 1.0
 
 
 def test_concurrence_requires_two_qubits(rng):

@@ -3,9 +3,11 @@
 Each property is an invariant the package promises for any valid input:
 the correlated channels are CPTP, the closed-form `evolve` gives density
 matrices and agrees with the Kraus `apply` at every time, the noise values
-stay in their range, the success probability is a probability, and the free
-SSS measure is certified and lies between 0 and the Markov measure. The
-examples are derandomized, so the suite stays deterministic.
+stay in their range, the success probability is a probability, the free
+SSS measure is certified and lies between 0 and the Markov measure, and the
+closed-form trace distance and concurrence of X-shaped states agree with
+the LAPACK routes that every other state takes. The examples are
+derandomized, so the suite stays deterministic.
 """
 
 import numpy as np
@@ -14,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from corrchan.channels import evolve, evolve_damping, evolve_dephasing
 from corrchan.linalg import validate_density
 from corrchan.map_algebra import correlated_oun_rates
-from corrchan.measures import PROBE_NAMES, SSS_TOL, probe_state, sss_measure
+from corrchan.measures import (PROBE_NAMES, SSS_TOL, _wootters, _x_shaped, concurrence,
+                               probe_state, sss_measure, trace_distance)
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 from corrchan.oracle import (apply, channel_at_time, correlated_dephasing_channel,
                              correlated_nmad_channel, cptp_report)
@@ -137,3 +140,49 @@ def test_sss_free_certified_and_below_markov(G, g_inverse, mu, t_max, n_points):
     zeta_free = sss_measure(times, rates, (-G / 2, -G), free=True)  # certified
     # within the certified gap of a minimum over a family holding the reference
     assert 0 <= zeta_free <= zeta_markov * (1 + 2 * SSS_TOL)
+
+
+@st.composite
+def x_states(draw, floor=0.0):
+    """A two-qubit state that is 0 off its diagonal and anti-diagonal: two
+    PSD blocks, on the levels {1, 4} and {2, 3}, whose coherences reach at
+    most 1 - floor of their bound sqrt(rho_ii rho_jj), and populations of at
+    least about floor / 4."""
+    unit = st.floats(floor, 1.0)
+    # the tiny offset keeps a draw of four zeros normalisable
+    populations = np.array([draw(unit) for _ in range(4)]) + 1e-300
+    populations /= populations.sum()
+    rho = np.diag(populations).astype(complex)
+    for i, j in ((0, 3), (1, 2)):
+        size = draw(st.floats(0.0, 1.0 - floor)) * np.sqrt(populations[i] * populations[j])
+        rho[i, j] = size * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+        rho[j, i] = np.conj(rho[i, j])
+    return rho
+
+
+@PROPERTY_SETTINGS
+@given(rho1=x_states(), rho2=x_states())
+@example(rho1=probe_state("phi+"), rho2=probe_state("phi-"))
+@example(rho1=probe_state("00"), rho2=probe_state("psi-"))
+def test_x_trace_distance_matches_eigvalsh(rho1, rho2):
+    assert _x_shaped(rho1 - rho2)
+    exact = 0.5 * np.abs(np.linalg.eigvalsh(rho1 - rho2)).sum()
+    assert abs(trace_distance(rho1, rho2) - exact) <= 1e-15
+
+
+# The Wootters route squares no eigenvalue, but takes the square roots of
+# the eigenvalues of rho: where one is near 0, its round-off grows, to about
+# 1e-8 in C when it is exactly 0 and YY pairs it with a populated level.
+# The comparison is made where every eigenvalue of rho is at least about
+# 2e-5, and there both routes agree to a few ulps of 1.
+WOOTTERS_FLOOR = 0.01
+WOOTTERS_TOL = 16 * np.finfo(float).eps
+
+
+@PROPERTY_SETTINGS
+@given(rho=x_states(WOOTTERS_FLOOR))
+@example(rho=probe_state("phi+") * 0.9 + np.eye(4) * 0.025)
+def test_x_concurrence_matches_wootters(rho):
+    assert _x_shaped(rho)
+    general = float(np.clip(_wootters(rho[None])[0], 0.0, 1.0))
+    assert abs(concurrence(rho) - general) <= WOOTTERS_TOL

@@ -17,8 +17,8 @@ from corrchan.channels import evolve
 from corrchan.errors import ValidationError
 from corrchan.linalg import validate_density
 from corrchan.map_algebra import accessible_volume, correlated_oun_rates
-from corrchan.measures import (PROBE_NAMES, concurrence, probe_state, random_bell_probes,
-                               trace_distance)
+from corrchan.measures import (PROBE_NAMES, PROBE_PAIRS, _x_shaped, concurrence, probe_state,
+                               random_bell_probes, trace_distance)
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 from corrchan.oracle import apply, channel_at_time, transfer_sampler
 from corrchan.qec import success_probability_closed, success_vs_time, total_probability_mass
@@ -71,6 +71,31 @@ def test_probe_stack_equals_each_probe(noise, mu):
         assert states.shape == (len(probes), *np.shape(t), 4, 4)
         for probe, state in zip(probes, states):
             assert np.array_equal(state, evolve(params, mu, t, probe))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("noise", sorted(NOISES))
+def test_mixed_chunk_measures_equal_each_matrix(noise, mu):
+    """A `blp` chunk of the default pairs and of random-probe pairs mixes
+    X-shaped differences, measured in closed form, with others, which go to
+    eigvalsh in the same call; each pair at each time gives the same bits as
+    that pair alone, also as a 0-d single pair, and so does the concurrence
+    of each state of the chunk."""
+    probes = np.stack([probe_state(name) for pair in PROBE_PAIRS for name in pair]
+                      + random_bell_probes(4, seed=11))
+    states = evolve(NOISES[noise], mu, TIMES, probes)
+    distances = trace_distance(states[0::2], states[1::2])
+    x = _x_shaped(states[0::2] - states[1::2])
+    assert x.any() and not x.all()
+    for pair, row in enumerate(distances):
+        for k, value in enumerate(row):
+            single = trace_distance(states[2 * pair, k], states[2 * pair + 1, k])
+            assert type(single) is float and np.array_equal(value, single)
+        assert np.array_equal(row, trace_distance(states[2 * pair], states[2 * pair + 1]))
+    x = _x_shaped(states)
+    assert x.any() and not x.all()
+    for trajectory, row in zip(states, concurrence(states)):
+        assert np.array_equal(row, [concurrence(state) for state in trajectory])
 
 
 @pytest.mark.parametrize("noise", sorted(NOISES))
