@@ -13,8 +13,7 @@ from .map_algebra import accessible_volume, correlated_oun_rates
 from .measures import (blp_measure, concurrence, nm_concurrence_measure,
                        positive_variation, probe_state, random_bell_probes,
                        sss_measure, trace_distance)
-from .freezing import (BlochDiagonal, FreezingVerdict, bloch_diagonal_state,
-                       freezing_predicate)
+from .freezing import BlochDiagonal, FreezingVerdict, freezing_predicate
 from .qec import (ALL_ERROR_STRINGS, CORRECTABLE_ERRORS, UNDETECTABLE_ERRORS,
                   ErrorClassification, classify_errors, is_detectable,
                   success_probability_bruteforce,

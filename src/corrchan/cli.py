@@ -3,7 +3,10 @@ emitted as deterministic CSV.
 
 Every numeric subcommand writes RFC-4180 CSV (header row, '.' decimal,
 12 significant digits, lines ending in CRLF, no field quoted) to --out,
-one row per sample, rows in grid order. A subcommand returns its header
+one row per sample, rows in grid order. Each line is rendered with one `%`
+from a template that holds the text of the columns that are constant over
+the table, or over a mu block of a sweep, and a '%.12g' slot for every
+other column (`_lines`). A subcommand returns its header
 and all of its lines, and only then does `main` open the output and write
 them, so a sweep that fails part-way leaves no partial CSV behind. Numpy
 warnings are silenced while a command runs: every invariant rejects NaN and
@@ -45,11 +48,25 @@ def _fmt(x: float) -> str:
     return format(float(x) + 0.0, ".12g")
 
 
-def _lines(data: np.ndarray) -> list[str]:
-    """One CSV line per row of a 2-d float array, each cell as `_fmt`
-    prints it ('%.12g' and '.12g' format a float alike)."""
-    line = ",".join(["%.12g"] * data.shape[1])
-    return [line % tuple(row) for row in (data + 0.0).tolist()]
+def _lines(data: np.ndarray, lead: list[str] | None = None,
+           fixed: tuple[str, ...] = ()) -> list[str]:
+    """One CSV line per row of a 2-d float array with at least one row, each
+    cell as `_fmt` prints it ('%.12g' and '.12g' format a float alike), and
+    one `%` per line. The line template holds the `_fmt` text of each column
+    that is constant over the rows, formatted once, and a '%.12g' slot for
+    each other column; NaN never equals itself, so a column with a NaN keeps
+    its slots. With `lead`, one formatted string per row, each line starts
+    with that string and then the formatted cells `fixed`."""
+    constant = (data == data[0]).all(axis=0)
+    cells = [_fmt(x) if same else "%.12g"
+             for x, same in zip(data[0].tolist(), constant.tolist())]
+    columns = (data[:, ~constant] + 0.0).T.tolist()
+    if lead is None:
+        line = ",".join(cells)
+        # with no slot the template is the whole line
+        return [line % row for row in zip(*columns)] if columns else [line] * len(data)
+    line = ",".join(["%s", *fixed, *cells])
+    return [line % row for row in zip(lead, *columns)]
 
 
 def _parse_floats(text: str, option: str) -> list[float]:
@@ -112,17 +129,18 @@ def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
 def _sweep(args, columns: list[str], cells) -> Table:
     """Header and lines `t, mu, *columns` over the time grid, for each mu in
     turn; `cells(noise, mu, times)` returns a float array of shape (n,) or
-    (n, len(columns))."""
+    (n, len(columns)). Each mu's block is rendered by `_lines` with one `%`
+    per line, from the template `%s,<mu>,<cells>`: the t cells fill the
+    leading slot and are formatted once per sweep, mu once per block, and
+    each column that is constant over the grid once per block."""
     noise = _noise_from_args(args)
     times = _time_grid(args)
     mus = _parse_mus(args.mu)
-    # the t cells and each mu are formatted once, not once per row
-    t_cells = _lines(times[:, None])
+    t_cells = ["%.12g" % t for t in (times + 0.0).tolist()]
     lines = []
     for mu in mus:
-        values = _lines(np.reshape(cells(noise, mu, times), (len(times), -1)))
-        row = "%s," + _fmt(mu) + ",%s"
-        lines += [row % pair for pair in zip(t_cells, values)]
+        values = np.reshape(cells(noise, mu, times), (len(times), -1))
+        lines += _lines(values, t_cells, (_fmt(mu),))
     return ["t", "mu", *columns], lines
 
 

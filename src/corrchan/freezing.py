@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .channels import _FLIPS, SIGMA, _check_mu
-from .linalg import lapack, validate_density
+from .channels import _FLIPS, _check_mu
+from .linalg import validate_density
 
 BLOCH_EQ_TOL = 1e-9
 
@@ -34,9 +34,13 @@ class BlochDiagonal:
         if not np.all(np.isfinite(self.c)):
             raise ValidationError("finite Bloch components", float("nan"),
                                   f"Bloch components must be finite, got {self.c}")
-        smallest = float(lapack(np.linalg.eigvalsh, bloch_diagonal_state(self)).min())
-        if not smallest >= -1e-10:
-            raise ValidationError("Bell-diagonal positivity", smallest)
+        # the eigenvalues of the state, one per Bell vector; a sum that
+        # overflows gives inf or NaN, and NaN fails the >= comparison
+        c1, c2, c3 = self.c
+        eigenvalues = np.array([1 - c1 - c2 - c3, 1 - c1 + c2 + c3,
+                                1 + c1 - c2 + c3, 1 + c1 + c2 - c3]) / 4
+        if not (eigenvalues >= -1e-10).all():
+            raise ValidationError("Bell-diagonal positivity", float(eigenvalues.min()))
 
     @property
     def c(self) -> tuple[float, float, float]:
@@ -48,15 +52,6 @@ def _as_triple(c) -> tuple[float, float, float]:
         return c.c
     c1, c2, c3 = (float(x) for x in c)
     return c1, c2, c3
-
-
-def bloch_diagonal_state(c) -> np.ndarray:
-    """Density matrix of the Bell-diagonal state with Bloch triple c."""
-    c1, c2, c3 = _as_triple(c)
-    rho = np.eye(4, dtype=complex)
-    for ci, sigma in zip((c1, c2, c3), SIGMA[1:]):
-        rho += ci * np.kron(sigma, sigma)
-    return rho / 4
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,11 @@ from its two rates, and `generator` the same L by finite differences;
 Kraus sums agree with the closed forms to 1e-14 absolute, but lose relative
 accuracy where p or tau(mu) is small and terms cancel.
 
-`bloch_update` is the reference of `freezing`; `build_codewords`,
+`bloch_diagonal_state` is the density matrix of a Bloch triple and
+`bloch_update` the reference of `freezing`; `build_codewords`,
 `apply_word` and `greedy_correctable_set` are that of the pair rule of
-`qec`, and `error_probability` that of its sums over words. `psd_sqrt` and
-`dagger` are the PSD square root and the adjoint of a matrix or a stack.
+`qec`, and `error_probability` that of its sums over words. `dagger` is the
+adjoint of a matrix or a stack.
 """
 
 from dataclasses import dataclass
@@ -39,9 +40,8 @@ import numpy as np
 
 from .channels import SIGMA, _check_mu, _check_noise_value
 from .errors import NumericError, ValidationError
-from .freezing import (BLOCH_EQ_TOL, _UNITAL_KINDS, BlochDiagonal, _as_triple,
-                       bloch_diagonal_state)
-from .linalg import eig_hermitian, lapack, validate_density
+from .freezing import BLOCH_EQ_TOL, _UNITAL_KINDS, BlochDiagonal, _as_triple
+from .linalg import lapack, validate_density
 from .map_algebra import (DOUBLE_FLIP_SLOTS, IDENTITY_SLOTS, SINGLE_FLIP_SLOTS,
                           correlated_oun_rates)
 from .noise import NmadParams, NoiseParams, OunParams, noise_p
@@ -54,27 +54,11 @@ BELL_DIAGONAL_TOL = 1e-12
 KRAUS_RANK_CUTOFF = 1e-10
 _IMAG_TOL = 1e-9
 _SINGULAR_TOL = 1e-12
-NOT_PSD_THRESHOLD = -1e-6
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the trailing two axes."""
     return m.conj().swapaxes(-1, -2)
-
-
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Positive-semidefinite square root R of a Hermitian PSD matrix, R @ R = M,
-    or of each matrix of a stack.
-
-    Eigenvalues in [-1e-6, 0) are treated as round-off and clamped to zero;
-    anything below that threshold is a genuine violation.
-    """
-    w, v = eig_hermitian(m)
-    smallest = w.min()
-    if not smallest >= NOT_PSD_THRESHOLD:
-        raise ValidationError("positive semidefiniteness", float(smallest))
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
 # sigma_i (x) sigma_j for i, j in {0, 3}: the correlated dephasing operators
@@ -500,6 +484,15 @@ def cptp_report(channel: KrausSet) -> CptpReport:
 # --------------------------------------------------------------------------
 # Bell-diagonal Bloch updates
 # --------------------------------------------------------------------------
+
+
+def bloch_diagonal_state(c) -> np.ndarray:
+    """Density matrix of the Bell-diagonal state with Bloch triple c."""
+    c1, c2, c3 = _as_triple(c)
+    rho = np.eye(4, dtype=complex)
+    for ci, sigma in zip((c1, c2, c3), SIGMA[1:]):
+        rho += ci * np.kron(sigma, sigma)
+    return rho / 4
 
 
 def state_to_bloch_diagonal(rho: np.ndarray) -> BlochDiagonal:

@@ -8,13 +8,12 @@ import time
 import numpy as np
 
 from corrchan.channels import evolve, evolve_damping, evolve_dephasing
-from corrchan.freezing import bloch_diagonal_state
 from corrchan.map_algebra import accessible_volume, correlated_oun_rates
 from corrchan.measures import (concurrence, nm_concurrence_measure,
                                positive_variation, probe_state, sss_measure,
                                trace_distance)
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
-from corrchan.oracle import (apply, channel_at_time, choi,
+from corrchan.oracle import (apply, bloch_diagonal_state, channel_at_time, choi,
                              correlated_dephasing_channel, correlated_nmad_channel,
                              correlated_oun_generator, fully_correlated_nmad_channel,
                              generator, greedy_correctable_set, kraus_from_choi,

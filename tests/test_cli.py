@@ -338,6 +338,8 @@ def test_validation_exit_code(args, tmp_path):
     ["evolve", "--state=--", "--steps", "3"],  # argparse turns the value into []
     ["tracedist", "--pair=--", "--steps", "3"],
     ["blp", "--random-probes", "-3", "--steps", "5"],
+    # finite, but the eigenvalue sums overflow
+    ["freeze-check", "--c", "1e308,1e308,-1e308", "--channel", "oun", "--mu", "1"],
 ])
 def test_invalid_input_rejected_without_output(args, capsys):
     assert main(args) == 2
@@ -542,9 +544,7 @@ def test_lapack_failure_exits_3(monkeypatch, tmp_path, capsys):
             (["eigh"], concurrence + ["--probe", "alpha"]),
             # a valid state reaches eigvalsh only when its Cholesky
             # certificate fails
-            (["cholesky", "eigvalsh"], concurrence),
-            # the positivity check of a Bloch triple
-            (["eigvalsh"], ["freeze-check", "--c", "0.5,0.5,-1"])]:
+            (["cholesky", "eigvalsh"], concurrence)]:
         with monkeypatch.context() as patch:
             for name in routines:
                 patch.setattr(np.linalg, name, no_convergence)
@@ -553,6 +553,9 @@ def test_lapack_failure_exits_3(monkeypatch, tmp_path, capsys):
         stdout, stderr = capsys.readouterr()
         assert stdout == ""
         assert stderr.startswith("numeric failure: ") and "did not converge" in stderr
+    # the positivity of a Bloch triple has a closed form and needs no LAPACK
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    assert main(["freeze-check", "--c", "0.5,0.5,-1"]) == 0
 
 
 OVERDAMPED_GRID = ["--tmax", "1000", "--steps", "3", "--mu", "0.5"]
@@ -609,6 +612,8 @@ GOLDEN_CSV = {f"{cmd}_{noise}": [cmd, *args, *_GRID]
               for noise, args in _NOISE.items()}
 GOLDEN_CSV.update({
     "evolve_nmad_psiplus": ["evolve", *_NOISE["nmad"], *_GRID, "--state", "psi+"],
+    # not X-shaped: 16 of the 32 columns vary over the grid at mu 0 and 0.5, 8 at mu 1
+    "evolve_nmad_alpha": ["evolve", *_NOISE["nmad"], *_GRID, "--state", "alpha"],
     "tracedist_rtn_plusminus": ["tracedist", *_NOISE["rtn"], *_GRID, "--pair", "++:--"],
     "blp_rtn_random": ["blp", *_NOISE["rtn"], *_GRID, "--pairs", "phi+:phi-",
                        "--random-probes", "2", "--seed", "7"],
@@ -663,6 +668,7 @@ def test_golden_csv_needs_no_quoting(name):
 @pytest.mark.parametrize("x", [
     -0.0, 0.0, 1.0, 5e-324, -5e-324, 1e-300, 1 - 1e-15, 0.1 + 0.2, 1e16, 1e17,
     -1.5, 2.0 / 3.0, 123456789012.5, 1e300, 100.0 / 11.0,
+    float("nan"), float("inf"), -float("inf"),
 ])
 def test_lines_formats_like_fmt(x):
     # witness flags 0.0 and 1.0, and a t = 0, mu row, in the same array
@@ -672,31 +678,61 @@ def test_lines_formats_like_fmt(x):
     assert _lines(data)[0].split(",")[0] == _fmt(x)
 
 
+def _constant_column_layouts(values):
+    """The column layouts that `_lines` renders with constant cells, one per
+    call of a sweep's `cells`, each applied to a random array in turn."""
+    yield values
+    for column in (-0.0, 1e-300, np.nan):  # all -0.0, a finite constant, NaN
+        layout = values.copy()
+        layout[:, 0] = column
+        yield layout
+    layout = values.copy()
+    layout[:, 0] = 2.0 / 3.0
+    layout[-1, 0] = 0.5  # constant except in the last row
+    yield layout
+    yield np.broadcast_to(values[0], values.shape).copy()  # no varying column
+
+
 @pytest.mark.parametrize("width", [1, 2, 32])
 def test_sweep_rows_equal_one_array_per_mu(width):
     """`_sweep` formats the t cells once and each mu once; its lines are
-    those of the array [t, mu, cells] of each mu in turn."""
+    those of the array [t, mu, cells] of each mu in turn, also where a
+    column is constant over the grid: all -0.0, finite, NaN, constant but
+    for the last row, or every column at once."""
     from corrchan.cli import _sweep
 
     rng = np.random.default_rng(width)
-    args = argparse.Namespace(noise="oun", G=1.0, g=0.05, mu="-0.0,1e-300", tmax=7.0, steps=50)
+    mus = (-0.0, 1e-300, 0.25, 0.5, 0.75, 1.0)
+    args = argparse.Namespace(noise="oun", G=1.0, g=0.05, mu=",".join(map(repr, mus)),
+                              tmax=7.0, steps=50)
+    values = rng.normal(size=(50, width)) * 10.0 ** rng.integers(-300, 300, size=(50, width))
+    values[::7] = -0.0
+    layouts = _constant_column_layouts(values)
     cells = []
 
-    def random_cells(noise, mu, times):
-        values = rng.normal(size=(len(times), width)) * 10.0 ** rng.integers(
-            -300, 300, size=(len(times), width))
-        values[::7] = -0.0
-        cells.append(values[:, 0] if width == 1 else values)
-        return cells[-1]
+    def layout_cells(noise, mu, times):
+        cells.append(next(layouts))
+        return cells[-1][:, 0] if width == 1 else cells[-1]
 
-    header, lines = _sweep(args, [f"c{k}" for k in range(width)], random_cells)
+    header, lines = _sweep(args, [f"c{k}" for k in range(width)], layout_cells)
+    assert len(cells) == len(mus)
     times = np.linspace(0.0, 7.0, 50)
-    expected = []
-    for mu, values in zip((-0.0, 1e-300), cells):
-        expected += _lines(np.column_stack([times, np.full_like(times, mu), values]))
+    stacked = [np.column_stack([times, np.full_like(times, mu), values])
+               for mu, values in zip(mus, cells)]
     assert header == ["t", "mu", *(f"c{k}" for k in range(width))]
-    assert lines == expected
+    assert lines == [line for data in stacked for line in _lines(data)]
+    assert lines == [",".join(_fmt(v) for v in row) for data in stacked for row in data.tolist()]
     assert lines[0].split(",")[:2] == ["0", "0"]
+
+
+def test_lines_with_no_varying_column():
+    """An array whose every column is constant, one row or many, renders
+    as the same line repeated, with and without leading cells."""
+    data = np.array([[-0.0, 1e-300, 2.0 / 3.0]] * 3)
+    line = "0,1e-300,0.666666666667"
+    assert _lines(data) == [line] * 3
+    assert _lines(data[:1]) == [line]
+    assert _lines(data, ["a", "b", "c"], ("0.5",)) == [f"{t},0.5,{line}" for t in "abc"]
 
 
 def test_commands_import_neither_scipy_nor_numpy_random(tmp_path):

@@ -3,10 +3,11 @@ import pytest
 
 from corrchan.channels import evolve_damping, evolve_dephasing
 from corrchan.errors import ValidationError
-from corrchan.freezing import BlochDiagonal, bloch_diagonal_state, freezing_predicate
+from corrchan.freezing import BlochDiagonal, freezing_predicate
 from corrchan.measures import concurrence, probe_state, trace_distance
 from corrchan.noise import NmadParams, OunParams, RtnParams
-from corrchan.oracle import (apply, apply_matrix, bloch_update, channel_at_time,
+from corrchan.oracle import (apply, apply_matrix, bloch_diagonal_state, bloch_update,
+                             channel_at_time,
                              correlated_dephasing_channel,
                              fully_correlated_nmad_channel, state_to_bloch_diagonal)
 
@@ -105,10 +106,19 @@ def test_closed_forms_reject_values_out_of_range(call):
 # --------------------------------------------------------------------------
 
 
-def test_bloch_diagonal_validates_positivity():
+def test_bloch_diagonal_validates_positivity(rng):
     BlochDiagonal(1.0, 1.0, -1.0)  # psi+
     with pytest.raises(ValidationError):
         BlochDiagonal(1.0, -1.0, -1.0)  # outside the tetrahedron
+    # the closed-form eigenvalues decide as the eigenvalues of the state do
+    for c in rng.uniform(-1.5, 1.5, size=(200, 3)):
+        smallest = np.linalg.eigvalsh(bloch_diagonal_state(c)).min()
+        if smallest > 1e-12:
+            BlochDiagonal(*c)
+        elif smallest < -1e-9:
+            with pytest.raises(ValidationError) as info:
+                BlochDiagonal(*c)
+            assert abs(info.value.residual - smallest) < 1e-14
 
 
 def test_bloch_state_round_trip(rng):

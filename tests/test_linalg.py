@@ -4,7 +4,6 @@ import pytest
 from corrchan.errors import NumericError, ValidationError
 from corrchan.linalg import (_CHOLESKY_MARGIN, MIN_EIGENVALUE, eig_hermitian, lapack,
                              validate_density)
-from corrchan.oracle import psd_sqrt
 
 from conftest import random_density, random_hermitian
 
@@ -45,7 +44,7 @@ def test_hermiticity_check_leaves_real_input_alone():
     assert np.array_equal(m, [[0, 1], [0, 0]])
 
 
-@pytest.mark.parametrize("check", [validate_density, eig_hermitian, psd_sqrt])
+@pytest.mark.parametrize("check", [validate_density, eig_hermitian])
 def test_empty_stack_rejected_with_its_shape(check):
     with pytest.raises(ValidationError,
                        match=r"expected at least one matrix, got shape \(0, 4, 4\)") as info:
@@ -60,38 +59,6 @@ def test_eig_reconstruction(rng):
         assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() < 1e-8
         assert np.abs(m @ v - v @ np.diag(w)).max() < 1e-8
         assert np.all(np.diff(w) <= 1e-12)
-
-
-def test_psd_sqrt_identity_and_diagonal():
-    assert np.abs(psd_sqrt(np.eye(3, dtype=complex)) - np.eye(3)).max() < 1e-12
-    r = psd_sqrt(np.diag([4.0, 9.0]).astype(complex))
-    assert np.abs(r - np.diag([2.0, 3.0])).max() < 1e-12
-
-
-def test_psd_sqrt_self_consistency():
-    m = SX + np.eye(2)
-    r = psd_sqrt(m)
-    assert np.abs(r @ r - m).max() < 1e-10
-    assert np.abs(r - r.conj().T).max() < 1e-12
-
-
-def test_psd_sqrt_commutes_with_input(rng):
-    for _ in range(5):
-        rho = random_density(4, rng)
-        r = psd_sqrt(rho)
-        assert np.abs(r @ rho - rho @ r).max() < 1e-8
-
-
-def test_psd_sqrt_clamps_roundoff():
-    m = np.diag([1.0, -1e-8]).astype(complex)
-    r = psd_sqrt(m)
-    assert r[1, 1] == 0
-
-
-def test_psd_sqrt_rejects_negative():
-    with pytest.raises(ValidationError) as info:
-        psd_sqrt(np.diag([1.0, -0.5]).astype(complex))
-    assert info.value.invariant == "positive semidefiniteness"
 
 
 def test_det_multiplicative(rng):
@@ -175,11 +142,9 @@ def test_stack_matches_per_matrix(rng):
     stack = state_stack(rng)
     assert validate_density(stack) is not None
     w, v = eig_hermitian(stack)
-    r = psd_sqrt(stack)
     for k, m in enumerate(stack):
         wk, vk = eig_hermitian(m)
         assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
-        assert np.array_equal(r[k], psd_sqrt(m))
 
 
 def test_stack_with_one_nan_matrix_rejected(rng):
@@ -202,10 +167,6 @@ def test_stack_with_one_non_psd_matrix_rejected(rng):
         validate_density(stack)
     assert info.value.invariant == "positivity"
     assert abs(info.value.residual + 0.5) < 1e-12  # the worst matrix
-    with pytest.raises(ValidationError) as info:
-        psd_sqrt(stack)
-    assert info.value.invariant == "positive semidefiniteness"
-    assert abs(info.value.residual + 0.5) < 1e-12
 
 
 def test_lapack_failure_is_numeric_error():
