@@ -212,6 +212,11 @@ def _cmd_blp(args) -> Table:
     return ["mu", "pair", "blp"], lines
 
 
+# rate elements per `sss_measure` call: the cells of a chunk are solved
+# together, and the memory of a sweep does not grow with the number of cells
+_SSS_CHUNK = 1 << 14
+
+
 def _cmd_sss(args) -> Table:
     mus = _parse_mus(args.mu)
     g_inverses = _parse_floats(args.g_inverse, "--g-inverse")
@@ -222,14 +227,16 @@ def _cmd_sss(args) -> Table:
                              f"inverse, got {g_inv!r}")
     times = _time_grid(args)
     reference = (-args.G / 2, -args.G)  # the memoryless-limit rates
-    rows = []
-    for g_inv in g_inverses:
-        params = _noise_params(OunParams, G=args.G, g=1.0 / g_inv)
-        for mu in mus:
-            zeta = sss_measure(times, correlated_oun_rates(times, params, mu), reference,
-                               free=args.family == "free")
-            rows.append([g_inv, mu, zeta])
-    return ["g_inverse", "mu", "zeta"], _lines(np.array(rows, dtype=float))
+    params = {g_inv: _noise_params(OunParams, G=args.G, g=1.0 / g_inv) for g_inv in g_inverses}
+    cells = [(g_inv, mu) for g_inv in g_inverses for mu in mus]
+    chunk = max(1, _SSS_CHUNK // len(times))
+    zetas = []
+    for start in range(0, len(cells), chunk):
+        rates = [correlated_oun_rates(times, params[g_inv], mu)
+                 for g_inv, mu in cells[start:start + chunk]]
+        zetas += list(sss_measure(times, np.stack(rates, axis=1), reference,
+                                  free=args.family == "free"))
+    return ["g_inverse", "mu", "zeta"], _lines(np.column_stack([cells, zetas]))
 
 
 def _cmd_volume(args) -> Table:

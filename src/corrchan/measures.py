@@ -26,10 +26,10 @@ LAPACK: `eigvalsh` of the difference, and for concurrence one `eigh` of the
 state and the singular values of a 4 x 4 product, with no eigenvalue
 clamp. Either way, a matrix gives the same bits alone as inside a stack.
 `sss_measure` takes the two rates of a dephasing generator over a time grid,
-not the 16 x 16 matrices, whose Frobenius distances follow from the rates.
+not the 16 x 16 matrices, whose Frobenius distances follow from the rates;
+or a (k, n) stack of k such rate pairs on one grid, whose free minimisers
+iterate together, each row with the bits it gets alone.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -257,11 +257,11 @@ _METRIC = np.sqrt([len(SINGLE_FLIP_SLOTS), len(DOUBLE_FLIP_SLOTS)])
 
 def _weighted_median(a, b, weights):
     """A weighted median of points (a, b) that lie exactly on one line, or
-    None when they do not: the exact minimiser of sum w |P - z| there."""
+    nan, nan when they do not: the exact minimiser of sum w |P - z| there."""
     da, db = a - a[0], b - b[0]
     far = np.argmax(np.abs(da) + np.abs(db))
     if not np.all(da * db[far] == db * da[far]):
-        return None
+        return np.nan, np.nan
     order = np.argsort(da * da[far] + db * db[far], kind="stable")
     cumulative = np.cumsum(weights[order])
     k = order[np.searchsorted(cumulative, 0.5 * cumulative[-1])]
@@ -280,160 +280,189 @@ def _cheapest_fill(need, capacity, price):
     return float(paid + (need - (filled[j - 1] if j else 0.0)) * price[order[j]])
 
 
-class _Local(NamedTuple):
-    """The free objective at one point u; see `_Objective.local`."""
+def _gap(local, row, weights) -> float:
+    """A bound on f(u) - min f at the point u of one row of a `_local`
+    result, from f(u) and the distances d_t and unit vectors e_t from the
+    points to u: a sort of the distances and a fractional knapsack over the
+    points.
 
-    f: float
-    least: float
-    grad: np.ndarray
-    hess: np.ndarray
-    dist: np.ndarray
-    unit: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def gap(self) -> float:
-        """A bound on f(u) - min f, computed on each read: a sort of the
-        distances and a fractional knapsack over the points.
-
-        The bound is a duality gap. Each term is a support function,
-        w |v| = max over |y| <= w of y.v, so any y_t with sum y_t = 0 gives
-        min f >= -sum_t y_t.Q_t. y_t = w_t e_t, with e_t the unit vector from
-        Q_t to u, leaves no gap but sums to the gradient. The nearest terms, while 2 sum w_t d_t
-        <= SSS_TOL f / 2, take any y_t at a gap of at most 2 w_t d_t: that
-        cancels up to their weight W of the rest's gradient g (Vardi and
-        Zhang, PNAS 97, 1423, 2000, for terms at u). The rest of g is
-        cancelled along c = -g/|g| by the others: one with s_t = -e_t.c > 0
-        takes up to 2 w_t s_t at a gap of d_t s_t per unit, cheapest first.
-        """
-        dist, unit, weights = self.dist, self.unit, self.weights
-        by_dist = np.argsort(dist)
-        moved = 2 * np.cumsum(weights[by_dist] * dist[by_dist])
-        m = int(np.searchsorted(moved, SSS_TOL * self.f / 2, side="right"))
-        others = by_dist[m:]
-        grad = weights[others] @ unit[others]
-        need = max(float(np.hypot(*grad)) - float(weights[by_dist[:m]].sum()), 0.0)
-        share = np.maximum(unit[others] @ grad, 0.0) / max(np.hypot(*grad), 1e-300)
-        return (moved[m - 1] if m else 0.0) + (
-            _cheapest_fill(need, 2 * weights[others] * share, dist[others] * share)
-            if need > 0 else 0.0)
+    The bound is a duality gap. Each term is a support function,
+    w |v| = max over |y| <= w of y.v, so any y_t with sum y_t = 0 gives
+    min f >= -sum_t y_t.Q_t. y_t = w_t e_t, with e_t the unit vector from
+    Q_t to u, leaves no gap but sums to the gradient. The nearest terms, while 2 sum w_t d_t
+    <= SSS_TOL f / 2, take any y_t at a gap of at most 2 w_t d_t: that
+    cancels up to their weight W of the rest's gradient g (Vardi and
+    Zhang, PNAS 97, 1423, 2000, for terms at u). The rest of g is
+    cancelled along c = -g/|g| by the others: one with s_t = -e_t.c > 0
+    takes up to 2 w_t s_t at a gap of d_t s_t per unit, cheapest first.
+    """
+    f, _, _, _, dist, unit = (field[row] for field in local)
+    by_dist = np.argsort(dist)
+    moved = 2 * np.cumsum(weights[by_dist] * dist[by_dist])
+    m = int(np.searchsorted(moved, SSS_TOL * f / 2, side="right"))
+    others = by_dist[m:]
+    grad = weights[others] @ unit[others]
+    need = max(float(np.hypot(*grad)) - float(weights[by_dist[:m]].sum()), 0.0)
+    share = np.maximum(unit[others] @ grad, 0.0) / max(np.hypot(*grad), 1e-300)
+    return (moved[m - 1] if m else 0.0) + (
+        _cheapest_fill(need, 2 * weights[others] * share, dist[others] * share)
+        if need > 0 else 0.0)
 
 
-class _Objective:
-    """f(u) = sum_t w_t |u - Q_t| in scaled coordinates."""
+# Each row of a stack gives the bits it gives alone: a per-row dot product is
+# `np.vecdot` or a stacked `matmul`, never a matrix-vector product `X @ w`,
+# whose sums run in another order.
+def _offsets(u, points):
+    """The coordinates of u - Q_t and the distances |u - Q_t| of each row:
+    iterates u (k, 2) and points Q (k, n, 2) in scaled coordinates."""
+    dx, dy = (u[:, None, i] - points[..., i] for i in (0, 1))
+    return dx, dy, np.sqrt(dx ** 2 + dy ** 2)
 
-    def __init__(self, points, weights):
-        self.points, self.weights = points, weights
 
-    def value(self, u) -> float:
-        return float(self.weights @ np.sqrt(((u - self.points) ** 2).sum(axis=1)))
+def _objective(u, points, weights):
+    """f(u) = sum_t w_t |u - Q_t| of each row."""
+    return np.vecdot(_offsets(u, points)[2], weights)
 
-    def local(self, u) -> _Local:
-        """f(u), the distances d_t and unit vectors e_t from the points to u,
-        the bound `_Local.gap` on f(u) - min f, and the gradient, least
-        subgradient norm and Hessian of the terms more than
-        rho = SSS_TOL f / 6 from u; the nearer ones form a kink at u."""
-        diff = u - self.points
-        dist = np.sqrt((diff ** 2).sum(axis=1))
-        f = float(self.weights @ dist)
-        unit = diff / np.where(dist > 0, dist, 1.0)[:, None]
 
-        near = dist <= SSS_TOL * f / 6
-        far_weights = np.where(near, 0.0, self.weights)
-        step_grad = far_weights @ unit
-        step_least = max(float(np.hypot(*step_grad)) - float(self.weights[near].sum()), 0.0)
-        # sum (w / d)(I - e e^T), with 1 - e_x^2 = e_y^2 kept exact
-        curv = far_weights / np.where(near, 1.0, dist)
-        cross = -curv @ (unit[:, 0] * unit[:, 1])
-        hess = np.array([[curv @ unit[:, 1] ** 2, cross], [cross, curv @ unit[:, 0] ** 2]])
-        return _Local(f, step_least, step_grad, hess, dist, unit, self.weights)
+def _local(u, points, weights):
+    """f(u), the least subgradient norm, gradient and Hessian of the terms
+    more than rho = SSS_TOL f / 6 from u (the nearer ones form a kink at u),
+    and the distances d_t and unit vectors e_t from the points to u, of
+    each row."""
+    dx, dy, dist = _offsets(u, points)
+    f = np.vecdot(dist, weights)
+    positive = np.where(dist > 0, dist, 1.0)
+    ex, ey = dx / positive, dy / positive
+    unit = np.stack([ex, ey], axis=-1)
+    near = dist <= (SSS_TOL * f / 6)[:, None]
+    far_weights = np.where(near, 0.0, weights)
+    grad = (far_weights[:, None] @ unit)[:, 0]
+    # a sum of at most two near weights rounds alike in any order
+    near_weight = np.where(near, weights, 0.0).sum(axis=-1)
+    for row in np.flatnonzero(near.sum(axis=-1) > 2):
+        near_weight[row] = weights[near[row]].sum()
+    least = np.maximum(np.hypot(grad[:, 0], grad[:, 1]) - near_weight, 0.0)
+    # sum (w / d)(I - e e^T), with 1 - e_x^2 = e_y^2 kept exact
+    curv = far_weights / np.where(near, 1.0, dist)
+    cross = np.vecdot(-curv, ex * ey)
+    hess = np.stack([np.vecdot(curv, ey ** 2), cross,
+                     cross, np.vecdot(curv, ex ** 2)], axis=-1).reshape(-1, 2, 2)
+    return f, least, grad, hess, dist, unit
 
 
 # relative rounding error allowed in f, a sum of up to thousands of terms
 _F_ROUNDING = 64 * np.finfo(float).eps
 
 
-def _line_search(objective, u, f, step, slope):
-    """The first u + step / 2^k (k < 60) with Armijo decrease, up to the
-    rounding error of f, and f there; or None, inf."""
-    alpha = 1.0
-    for _ in range(60):
-        trial = u + alpha * step
-        f_trial = objective.value(trial)
-        if f_trial <= f + 1e-4 * alpha * slope + _F_ROUNDING * f:
-            return trial, f_trial
-        alpha *= 0.5
-    return None, np.inf
+def _line_search(u, f, step, slope, points, weights):
+    """Per row, the first u + step / 2^k (k < 60) with Armijo decrease, up
+    to the rounding error of f, and f there; or nan and inf."""
+    trial, f_trial = np.full_like(u, np.nan), np.full(len(u), np.inf)
+    alpha, todo = 1.0, np.arange(len(u))  # every row still searching is at one alpha
+    while len(todo) and alpha > 2.0 ** -60:
+        t = u[todo] + alpha * step[todo]
+        f_t = _objective(t, points[todo], weights)
+        ok = f_t <= f[todo] + 1e-4 * alpha * slope[todo] + _F_ROUNDING * f[todo]
+        trial[todo[ok]], f_trial[todo[ok]] = t[ok], f_t[ok]
+        alpha, todo = alpha * 0.5, todo[~ok]
+    return trial, f_trial
 
 
 def _free_minimiser(a, b, weights):
     """Rates (x, y) minimising f(x, y) = sum_t w_t sqrt(8 (a_t - x)^2
-    + 4 (b_t - y)^2), a weighted Fermat-Weber problem, with a certificate.
+    + 4 (b_t - y)^2), a weighted Fermat-Weber problem, with a certificate,
+    for each row of the (..., n) rate stacks a and b: arrays x and y of
+    shape a.shape[:-1]. Each row gets the bits it gets alone.
 
     Exactly collinear points (correlated OUN at mu = 0 or 1) give a weighted
-    median. Otherwise damped Newton steps run, from a kink along its least
-    subgradient, with a Weiszfeld step (Tohoku Math. J. 43, 1937)
-    where Newton fails to descend, until f(z) - min f <= SSS_TOL * f(z) is
-    certified (`_Local.gap`), at the data point nearest to the iterate or at
-    the iterate, checked in that order; a minimiser on a data point is
-    returned exactly. The gap is evaluated only where f at another point
-    leaves the certificate possible. Raises NumericError when no certificate
-    holds after SSS_MAX_ITERATIONS steps.
+    median. The other rows iterate together, each on its own branch: damped
+    Newton steps, from a kink along its least subgradient, with a Weiszfeld
+    step (Tohoku Math. J. 43, 1937) where Newton fails to descend, until
+    f(z) - min f <= SSS_TOL * f(z) is certified (`_gap`), at the data point
+    nearest to the iterate or at the iterate, checked in that order; a
+    minimiser on a data point is returned exactly. A row leaves once
+    certified. The gap is evaluated only where f at another point leaves
+    the certificate possible. Raises NumericError when a row has no
+    certificate after SSS_MAX_ITERATIONS steps.
     """
-    median = _weighted_median(a, b, weights)
-    if median is not None:
-        return median
-    points = np.stack([a, b], axis=1) * _METRIC
-    objective = _Objective(points, weights)
+    shape = np.shape(a)[:-1]
+    a, b = (np.reshape(rate, (-1, np.shape(rate)[-1])) for rate in (a, b))
+    x, y = np.array([_weighted_median(*row, weights) for row in zip(a, b)]).reshape(-1, 2).T
+    rows = np.flatnonzero(np.isnan(x))
+    points = np.stack([a[rows], b[rows]], axis=-1) * _METRIC
     u = weights @ points / weights.sum()
     for _ in range(SSS_MAX_ITERATIONS):
-        here = objective.local(u)
-        k = np.argmin(here.dist)
-        f_k = objective.value(points[k])
+        if not len(rows):
+            break
+        z, at_z = u, _local(u, points, weights)
+        f, least, grad, hess, dist = at_z[:5]
+        k = np.argmin(dist, axis=-1)
+        point_k = points[np.arange(len(rows)), k]
+        f_k = _objective(point_k, points, weights)
         # f(z) - f(z') <= f(z) - min f <= gap at z for any point z': where
         # f(z) - f(z') exceeds twice the tolerance (a margin for rounding),
         # no certificate can hold at z, and its gap is not evaluated
-        if f_k - here.f <= 2 * SSS_TOL * f_k and objective.local(points[k]).gap <= SSS_TOL * f_k:
-            return a[k], b[k]
-        z, at_z = u, here
-        if f_k < here.f * (1 - _F_ROUNDING):
-            # descent methods can stall next to a kink: step out from on it,
-            # but not on a rounding-level difference, which in a tight
-            # cluster of rates sends the iterate from one point to the next
-            u, here = points[k], objective.local(points[k])
-        norm = np.hypot(*here.grad)
-        if here.least < norm:
-            # u sits on a kink: descend along -grad, by the curvature away from it
-            direction = -here.grad / norm
-            step = direction * here.least / max(direction @ here.hess @ direction, 1e-300)
-        elif np.linalg.det(here.hess) > 0 and np.trace(here.hess) > 0:
-            step = -np.linalg.solve(here.hess, here.grad)
-        else:
-            step = None
-        trial, f_trial = None, np.inf
-        if step is not None:
-            # the minimiser lies within max_t |u - Q_t| of u
-            step *= min(1.0, here.dist.max() / np.hypot(*step))
-            # directional derivative, with the kink's share norm - least
-            slope = here.grad @ step + (norm - here.least) * np.hypot(*step)
-            trial, f_trial = _line_search(objective, u, here.f, step, slope)
-        if trial is None and here.least == norm:
-            # no kink at u: the Weiszfeld step never increases f
-            inv = weights / here.dist
-            trial = inv @ points / inv.sum()
+        near_k = f_k - f <= 2 * SSS_TOL * f_k
+        # descent methods can stall next to a kink: step out from on it,
+        # but not on a rounding-level difference, which in a tight
+        # cluster of rates sends the iterate from one point to the next
+        jump = f_k < f * (1 - _F_ROUNDING)
+        go = np.ones(len(rows), dtype=bool)
+        if (near_k | jump).any():
+            at_k = _local(point_k, points, weights)
+            for i in np.flatnonzero(near_k):
+                if _gap(at_k, i, weights) <= SSS_TOL * f_k[i]:
+                    go[i] = False
+                    x[rows[i]], y[rows[i]] = a[rows[i], k[i]], b[rows[i], k[i]]
+            # the rows that jump go on from their nearest point
+            u = np.where(jump[:, None], point_k, u)
+            f, least, grad, hess, dist = (
+                np.where(jump.reshape(-1, *(1,) * (now.ndim - 1)), new, now)
+                for now, new in zip(at_z[:5], at_k))
+        norm = np.hypot(grad[:, 0], grad[:, 1])
+        step = np.zeros_like(u)
+        # on a kink: descend along -grad, by the curvature away from it
+        kink = go & (least < norm)
+        direction = -grad[kink] / norm[kink, None]
+        curvature = np.vecdot((direction[:, None] @ hess[kink])[:, 0], direction)
+        step[kink] = direction * least[kink, None] / np.maximum(curvature, 1e-300)[:, None]
+        newton = go & ~kink
+        newton[newton] = ((np.linalg.det(hess[newton]) > 0)
+                          & (np.trace(hess[newton], axis1=1, axis2=2) > 0))
+        step[newton] = -np.linalg.solve(hess[newton], grad[newton][..., None])[..., 0]
+        # the minimiser lies within max_t |u - Q_t| of u
+        length = np.hypot(step[:, 0], step[:, 1])
+        step *= np.minimum(1.0, dist.max(axis=-1) / np.where(length > 0, length, 1.0))[:, None]
+        # directional derivative, with the kink's share norm - least
+        slope = np.vecdot(grad, step) + (norm - least) * np.hypot(step[:, 0], step[:, 1])
+        trial, f_trial = np.full_like(u, np.nan), np.full(len(rows), np.inf)
+        stepped = np.flatnonzero(kink | newton)
+        trial[stepped], f_trial[stepped] = _line_search(
+            u[stepped], f[stepped], step[stepped], slope[stepped], points[stepped], weights)
+        moving = f_trial < np.inf
+        # no kink at u: the Weiszfeld step never increases f
+        weiszfeld = np.flatnonzero(go & ~moving & (least == norm))
+        if len(weiszfeld):
+            inv = weights / dist[weiszfeld]
+            trial[weiszfeld] = (inv[:, None] @ points[weiszfeld])[:, 0] / inv.sum(axis=-1)[:, None]
+            moving[weiszfeld] = True
         # z is checked before the jump, but after the step, so that f at the
         # trial as well as at the nearest point can rule its gap out
-        if (at_z.f - min(f_k, f_trial) <= 2 * SSS_TOL * at_z.f
-                and at_z.gap <= SSS_TOL * at_z.f):
-            return tuple(z / _METRIC)
-        if trial is None:
+        f_z = at_z[0]
+        for i in np.flatnonzero(go & (f_z - np.minimum(f_k, f_trial) <= 2 * SSS_TOL * f_z)):
+            if _gap(at_z, i, weights) <= SSS_TOL * f_z[i]:
+                go[i] = False
+                x[rows[i]], y[rows[i]] = z[i] / _METRIC
+        if not moving[go].all():
             break
-        u = trial
-    raise NumericError("free SSS minimiser found no optimality certificate "
-                       f"in {SSS_MAX_ITERATIONS} steps")
+        u, rows, points = trial[go], rows[go], points[go]
+    if len(rows):
+        raise NumericError("free SSS minimiser found no optimality certificate "
+                           f"in {SSS_MAX_ITERATIONS} steps")
+    return x.reshape(shape), y.reshape(shape)
 
 
-def sss_measure(times, rates, reference, free: bool = False) -> float:
+def sss_measure(times, rates, reference, free: bool = False):
     """Temporal-self-similarity measure: (1/T) integral ||L(t) - L*||_F dt
     over the window T of the grid `times`, by trapezoidal quadrature, with
     the Frobenius norm on two-qubit dephasing generators.
@@ -452,6 +481,11 @@ def sss_measure(times, rates, reference, free: bool = False) -> float:
     `_free_minimiser` up to a certified relative gap of SSS_TOL, or
     NumericError. The free measure vanishes for any constant L(t). A
     non-finite rate, or a measure that overflows, raises NumericError.
+
+    Rates over the grid give a float. Rate stacks of shape (k, n), k
+    generators on one grid of n times, give the k measures as an array,
+    evaluated together (the free minimisers in one iteration), each with
+    the bits that its row gives alone; a failure in any row fails the call.
     """
     times = np.asarray(times, dtype=float)
     if not (times.ndim == 1 and len(times) > 1 and np.isfinite(times).all()
@@ -459,20 +493,18 @@ def sss_measure(times, rates, reference, free: bool = False) -> float:
         raise ValueError("times must be a finite, strictly increasing grid of at "
                          "least two points")
     span = times[-1] - times[0]
-    a, b = (np.broadcast_to(np.asarray(rate, dtype=float), times.shape) for rate in rates)
+    a, b = np.broadcast_arrays(*(np.asarray(rate, dtype=float) for rate in rates), times)[:2]
+    shape = a.shape[:-1]
+    a, b = a.reshape(-1, len(times)), b.reshape(-1, len(times))
     for name, rate in (("single-flip", a), ("double-flip", b)):
         if not np.isfinite(rate).all():
             raise NumericError(f"{name} rate of L(t) has a non-finite value")
-
-    def average_distance(x, y) -> float:
-        norms = np.sqrt(8 * (a - x) ** 2 + 4 * (b - y) ** 2)
-        zeta = float(np.trapezoid(norms, times) / span)
-        if not np.isfinite(zeta):
-            raise NumericError(f"SSS measure is not finite ({zeta})")
-        return zeta
-
-    if not free:
-        return average_distance(*reference)
-    steps = np.diff(times)
-    weights = (np.append(steps, 0.0) + np.insert(steps, 0, 0.0)) / (2 * span)
-    return average_distance(*_free_minimiser(a, b, weights))
+    if free:
+        steps = np.diff(times)
+        weights = (np.append(steps, 0.0) + np.insert(steps, 0, 0.0)) / (2 * span)
+        reference = _free_minimiser(a, b, weights)
+    x, y = (np.reshape(rate, (-1, 1)) for rate in reference)
+    zeta = np.trapezoid(np.sqrt(8 * (a - x) ** 2 + 4 * (b - y) ** 2), times, axis=-1) / span
+    if not np.isfinite(zeta).all():
+        raise NumericError(f"SSS measure is not finite ({zeta[~np.isfinite(zeta)][0]})")
+    return _value(zeta.reshape(shape))

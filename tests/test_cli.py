@@ -348,10 +348,11 @@ def test_invalid_input_rejected_without_output(args, capsys):
     assert err.startswith("error: ")
 
 
-# each CSV subcommand and the cli binding it calls once per mu (sss: per g^-1)
+# each CSV subcommand and the cli binding it calls once per mu (sss: per
+# (g^-1, mu) cell)
 SWEEP_BINDINGS = {"evolve": "evolve", "concurrence": "evolve", "tracedist": "evolve",
                   "blp": "evolve", "volume": "accessible_volume",
-                  "qec": "success_vs_time", "sss": "sss_measure"}
+                  "qec": "success_vs_time", "sss": "correlated_oun_rates"}
 
 
 @pytest.mark.parametrize("command", SWEEP_BINDINGS)
@@ -458,19 +459,38 @@ def test_classify_errors_builds_no_other_options(monkeypatch, capsys):
 
 
 def test_free_sss_preset_evaluates_few_gaps(monkeypatch, tmp_path):
-    # a deterministic guard on the solver cost: the costly certificate is
-    # evaluated only where f elsewhere does not already rule it out
+    # a deterministic guard on the solver cost: the costly certificate of a
+    # row is evaluated only where f elsewhere does not already rule it out
     import corrchan.measures as measures_mod
 
-    gap, evaluated = measures_mod._Local.gap, []
+    gap, evaluated = measures_mod._gap, []
 
-    def counting_gap(self):
-        evaluated.append(self.f)
-        return gap.fget(self)
+    def counting_gap(local, row, weights):
+        evaluated.append(row)
+        return gap(local, row, weights)
 
-    monkeypatch.setattr(measures_mod._Local, "gap", property(counting_gap))
+    monkeypatch.setattr(measures_mod, "_gap", counting_gap)
     assert main(["sss", "--family", "free", "--out", str(tmp_path / "x.csv")]) == 0
     assert 0 < len(evaluated) <= 48
+
+
+def test_sss_memory_does_not_grow_with_cells(tmp_path):
+    # `sss` solves its cells in chunks of at most cli._SSS_CHUNK rate values:
+    # twelve cells of 50000 times peak like one, where one stack of all of
+    # them would take about twelve times its memory
+    import tracemalloc
+
+    def peak(cells):
+        tracemalloc.start()
+        try:
+            assert main(["sss", "--family", "free", "--steps", "50000", *cells,
+                         "--out", str(tmp_path / "x.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(["--g-inverse", "10", "--mu", "0.3"])
+    assert peak(["--g-inverse", "10,50,100", "--mu", "0,0.3,0.6,0.9"]) <= 1.2 * one
 
 
 def test_out_of_memory_exits_3_without_csv(capsys, tmp_path):

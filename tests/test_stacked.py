@@ -7,18 +7,23 @@ it. They must also agree with the Kraus oracle, applied one time
 at a time, to 1e-12. Bit equality also holds for the accessible-state
 volume, the success probability of error correction and the rates of the
 correlated OUN generator, which `volume`, `qec` and `sss` evaluate over the
-grid, and for the closed-form transfer matrices of the oracle.
+grid, and for the closed-form transfer matrices of the oracle. A stack of
+SSS rate pairs on one grid gives each row's measure with the bits of a
+one-row call, and fails as a whole where one row fails.
 """
+
+import re
 
 import numpy as np
 import pytest
 
+from corrchan import measures
 from corrchan.channels import evolve
-from corrchan.errors import ValidationError
+from corrchan.errors import NumericError, ValidationError
 from corrchan.linalg import validate_density
 from corrchan.map_algebra import accessible_volume, correlated_oun_rates
 from corrchan.measures import (PROBE_NAMES, PROBE_PAIRS, _x_shaped, concurrence, probe_state,
-                               random_bell_probes, trace_distance)
+                               random_bell_probes, sss_measure, trace_distance)
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 from corrchan.oracle import apply, channel_at_time, transfer_sampler
 from corrchan.qec import success_probability_closed, success_vs_time, total_probability_mass
@@ -136,3 +141,90 @@ def test_oun_generator_grid_equals_single_times(mu):
     assert grid.shape == (2,) + GENERATOR_TIMES.shape
     singles = np.array([correlated_oun_rates(t, params, mu) for t in GENERATOR_TIMES]).T
     assert np.array_equal(grid, singles)
+
+
+# One grid for a stack of SSS rate pairs: (G, g^-1, mu) per row. Rows at mu = 0
+# and 1 are collinear and take the weighted median; rows within 1e-8 of them
+# are not, and the others need different numbers of iterations.
+SSS_TIMES = np.linspace(0.0, 100.0, 200)
+SSS_ROWS = [(0.6, 10.0, 0.0), (0.6, 10.0, 1.0), (0.6, 10.0, 5e-9), (0.6, 10.0, 1 - 5e-9),
+            (1.2, 0.5, 0.3), (0.601, 59.7, 0.6), (0.601, 105.3, 0.9), (2.5, 1000.0, 0.5),
+            (0.05, 0.2, 0.99), (0.6, 2.0, 1e-8)]
+SSS_REFERENCE = (-0.3, -0.6)
+
+
+def sss_stack():
+    """The (2, k, n) single- and double-flip rates of SSS_ROWS."""
+    return np.stack([correlated_oun_rates(SSS_TIMES, OunParams(G=G, g=1.0 / g_inverse), mu)
+                     for G, g_inverse, mu in SSS_ROWS], axis=1)
+
+
+def sss_rows(a, b, free):
+    """`sss_measure` of each row alone, or the NumericError it raises."""
+    out = []
+    for single, double in zip(a, b):
+        try:
+            out.append(sss_measure(SSS_TIMES, (single, double), SSS_REFERENCE, free=free))
+        except NumericError as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_sss_stack_equals_one_row_calls(free):
+    a, b = sss_stack()
+    stacked = sss_measure(SSS_TIMES, (a, b), SSS_REFERENCE, free=free)
+    rows = sss_rows(a, b, free)
+    assert all(isinstance(zeta, float) for zeta in rows)
+    assert stacked.shape == (len(SSS_ROWS),)
+    assert stacked.tobytes() == np.array(rows).tobytes()
+
+
+def test_sss_stack_rows_need_different_iteration_counts(monkeypatch):
+    # the fewest steps that certify each row alone: none for a weighted median
+    def certified_within(limit, single, double):
+        monkeypatch.setattr(measures, "SSS_MAX_ITERATIONS", limit)
+        return isinstance(sss_rows([single], [double], True)[0], float)
+
+    needed = [next(limit for limit in range(101) if certified_within(limit, *row))
+              for row in zip(*sss_stack())]
+    assert needed[:2] == [0, 0]
+    assert len(set(needed[2:])) >= 3, needed
+
+
+def test_free_objective_terms_of_a_stack_equal_each_row(rng):
+    # the per-row sums of the free solver are `np.vecdot`s and stacked
+    # matmuls; a matrix-vector product over the stack rounds rows otherwise.
+    # Iterates sit on data points and amid clusters of coincident points too
+    for n in (3, 40, 257):
+        points = rng.normal(size=(9, n, 2))
+        points[:3, n // 2:] = points[:3, :1]
+        u = rng.normal(size=(9, 2))
+        u[::2] = points[::2, -1]
+        weights = rng.random(n)
+        stacked = (measures._objective(u, points, weights),
+                   *measures._local(u, points, weights))
+        for row in range(9):
+            one = (measures._objective(u[row:row + 1], points[row:row + 1], weights),
+                   *measures._local(u[row:row + 1], points[row:row + 1], weights))
+            for many, alone in zip(stacked, one):
+                assert many[row:row + 1].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_sss_stack_with_a_non_finite_rate_fails_whole(free):
+    a, b = sss_stack()
+    a[4, 7] = np.nan
+    message = "single-flip rate of L(t) has a non-finite value"
+    with pytest.raises(NumericError, match=re.escape(message)):
+        sss_measure(SSS_TIMES, (a, b), SSS_REFERENCE, free=free)
+    assert sss_rows(a, b, free)[4] == message
+
+
+def test_sss_stack_with_an_uncertified_row_fails_whole(monkeypatch):
+    monkeypatch.setattr(measures, "SSS_MAX_ITERATIONS", 1)
+    a, b = sss_stack()
+    with pytest.raises(NumericError, match="certificate") as stacked:
+        sss_measure(SSS_TIMES, (a, b), SSS_REFERENCE, free=True)
+    failures = {out for out in sss_rows(a, b, True) if isinstance(out, str)}
+    assert failures == {str(stacked.value)}
