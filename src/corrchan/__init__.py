@@ -7,7 +7,7 @@ forms is `corrchan.oracle`; it is not imported here."""
 from .errors import NumericError, ValidationError
 from .noise import (NmadParams, NoiseParams, OunParams, RtnParams,
                     nmad_decoherence, nmad_gamma, nmad_p, noise_p, oun_p, rtn_p)
-from .linalg import eig_hermitian, validate_density
+from .linalg import validate_density
 from .channels import evolve, evolve_damping, evolve_dephasing
 from .map_algebra import accessible_volume, correlated_oun_rates
 from .measures import (blp_measure, concurrence, nm_concurrence_measure,

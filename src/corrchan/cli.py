@@ -103,14 +103,11 @@ def _noise_params(family, **options):
 
 
 def _noise_from_args(args) -> RtnParams | OunParams | NmadParams:
-    kind = args.noise
-    if kind == "rtn":
+    if args.noise == "rtn":
         return _noise_params(RtnParams, a=args.a, gamma=args.gamma)
-    if kind == "oun":
+    if args.noise == "oun":
         return _noise_params(OunParams, G=args.G, g=args.g)
-    if kind == "nmad":
-        return _noise_params(NmadParams, gamma0=args.gamma0, g=args.g)
-    raise ValueError(f"unknown noise family {kind!r}")
+    return _noise_params(NmadParams, gamma0=args.gamma0, g=args.g)  # the choices leave nmad
 
 
 def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
@@ -175,12 +172,6 @@ def _cmd_tracedist(args) -> Table:
                   trace_distance(*evolve(noise, mu, times, probes)))
 
 
-def _pair_backflows(states: np.ndarray) -> list[float]:
-    """`blp_measure` of each trajectory pair (states[2k], states[2k + 1])
-    of a stack, in order, from one trace-distance call."""
-    return blp_measure(states[0::2], states[1::2])
-
-
 # probe states per `evolve` call in `blp`: an even number, so that a chunk
 # holds whole pairs, and the memory of a sweep does not grow with the probes
 _BLP_CHUNK = 16
@@ -206,7 +197,8 @@ def _cmd_blp(args) -> Table:
         # one chunk's trajectories are freed before the next chunk's are evolved
         values = []
         for start in range(0, len(probes), _BLP_CHUNK):
-            values += _pair_backflows(evolve(noise, mu, times, probes[start:start + _BLP_CHUNK]))
+            states = evolve(noise, mu, times, probes[start:start + _BLP_CHUNK])
+            values += blp_measure(states[0::2], states[1::2])
         lines += [f"{_fmt(mu)},{label},{_fmt(value)}" for label, value in zip(labels, values)]
         lines.append(f"{_fmt(mu)},max,{_fmt(max([0.0, *values]))}")
     return ["mu", "pair", "blp"], lines
@@ -226,7 +218,7 @@ def _cmd_sss(args) -> Table:
             raise ValueError("--g-inverse requires positive finite values with a finite "
                              f"inverse, got {g_inv!r}")
     times = _time_grid(args)
-    reference = (-args.G / 2, -args.G)  # the memoryless-limit rates
+    reference = (-args.G / 2, -args.G) if args.family == "markov" else None  # memoryless limit
     params = {g_inv: _noise_params(OunParams, G=args.G, g=1.0 / g_inv) for g_inv in g_inverses}
     cells = [(g_inv, mu) for g_inv in g_inverses for mu in mus]
     chunk = max(1, _SSS_CHUNK // len(times))
@@ -234,8 +226,7 @@ def _cmd_sss(args) -> Table:
     for start in range(0, len(cells), chunk):
         rates = [correlated_oun_rates(times, params[g_inv], mu)
                  for g_inv, mu in cells[start:start + chunk]]
-        zetas += list(sss_measure(times, np.stack(rates, axis=1), reference,
-                                  free=args.family == "free"))
+        zetas += list(sss_measure(times, np.stack(rates, axis=1), reference))
     return ["g_inverse", "mu", "zeta"], _lines(np.column_stack([cells, zetas]))
 
 
@@ -468,6 +459,8 @@ def main(argv: list[str] | None = None) -> int:
         # the top-level parser's only option is -h, so only argv[0] can name
         # the subcommand whose subparser needs building
         args = build_parser(argv[0] if argv else None).parse_args(argv)
+        if args.config is not None:  # _apply_config took out the first --config
+            raise ValueError(f"config file {args.config!r} is not read: give one --config FILE")
         for name, value in vars(args).items():
             if isinstance(value, list):  # argparse reads `--name=--` as []
                 raise ValueError(f"--{name.replace('_', '-')} requires a value, got '--'")

@@ -1,11 +1,10 @@
-"""Dense complex-matrix kernel: Hermitian eigendecomposition and
-density-matrix validation.
+"""Dense complex-matrix kernel: density-matrix validation and the LAPACK
+call wrapper.
 
 All matrices are plain complex numpy arrays. Every function takes one matrix
 of shape (d, d) or a stack of shape (..., d, d); a stack goes through numpy's
 batched LAPACK drivers in one call, and a check on a stack fails when any of
-its matrices fails, carrying the residual of the worst one. Only Hermitian
-eigenproblems of dimension <= 64 arise in this package. A LAPACK failure
+its matrices fails, carrying the residual of the worst one. A LAPACK failure
 raises NumericError.
 
 `validate_density` certifies positivity with one batched Cholesky
@@ -21,7 +20,6 @@ from .errors import NumericError, ValidationError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 MIN_EIGENVALUE = -1e-9
-EIG_HERMITICITY_TOL = 1e-8
 # A factorisation of M - (MIN_EIGENVALUE + margin) I proves lambda_min(M) >
 # MIN_EIGENVALUE as long as the margin exceeds Cholesky's backward error,
 # about (d + 1) u |M| ~ 6e-16: a close call has unit trace and no eigenvalue
@@ -46,31 +44,6 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return float(np.abs(r).max())
 
 
-def _check_nonempty(m: np.ndarray) -> None:
-    """ValidationError if the matrix or stack m holds no entries."""
-    if m.size == 0:
-        raise ValidationError("nonemptiness", 0.0,
-                              f"expected at least one matrix, got shape {m.shape}")
-
-
-def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
-
-    Returns (eigenvalues, eigenvectors) with eigenvectors as columns, so that
-    M @ V = V @ diag(w); on a stack, both carry its leading axes.
-
-    Raises:
-        ValidationError: input empty or not Hermitian within 1e-8.
-        NumericError: the iteration failed to converge.
-    """
-    _check_nonempty(m)
-    res = hermiticity_residual(m)
-    if not res <= EIG_HERMITICITY_TOL:
-        raise ValidationError("hermiticity", res)
-    w, v = lapack(np.linalg.eigh, m)
-    return w[..., ::-1], v[..., ::-1]
-
-
 def validate_density(m: np.ndarray) -> np.ndarray:
     """Check that M, or every matrix of a stack, is a density matrix of
     dimension 2 or 4.
@@ -93,7 +66,9 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     if d not in (2, 4):
         raise ValidationError("dimension", float(d),
                               f"density matrices must be 2x2 or 4x4, got {d}x{d}")
-    _check_nonempty(m)
+    if m.size == 0:
+        raise ValidationError("nonemptiness", 0.0,
+                              f"expected at least one matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValidationError("finiteness", float(np.count_nonzero(~np.isfinite(m))),
                               "matrix has NaN or infinite entries")

@@ -70,7 +70,9 @@ def correlated_oun_rates(t, params: OunParams, mu: float):
     with tau(mu) = mu + (1 - mu) p^2. At mu = 0 the double-flip rate is twice
     the single-flip rate, taken exactly, since (1 - mu) p^2 / tau is 0/0 once
     p^2 underflows; at mu = 1 it vanishes (the tau slots freeze at mu).
+    mu outside [0, 1] is a ValueError.
     """
+    _check_mu(mu)
     G, g = params.G, params.g
     p2 = np.square(oun_p(t, params))
     rate_single = (G / 2) * np.expm1(-g * t)

@@ -34,7 +34,7 @@ iterate together, each row with the bits it gets alone.
 import numpy as np
 
 from .errors import NumericError
-from .linalg import eig_hermitian, lapack, validate_density
+from .linalg import lapack, validate_density
 from .channels import SIGMA
 from .map_algebra import DOUBLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS
 
@@ -149,7 +149,8 @@ def _wootters(rho: np.ndarray) -> np.ndarray:
     Wootters l_k are the singular values of X^T (YY) X, so no eigenvalue is
     squared and none is clamped. Where an eigenvalue of rho is near 0, C is
     not Lipschitz in rho, and its rounding reaches C as its square root."""
-    w, v = eig_hermitian(rho)
+    w, v = lapack(np.linalg.eigh, rho)  # `concurrence` has validated rho
+    w, v = w[..., ::-1], v[..., ::-1]  # descending, the order the goldens were recorded in
     factor = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
     lam = lapack(np.linalg.svdvals, factor.swapaxes(-1, -2) @ _YY @ factor)
     return lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
@@ -462,7 +463,7 @@ def _free_minimiser(a, b, weights):
     return x.reshape(shape), y.reshape(shape)
 
 
-def sss_measure(times, rates, reference, free: bool = False):
+def sss_measure(times, rates, reference=None):
     """Temporal-self-similarity measure: (1/T) integral ||L(t) - L*||_F dt
     over the window T of the grid `times`, by trapezoidal quadrature, with
     the Frobenius norm on two-qubit dephasing generators.
@@ -475,9 +476,9 @@ def sss_measure(times, rates, reference, free: bool = False):
     sqrt(8 (a - x)^2 + 4 (b - y)^2). L* is typically the memoryless-limit
     generator, so the measure reads the time-averaged distance of L(t) from
     the semigroup the dynamics would follow without environmental or channel
-    memory. A constant rate broadcasts over the grid. With `free`, (x, y)
-    instead ranges over all rate pairs and `reference` is not used. The
-    objective is then a weighted geometric median in (x, y), minimised by
+    memory. A constant rate broadcasts over the grid. With `reference`
+    None, (x, y) instead ranges over all rate pairs: the free measure. Its
+    objective is a weighted geometric median in (x, y), minimised by
     `_free_minimiser` up to a certified relative gap of SSS_TOL, or
     NumericError. The free measure vanishes for any constant L(t). A
     non-finite rate, or a measure that overflows, raises NumericError.
@@ -499,7 +500,7 @@ def sss_measure(times, rates, reference, free: bool = False):
     for name, rate in (("single-flip", a), ("double-flip", b)):
         if not np.isfinite(rate).all():
             raise NumericError(f"{name} rate of L(t) has a non-finite value")
-    if free:
+    if reference is None:
         steps = np.diff(times)
         weights = (np.append(steps, 0.0) + np.insert(steps, 0, 0.0)) / (2 * span)
         reference = _free_minimiser(a, b, weights)

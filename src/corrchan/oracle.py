@@ -45,8 +45,7 @@ from .linalg import lapack, validate_density
 from .map_algebra import (DOUBLE_FLIP_SLOTS, IDENTITY_SLOTS, SINGLE_FLIP_SLOTS,
                           correlated_oun_rates)
 from .noise import NmadParams, NoiseParams, OunParams, noise_p
-from .qec import (ALL_ERROR_STRINGS, _check_word, _word_probabilities, _xor_word,
-                  is_detectable)
+from .qec import ALL_ERROR_STRINGS, _check_word, _word_probabilities, is_detectable
 
 COMPLETENESS_TOL = 1e-10
 JOINT_PROB_TOL = 1e-12
@@ -589,6 +588,10 @@ def is_detectable_numeric(word: str) -> bool:
     e_zero, e_one = apply_word(word, zero), apply_word(word, one)
     return (abs(zero @ e_zero - one @ e_one) < 1e-12
             and abs(zero @ e_one) < 1e-12 and abs(one @ e_zero) < 1e-12)
+
+
+def _xor_word(a: str, b: str) -> str:
+    return ''.join('Z' if x != y else 'I' for x, y in zip(a, b))
 
 
 def greedy_correctable_set() -> frozenset[str]:

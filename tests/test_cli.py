@@ -312,6 +312,24 @@ def test_config_file_errors(tmp_path):
     assert main(["qec", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("second", [["--config", "{}"], ["--config={}"], ["--conf", "{}"],
+                                    "config = {}"])
+def test_second_config_file_rejected(second, tmp_path, capsys):
+    # a second file on the command line, or named inside the first, was
+    # silently dropped: only one is read, and the run stops naming the other
+    first, other, out = tmp_path / "a.cfg", tmp_path / "b.cfg", tmp_path / "out.csv"
+    other.write_text("mu = 0.75\n")
+    argv = ["qec", "--config", str(first), "--tmax", "10", "--steps", "3", "--out", str(out)]
+    if isinstance(second, str):
+        first.write_text("mu = 0.25\n" + second.format(other) + "\n")
+    else:
+        first.write_text("mu = 0.25\n")
+        argv += [tok.format(other) for tok in second]
+    assert main(argv) == 2
+    assert f"config file {str(other)!r} is not read" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["qec", "--noise", "oun", "--mu", "1.5"],          # mu out of range
     ["qec", "--noise", "nmad"],                        # unsupported noise for qec
@@ -634,6 +652,9 @@ GOLDEN_CSV.update({
     "evolve_nmad_psiplus": ["evolve", *_NOISE["nmad"], *_GRID, "--state", "psi+"],
     # not X-shaped: 16 of the 32 columns vary over the grid at mu 0 and 0.5, 8 at mu 1
     "evolve_nmad_alpha": ["evolve", *_NOISE["nmad"], *_GRID, "--state", "alpha"],
+    # not X-shaped either: every row takes the Wootters route of `concurrence`
+    "concurrence_nmad_alpha": ["concurrence", *_NOISE["nmad"], *_GRID, "--probe", "alpha"],
+    "concurrence_rtn_plusplus": ["concurrence", *_NOISE["rtn"], *_GRID, "--probe", "++"],
     "tracedist_rtn_plusminus": ["tracedist", *_NOISE["rtn"], *_GRID, "--pair", "++:--"],
     "blp_rtn_random": ["blp", *_NOISE["rtn"], *_GRID, "--pairs", "phi+:phi-",
                        "--random-probes", "2", "--seed", "7"],

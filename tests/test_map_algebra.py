@@ -164,6 +164,12 @@ def test_transfer_sampler_checks_mu():
         transfer_sampler(OUN, 1.5)
 
 
+@pytest.mark.parametrize("mu", [-0.1, 1.5, np.nan])
+def test_oun_rates_check_mu(mu):
+    with pytest.raises(ValueError, match="correlation factor mu"):
+        correlated_oun_rates(np.linspace(0.0, 10.0, 5), OUN, mu)
+
+
 def test_non_finite_transfer_is_numeric_error(monkeypatch):
     monkeypatch.setattr(oracle, "_FC_SQRT", np.full((16, 16), np.nan))
     with pytest.raises(NumericError):

@@ -297,7 +297,7 @@ def test_measure_halved_grid_stability():
 
 def test_sss_zero_for_time_independent_generator():
     times = np.linspace(0.0, 20.0, 256)
-    zeta = sss_measure(times, (-0.3, -0.6), (0.0, 0.0), free=True)
+    zeta = sss_measure(times, (-0.3, -0.6), None)
     assert zeta < 1e-9
     assert sss_measure(times, (-0.3, -0.6), (-0.3, -0.6)) == 0.0
 
@@ -310,7 +310,7 @@ def oun_sss(G, g_inverse, mu, t_max, n_points, free=False):
     """zeta of correlated OUN against the memoryless-limit rates (-G/2, -G)."""
     times = np.linspace(0.0, t_max, n_points)
     rates = correlated_oun_rates(times, OunParams(G=G, g=1.0 / g_inverse), mu)
-    return sss_measure(times, rates, (-G / 2, -G), free=free)
+    return sss_measure(times, rates, None if free else (-G / 2, -G))
 
 
 def test_sss_increases_with_mu():
@@ -461,7 +461,7 @@ def test_sss_free_certificate_is_sound(case, rng):
 
 @pytest.mark.parametrize("rates", [(-0.3, -0.6), (0.0, 0.0), (1.7, -2.5)])
 def test_sss_free_zero_for_constant_dephasing_generator(rates):
-    assert sss_measure(np.linspace(0.0, 20.0, 256), rates, (0.0, 0.0), free=True) == 0.0
+    assert sss_measure(np.linspace(0.0, 20.0, 256), rates, None) == 0.0
 
 
 def test_sss_free_uncertified_raises(monkeypatch):
@@ -477,7 +477,7 @@ def test_sss_rejects_non_finite_generator(bad, free):
     single, double = correlated_oun_rates(times, OUN, 0.5)
     double[-1] = bad
     with pytest.raises(NumericError, match="double-flip rate of L\\(t\\) has a non-finite"):
-        sss_measure(times, (single, double), (-0.5, -1.0), free=free)
+        sss_measure(times, (single, double), None if free else (-0.5, -1.0))
 
 
 @pytest.mark.parametrize("free", [False, True])
@@ -492,7 +492,7 @@ def test_sss_validation():
     for times in ([0.0], [0.0, 0.0], [0.0, 2.0, 1.0], [0.0, np.nan], [0.0, np.inf],
                   [[0.0, 1.0]]):
         with pytest.raises(ValueError, match="strictly increasing grid"):
-            sss_measure(times, (0.0, 0.0), (0.0, 0.0), free=True)
+            sss_measure(times, (0.0, 0.0), None)
 
 
 # --------------------------------------------------------------------------

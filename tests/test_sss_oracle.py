@@ -56,8 +56,8 @@ def test_rate_form_matches_the_16x16_norm(family, monkeypatch):
         params = OunParams(G=G, g=1.0 / g_inverse)
         times = np.linspace(0.0, t_max, n_points)
         reference = (-G / 2, -G)
-        zeta = sss_measure(times, correlated_oun_rates(times, params, mu), reference,
-                           free=family == "free")
+        zeta = sss_measure(times, correlated_oun_rates(times, params, mu),
+                           None if family == "free" else reference)
         rates = found.pop() if family == "free" else reference
         oracle = frobenius_zeta(times, correlated_oun_generator(times, params, mu), rates)
         case = (G, g_inverse, mu, t_max, n_points)

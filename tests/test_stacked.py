@@ -164,7 +164,7 @@ def sss_rows(a, b, free):
     out = []
     for single, double in zip(a, b):
         try:
-            out.append(sss_measure(SSS_TIMES, (single, double), SSS_REFERENCE, free=free))
+            out.append(sss_measure(SSS_TIMES, (single, double), None if free else SSS_REFERENCE))
         except NumericError as exc:
             out.append(str(exc))
     return out
@@ -173,7 +173,7 @@ def sss_rows(a, b, free):
 @pytest.mark.parametrize("free", [False, True])
 def test_sss_stack_equals_one_row_calls(free):
     a, b = sss_stack()
-    stacked = sss_measure(SSS_TIMES, (a, b), SSS_REFERENCE, free=free)
+    stacked = sss_measure(SSS_TIMES, (a, b), None if free else SSS_REFERENCE)
     rows = sss_rows(a, b, free)
     assert all(isinstance(zeta, float) for zeta in rows)
     assert stacked.shape == (len(SSS_ROWS),)
@@ -217,7 +217,7 @@ def test_sss_stack_with_a_non_finite_rate_fails_whole(free):
     a[4, 7] = np.nan
     message = "single-flip rate of L(t) has a non-finite value"
     with pytest.raises(NumericError, match=re.escape(message)):
-        sss_measure(SSS_TIMES, (a, b), SSS_REFERENCE, free=free)
+        sss_measure(SSS_TIMES, (a, b), None if free else SSS_REFERENCE)
     assert sss_rows(a, b, free)[4] == message
 
 
@@ -225,6 +225,6 @@ def test_sss_stack_with_an_uncertified_row_fails_whole(monkeypatch):
     monkeypatch.setattr(measures, "SSS_MAX_ITERATIONS", 1)
     a, b = sss_stack()
     with pytest.raises(NumericError, match="certificate") as stacked:
-        sss_measure(SSS_TIMES, (a, b), SSS_REFERENCE, free=True)
+        sss_measure(SSS_TIMES, (a, b), None)
     failures = {out for out in sss_rows(a, b, True) if isinstance(out, str)}
     assert failures == {str(stacked.value)}
