@@ -464,17 +464,13 @@ def main(argv: list[str] | None = None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, list):  # argparse reads `--name=--` as []
                 raise ValueError(f"--{name.replace('_', '-')} requires a value, got '--'")
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         with np.errstate(all="ignore"):
             table = args.func(args)
         if table is not None:
             _write_csv(args.out, *table)
         return 0
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

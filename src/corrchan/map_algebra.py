@@ -21,7 +21,7 @@ in the tests.
 
 import numpy as np
 
-from .channels import _check_mu, _check_noise_value
+from .channels import _check_mu
 from .noise import NmadParams, NoiseParams, OunParams, noise_p, oun_p
 
 # Diagonal slot groups of the two-qubit basis under correlated dephasing,
@@ -51,12 +51,12 @@ def accessible_volume(noise: NoiseParams, mu: float, t):
     # powers by squaring: unlike np.power, a product rounds alike in a grid
     # and at a single time
     if isinstance(noise, NmadParams):
-        q = 1 - _check_noise_value(p, 0, "damping probability p")
+        q = 1 - p
         a2 = np.square(mu + (1 - mu) * np.sqrt(q))
         b = mu + (1 - mu) * q
         b8 = np.square(np.square(np.square(b)))
         return np.square(np.square(q)) * a2 * np.square(a2) * b8 * b
-    p2 = np.square(_check_noise_value(p, -1, "noise value p"))
+    p2 = np.square(p)
     return np.square(np.square(p2)) * np.square(np.square(mu + (1 - mu) * p2))
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NumericError
 from .linalg import lapack, validate_density
-from .channels import SIGMA
+from .channels import _FLIPS, SIGMA
 from .map_algebra import DOUBLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS
 
 RISE_THRESHOLD = 1e-12
@@ -57,10 +57,10 @@ def _value(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-# The eight entries of a 4 x 4 matrix off its diagonal and anti-diagonal. A
-# matrix that is exactly 0 there (-0.0 included) is X-shaped: it is the
-# direct sum of its blocks on the levels {1, 4} and {2, 3}.
-_NOT_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+# The eight entries of a 4 x 4 matrix off its diagonal and anti-diagonal, the
+# single-flip coherences. A matrix that is exactly 0 there (-0.0 included) is
+# X-shaped: it is the direct sum of its blocks on the levels {1, 4} and {2, 3}.
+_NOT_X = _FLIPS == 1
 
 
 def _x_shaped(m: np.ndarray) -> np.ndarray:

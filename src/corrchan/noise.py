@@ -10,6 +10,10 @@ single time, returning a float, or an array of times, returning an array of
 the same shape, through the same numpy expression (a single time is a 0-d
 array). A value that is not finite raises NumericError rather than reaching
 a channel; round-off past its range near t = 0 is clipped.
+
+RTN's p(t) (r = gamma, nu0 = 2a) and NMAD's G(t) (r = g/2, nu0^2 = gamma0 g/2)
+both solve y'' + 2r y' + nu0^2 y = 0 from y(0) = 1, y'(0) = 0: one real
+kernel evaluates both, under-, over- or critically damped.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,6 @@ import numpy as np
 
 from .errors import NumericError
 
-IMAG_RESIDUE_TOL = 1e-10
 DECOHERENCE_ZERO_TOL = 1e-9
 _DEGENERATE = 1e-12
 
@@ -59,14 +62,15 @@ class RtnParams:
         _check_positive(a=self.a, gamma=self.gamma)
 
     @property
-    def omega(self) -> complex:
-        """sqrt((2a/gamma)^2 - 1); real in the oscillatory regime, imaginary otherwise."""
+    def omega(self) -> float:
+        """w = sqrt(|(2a/gamma)^2 - 1|): p(t) oscillates at frequency w gamma
+        when 2a/gamma > 1, and decays at the two rates (1 -+ w) gamma otherwise."""
         r = 2 * self.a / self.gamma
-        return complex(np.sqrt(complex(r * r - 1)))
+        return _regime(r * r - 1)[0]
 
     @property
     def is_nonmarkovian_regime(self) -> bool:
-        """True when 2a/gamma > 1, i.e. omega is real and p(t) oscillates."""
+        """True when 2a/gamma > 1, i.e. p(t) oscillates."""
         return 2 * self.a / self.gamma > 1
 
 
@@ -97,35 +101,38 @@ class NmadParams:
 NoiseParams = RtnParams | OunParams | NmadParams
 
 
-def _decaying_cosh_sinh(rate, y, ratio):
-    """exp(-rate) (cosh y + ratio sinh y) for 0 <= y < rate, as decaying
-    exponentials: (1/2) exp(y - rate) (1 + exp(-2y) - ratio expm1(-2y)).
+def _regime(disc: float) -> tuple[float, str]:
+    """sqrt(|disc|) and the regime of the oscillator whose nu0^2 - r^2, in
+    any positive units, is disc: "under" damped for disc > 0, "over" damped
+    for disc < 0 and "critical" when sqrt(|disc|) < 1e-12."""
+    root = float(np.sqrt(abs(disc)))
+    return root, "critical" if root < _DEGENERATE else "under" if disc > 0 else "over"
 
-    Nothing here overflows at large times, unlike cosh and sinh themselves,
-    and expm1 keeps ratio sinh y accurate when y is small.
-    """
-    return 0.5 * np.exp(y - rate) * (1 + np.exp(-2 * y) - ratio * np.expm1(-2 * y))
+
+def _damped(rate, phase, ratio, regime: str):
+    """exp(-rate) (C(phase) + ratio S(phase)), with rate = r t, phase = W t and
+    ratio = r / W, W = sqrt|nu0^2 - r^2|: cos and sin under damped; cosh and
+    sinh over damped, as the decaying exponentials (1/2) exp(phase - rate)
+    (1 + exp(-2 phase) - ratio expm1(-2 phase)), which do not overflow at
+    large t and keep ratio sinh accurate at small phase; the limit
+    exp(-rate) (1 + rate) critically damped."""
+    if regime == "critical":
+        return np.exp(-rate) * (1 + rate)
+    if regime == "over":
+        return 0.5 * np.exp(phase - rate) * (1 + np.exp(-2 * phase) - ratio * np.expm1(-2 * phase))
+    return np.exp(-rate) * (np.cos(phase) + ratio * np.sin(phase))
 
 
 def rtn_p(t, params: RtnParams):
-    """RTN dephasing function exp(-gamma t)(cos(w gamma t) + sin(w gamma t)/w).
-
-    In the oscillatory regime (2a/gamma > 1, real w) it is evaluated through
-    a complex w; in the overdamped regime (imaginary w) as a sum of decaying
-    exponentials, which does not overflow at large t; w = 0 uses the limit
-    form exp(-gamma t)(1 + gamma t).
-    """
+    """RTN dephasing function exp(-gamma t)(cos(w gamma t) + sin(w gamma t)/w),
+    w = `params.omega`, oscillating for 2a/gamma > 1; cosh and sinh replace
+    cos and sin for 2a/gamma < 1, and w = 0 is the limit exp(-gamma t)(1 + gamma t)."""
     t = _check_time(t)
     gamma = params.gamma
-    w = params.omega
-    if abs(w) < _DEGENERATE:
-        val = np.exp(-gamma * t) * (1 + gamma * t)
-    elif not params.is_nonmarkovian_regime:
-        val = _decaying_cosh_sinh(gamma * t, abs(w) * gamma * t, 1 / abs(w))
-    else:
-        x = w * gamma * t
-        val = (np.exp(-gamma * t) * (np.cos(x) + np.sin(x) / w)).real
-    return _finite(val, "RTN p(t)", -1.0, 1.0)
+    r = 2 * params.a / gamma
+    w, regime = _regime(r * r - 1)
+    return _finite(_damped(gamma * t, w * gamma * t, 1 / w if w else 0.0, regime),
+                   "RTN p(t)", -1.0, 1.0)
 
 
 def oun_p(t, params: OunParams):
@@ -140,35 +147,15 @@ def oun_p(t, params: OunParams):
                    "OUN p(t)", 0.0, 1.0)
 
 
-def _nmad_l(params: NmadParams) -> complex:
-    g = params.g
-    return complex(np.sqrt(complex(g * g - 2 * params.gamma0 * g)))
-
-
 def nmad_decoherence(t, params: NmadParams):
-    """NMAD decoherence function G(t) = exp(-gt/2)(cosh(lt/2) + (g/l) sinh(lt/2)).
-
-    l = sqrt(g^2 - 2 gamma0 g). For g < 2 gamma0, l is imaginary, the
-    hyperbolic functions become trigonometric and G(t) oscillates through
-    zero; that branch is evaluated through a complex l, whose imaginary
-    residue must stay below 1e-10 or a NumericError is raised. For real l
-    (overdamped) G(t) is evaluated as a sum of decaying exponentials, which
-    does not overflow at large t.
-    """
+    """NMAD decoherence function G(t) = exp(-gt/2)(cosh(lt/2) + (g/l) sinh(lt/2)),
+    l = sqrt(g^2 - 2 gamma0 g). For g < 2 gamma0, l = i d, and G(t) =
+    exp(-gt/2)(cos(dt/2) + (g/d) sin(dt/2)) oscillates through zero; l = 0
+    is the limit exp(-gt/2)(1 + gt/2)."""
     t = _check_time(t)
     g = params.g
-    l = _nmad_l(params)
-    if abs(l) < _DEGENERATE:
-        return _finite(np.exp(-g * t / 2) * (1 + g * t / 2), "NMAD G(t)")
-    if l.imag == 0:
-        return _finite(_decaying_cosh_sinh(g * t / 2, l.real * t / 2, g / l.real), "NMAD G(t)")
-    damp = np.exp(-g * t / 2)
-    x = l * t / 2
-    val = damp * (np.cosh(x) + (g / l) * np.sinh(x))
-    residue = np.abs(val.imag).max(initial=0.0)
-    if not residue < IMAG_RESIDUE_TOL:
-        raise NumericError(f"imaginary residue {residue:.3e} in decoherence function")
-    return _finite(val.real, "NMAD G(t)")
+    d, regime = _regime(2 * params.gamma0 * g - g * g)
+    return _finite(_damped(g * t / 2, d * t / 2, g / d if d else 0.0, regime), "NMAD G(t)")
 
 
 def nmad_p(t, params: NmadParams):
@@ -180,29 +167,26 @@ def nmad_p(t, params: NmadParams):
 def nmad_gamma(t: float, params: NmadParams) -> float:
     """Time-dependent decay rate gamma(t) = -(2/|G|) d|G|/dt, by the closed form.
 
-    Differentiating the decoherence function analytically gives
-    gamma(t) = 2 gamma0 g sinh(lt/2) / (l cosh(lt/2) + g sinh(lt/2)),
-    which avoids finite differences near the zeros of G(t). Negative values
-    signal backflow intervals; the rate diverges at zeros of G, so inputs
-    with |G(t)| <= 1e-9 are rejected.
+    Differentiating G(t) gives gamma(t) = 2 gamma0 g sinh(lt/2) /
+    (l cosh(lt/2) + g sinh(lt/2)), with sin, cos and d in place of sinh, cosh
+    and l when l = i d: no finite differences near the zeros of G(t).
+    Negative values signal backflow intervals; the rate diverges at zeros
+    of G, so inputs with |G(t)| <= 1e-9 are rejected.
     """
     t = _check_time(t)
     gt = nmad_decoherence(t, params)
     if not abs(gt) > DECOHERENCE_ZERO_TOL:
         raise NumericError(f"decay rate singular: |G({t})| = {abs(gt):.3e}")
     g, gamma0 = params.g, params.gamma0
-    l = _nmad_l(params)
-    if abs(l) < _DEGENERATE:
+    d, regime = _regime(2 * gamma0 * g - g * g)
+    if regime == "critical":
         return float(gamma0 * g * t / (1 + g * t / 2))
-    if l.imag == 0:
-        # overdamped: divide through by cosh so that nothing overflows
-        e = np.expm1(-l.real * t)
-        return _finite(-2 * gamma0 * g * e / (l.real * (2 + e) - g * e), "NMAD gamma(t)")
-    x = l * t / 2
-    val = 2 * gamma0 * g * np.sinh(x) / (l * np.cosh(x) + g * np.sinh(x))
-    if not abs(val.imag) < IMAG_RESIDUE_TOL:
-        raise NumericError(f"imaginary residue {abs(val.imag):.3e} in decay rate")
-    return _finite(val.real, "NMAD gamma(t)")
+    if regime == "over":
+        # divide through by cosh so that nothing overflows
+        e = np.expm1(-d * t)
+        return _finite(-2 * gamma0 * g * e / (d * (2 + e) - g * e), "NMAD gamma(t)")
+    y = d * t / 2
+    return _finite(2 * gamma0 * g * np.sin(y) / (d * np.cos(y) + g * np.sin(y)), "NMAD gamma(t)")
 
 
 def noise_p(params: NoiseParams, t):

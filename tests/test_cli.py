@@ -198,26 +198,6 @@ def test_sss_non_finite_generator_exits_3(family, monkeypatch, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("noise", ["rtn", "nmad"])
-def test_volume_nan_noise_value_exits_2_without_csv(noise, monkeypatch, tmp_path):
-    # a NaN p handed to the volume is bad input, like p outside its range
-    import numpy as np
-
-    import corrchan.map_algebra as map_algebra_mod
-
-    real = map_algebra_mod.noise_p
-
-    def with_nan(params, t):
-        p = real(params, t)
-        p[len(p) // 2] = np.nan
-        return p
-
-    monkeypatch.setattr(map_algebra_mod, "noise_p", with_nan)
-    out = tmp_path / "x.csv"
-    assert main(["volume", "--noise", noise, "--steps", "20", "--out", str(out)]) == 2
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("args", [
     ["volume", "--noise", "rtn", "--a", "1e160", "--gamma", "1e-10"],
     ["evolve", "--noise", "nmad", "--g", "1e160"],
@@ -303,13 +283,35 @@ def test_config_file_defaults_and_override(tmp_path):
     assert main(["qec", "--config", str(cfg), "--mu", "0.75",
                  "--out", str(out2)]) == 0
     assert read_csv(out2)[1][1] == "0.75"
+    # --config=FILE reads the same file
+    out3 = tmp_path / "c3.csv"
+    assert main(["qec", f"--config={cfg}", "--out", str(out3)]) == 0
+    assert out3.read_bytes() == out1.read_bytes()
 
 
-def test_config_file_errors(tmp_path):
+@pytest.mark.parametrize("value,column", [("true", "p_success_normalized"),
+                                          ("on", "p_success_normalized"),
+                                          ("false", "p_success"), ("no", "p_success")])
+def test_config_file_boolean_flag(value, column, tmp_path):
+    # a true value sets a store_true flag; a false one leaves it unset
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+    cfg.write_text(f"noise = oun\ntmax = 10\nsteps = 3\nnormalized = {value}\n")
+    assert main(["qec", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_csv(out)[0] == ["t", "mu", column]
+
+
+def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value line\n")
     assert main(["qec", "--config", str(bad)]) == 2
     assert main(["qec", "--config", str(tmp_path / "missing.cfg")]) == 2
+    bad.write_text("tmax = 10\n = 3\n")
+    assert main(["qec", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.endswith("bad.cfg:2: empty key\n")
+    # a config file with no subcommand after it
+    for argv in (["--config", str(bad)], [f"--config={bad}"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --config requires a subcommand\n"
 
 
 @pytest.mark.parametrize("second", [["--config", "{}"], ["--config={}"], ["--conf", "{}"],

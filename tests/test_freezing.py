@@ -226,6 +226,59 @@ def test_predicate_diagonal_state_always_frozen():
     assert freezing_predicate((0.0, 0.0, 0.5), "rtn", 0.2).status == "frozen"
 
 
+def _invariance_status(rho, kind, mu):
+    """The verdict by the invariance rule: frozen when the closed-form channel
+    fixes rho at several noise values at mu, conditional when it would only
+    at mu = 1, not_frozen otherwise."""
+    if kind == "nmad":
+        evolve, samples = evolve_damping, (0.25, 0.7, 1.0)
+    else:
+        evolve, samples = evolve_dephasing, (-0.6, 0.25, 0.7)
+
+    def fixed(m):
+        return all(np.abs(evolve(rho, p, m) - rho).max() <= 1e-12 for p in samples)
+    if fixed(mu):
+        return "frozen"
+    return "conditional" if fixed(1.0) else "not_frozen"
+
+
+def _anti_diagonal_state():
+    rho = np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex)
+    rho[0, 3], rho[3, 0] = 0.2 - 0.1j, 0.2 + 0.1j
+    rho[1, 2], rho[2, 1] = 0.05j, -0.05j
+    return rho
+
+
+def _ground_sector_state():
+    # support on |00>, |01> and |10> only, with coherences among them
+    rho = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
+    rho[0, 1], rho[1, 0] = 0.1, 0.1
+    rho[1, 2], rho[2, 1] = 0.05j, -0.05j
+    return rho
+
+
+@pytest.mark.parametrize("state,kind,mu,status", [
+    # a Bloch triple with a decaying component, unital, mu < 1
+    ((0.3, -0.2, 0.1), "rtn", 0.4, "conditional"),
+    ((0.0, 0.5, -0.2), "dephasing", 0.0, "conditional"),
+    # a diagonal density matrix, unital, at any mu
+    (np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex), "oun", 0.3, "frozen"),
+    (np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex), "unital", 0.0, "frozen"),
+    # anti-diagonal coherences only, unital, mu < 1
+    (_anti_diagonal_state(), "unital", 0.6, "conditional"),
+    (probe_state("phi+"), "rtn", 0.0, "conditional"),
+    # no |11> support, but moved by the uncorrelated damping branch at mu < 1
+    (probe_state("psi+"), "nmad", 0.5, "conditional"),
+    (_ground_sector_state(), "nmad", 0.2, "conditional"),
+], ids=["triple-rtn", "triple-dephasing", "diagonal-oun", "diagonal-unital",
+        "anti-diagonal", "phi+-rtn", "psi+-nmad", "ground-sector-nmad"])
+def test_predicate_status_matches_invariance_rule(state, kind, mu, status):
+    verdict = freezing_predicate(state, kind, mu)
+    assert verdict.status == status
+    rho = state if isinstance(state, np.ndarray) else bloch_diagonal_state(state)
+    assert _invariance_status(rho, kind, mu) == status
+
+
 def test_predicate_verdicts_confirmed_by_kraus_dynamics(rng):
     """Whenever the predicate says frozen, the state must be numerically
     invariant along the whole trajectory (through the Kraus path)."""

@@ -65,10 +65,12 @@ def test_rate_form_matches_the_16x16_norm(family, monkeypatch):
         assert f"{zeta:.12g}" == f"{oracle:.12g}", case
 
 
-# the seed-1 `map_measures` grid and the CLI defaults of `sss`
+# the seed-1 `map_measures` grid, the CLI defaults of `sss`, and a cell whose
+# free minimiser takes the Weiszfeld step of the stacked solver
 SSS_GRIDS = {
     "map_measures": (0.601, (8.2, 59.7, 105.3), (0.0, 0.3, 0.6, 0.9), 100.0, 200),
     "defaults": (0.6, (10.0, 50.0, 100.0), (0.0, 0.3, 0.6, 0.9), 100.0, 400),
+    "weiszfeld": (2.0, (30.0,), (1e-9,), 1.25, 369),
 }
 MP_DPS = 50
 
@@ -98,8 +100,10 @@ def _mp_free_minimum(a, b, weights, start):
     Rates on a line (mu = 0 or 1, ordered along it by t) give the weighted
     median, the first point from t = 0 with half the weight up to it (a tie
     leaves f constant on a segment, where the solver may stop at either
-    end). Otherwise the solver's float minimiser `start` is refined by
-    Newton steps until they stop moving it."""
+    end). Otherwise the minimum is the rate point nearest to the solver's
+    float minimiser `start` if the pull of the other terms there is within
+    that point's weight (Kuhn's criterion, in the metric of f), and else
+    `start` is refined by Newton steps until they stop moving it."""
     def local(x, y):
         f, grad, hess = mp.mpf(0), [mp.mpf(0)] * 2, [[mp.mpf(0)] * 2 for _ in range(2)]
         for a_t, b_t, w in zip(a, b, weights):
@@ -121,6 +125,10 @@ def _mp_free_minimum(a, b, weights, start):
             cumulative += w
             if 2 * cumulative >= total:
                 return local(a_k, b_k)[0]
+    k = min(range(len(a)), key=lambda i: (a[i] - start[0]) ** 2 + (b[i] - start[1]) ** 2)
+    f, pull, _ = local(a[k], b[k])
+    if mp.sqrt(pull[0] ** 2 / 8 + pull[1] ** 2 / 4) <= weights[k]:
+        return f
     x, y = mp.mpf(start[0]), mp.mpf(start[1])
     for _ in range(30):
         f, grad, hess = local(x, y)
