@@ -48,23 +48,18 @@ def _fmt(x: float) -> str:
     return format(float(x) + 0.0, ".12g")
 
 
-def _lines(data: np.ndarray, lead: list[str] | None = None,
-           fixed: tuple[str, ...] = ()) -> list[str]:
-    """One CSV line per row of a 2-d float array with at least one row, each
-    cell as `_fmt` prints it ('%.12g' and '.12g' format a float alike), and
-    one `%` per line. The line template holds the `_fmt` text of each column
-    that is constant over the rows, formatted once, and a '%.12g' slot for
-    each other column; NaN never equals itself, so a column with a NaN keeps
-    its slots. With `lead`, one formatted string per row, each line starts
-    with that string and then the formatted cells `fixed`."""
+def _lines(data: np.ndarray, lead: list[str], fixed: tuple[str, ...] = ()) -> list[str]:
+    """One CSV line per row of a 2-d float array with at least one row: the
+    row's string of `lead`, then the formatted cells `fixed`, then each cell
+    of the row as `_fmt` prints it ('%.12g' and '.12g' format a float
+    alike), with one `%` per line. The line template holds `fixed` and the
+    `_fmt` text of each column that is constant over the rows, formatted
+    once, and a '%.12g' slot for each other column; NaN never equals itself,
+    so a column with a NaN keeps its slots."""
     constant = (data == data[0]).all(axis=0)
     cells = [_fmt(x) if same else "%.12g"
              for x, same in zip(data[0].tolist(), constant.tolist())]
     columns = (data[:, ~constant] + 0.0).T.tolist()
-    if lead is None:
-        line = ",".join(cells)
-        # with no slot the template is the whole line
-        return [line % row for row in zip(*columns)] if columns else [line] * len(data)
     line = ",".join(["%s", *fixed, *cells])
     return [line % row for row in zip(lead, *columns)]
 
@@ -198,9 +193,10 @@ def _cmd_blp(args) -> Table:
         values = []
         for start in range(0, len(probes), _BLP_CHUNK):
             states = evolve(noise, mu, times, probes[start:start + _BLP_CHUNK])
-            values += blp_measure(states[0::2], states[1::2])
+            values.append(blp_measure(states[0::2], states[1::2]))
+        values = np.concatenate(values)
         lines += [f"{_fmt(mu)},{label},{_fmt(value)}" for label, value in zip(labels, values)]
-        lines.append(f"{_fmt(mu)},max,{_fmt(max([0.0, *values]))}")
+        lines.append(f"{_fmt(mu)},max,{_fmt(values.max(initial=0.0))}")
     return ["mu", "pair", "blp"], lines
 
 
@@ -226,8 +222,12 @@ def _cmd_sss(args) -> Table:
     for start in range(0, len(cells), chunk):
         rates = [correlated_oun_rates(times, params[g_inv], mu)
                  for g_inv, mu in cells[start:start + chunk]]
-        zetas += list(sss_measure(times, np.stack(rates, axis=1), reference))
-    return ["g_inverse", "mu", "zeta"], _lines(np.column_stack([cells, zetas]))
+        try:
+            zetas += list(sss_measure(times, np.stack(rates, axis=1), reference))
+        except ValueError as exc:  # the grid is the only input it can reject
+            raise ValueError(f"--tmax {args.tmax!r} and --steps {args.steps}: {exc}") from None
+    lead = [f"{_fmt(g_inv)},{_fmt(mu)}" for g_inv, mu in cells]
+    return ["g_inverse", "mu", "zeta"], _lines(np.column_stack([zetas]), lead)
 
 
 def _cmd_volume(args) -> Table:

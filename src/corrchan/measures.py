@@ -2,33 +2,34 @@
 measure, concurrence and its revival measure, and the temporal-self-similarity
 measure. The accessible-state volume is `map_algebra.accessible_volume`.
 
-Each measure of a trajectory is a plain float. The backflow-style measures
-sum the positive increments of a scalar trajectory, whatever grid it was
-sampled on; the maximization over initial states that defines them is
-evaluated over a caller-supplied probe family (see `probe_state` and
-`random_bell_probes`) rather than over all of state space.
+Each measure of one input is a float, and of a stack of inputs an array
+over the stack's leading axes, each entry with the bits its input gives
+alone. The backflow-style measures sum the positive increments of a scalar
+trajectory along its last axis, whatever grid it was sampled on; the
+maximization over initial states that defines them is evaluated over a
+caller-supplied probe family (see `probe_state` and `random_bell_probes`)
+rather than over all of state space.
 
 `trace_distance` and `concurrence` take one state or a stack of states of
 shape (..., 4, 4), such as a trajectory from `channels.evolve` over a time
-grid, and return a float or an array; the trajectory measures take such
-stacks. They validate the states they are given: `channels.evolve` does not
-validate the states it returns, so this is where an evolved state is
-checked, once. `blp_measure` also takes a stack of trajectory pairs, whose
-trace distances it evaluates in one call.
+grid; `blp_measure` and `nm_concurrence_measure` take a trajectory, or a
+stack of them, with time on the axis before the matrix axes. They validate
+the states they are given: `channels.evolve` does not validate the states
+it returns, so this is where an evolved state is checked, once.
 
-Both take two routes through a stack. A 4 x 4 matrix that is exactly 0 off
-its diagonal and anti-diagonal is X-shaped. Every Bell and basis probe is,
-and both channel families keep it so. For such a state, or difference of
-states, both measures have a closed form over the array, with no
-cancellation in the trace distance and relative accuracy in a small
-concurrence. The other matrices of the stack, and every 2 x 2 one, go to
+`trace_distance` and `concurrence` take two routes through a stack. A 4 x 4
+matrix that is exactly 0 off its diagonal and anti-diagonal is X-shaped. Every
+Bell and basis probe is, and both channel families keep it so. For such a
+state, or difference of states, both measures have a closed form over the
+array, with no cancellation in the trace distance and relative accuracy in a
+small concurrence. The other matrices of the stack, and every 2 x 2 one, go to
 LAPACK: `eigvalsh` of the difference, and for concurrence one `eigh` of the
-state and the singular values of a 4 x 4 product, with no eigenvalue
-clamp. Either way, a matrix gives the same bits alone as inside a stack.
+state and the singular values of a 4 x 4 product, with no eigenvalue clamp.
+Either way, a matrix gives the same bits alone as inside a stack.
 `sss_measure` takes the two rates of a dephasing generator over a time grid,
-not the 16 x 16 matrices, whose Frobenius distances follow from the rates;
-or a (k, n) stack of k such rate pairs on one grid, whose free minimisers
-iterate together, each row with the bits it gets alone.
+not the 16 x 16 matrices, whose Frobenius distances follow from the rates; or
+a (k, n) stack of k such rate pairs on one grid, whose free minimisers iterate
+together, each row with the bits it gets alone.
 """
 
 import numpy as np
@@ -104,24 +105,23 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray):
     return _value(distance)
 
 
-def positive_variation(values) -> float:
-    """Sum of the increments above RISE_THRESHOLD, one term per rising run.
+def positive_variation(values):
+    """Sum of the increments above RISE_THRESHOLD along the last axis.
 
     This is the trapezoidal evaluation of the integral of dX/dt over the
     regions where X increases; the threshold suppresses sign flips at noise
-    level. `values` must be 1-d, finite and at least two points long.
+    level. `values` is a finite series of at least two points, which gives a
+    float, or a (..., n) stack of them, which gives an array of shape (...,).
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or len(values) < 2:
-        raise ValueError("positive variation needs a 1-d series of at least two "
+    # in C order, each series is summed along contiguous memory, as alone
+    values = np.asarray(values, dtype=float, order="C")
+    if values.ndim == 0 or values.shape[-1] < 2:
+        raise ValueError("positive variation needs a series of at least two "
                          f"points, got shape {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("positive variation needs finite values")
     diffs = np.diff(values)
-    # +1 where a rising run starts, -1 one past where it ends
-    edges = np.diff(np.concatenate(([0], diffs > RISE_THRESHOLD, [0])))
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    return sum((float(diffs[i:j].sum()) for i, j in zip(starts, ends)), 0.0)
+    return _value(np.where(diffs > RISE_THRESHOLD, diffs, 0.0).sum(axis=-1))
 
 
 def blp_measure(rho1: np.ndarray, rho2: np.ndarray):
@@ -129,15 +129,12 @@ def blp_measure(rho1: np.ndarray, rho2: np.ndarray):
     increase of the trace distance D(rho1(t), rho2(t)) along it.
 
     `rho1` and `rho2` are the two trajectories as (n, d, d) stacks over the
-    same time grid, which gives a float; or k such pairs as (k, n, d, d)
-    stacks, whose trace distances are taken in one call, which gives the
-    list of the k floats, pair by pair. Maximization over initial pairs is
-    the caller's job; evaluate over a probe family and take the max.
+    same time grid, which gives a float; or (..., n, d, d) stacks of
+    trajectory pairs, whose trace distances are taken in one call, which
+    give an array of shape (...,), pair by pair. Maximization over initial
+    pairs is the caller's job; evaluate over a probe family and take the max.
     """
-    distances = trace_distance(rho1, rho2)
-    if np.ndim(distances) == 2:
-        return [positive_variation(row) for row in distances]
-    return positive_variation(distances)
+    return positive_variation(trace_distance(rho1, rho2))
 
 
 _YY = np.kron(SIGMA[2], SIGMA[2])
@@ -184,9 +181,9 @@ def concurrence(rho: np.ndarray):
     return _value(np.where(c < 1.0, c, 1.0))
 
 
-def nm_concurrence_measure(states: np.ndarray) -> float:
+def nm_concurrence_measure(states: np.ndarray):
     """Integrated positive increase of the concurrence along a trajectory,
-    given as an (n, 4, 4) stack of states."""
+    an (n, 4, 4) stack of states, or along each of a (..., n, 4, 4) stack."""
     return positive_variation(concurrence(states))
 
 
@@ -481,7 +478,8 @@ def sss_measure(times, rates, reference=None):
     objective is a weighted geometric median in (x, y), minimised by
     `_free_minimiser` up to a certified relative gap of SSS_TOL, or
     NumericError. The free measure vanishes for any constant L(t). A
-    non-finite rate, or a measure that overflows, raises NumericError.
+    non-finite rate, or a measure that overflows, raises NumericError; a
+    subnormal grid step, whose trapezoid weight lacks precision, ValueError.
 
     Rates over the grid give a float. Rate stacks of shape (k, n), k
     generators on one grid of n times, give the k measures as an array,
@@ -490,9 +488,9 @@ def sss_measure(times, rates, reference=None):
     """
     times = np.asarray(times, dtype=float)
     if not (times.ndim == 1 and len(times) > 1 and np.isfinite(times).all()
-            and np.all(np.diff(times) > 0)):
-        raise ValueError("times must be a finite, strictly increasing grid of at "
-                         "least two points")
+            and np.diff(times).min() >= np.finfo(float).tiny):
+        raise ValueError("times must be a finite, strictly increasing grid of at least two "
+                         "points, with no step below the smallest normal float")
     span = times[-1] - times[0]
     a, b = np.broadcast_arrays(*(np.asarray(rate, dtype=float) for rate in rates), times)[:2]
     shape = a.shape[:-1]

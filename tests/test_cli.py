@@ -546,6 +546,13 @@ def test_out_of_memory_exits_3_without_csv(capsys, tmp_path):
     (["qec", "--noise", "rtn", "--a", "-1"], "--a must be positive and finite, got -1.0"),
     (["evolve", "--noise", "nmad", "--gamma0", "-1"],
      "--gamma0 must be positive and finite, got -1.0"),
+    # a grid step below the smallest normal float gives imprecise trapezoid weights
+    (["sss", "--g-inverse", "10", "--mu", "0", "--tmax", "1e-320"],
+     "--tmax 1e-320 and --steps 400: times must be a finite, strictly increasing grid "
+     "of at least two points, with no step below the smallest normal float"),
+    (["sss", "--family", "free", "--tmax", "4e-308", "--steps", "3"],
+     "--tmax 4e-308 and --steps 3: times must be a finite, strictly increasing grid "
+     "of at least two points, with no step below the smallest normal float"),
 ])
 def test_boundary_error_names_the_option(args, message, capsys):
     assert main(args) == 2
@@ -717,8 +724,8 @@ def test_lines_formats_like_fmt(x):
     # witness flags 0.0 and 1.0, and a t = 0, mu row, in the same array
     data = np.array([[x, 0.0, 1.0], [0.0, 0.5, x]])
     expected = [",".join(format(v + 0.0, ".12g") for v in row) for row in data.tolist()]
-    assert _lines(data) == expected
-    assert _lines(data)[0].split(",")[0] == _fmt(x)
+    assert _lines(data, ["a", "b"]) == [f"{t},{line}" for t, line in zip("ab", expected)]
+    assert _lines(data[:, 1:], [_fmt(x), _fmt(0.0)]) == expected
 
 
 def _constant_column_layouts(values):
@@ -763,18 +770,19 @@ def test_sweep_rows_equal_one_array_per_mu(width):
     stacked = [np.column_stack([times, np.full_like(times, mu), values])
                for mu, values in zip(mus, cells)]
     assert header == ["t", "mu", *(f"c{k}" for k in range(width))]
-    assert lines == [line for data in stacked for line in _lines(data)]
+    assert lines == [line for data in stacked
+                     for line in _lines(data[:, 1:], [_fmt(t) for t in data[:, 0]])]
     assert lines == [",".join(_fmt(v) for v in row) for data in stacked for row in data.tolist()]
     assert lines[0].split(",")[:2] == ["0", "0"]
 
 
 def test_lines_with_no_varying_column():
     """An array whose every column is constant, one row or many, renders
-    as the same line repeated, with and without leading cells."""
+    as the same cells after each lead, with and without fixed cells."""
     data = np.array([[-0.0, 1e-300, 2.0 / 3.0]] * 3)
     line = "0,1e-300,0.666666666667"
-    assert _lines(data) == [line] * 3
-    assert _lines(data[:1]) == [line]
+    assert _lines(data, ["a", "b", "c"]) == [f"{t},{line}" for t in "abc"]
+    assert _lines(data[:1], ["a"]) == [f"a,{line}"]
     assert _lines(data, ["a", "b", "c"], ("0.5",)) == [f"{t},0.5,{line}" for t in "abc"]
 
 

@@ -121,6 +121,21 @@ def test_positive_variation_value_equals_detail_sum(rng):
         assert abs(positive_variation(values) - sum(c for _, c in expected)) < 1e-10
 
 
+def test_positive_variation_of_a_stack_is_each_series_alone(rng):
+    """A (k, n) or (j, k, n) stack, contiguous or not, gives the array of
+    the values of its series, each with the bits of the 1-d call."""
+    series = rng.normal(size=(6, 301)).cumsum(axis=-1)
+    series[1] = 0.5  # flat
+    series[2, ::2] += 1e-13  # rises at the threshold
+    alone = [positive_variation(row) for row in series]
+    assert all(type(value) is float for value in alone)
+    for stack, values in ((series, alone), (series.reshape(2, 3, 301), alone),
+                          (np.asfortranarray(series), alone), (series[::-2], alone[::-2])):
+        got = positive_variation(stack)
+        assert type(got) is np.ndarray and got.shape == stack.shape[:-1]
+        assert got.ravel().tolist() == values
+
+
 def test_positive_variation_threshold_suppresses_noise():
     values = [0.5, 0.5 + 1e-15, 0.5, 0.5 + 1e-15, 0.5]
     assert positive_variation(values) == 0.0
@@ -135,8 +150,8 @@ def test_positive_variation_needs_grid():
     ([0.0, np.nan, 1.0], "finite"),
     ([0.0, np.inf, 1.0], "finite"),
     ([0.0, -np.inf], "finite"),
-    (np.zeros((3, 2)), "1-d series"),
-    (0.5, "1-d series"),
+    (np.zeros((3, 1)), "series of at least two points"),
+    (0.5, "series of at least two points"),
 ])
 def test_positive_variation_rejects_bad_values(values, message):
     with pytest.raises(ValueError, match=message):
@@ -181,8 +196,9 @@ def test_blp_of_stacked_pairs_matches_each_pair():
     names = ["++", "--", "phi+", "phi-", "00", "11"]
     states = evolve(RTN, 0.3, times, np.stack([probe_state(n) for n in names]))
     values = blp_measure(states[0::2], states[1::2])
-    assert values == [blp_measure(states[k], states[k + 1]) for k in range(0, 6, 2)]
-    assert all(type(v) is float for v in values) and values[0] > 0.1
+    alone = [blp_measure(states[k], states[k + 1]) for k in range(0, 6, 2)]
+    assert type(values) is np.ndarray and values.tolist() == alone
+    assert all(type(v) is float for v in alone) and values[0] > 0.1
 
 
 # --------------------------------------------------------------------------
@@ -273,6 +289,16 @@ def test_nm_concurrence_increases_with_mu_under_nmad():
               for mu in (0.0, 0.5, 0.9)]
     assert values[0] < values[1] < values[2]
     assert values[2] > 0.1
+
+
+def test_nm_concurrence_of_a_stack_is_each_trajectory_alone():
+    times = np.linspace(0, 50, 300)
+    probes = np.stack([probe_state(name) for name in ("phi+", "psi+", "alpha", "++")])
+    states = evolve(NMAD, 0.5, times, probes)
+    values = nm_concurrence_measure(states)
+    assert type(values) is np.ndarray
+    assert values.tolist() == [nm_concurrence_measure(trajectory) for trajectory in states]
+    assert values[0] > 0.1
 
 
 @pytest.mark.parametrize("name", ["phi+", "alpha", "psi+"])
@@ -493,6 +519,22 @@ def test_sss_validation():
                   [[0.0, 1.0]]):
         with pytest.raises(ValueError, match="strictly increasing grid"):
             sss_measure(times, (0.0, 0.0), None)
+
+
+@pytest.mark.parametrize("reference", [(-0.5, -1.0), None], ids=["markov", "free"])
+def test_sss_rejects_a_subnormal_grid_step(reference):
+    """A trapezoid weight of a step below the smallest normal float keeps
+    fewer than 53 bits (on 400 points up to 1e-320, `sss --g-inverse 10
+    --mu 0` printed zeta 8.7 % high). A step of exactly the smallest normal
+    float is accepted."""
+    tiny = np.finfo(float).tiny
+    for times in (np.linspace(0.0, 1e-320, 400), np.linspace(0.0, 1e-315, 400),
+                  np.linspace(0.0, 1e-310, 400), [0.0, np.nextafter(tiny, 0.0), 1.0]):
+        rates = (np.linspace(0.0, 1.0, len(times)), np.linspace(1.0, 3.0, len(times)))
+        with pytest.raises(ValueError, match="below the smallest normal float"):
+            sss_measure(times, rates, reference)
+    times = np.array([0.0, tiny, 3 * tiny])
+    assert sss_measure(times, (times / tiny, 2 * times / tiny), reference) > 0
 
 
 # --------------------------------------------------------------------------
