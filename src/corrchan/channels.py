@@ -10,11 +10,11 @@ the basis states i and j differ in zero, one or two qubits
 correlated damping (`evolve_damping`). Neither sums Kraus terms that cancel,
 so the entries keep their relative accuracy where p or tau(mu) is small.
 
-The initial states, p and mu are validated; the evolved states are not. They
-are a CPTP closed form applied to a valid state, and the consumer that
-measures or prints one validates it there (`measures.trace_distance`,
-`measures.concurrence`, the `evolve` command), so every state is checked
-once.
+A state is validated where it enters the package, never between its
+layers: the initial states, p and mu are validated here, and the evolved
+states, a CPTP closed form applied to a valid state, are not validated
+again by the commands that measure or print them (the property tests
+check that they pass `validate_density`).
 
 The Kraus sets of the same channels, one channel at one noise value, are
 the independent oracle of these closed forms and live in `oracle`, which no
@@ -117,7 +117,7 @@ def evolve(noise: NoiseParams, mu: float, t, rho: np.ndarray) -> np.ndarray:
     of their trajectories. A grid gives the same bits as its times one at a
     time, and a stack the same bits as its states one at a time.
 
-    rho, mu and the noise values are validated; the returned states are not
-    (see the module docstring): validate them where they are consumed."""
+    rho, mu and the noise values are validated; the returned states are
+    valid by construction and are not checked (see the module docstring)."""
     closed_form = evolve_damping if isinstance(noise, NmadParams) else evolve_dephasing
     return closed_form(rho, noise_p(noise, t), mu)

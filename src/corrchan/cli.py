@@ -31,11 +31,10 @@ import numpy as np
 from .errors import NumericError
 from .noise import NmadParams, OunParams, RtnParams
 from .channels import _check_mu, evolve
-from .linalg import validate_density
 from .map_algebra import accessible_volume, correlated_oun_rates
-from .measures import (PROBE_NAMES, PROBE_PAIRS, RISE_THRESHOLD, blp_measure,
-                       concurrence, probe_state, random_bell_probes, sss_measure,
-                       trace_distance)
+from .measures import (PROBE_NAMES, PROBE_PAIRS, RISE_THRESHOLD, _concurrence,
+                       _trace_distance, positive_variation, probe_state,
+                       random_bell_probes, sss_measure)
 from .freezing import freezing_predicate
 from .qec import classify_errors, success_vs_time
 
@@ -142,7 +141,7 @@ def _cmd_evolve(args) -> Table:
                for j in range(1, 5) for part in ("re", "im")]
 
     def cells(noise, mu, times):
-        rho = validate_density(evolve(noise, mu, times, rho0))
+        rho = evolve(noise, mu, times, rho0)
         return np.stack([rho.real, rho.imag], axis=-1).reshape(len(times), -1)
     return _sweep(args, columns, cells)
 
@@ -150,7 +149,7 @@ def _cmd_evolve(args) -> Table:
 def _cmd_concurrence(args) -> Table:
     rho0 = probe_state(args.probe)
     return _sweep(args, ["concurrence"], lambda noise, mu, times:
-                  concurrence(evolve(noise, mu, times, rho0)))
+                  _concurrence(evolve(noise, mu, times, rho0)))
 
 
 def _split_pair(text: str) -> tuple[str, str]:
@@ -164,7 +163,7 @@ def _cmd_tracedist(args) -> Table:
     name1, name2 = _split_pair(args.pair)
     probes = np.stack([probe_state(name1), probe_state(name2)])
     return _sweep(args, ["trace_distance"], lambda noise, mu, times:
-                  trace_distance(*evolve(noise, mu, times, probes)))
+                  _trace_distance(np.subtract(*evolve(noise, mu, times, probes))))
 
 
 # probe states per `evolve` call in `blp`: an even number, so that a chunk
@@ -193,7 +192,7 @@ def _cmd_blp(args) -> Table:
         values = []
         for start in range(0, len(probes), _BLP_CHUNK):
             states = evolve(noise, mu, times, probes[start:start + _BLP_CHUNK])
-            values.append(blp_measure(states[0::2], states[1::2]))
+            values.append(positive_variation(_trace_distance(states[0::2] - states[1::2])))
         values = np.concatenate(values)
         lines += [f"{_fmt(mu)},{label},{_fmt(value)}" for label, value in zip(labels, values)]
         lines.append(f"{_fmt(mu)},max,{_fmt(values.max(initial=0.0))}")

@@ -13,9 +13,9 @@ rather than over all of state space.
 `trace_distance` and `concurrence` take one state or a stack of states of
 shape (..., 4, 4), such as a trajectory from `channels.evolve` over a time
 grid; `blp_measure` and `nm_concurrence_measure` take a trajectory, or a
-stack of them, with time on the axis before the matrix axes. They validate
-the states they are given: `channels.evolve` does not validate the states
-it returns, so this is where an evolved state is checked, once.
+stack of them, with time on the axis before the matrix axes. A state is
+validated where it enters the package: these measures validate theirs, and
+the commands run their kernels on the states that `evolve` returns.
 
 `trace_distance` and `concurrence` take two routes through a stack. A 4 x 4
 matrix that is exactly 0 off its diagonal and anti-diagonal is X-shaped. Every
@@ -82,18 +82,20 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray):
     """Trace distance (1/2) tr|rho1 - rho2|, in [0, 1], of two states or,
     pairwise, of two equally shaped stacks of states.
 
-    A difference that is X-shaped, as between any two states that the
-    dephasing and damping channels evolve from X-shaped probes, is the
-    direct sum of two 2 x 2 blocks, whose trace norms have a closed form.
-    Every other difference, and every 2 x 2 one, goes to `eigvalsh`. Both
-    states are validated, so their difference is Hermitian and is not
-    checked again.
+    Both states are validated, so their difference is Hermitian, and its
+    trace norm is `_trace_distance`.
     """
     rho1 = validate_density(rho1)
     rho2 = validate_density(rho2)
     if rho1.shape != rho2.shape:
         raise ValueError(f"dimension mismatch: {rho1.shape} vs {rho2.shape}")
-    delta = rho1 - rho2
+    return _trace_distance(rho1 - rho2)
+
+
+def _trace_distance(delta: np.ndarray):
+    """(1/2) tr|delta| of a Hermitian difference of states, or of each of a
+    stack: in closed form where it is X-shaped, as between any two states
+    evolved from X-shaped probes, and by `eigvalsh` otherwise."""
     x = _x_shaped(delta)
     distance = np.empty(delta.shape[:-2])
     if x.any():
@@ -146,7 +148,7 @@ def _wootters(rho: np.ndarray) -> np.ndarray:
     Wootters l_k are the singular values of X^T (YY) X, so no eigenvalue is
     squared and none is clamped. Where an eigenvalue of rho is near 0, C is
     not Lipschitz in rho, and its rounding reaches C as its square root."""
-    w, v = lapack(np.linalg.eigh, rho)  # `concurrence` has validated rho
+    w, v = lapack(np.linalg.eigh, rho)  # rho is a valid state
     w, v = w[..., ::-1], v[..., ::-1]  # descending, the order the goldens were recorded in
     factor = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
     lam = lapack(np.linalg.svdvals, factor.swapaxes(-1, -2) @ _YY @ factor)
@@ -168,8 +170,13 @@ def concurrence(rho: np.ndarray):
     rho = validate_density(rho)
     if rho.shape[-1] != 4:
         raise ValueError("concurrence is defined for two-qubit states")
+    return _concurrence(rho)
+
+
+def _concurrence(rho: np.ndarray):
+    """The concurrence of a valid two-qubit state, or of each of a stack."""
     diag = rho.diagonal(axis1=-2, axis2=-1).real
-    # a validated population may round just below 0; its product then reads 0
+    # a valid population may round just below 0; its product then reads 0
     c = np.asarray(2 * np.maximum(
         np.abs(rho[..., 0, 3]) - np.sqrt(np.maximum(diag[..., 1] * diag[..., 2], 0.0)),
         np.abs(rho[..., 1, 2]) - np.sqrt(np.maximum(diag[..., 0] * diag[..., 3], 0.0))))

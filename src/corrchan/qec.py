@@ -166,8 +166,8 @@ def success_vs_time(noise: NoiseParams, mu: float, times: Sequence[float],
         raise ValueError("the error-correction model covers dephasing noise only "
                          "(RTN or OUN)")
     times = np.asarray(times, dtype=float)
-    if len(times) == 0:
-        raise ValueError("grid must not be empty")
+    if times.ndim != 1 or len(times) == 0:
+        raise ValueError(f"times must be a non-empty 1-d grid, got shape {times.shape}")
     p = noise_p(noise, times)
     values = success_probability_closed(p, mu)
     idx = np.linspace(0, len(times) - 1, min(5, len(times))).astype(int)

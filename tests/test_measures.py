@@ -80,11 +80,36 @@ def test_trace_distance_dim_mismatch(rng):
 # --------------------------------------------------------------------------
 
 
-def test_measures_reject_empty_stacks():
-    empty = np.zeros((0, 4, 4), dtype=complex)
-    for measure in (lambda: trace_distance(empty, empty), lambda: concurrence(empty)):
-        with pytest.raises(ValidationError, match=r"at least one matrix, got shape \(0, 4, 4\)"):
-            measure()
+_PHI_PLUS, _PHI_MINUS = probe_state("phi+"), probe_state("phi-")
+
+# the public measures, each on a trajectory of states; the other trajectory of
+# a pair is valid, second to `trace_distance` and first to `blp_measure`
+_BOUNDARY_MEASURES = {
+    "trace_distance": lambda states: trace_distance(np.broadcast_to(_PHI_MINUS, states.shape),
+                                                    states),
+    "concurrence": concurrence,
+    "blp_measure": lambda states: blp_measure(states, np.broadcast_to(_PHI_MINUS, states.shape)),
+    "nm_concurrence_measure": nm_concurrence_measure,
+}
+
+
+@pytest.mark.parametrize("measure", _BOUNDARY_MEASURES)
+@pytest.mark.parametrize("states, invariant, message", [
+    (np.stack([_PHI_PLUS, _PHI_PLUS + np.diag([np.nan, 0, 0, 0])]), "finiteness",
+     "NaN or infinite entries"),
+    (np.stack([_PHI_PLUS, _PHI_PLUS + np.triu(np.full((4, 4), 1e-3), 1)]), "hermiticity",
+     "hermiticity violated"),
+    (np.stack([_PHI_PLUS, 2 * _PHI_PLUS]), "unit trace", r"unit trace violated \(residual 1\."),
+    (np.stack([_PHI_PLUS, np.diag([0.501, 0.5, 0.0, -0.001])]), "positivity",
+     r"positivity violated \(residual -1\.000e-03\)"),
+    (np.zeros((0, 4, 4)), "nonemptiness", r"at least one matrix, got shape \(0, 4, 4\)"),
+], ids=["NaN entry", "non-Hermitian", "trace 2", "eigenvalue -1e-3", "empty stack"])
+def test_measures_reject_invalid_states(measure, states, invariant, message):
+    """The public measures are where a state from outside the package is
+    validated: each rejects each violated invariant by name."""
+    with pytest.raises(ValidationError, match=message) as info:
+        _BOUNDARY_MEASURES[measure](states)
+    assert info.value.invariant == invariant
 
 
 def test_positive_variation_simple():

@@ -17,7 +17,8 @@ from corrchan.channels import evolve, evolve_damping, evolve_dephasing
 from corrchan.linalg import validate_density
 from corrchan.map_algebra import correlated_oun_rates
 from corrchan.measures import (PROBE_NAMES, SSS_TOL, _wootters, _x_shaped, concurrence,
-                               probe_state, sss_measure, trace_distance)
+                               probe_state, random_bell_probes, sss_measure,
+                               trace_distance)
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 from corrchan.oracle import (apply, channel_at_time, correlated_dephasing_channel,
                              correlated_nmad_channel, cptp_report)
@@ -62,32 +63,79 @@ NMAD_OSC = NmadParams(gamma0=1.0, g=0.05)
 _W = np.sqrt(2 * NMAD_OSC.gamma0 * NMAD_OSC.g - NMAD_OSC.g ** 2)
 NMAD_ZERO = 2 * (np.pi - np.arctan(_W / NMAD_OSC.g)) / _W
 
+# The first zero of the RTN p(t) = exp(-gamma t) (cos(w gamma t) + sin(w
+# gamma t) / w), w = sqrt((2a/gamma)^2 - 1), where tau(mu) = mu.
+RTN_OSC = RtnParams(a=0.8, gamma=0.05)
+RTN_ZERO = (np.pi - np.arctan(RTN_OSC.omega)) / (RTN_OSC.omega * RTN_OSC.gamma)
+
+
+@st.composite
+def mixed_states(draw):
+    """A two-qubit state of full rank that is not X-shaped: A A^dagger plus
+    positive multiples of the identity and of |++><++|, normalised."""
+    entries = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)))
+    a = (entries[:16] + 1j * entries[16:]).reshape(4, 4)
+    m = (a @ a.conj().T + draw(st.floats(0.01, 1.0)) * np.eye(4)
+         + draw(st.floats(0.01, 1.0)) * probe_state("++"))
+    m = (m + m.conj().T) / 2
+    return m / np.trace(m).real
+
+
+@st.composite
+def state_stacks(draw):
+    """A (k, 4, 4) stack of seeded random Bell probes, a mixed state and a
+    named probe."""
+    bell = random_bell_probes(draw(st.integers(1, 3)), seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return np.stack([*bell, draw(mixed_states()), probe_state(draw(st.sampled_from(PROBE_NAMES)))])
+
+
+# every initial state that `evolve` takes: a named probe, a mixed state that
+# is not X-shaped, or a stack of states
+initial_states = st.one_of(st.sampled_from(PROBE_NAMES).map(probe_state), mixed_states(),
+                           state_stacks())
+# a fixed mixed state and stack, for the examples at the edge regimes
+MIXED =probe_state("alpha") * 0.7 + probe_state("++") * 0.2 + np.eye(4) * 0.025
+STACK = np.stack([*random_bell_probes(2, seed=7), MIXED, probe_state("11")])
+
 
 @PROPERTY_SETTINGS
-@given(noise=noises, mu=mus, times=grids, name=st.sampled_from(PROBE_NAMES))
-@example(noise=RtnParams(a=0.8, gamma=0.05), mu=0.0, times=np.array([0.0, 30.0]), name="alpha")
-@example(noise=OunParams(G=1.0, g=0.05), mu=1.0, times=np.array([0.0, 30.0]), name="++")
-@example(noise=NMAD_OSC, mu=0.0, times=np.array([0.0, NMAD_ZERO]), name="11")
-@example(noise=NMAD_OSC, mu=1.0, times=np.array([NMAD_ZERO]), name="phi+")
-def test_apply_preserves_trace(noise, mu, times, name):
-    rho = probe_state(name)
+@given(noise=noises, mu=mus, times=grids, rho=initial_states)
+@example(noise=RTN_OSC, mu=0.0, times=np.array([0.0, 30.0]), rho=probe_state("alpha"))
+@example(noise=OunParams(G=1.0, g=0.05), mu=1.0, times=np.array([0.0, 30.0]),
+         rho=probe_state("++"))
+@example(noise=NMAD_OSC, mu=0.0, times=np.array([0.0, NMAD_ZERO]), rho=probe_state("11"))
+@example(noise=NMAD_OSC, mu=1.0, times=np.array([NMAD_ZERO]), rho=probe_state("phi+"))
+@example(noise=NMAD_OSC, mu=0.5, times=np.array([0.0, NMAD_ZERO]), rho=STACK)
+@example(noise=RTN_OSC, mu=0.0, times=np.array([0.0, RTN_ZERO]), rho=STACK)
+@example(noise=RTN_OSC, mu=0.5, times=np.array([RTN_ZERO]), rho=MIXED)
+@example(noise=RTN_OSC, mu=1.0, times=np.array([RTN_ZERO, 100.0]), rho=STACK)
+@example(noise=OunParams(G=1.0, g=0.05), mu=0.5, times=np.array([0.0, 5.0, 200.0]), rho=STACK)
+def test_apply_preserves_trace(noise, mu, times, rho):
+    """The states `evolve` returns pass `validate_density` at its own
+    tolerances, for every family and every kind of initial state: this is
+    why the commands measure and print them without validating them again."""
     states = validate_density(evolve(noise, mu, times, rho))
     traces = np.trace(states, axis1=-2, axis2=-1)
     assert np.abs(traces - 1).max() <= TRACE_TOL
-    kraus = np.stack([apply(channel_at_time(noise, mu, t), rho) for t in times])
-    assert np.abs(states - kraus).max() <= KRAUS_TOL
+    kraus = np.stack([[apply(channel_at_time(noise, mu, t), r) for t in times]
+                      for r in rho.reshape(-1, 4, 4)])
+    assert np.abs(states - kraus.reshape(states.shape)).max() <= KRAUS_TOL
 
 
 @PROPERTY_SETTINGS
-@given(p=st.floats(-1.0, 1.0), mu=mus, name=st.sampled_from(PROBE_NAMES))
-@example(p=1.0, mu=0.0, name="alpha")
-@example(p=1.0, mu=1.0, name="psi+")
-@example(p=-1.0, mu=0.0, name="alpha")
-@example(p=-1.0, mu=1.0, name="++")
-def test_closed_forms_give_density_matrices(p, mu, name):
+@given(p=st.floats(-1.0, 1.0), mu=mus, rho=initial_states)
+@example(p=1.0, mu=0.0, rho=probe_state("alpha"))
+@example(p=1.0, mu=1.0, rho=probe_state("psi+"))
+@example(p=-1.0, mu=0.0, rho=probe_state("alpha"))
+@example(p=-1.0, mu=1.0, rho=probe_state("++"))
+@example(p=1.0, mu=0.5, rho=STACK)
+@example(p=-1.0, mu=0.5, rho=MIXED)
+@example(p=0.0, mu=0.0, rho=STACK)
+@example(p=0.0, mu=1.0, rho=MIXED)
+def test_closed_forms_give_density_matrices(p, mu, rho):
     """p = -1 is out of reach of the noise functions at t > 0, so the closed
-    forms take p directly; a damping probability is |p|."""
-    rho = probe_state(name)
+    forms take p directly; a damping probability is |p|. The dephasing form
+    serves RTN and OUN, the damping form NMAD."""
     validate_density(evolve_dephasing(rho, p, mu))
     validate_density(evolve_damping(rho, abs(p), mu))
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,12 @@ def test_success_vs_time_rtn_oscillates():
     series = success_vs_time(RTN, 0.5, times)
     diffs = np.diff(series)
     assert (diffs > 1e-9).any() and (diffs < -1e-9).any()
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (2, 3)])
+def test_success_vs_time_rejects_a_grid_that_is_not_1d(shape):
+    with pytest.raises(ValueError, match=rf"non-empty 1-d grid, got shape {re.escape(str(shape))}"):
+        success_vs_time(OUN, 0.5, np.ones(shape))
 
 
 def test_success_vs_time_rejects_nmad():
