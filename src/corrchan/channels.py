@@ -24,7 +24,8 @@ command imports.
 import numpy as np
 
 from .linalg import validate_density
-from .noise import NmadParams, NoiseParams, noise_p
+from .noise import noise_p
+from .params import NmadParams, NoiseParams, _check_mu
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -48,11 +49,6 @@ def _check_noise_value(p, lo: float, what: str) -> np.ndarray:
     if not inside.all():
         raise ValueError(f"{what} must lie in [{lo:g}, 1], got {p[~inside][0]}")
     return p
-
-
-def _check_mu(mu: float) -> None:
-    if not 0 <= mu <= 1:
-        raise ValueError(f"correlation factor mu must lie in [0, 1], got {mu}")
 
 
 def _two_qubit_states(rho: np.ndarray, p: np.ndarray) -> np.ndarray:

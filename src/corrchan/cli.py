@@ -3,17 +3,19 @@ emitted as deterministic CSV.
 
 Every numeric subcommand writes RFC-4180 CSV (header row, '.' decimal,
 12 significant digits, lines ending in CRLF, no field quoted) to --out,
-one row per sample, rows in grid order. Each line is rendered with one `%`
-from a template that holds the text of the columns that are constant over
-the table, or over a mu block of a sweep, and a '%.12g' slot for every
-other column (`_lines`). A subcommand returns its header
+one row per sample, rows in grid order. A subcommand returns its header
 and all of its lines, and only then does `main` open the output and write
-them, so a sweep that fails part-way leaves no partial CSV behind. Numpy
-warnings are silenced while a command runs: every invariant rejects NaN and
-inf itself, and a numeric failure prints one `numeric failure:` line.
+them, so a sweep that fails part-way leaves no partial CSV behind.
 Exit codes: 0 success, 2 invalid usage or parameters, 3 numeric failure or
 out of memory. When the first argument names a subcommand, `main` builds the
 subparser of that subcommand only.
+
+This module loads no numpy. It parses argv and checks every scalar option
+(the noise parameters, --tmax, --steps, --mu, --c and the probe names) with
+the pure-Python checks of `params`, in the order the subcommand reads them,
+and prints `classify-errors` and the `freeze-check` verdict of a --c
+triple itself. Only then does a numeric subcommand import `sweeps`, which
+loads numpy and the numeric layers and computes the rows.
 
 Options can also be supplied through --config FILE, a plain text file of
 `key = value` lines using the long option names (without leading dashes);
@@ -22,45 +24,25 @@ command-line flags override file values.
 
 import argparse
 import contextlib
+import functools
+import math
+import shutil
 import sys
-# Unused here, but perfbench/tracing.py patches this name when it installs.
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
-import numpy as np
-
+from .bloch import bloch_verdict
 from .errors import NumericError
-from .noise import NmadParams, OunParams, RtnParams
-from .channels import _check_mu, evolve
-from .map_algebra import accessible_volume, correlated_oun_rates
-from .measures import (PROBE_NAMES, PROBE_PAIRS, RISE_THRESHOLD, _concurrence,
-                       _trace_distance, positive_variation, probe_state,
-                       random_bell_probes, sss_measure)
-from .freezing import freezing_predicate
-from .qec import classify_errors, success_vs_time
+from .params import (PROBE_NAMES, PROBE_PAIRS, NmadParams, OunParams, RtnParams,
+                     _check_dephasing, _check_mu, _check_probe)
+from .words import classify_errors
 
 
-Table = tuple[list[str], list[str]]  # CSV header and formatted lines
-
-
-def _fmt(x: float) -> str:
-    # + 0.0 turns -0.0 into 0.0, so that a signed zero prints as 0
-    return format(float(x) + 0.0, ".12g")
-
-
-def _lines(data: np.ndarray, lead: list[str], fixed: tuple[str, ...] = ()) -> list[str]:
-    """One CSV line per row of a 2-d float array with at least one row: the
-    row's string of `lead`, then the formatted cells `fixed`, then each cell
-    of the row as `_fmt` prints it ('%.12g' and '.12g' format a float
-    alike), with one `%` per line. The line template holds `fixed` and the
-    `_fmt` text of each column that is constant over the rows, formatted
-    once, and a '%.12g' slot for each other column; NaN never equals itself,
-    so a column with a NaN keeps its slots."""
-    constant = (data == data[0]).all(axis=0)
-    cells = [_fmt(x) if same else "%.12g"
-             for x, same in zip(data[0].tolist(), constant.tolist())]
-    columns = (data[:, ~constant] + 0.0).T.tolist()
-    line = ",".join(["%s", *fixed, *cells])
-    return [line % row for row in zip(lead, *columns)]
+def __getattr__(name: str):
+    # perfbench/tracing.py patches `cli.ThreadPoolExecutor` when it installs;
+    # no command runs one, so concurrent.futures loads only on that access
+    if name == "ThreadPoolExecutor":
+        from concurrent.futures import ThreadPoolExecutor
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _parse_floats(text: str, option: str) -> list[float]:
@@ -80,12 +62,11 @@ def _parse_mus(text: str) -> list[float]:
     return mus
 
 
-def _time_grid(args) -> np.ndarray:
-    if not 0 < args.tmax < np.inf:
+def _check_grid(args) -> None:
+    if not 0 < args.tmax < math.inf:
         raise ValueError(f"--tmax must be positive and finite, got {args.tmax}")
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
-    return np.linspace(0.0, args.tmax, args.steps)
 
 
 def _noise_params(family, **options):
@@ -104,6 +85,13 @@ def _noise_from_args(args) -> RtnParams | OunParams | NmadParams:
     return _noise_params(NmadParams, gamma0=args.gamma0, g=args.g)  # the choices leave nmad
 
 
+def _split_pair(text: str) -> tuple[str, str]:
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"expected a probe pair like phi+:phi-, got {text!r}")
+    return parts[0], parts[1]
+
+
 def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
     # the bytes of csv.writer's excel dialect: no field here needs quoting
     text = "\r\n".join([",".join(header), *lines, ""])
@@ -113,134 +101,79 @@ def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
 
 
 # --------------------------------------------------------------------------
-# Subcommands
+# Subcommands: the checks of their options, which run before numpy loads,
+# then their numeric work in `sweeps`
 # --------------------------------------------------------------------------
 
 
-def _sweep(args, columns: list[str], cells) -> Table:
-    """Header and lines `t, mu, *columns` over the time grid, for each mu in
-    turn; `cells(noise, mu, times)` returns a float array of shape (n,) or
-    (n, len(columns)). Each mu's block is rendered by `_lines` with one `%`
-    per line, from the template `%s,<mu>,<cells>`: the t cells fill the
-    leading slot and are formatted once per sweep, mu once per block, and
-    each column that is constant over the grid once per block."""
-    noise = _noise_from_args(args)
-    times = _time_grid(args)
-    mus = _parse_mus(args.mu)
-    t_cells = ["%.12g" % t for t in (times + 0.0).tolist()]
-    lines = []
-    for mu in mus:
-        values = np.reshape(cells(noise, mu, times), (len(times), -1))
-        lines += _lines(values, t_cells, (_fmt(mu),))
-    return ["t", "mu", *columns], lines
+def _numeric(args):
+    """The numeric work of `args.command`, from `sweeps`, which loads numpy
+    and the numeric layers on the first command that needs them."""
+    from . import sweeps
+    return sweeps.run(args)
 
 
-def _cmd_evolve(args) -> Table:
-    rho0 = probe_state(args.state)
-    columns = [f"rho{i}{j}_{part}" for i in range(1, 5)
-               for j in range(1, 5) for part in ("re", "im")]
-
-    def cells(noise, mu, times):
-        rho = evolve(noise, mu, times, rho0)
-        return np.stack([rho.real, rho.imag], axis=-1).reshape(len(times), -1)
-    return _sweep(args, columns, cells)
+def _check_sweep(args) -> None:
+    """The noise parameters, the grid and each mu, in that order, kept as
+    `args.params` and `args.mus`."""
+    args.params = _noise_from_args(args)
+    _check_grid(args)
+    args.mus = _parse_mus(args.mu)
 
 
-def _cmd_concurrence(args) -> Table:
-    rho0 = probe_state(args.probe)
-    return _sweep(args, ["concurrence"], lambda noise, mu, times:
-                  _concurrence(evolve(noise, mu, times, rho0)))
+def _run_sweep(args):
+    """The numeric sweep over `args.params`. Its last check, after every
+    other option's, is that RTN parameters give a finite w = `omega`:
+    beyond about 1.3e154, (2a/gamma)^2 overflows and p(t) is not finite."""
+    if isinstance(args.params, RtnParams) and not args.params.omega < math.inf:
+        raise ValueError(f"--a {args.a} and --gamma {args.gamma} overflow (2a/gamma)^2")
+    return _numeric(args)
 
 
-def _split_pair(text: str) -> tuple[str, str]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"expected a probe pair like phi+:phi-, got {text!r}")
-    return parts[0], parts[1]
+def _cmd_sweep(args):
+    """evolve, concurrence and volume."""
+    _check_sweep(args)
+    return _run_sweep(args)
 
 
-def _cmd_tracedist(args) -> Table:
-    name1, name2 = _split_pair(args.pair)
-    probes = np.stack([probe_state(name1), probe_state(name2)])
-    return _sweep(args, ["trace_distance"], lambda noise, mu, times:
-                  _trace_distance(np.subtract(*evolve(noise, mu, times, probes))))
+def _cmd_qec(args):
+    _check_sweep(args)
+    _check_dephasing(args.params)
+    return _run_sweep(args)
 
 
-# probe states per `evolve` call in `blp`: an even number, so that a chunk
-# holds whole pairs, and the memory of a sweep does not grow with the probes
-_BLP_CHUNK = 16
+def _cmd_tracedist(args):
+    args.probe_pair = _split_pair(args.pair)
+    for name in args.probe_pair:
+        _check_probe(name)
+    return _cmd_sweep(args)
 
 
-def _cmd_blp(args) -> Table:
+def _cmd_blp(args):
     if args.random_probes < 0:
         raise ValueError(f"--random-probes must be non-negative, got {args.random_probes}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    noise = _noise_from_args(args)
-    times = _time_grid(args)
-    mus = _parse_mus(args.mu)
-    pairs = [_split_pair(tok) for tok in args.pairs.split(",")]
-    labels = [f"{a}:{b}" for a, b in pairs]
-    probes = [probe_state(name) for pair in pairs for name in pair]
-    if args.random_probes > 0:  # numpy.random is imported only for random probes
-        labels += [f"random{k}" for k in range(args.random_probes)]
-        probes += random_bell_probes(2 * args.random_probes, seed=args.seed)
-    probes = np.stack(probes)
-    lines = []
-    for mu in mus:
-        # one chunk's trajectories are freed before the next chunk's are evolved
-        values = []
-        for start in range(0, len(probes), _BLP_CHUNK):
-            states = evolve(noise, mu, times, probes[start:start + _BLP_CHUNK])
-            values.append(positive_variation(_trace_distance(states[0::2] - states[1::2])))
-        values = np.concatenate(values)
-        lines += [f"{_fmt(mu)},{label},{_fmt(value)}" for label, value in zip(labels, values)]
-        lines.append(f"{_fmt(mu)},max,{_fmt(values.max(initial=0.0))}")
-    return ["mu", "pair", "blp"], lines
+    _check_sweep(args)
+    args.probe_pairs = [_split_pair(tok) for tok in args.pairs.split(",")]
+    for pair in args.probe_pairs:
+        for name in pair:
+            _check_probe(name)
+    return _run_sweep(args)
 
 
-# rate elements per `sss_measure` call: the cells of a chunk are solved
-# together, and the memory of a sweep does not grow with the number of cells
-_SSS_CHUNK = 1 << 14
-
-
-def _cmd_sss(args) -> Table:
-    mus = _parse_mus(args.mu)
-    g_inverses = _parse_floats(args.g_inverse, "--g-inverse")
-    for g_inv in g_inverses:
+def _cmd_sss(args):
+    args.mus = _parse_mus(args.mu)
+    args.g_inverses = _parse_floats(args.g_inverse, "--g-inverse")
+    for g_inv in args.g_inverses:
         # 1 / g_inv is the OUN rate g, and overflows below about 5.6e-309
-        if not (0 < g_inv < np.inf and 1.0 / g_inv < np.inf):
+        if not (0 < g_inv < math.inf and 1.0 / g_inv < math.inf):
             raise ValueError("--g-inverse requires positive finite values with a finite "
                              f"inverse, got {g_inv!r}")
-    times = _time_grid(args)
-    reference = (-args.G / 2, -args.G) if args.family == "markov" else None  # memoryless limit
-    params = {g_inv: _noise_params(OunParams, G=args.G, g=1.0 / g_inv) for g_inv in g_inverses}
-    cells = [(g_inv, mu) for g_inv in g_inverses for mu in mus]
-    chunk = max(1, _SSS_CHUNK // len(times))
-    zetas = []
-    for start in range(0, len(cells), chunk):
-        rates = [correlated_oun_rates(times, params[g_inv], mu)
-                 for g_inv, mu in cells[start:start + chunk]]
-        try:
-            zetas += list(sss_measure(times, np.stack(rates, axis=1), reference))
-        except ValueError as exc:  # the grid is the only input it can reject
-            raise ValueError(f"--tmax {args.tmax!r} and --steps {args.steps}: {exc}") from None
-    lead = [f"{_fmt(g_inv)},{_fmt(mu)}" for g_inv, mu in cells]
-    return ["g_inverse", "mu", "zeta"], _lines(np.column_stack([zetas]), lead)
-
-
-def _cmd_volume(args) -> Table:
-    def cells(noise, mu, times):
-        volume = accessible_volume(noise, mu, times)
-        # 1 where V rose from the previous point; the flags print as 0 and 1
-        return np.column_stack([volume, np.diff(volume, prepend=volume[0]) > RISE_THRESHOLD])
-    return _sweep(args, ["volume", "witness_flag"], cells)
-
-
-def _cmd_qec(args) -> Table:
-    column = "p_success_normalized" if args.normalized else "p_success"
-    return _sweep(args, [column], lambda noise, mu, times:
-                  success_vs_time(noise, mu, times, normalized=args.normalized))
+    _check_grid(args)
+    args.oun_params = {g_inv: _noise_params(OunParams, G=args.G, g=1.0 / g_inv)
+                       for g_inv in args.g_inverses}
+    return _numeric(args)
 
 
 def _cmd_classify_errors(args) -> None:
@@ -251,13 +184,15 @@ def _cmd_classify_errors(args) -> None:
 
 
 def _cmd_freeze_check(args) -> None:
-    if args.c is not None:
+    """A --c triple gets its verdict here, a named --state from `sweeps`."""
+    if args.c is None:
+        _check_mu(args.mu)
+        verdict = _numeric(args)
+    else:
         state = tuple(_parse_floats(args.c, "--c"))
         if len(state) != 3:
             raise ValueError(f"--c expects three components, got {args.c!r}")
-    else:
-        state = probe_state(args.state)
-    verdict = freezing_predicate(state, args.channel, args.mu)
+        verdict = bloch_verdict(state, args.channel, args.mu)
     print(verdict.status)
     print(f"reason: {verdict.reason}")
 
@@ -300,12 +235,12 @@ def _add_common(sub):
 
 # each subcommand's handler and help, in the order of the usage line
 _SUBCOMMANDS = {
-    "evolve": (_cmd_evolve, "evolved density-matrix entries over time"),
-    "concurrence": (_cmd_concurrence, "concurrence of an evolving probe state"),
+    "evolve": (_cmd_sweep, "evolved density-matrix entries over time"),
+    "concurrence": (_cmd_sweep, "concurrence of an evolving probe state"),
     "tracedist": (_cmd_tracedist, "trace distance of an evolving probe pair"),
     "blp": (_cmd_blp, "information-backflow measure over a probe family"),
     "sss": (_cmd_sss, "temporal-self-similarity measure for correlated OUN"),
-    "volume": (_cmd_volume, "accessible-state volume and its witness"),
+    "volume": (_cmd_sweep, "accessible-state volume and its witness"),
     "qec": (_cmd_qec, "error-correction success probability over time"),
     "classify-errors": (_cmd_classify_errors,
                         "print the undetectable / detectable / correctable sets"),
@@ -387,22 +322,28 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
     """The `corrchan` parser. When `command` names a subcommand, its only
     subparser is that subcommand's, with its options and `func`, and the
     usage line still lists every name. Any other value, None included,
-    gives a subparser with only the name and help of each subcommand."""
+    gives a subparser with only the name and help of each subcommand.
+
+    The help width is argparse's own, the terminal width less 2, worked out
+    once per parser: argparse builds a formatter for every option it adds,
+    and each would query the terminal again."""
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="corrchan",
+        prog="corrchan", formatter_class=formatter,
         description="Correlated non-Markovian channels: trajectories, measures "
                     "and error-correction sweeps, as deterministic CSV.")
     if command in _SUBCOMMANDS:
         subs = parser.add_subparsers(dest="command", required=True,
                                      metavar="{%s}" % ",".join(_SUBCOMMANDS))
         func, summary = _SUBCOMMANDS[command]
-        sub = subs.add_parser(command, help=summary)
+        sub = subs.add_parser(command, help=summary, formatter_class=formatter)
         sub.set_defaults(func=func)
         _add_options(sub, command)
     else:
         subs = parser.add_subparsers(dest="command", required=True)
         for name, (_, summary) in _SUBCOMMANDS.items():
-            subs.add_parser(name, help=summary)
+            subs.add_parser(name, help=summary, formatter_class=formatter)
     return parser
 
 
@@ -463,8 +404,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, list):  # argparse reads `--name=--` as []
                 raise ValueError(f"--{name.replace('_', '-')} requires a value, got '--'")
-        with np.errstate(all="ignore"):
-            table = args.func(args)
+        table = args.func(args)
         if table is not None:
             _write_csv(args.out, *table)
         return 0

@@ -21,8 +21,8 @@ in the tests.
 
 import numpy as np
 
-from .channels import _check_mu
-from .noise import NmadParams, NoiseParams, OunParams, noise_p, oun_p
+from .noise import noise_p, oun_p
+from .params import NmadParams, NoiseParams, OunParams, _check_mu
 
 # Diagonal slot groups of the two-qubit basis under correlated dephasing,
 # indexed a = 4i + j: (i, j) both in {0, 3} -> eigenvalue 1; exactly one index

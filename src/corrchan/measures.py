@@ -38,6 +38,7 @@ from .errors import NumericError
 from .linalg import lapack, validate_density
 from .channels import _FLIPS, SIGMA
 from .map_algebra import DOUBLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS
+from .params import _check_probe
 
 RISE_THRESHOLD = 1e-12
 
@@ -210,16 +211,11 @@ _KET = {
     "--": np.array([1, -1, -1, 1], dtype=complex) / 2,
 }
 
-PROBE_NAMES = tuple(_KET)
-
-# default probe pairs for the backflow measure
-PROBE_PAIRS = (("phi+", "phi-"), ("++", "--"), ("00", "11"), ("psi+", "psi-"))
-
 
 def probe_state(name: str) -> np.ndarray:
-    """Named two-qubit probe state as a density matrix."""
-    if name not in PROBE_NAMES:
-        raise ValueError(f"unknown probe state {name!r}; choose from {PROBE_NAMES}")
+    """Named two-qubit probe state as a density matrix; the names are
+    `params.PROBE_NAMES`."""
+    _check_probe(name)
     ket = _KET[name]
     return np.outer(ket, ket.conj())
 

@@ -13,17 +13,18 @@ a channel; round-off past its range near t = 0 is clipped.
 
 RTN's p(t) (r = gamma, nu0 = 2a) and NMAD's G(t) (r = g/2, nu0^2 = gamma0 g/2)
 both solve y'' + 2r y' + nu0^2 y = 0 from y(0) = 1, y'(0) = 0: one real
-kernel evaluates both, under-, over- or critically damped.
+kernel evaluates both, under-, over- or critically damped. The parameter
+classes `RtnParams`, `OunParams` and `NmadParams` live in `params`, which
+checks them without numpy; 2 (gamma0 g) is doubled after the product, so
+that it overflows only where the product does.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError
+from .params import NmadParams, NoiseParams, OunParams, RtnParams, _regime
 
 DECOHERENCE_ZERO_TOL = 1e-9
-_DEGENERATE = 1e-12
 
 
 def _check_time(t):
@@ -43,70 +44,6 @@ def _finite(val, what: str, lo: float = -np.inf, hi: float = np.inf):
         raise NumericError(f"{what} is not finite")
     val = np.minimum(np.maximum(val, lo), hi)
     return val if np.ndim(val) else float(val)
-
-
-def _check_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not 0 < value < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
-class RtnParams:
-    """Random telegraph noise: coupling strength a, fluctuation rate gamma."""
-
-    a: float
-    gamma: float
-
-    def __post_init__(self):
-        _check_positive(a=self.a, gamma=self.gamma)
-
-    @property
-    def omega(self) -> float:
-        """w = sqrt(|(2a/gamma)^2 - 1|): p(t) oscillates at frequency w gamma
-        when 2a/gamma > 1, and decays at the two rates (1 -+ w) gamma otherwise."""
-        r = 2 * self.a / self.gamma
-        return _regime(r * r - 1)[0]
-
-    @property
-    def is_nonmarkovian_regime(self) -> bool:
-        """True when 2a/gamma > 1, i.e. p(t) oscillates."""
-        return 2 * self.a / self.gamma > 1
-
-
-@dataclass(frozen=True)
-class OunParams:
-    """Ornstein-Uhlenbeck noise: effective relaxation rate G, inverse
-    environment correlation time g (g^-1 = tau_c).
-    """
-
-    G: float
-    g: float
-
-    def __post_init__(self):
-        _check_positive(G=self.G, g=self.g)
-
-
-@dataclass(frozen=True)
-class NmadParams:
-    """Non-Markovian amplitude damping: coupling rate gamma0, spectral width g."""
-
-    gamma0: float
-    g: float
-
-    def __post_init__(self):
-        _check_positive(gamma0=self.gamma0, g=self.g)
-
-
-NoiseParams = RtnParams | OunParams | NmadParams
-
-
-def _regime(disc: float) -> tuple[float, str]:
-    """sqrt(|disc|) and the regime of the oscillator whose nu0^2 - r^2, in
-    any positive units, is disc: "under" damped for disc > 0, "over" damped
-    for disc < 0 and "critical" when sqrt(|disc|) < 1e-12."""
-    root = float(np.sqrt(abs(disc)))
-    return root, "critical" if root < _DEGENERATE else "under" if disc > 0 else "over"
 
 
 def _damped(rate, phase, ratio, regime: str):
@@ -154,7 +91,7 @@ def nmad_decoherence(t, params: NmadParams):
     is the limit exp(-gt/2)(1 + gt/2)."""
     t = _check_time(t)
     g = params.g
-    d, regime = _regime(2 * params.gamma0 * g - g * g)
+    d, regime = _regime(2 * (params.gamma0 * g) - g * g)
     return _finite(_damped(g * t / 2, d * t / 2, g / d if d else 0.0, regime), "NMAD G(t)")
 
 
@@ -178,15 +115,15 @@ def nmad_gamma(t: float, params: NmadParams) -> float:
     if not abs(gt) > DECOHERENCE_ZERO_TOL:
         raise NumericError(f"decay rate singular: |G({t})| = {abs(gt):.3e}")
     g, gamma0 = params.g, params.gamma0
-    d, regime = _regime(2 * gamma0 * g - g * g)
+    d, regime = _regime(2 * (gamma0 * g) - g * g)
     if regime == "critical":
         return float(gamma0 * g * t / (1 + g * t / 2))
     if regime == "over":
         # divide through by cosh so that nothing overflows
         e = np.expm1(-d * t)
-        return _finite(-2 * gamma0 * g * e / (d * (2 + e) - g * e), "NMAD gamma(t)")
+        return _finite(-2 * (gamma0 * g) * e / (d * (2 + e) - g * e), "NMAD gamma(t)")
     y = d * t / 2
-    return _finite(2 * gamma0 * g * np.sin(y) / (d * np.cos(y) + g * np.sin(y)), "NMAD gamma(t)")
+    return _finite(2 * (gamma0 * g) * np.sin(y) / (d * np.cos(y) + g * np.sin(y)), "NMAD gamma(t)")
 
 
 def noise_p(params: NoiseParams, t):

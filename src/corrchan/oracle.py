@@ -27,9 +27,9 @@ Kraus sums agree with the closed forms to 1e-14 absolute, but lose relative
 accuracy where p or tau(mu) is small and terms cancel.
 
 `bloch_diagonal_state` is the density matrix of a Bloch triple and
-`bloch_update` the reference of `freezing`; `build_codewords`,
+`bloch_update` the reference of `freezing` and `bloch`; `build_codewords`,
 `apply_word` and `greedy_correctable_set` are that of the pair rule of
-`qec`, and `error_probability` that of its sums over words. `dagger` is the
+`words`, and `error_probability` that of the sums over words of `qec`. `dagger` is the
 adjoint of a matrix or a stack.
 """
 
@@ -38,14 +38,16 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import SIGMA, _check_mu, _check_noise_value
+from .bloch import BLOCH_EQ_TOL, _UNITAL_KINDS, BlochDiagonal, _as_triple
+from .channels import SIGMA, _check_noise_value
 from .errors import NumericError, ValidationError
-from .freezing import BLOCH_EQ_TOL, _UNITAL_KINDS, BlochDiagonal, _as_triple
 from .linalg import lapack, validate_density
 from .map_algebra import (DOUBLE_FLIP_SLOTS, IDENTITY_SLOTS, SINGLE_FLIP_SLOTS,
                           correlated_oun_rates)
-from .noise import NmadParams, NoiseParams, OunParams, noise_p
-from .qec import ALL_ERROR_STRINGS, _check_word, _word_probabilities, is_detectable
+from .noise import noise_p
+from .params import NmadParams, NoiseParams, OunParams, _check_mu
+from .qec import _word_probabilities
+from .words import ALL_ERROR_STRINGS, _check_word, is_detectable
 
 COMPLETENESS_TOL = 1e-10
 JOINT_PROB_TOL = 1e-12
@@ -580,7 +582,7 @@ def apply_word(word: str, vec: np.ndarray) -> np.ndarray:
 
 
 def is_detectable_numeric(word: str) -> bool:
-    """`qec.is_detectable` through the codeword vectors of `build_codewords`:
+    """`words.is_detectable` through the codeword vectors of `build_codewords`:
     equal diagonal matrix elements between the two codewords and vanishing
     off-diagonal ones, to 1e-12, an independent route to the pair rule."""
     _check_word(word)
@@ -597,7 +599,7 @@ def _xor_word(a: str, b: str) -> str:
 def greedy_correctable_set() -> frozenset[str]:
     """Maximal correctable set built greedily, lowest weight first then
     lexicographic, accepting a string when all its products with the set so
-    far remain detectable; it rebuilds `qec.CORRECTABLE_ERRORS`.
+    far remain detectable; it rebuilds `words.CORRECTABLE_ERRORS`.
     """
     detectable = frozenset(w for w in ALL_ERROR_STRINGS if is_detectable(w))
     chosen: list[str] = []

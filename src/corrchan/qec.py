@@ -1,92 +1,23 @@
-"""Six-qubit concatenated code under correlated dephasing: error
-classification, chained error probabilities and the success probability.
+"""Six-qubit concatenated code under correlated dephasing: chained error
+probabilities and the success probability.
 
 The code concatenates a three-qubit phase-flip outer code (|+++>, |--->)
 with a two-qubit bit-flip inner code (|00>, |11>), giving 64-dimensional
 codewords supported on the eight basis strings whose qubit pairs are 00 or
 11. The error model is {I, Z}^(x6) with nearest-neighbour correlated
-probabilities p_ij = (1-mu) p_i p_j + mu p_i delta_ij.
-
-Detectability follows from the pair rule, with no matrix elements and no
-tolerance: a Z-string acts on each inner pair as the identity (II or ZZ) or
-as the inner logical Z (one Z), which swaps that pair's outer |+> and |->.
-A word is undetectable exactly when it flips all three pairs, which maps
-|0_conc> to |1_conc>. `oracle.is_detectable_numeric` checks the rule on the
-codeword vectors.
+probabilities p_ij = (1-mu) p_i p_j + mu p_i delta_ij. The error words and
+their classification by the pair rule are `words`, which needs no numpy.
 """
 
-import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .channels import _check_mu, _check_noise_value
+from .channels import _check_noise_value
 from .errors import NumericError
-from .noise import NmadParams, NoiseParams, noise_p
-
-ALL_ERROR_STRINGS = tuple(''.join(w) for w in itertools.product('IZ', repeat=6))
-
-#: Undetectable errors: every qubit pair carries exactly one Z.
-UNDETECTABLE_ERRORS = (
-    "ZIZIZI", "ZIZIIZ", "ZIIZZI", "ZIIZIZ",
-    "IZZIZI", "IZZIIZ", "IZIZZI", "IZIZIZ",
-)
-
-#: The canonical 32-element correctable set (pairwise products detectable).
-CORRECTABLE_ERRORS = (
-    "IIIIII", "ZIIIII", "IZIIII", "IIZIII",
-    "IIIZII", "IIIIZI", "IIIIIZ", "ZZIIII",
-    "IIZZII", "IIIIZZ", "ZZZIII", "ZZIZII",
-    "ZZIIZI", "ZZIIIZ", "ZIZZII", "ZIIIZZ",
-    "IZZZII", "IZIIZZ", "IIZZZI", "IIZZIZ",
-    "IIZIZZ", "IIIZZZ", "ZZZZII", "ZZIIZZ",
-    "IIZZZZ", "ZZZZZI", "ZZZZIZ", "ZZZIZZ",
-    "ZZIZZZ", "ZIZZZZ", "IZZZZZ", "ZZZZZZ",
-)
-
-
-def _check_word(word: str, alphabet: str = "IZ") -> str:
-    if len(word) != 6 or any(ch not in alphabet for ch in word):
-        raise ValueError(f"error string must be length 6 over {{{','.join(alphabet)}}}, "
-                         f"got {word!r}")
-    return word
-
-
-# --------------------------------------------------------------------------
-# Detectability and classification
-# --------------------------------------------------------------------------
-
-
-def is_detectable(word: str) -> bool:
-    """Error detectability by the pair rule: some inner pair (qubits 2k,
-    2k+1) carries no Z or two, so the word does not flip every pair."""
-    _check_word(word)
-    return any(word[k] == word[k + 1] for k in (0, 2, 4))
-
-
-@dataclass(frozen=True)
-class ErrorClassification:
-    undetectable: frozenset[str]
-    detectable: frozenset[str]
-    correctable: frozenset[str]
-
-
-def classify_errors() -> ErrorClassification:
-    """Partition {I, Z}^(x6) into undetectable and detectable errors by the
-    pair rule, and attach the canonical correctable set.
-
-    The correctable set is the fixed 32-element list `CORRECTABLE_ERRORS`:
-    every element and every pairwise product E_a E_b (the XOR of the
-    Z-patterns, since Z-strings are involutions) is detectable, which the
-    tests check once for the constant rather than each process at run time.
-    `oracle.greedy_correctable_set` rebuilds it from scratch.
-    """
-    detectable = frozenset(w for w in ALL_ERROR_STRINGS if is_detectable(w))
-    return ErrorClassification(undetectable=frozenset(ALL_ERROR_STRINGS) - detectable,
-                               detectable=detectable,
-                               correctable=frozenset(CORRECTABLE_ERRORS))
-
+from .noise import noise_p
+from .params import NoiseParams, _check_dephasing, _check_mu
+from .words import ALL_ERROR_STRINGS, CORRECTABLE_ERRORS
 
 # --------------------------------------------------------------------------
 # Error probabilities and success probability
@@ -162,9 +93,7 @@ def success_vs_time(noise: NoiseParams, mu: float, times: Sequence[float],
     spot-checks five grid points against the brute-force sum. With
     `normalized`, values are divided by the total chained probability mass.
     """
-    if isinstance(noise, NmadParams):
-        raise ValueError("the error-correction model covers dephasing noise only "
-                         "(RTN or OUN)")
+    _check_dephasing(noise)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError(f"times must be a non-empty 1-d grid, got shape {times.shape}")

@@ -1,0 +1,177 @@
+"""The numeric work of the subcommands, on options that `cli` has checked.
+
+`cli` imports this module only to run a command that computes with numpy:
+every CSV subcommand, and `freeze-check` of a named probe state. So
+`classify-errors`, `freeze-check --c` and every rejected option run without
+numpy. This module imports numpy and every numeric layer at its top, and
+never imports `cli`: under `python -m corrchan.cli` that import would run
+the command line a second time, as a module of its own.
+
+A handler returns its CSV table, a header and all of its lines, and `cli`
+writes it; `freeze-check` returns its verdict. Each line is rendered with
+one `%` from a template that holds the text of the columns that are
+constant over the table, or over a mu block of a sweep, and a '%.12g' slot
+for every other column (`_lines`). Numpy warnings are silenced while a
+command runs: every invariant rejects NaN and inf itself, and a numeric
+failure prints one `numeric failure:` line.
+"""
+
+import numpy as np
+
+from .bloch import FreezingVerdict
+from .channels import evolve
+from .freezing import freezing_predicate
+from .map_algebra import accessible_volume, correlated_oun_rates
+from .measures import (RISE_THRESHOLD, _concurrence, _trace_distance, positive_variation,
+                       probe_state, random_bell_probes, sss_measure)
+from .qec import success_vs_time
+
+Table = tuple[list[str], list[str]]  # CSV header and formatted lines
+
+
+def run(args) -> Table | FreezingVerdict:
+    """The result of the subcommand `args.command`."""
+    with np.errstate(all="ignore"):
+        return _COMMANDS[args.command](args)
+
+
+def _fmt(x: float) -> str:
+    # + 0.0 turns -0.0 into 0.0, so that a signed zero prints as 0
+    return format(float(x) + 0.0, ".12g")
+
+
+def _lines(data: np.ndarray, lead: list[str], fixed: tuple[str, ...] = ()) -> list[str]:
+    """One CSV line per row of a 2-d float array with at least one row: the
+    row's string of `lead`, then the formatted cells `fixed`, then each cell
+    of the row as `_fmt` prints it ('%.12g' and '.12g' format a float
+    alike), with one `%` per line. The line template holds `fixed` and the
+    `_fmt` text of each column that is constant over the rows, formatted
+    once, and a '%.12g' slot for each other column; NaN never equals itself,
+    so a column with a NaN keeps its slots."""
+    constant = (data == data[0]).all(axis=0)
+    cells = [_fmt(x) if same else "%.12g"
+             for x, same in zip(data[0].tolist(), constant.tolist())]
+    columns = (data[:, ~constant] + 0.0).T.tolist()
+    line = ",".join(["%s", *fixed, *cells])
+    return [line % row for row in zip(lead, *columns)]
+
+
+def _times(args) -> np.ndarray:
+    return np.linspace(0.0, args.tmax, args.steps)
+
+
+def _sweep(args, columns: list[str], cells) -> Table:
+    """Header and lines `t, mu, *columns` over the time grid, for each mu in
+    turn; `cells(noise, mu, times)` returns a float array of shape (n,) or
+    (n, len(columns)). Each mu's block is rendered by `_lines` with one `%`
+    per line, from the template `%s,<mu>,<cells>`: the t cells fill the
+    leading slot and are formatted once per sweep, mu once per block, and
+    each column that is constant over the grid once per block."""
+    times = _times(args)
+    t_cells = ["%.12g" % t for t in (times + 0.0).tolist()]
+    lines = []
+    for mu in args.mus:
+        values = np.reshape(cells(args.params, mu, times), (len(times), -1))
+        lines += _lines(values, t_cells, (_fmt(mu),))
+    return ["t", "mu", *columns], lines
+
+
+def _cmd_evolve(args) -> Table:
+    rho0 = probe_state(args.state)
+    columns = [f"rho{i}{j}_{part}" for i in range(1, 5)
+               for j in range(1, 5) for part in ("re", "im")]
+
+    def cells(noise, mu, times):
+        rho = evolve(noise, mu, times, rho0)
+        return np.stack([rho.real, rho.imag], axis=-1).reshape(len(times), -1)
+    return _sweep(args, columns, cells)
+
+
+def _cmd_concurrence(args) -> Table:
+    rho0 = probe_state(args.probe)
+    return _sweep(args, ["concurrence"], lambda noise, mu, times:
+                  _concurrence(evolve(noise, mu, times, rho0)))
+
+
+def _cmd_tracedist(args) -> Table:
+    probes = np.stack([probe_state(name) for name in args.probe_pair])
+    return _sweep(args, ["trace_distance"], lambda noise, mu, times:
+                  _trace_distance(np.subtract(*evolve(noise, mu, times, probes))))
+
+
+# probe states per `evolve` call in `blp`: an even number, so that a chunk
+# holds whole pairs, and the memory of a sweep does not grow with the probes
+_BLP_CHUNK = 16
+
+
+def _cmd_blp(args) -> Table:
+    times = _times(args)
+    labels = [f"{a}:{b}" for a, b in args.probe_pairs]
+    probes = [probe_state(name) for pair in args.probe_pairs for name in pair]
+    if args.random_probes > 0:  # numpy.random is imported only for random probes
+        labels += [f"random{k}" for k in range(args.random_probes)]
+        probes += random_bell_probes(2 * args.random_probes, seed=args.seed)
+    probes = np.stack(probes)
+    lines = []
+    for mu in args.mus:
+        # one chunk's trajectories are freed before the next chunk's are evolved
+        values = []
+        for start in range(0, len(probes), _BLP_CHUNK):
+            states = evolve(args.params, mu, times, probes[start:start + _BLP_CHUNK])
+            values.append(positive_variation(_trace_distance(states[0::2] - states[1::2])))
+        values = np.concatenate(values)
+        lines += [f"{_fmt(mu)},{label},{_fmt(value)}" for label, value in zip(labels, values)]
+        lines.append(f"{_fmt(mu)},max,{_fmt(values.max(initial=0.0))}")
+    return ["mu", "pair", "blp"], lines
+
+
+# rate elements per `sss_measure` call: the cells of a chunk are solved
+# together, and the memory of a sweep does not grow with the number of cells
+_SSS_CHUNK = 1 << 14
+
+
+def _cmd_sss(args) -> Table:
+    times = _times(args)
+    reference = (-args.G / 2, -args.G) if args.family == "markov" else None  # memoryless limit
+    cells = [(g_inv, mu) for g_inv in args.g_inverses for mu in args.mus]
+    chunk = max(1, _SSS_CHUNK // len(times))
+    zetas = []
+    for start in range(0, len(cells), chunk):
+        rates = [correlated_oun_rates(times, args.oun_params[g_inv], mu)
+                 for g_inv, mu in cells[start:start + chunk]]
+        try:
+            zetas += list(sss_measure(times, np.stack(rates, axis=1), reference))
+        except ValueError as exc:  # the grid is the only input it can reject
+            raise ValueError(f"--tmax {args.tmax!r} and --steps {args.steps}: {exc}") from None
+    lead = [f"{_fmt(g_inv)},{_fmt(mu)}" for g_inv, mu in cells]
+    return ["g_inverse", "mu", "zeta"], _lines(np.column_stack([zetas]), lead)
+
+
+def _cmd_volume(args) -> Table:
+    def cells(noise, mu, times):
+        volume = accessible_volume(noise, mu, times)
+        # 1 where V rose from the previous point; the flags print as 0 and 1
+        return np.column_stack([volume, np.diff(volume, prepend=volume[0]) > RISE_THRESHOLD])
+    return _sweep(args, ["volume", "witness_flag"], cells)
+
+
+def _cmd_qec(args) -> Table:
+    column = "p_success_normalized" if args.normalized else "p_success"
+    return _sweep(args, [column], lambda noise, mu, times:
+                  success_vs_time(noise, mu, times, normalized=args.normalized))
+
+
+def _cmd_freeze_check(args) -> FreezingVerdict:
+    return freezing_predicate(probe_state(args.state), args.channel, args.mu)
+
+
+_COMMANDS = {
+    "evolve": _cmd_evolve,
+    "concurrence": _cmd_concurrence,
+    "tracedist": _cmd_tracedist,
+    "blp": _cmd_blp,
+    "sss": _cmd_sss,
+    "volume": _cmd_volume,
+    "qec": _cmd_qec,
+    "freeze-check": _cmd_freeze_check,
+}

@@ -18,9 +18,8 @@ from corrchan.oracle import (apply, bloch_diagonal_state, channel_at_time, choi,
                              correlated_oun_generator, fully_correlated_nmad_channel,
                              generator, greedy_correctable_set, kraus_from_choi,
                              pauli_basis, transfer_matrix, transfer_sampler)
-from corrchan.qec import (CORRECTABLE_ERRORS, UNDETECTABLE_ERRORS,
-                          classify_errors, success_probability_bruteforce,
-                          success_probability_closed)
+from corrchan.qec import success_probability_bruteforce, success_probability_closed
+from corrchan.words import CORRECTABLE_ERRORS, UNDETECTABLE_ERRORS, classify_errors
 
 from conftest import random_bloch_triple, random_density
 

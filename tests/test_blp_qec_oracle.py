@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 
 from corrchan.cli import main
-from corrchan.measures import PROBE_PAIRS, RISE_THRESHOLD, probe_state
+from corrchan.measures import RISE_THRESHOLD, probe_state
 from corrchan.noise import noise_p
+from corrchan.params import PROBE_PAIRS
 
 from test_evolve_oracle import NOISES, _digits, _mp_state
 from test_volume_oracle import DPS, mp_apply

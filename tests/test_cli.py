@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrchan.cli import _fmt, _lines, main
+from corrchan.cli import main
 from corrchan.errors import NumericError
+from corrchan.sweeps import _fmt, _lines
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -122,26 +123,26 @@ BLP_ARGV = ["blp", "--random-probes", "20", "--mu", "0,0.7", "--tmax", "30", "--
 
 def test_blp_evolves_at_most_one_chunk_at_once(monkeypatch, tmp_path):
     # 4 default pairs and 20 random ones are 48 probe states per mu
-    import corrchan.cli as cli_mod
+    import corrchan.sweeps as sweeps_mod
 
-    evolve, sizes = cli_mod.evolve, []
+    evolve, sizes = sweeps_mod.evolve, []
 
     def counting_evolve(noise, mu, times, probes):
         sizes.append(len(probes))
         return evolve(noise, mu, times, probes)
 
-    monkeypatch.setattr(cli_mod, "evolve", counting_evolve)
+    monkeypatch.setattr(sweeps_mod, "evolve", counting_evolve)
     assert main([*BLP_ARGV, "--out", str(tmp_path / "x.csv")]) == 0
     assert sum(sizes) == 2 * 48
-    assert max(sizes) <= cli_mod._BLP_CHUNK < 48
+    assert max(sizes) <= sweeps_mod._BLP_CHUNK < 48
 
 
 def test_blp_chunks_write_the_csv_of_one_stack(monkeypatch, tmp_path):
-    import corrchan.cli as cli_mod
+    import corrchan.sweeps as sweeps_mod
 
     chunked, whole = tmp_path / "chunked.csv", tmp_path / "whole.csv"
     assert main([*BLP_ARGV, "--out", str(chunked)]) == 0
-    monkeypatch.setattr(cli_mod, "_BLP_CHUNK", sys.maxsize)
+    monkeypatch.setattr(sweeps_mod, "_BLP_CHUNK", sys.maxsize)
     assert main([*BLP_ARGV, "--out", str(whole)]) == 0
     assert chunked.read_bytes() == whole.read_bytes()
 
@@ -182,16 +183,16 @@ def test_sss_mu_zero_long_window(family, tmp_path):
 def test_sss_non_finite_generator_exits_3(family, monkeypatch, tmp_path):
     import numpy as np
 
-    import corrchan.cli as cli_mod
+    import corrchan.sweeps as sweeps_mod
 
-    real = cli_mod.correlated_oun_rates
+    real = sweeps_mod.correlated_oun_rates
 
     def with_nan(t, params, mu):
         single, double = real(t, params, mu)
         single[len(single) // 2] = np.nan
         return single, double
 
-    monkeypatch.setattr(cli_mod, "correlated_oun_rates", with_nan)
+    monkeypatch.setattr(sweeps_mod, "correlated_oun_rates", with_nan)
     out = tmp_path / "x.csv"
     assert main(["sss", "--mu", "0.5", "--steps", "20", "--family", family,
                  "--out", str(out)]) == 3
@@ -199,11 +200,10 @@ def test_sss_non_finite_generator_exits_3(family, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["volume", "--noise", "rtn", "--a", "1e160", "--gamma", "1e-10"],
     ["evolve", "--noise", "nmad", "--g", "1e160"],
     ["sss", "--G", "1e300"],
     ["sss", "--G", "1e300", "--family", "free"],
-], ids=["volume-rtn", "evolve-nmad", "sss-markov", "sss-free"])
+], ids=["evolve-nmad", "sss-markov", "sss-free"])
 def test_overflow_of_finite_parameters_exits_3(args, tmp_path):
     # finite parameters whose squares or norms overflow: a numeric failure,
     # not a traceback (exit 1) or rows of inf (exit 0); `main` itself keeps
@@ -211,6 +211,28 @@ def test_overflow_of_finite_parameters_exits_3(args, tmp_path):
     out = tmp_path / "x.csv"
     assert main(args + ["--steps", "5", "--out", str(out)]) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("a, gamma", [("1e154", "0.05"), ("0.8", "1e-310"), ("1e160", "1e-10")],
+                         ids=["a-1e154", "gamma-1e-310", "volume-rtn"])
+def test_rtn_ratio_overflow_exits_2(a, gamma, capsys):
+    # finite, positive RTN parameters whose (2a/gamma)^2 overflows cannot be
+    # evaluated: the parameter check rejects them, naming both options,
+    # where the kernel used to find p(t) not finite (exit 3)
+    assert main(["volume", "--noise", "rtn", "--a", a, "--gamma", gamma, "--steps", "5"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --a {float(a)} and --gamma {float(gamma)} overflow (2a/gamma)^2\n")
+
+
+def test_nmad_rate_product_overflows_only_where_the_product_does(tmp_path):
+    # 2 * gamma0 * g overflowed from left to right (exit 3); gamma0 g = 1 is
+    # doubled after the product, so these parameters now give finite rows
+    out = tmp_path / "x.csv"
+    assert main(["volume", "--noise", "nmad", "--gamma0", "1e308", "--g", "1e-308",
+                 "--steps", "5", "--out", str(out)]) == 0
+    rows = read_csv(out)[1:]
+    assert len(rows) == 15
+    assert all(np.isfinite(float(cell)) for row in rows for cell in row)
 
 
 @pytest.mark.parametrize("args", [
@@ -368,7 +390,7 @@ def test_invalid_input_rejected_without_output(args, capsys):
     assert err.startswith("error: ")
 
 
-# each CSV subcommand and the cli binding it calls once per mu (sss: per
+# each CSV subcommand and the `sweeps` binding it calls once per mu (sss: per
 # (g^-1, mu) cell)
 SWEEP_BINDINGS = {"evolve": "evolve", "concurrence": "evolve", "tracedist": "evolve",
                   "blp": "evolve", "volume": "accessible_volume",
@@ -377,10 +399,10 @@ SWEEP_BINDINGS = {"evolve": "evolve", "concurrence": "evolve", "tracedist": "evo
 
 @pytest.mark.parametrize("command", SWEEP_BINDINGS)
 def test_failed_sweep_leaves_no_csv(command, monkeypatch, tmp_path):
-    import corrchan.cli as cli_mod
+    import corrchan.sweeps as sweeps_mod
 
     binding = SWEEP_BINDINGS[command]
-    real = getattr(cli_mod, binding)
+    real = getattr(sweeps_mod, binding)
     seen = []
 
     def fail_on_second_value(*args, **kwargs):
@@ -391,7 +413,7 @@ def test_failed_sweep_leaves_no_csv(command, monkeypatch, tmp_path):
             raise NumericError("injected failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, binding, fail_on_second_value)
+    monkeypatch.setattr(sweeps_mod, binding, fail_on_second_value)
     out = tmp_path / "x.csv"
     sweep = ["--mu", "0.5", "--g-inverse", "10,50"] if command == "sss" else ["--mu", "0,0.5"]
     assert main([command, *sweep, "--tmax", "5", "--steps", "3", "--out", str(out)]) == 3
@@ -478,6 +500,32 @@ def test_classify_errors_builds_no_other_options(monkeypatch, capsys):
     assert [args for args in added if args != ("-h", "--help")] == [("--config",)]
 
 
+@pytest.mark.parametrize("columns", ["60", "200"])
+def test_help_width_is_worked_out_once_per_parser(columns, monkeypatch, capsys):
+    """`-h` prints what argparse's own formatter prints, which queries the
+    terminal for its width on every use; `build_parser` queries it once."""
+    import shutil
+
+    from corrchan.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in [[], *([sub] for sub in SUBCOMMANDS)]:
+        assert main([*argv, "-h"]) == 0
+        printed = capsys.readouterr().out
+        parser = build_parser(argv[0] if argv else None)
+        if argv:
+            [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            parser = action.choices[argv[0]]
+        parser.formatter_class = argparse.HelpFormatter
+        assert printed == parser.format_help(), argv
+    queries = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda: queries.append(1) or size())
+    assert main(["qec", "--tmax", "1", "--steps", "2", "--out", "-"]) == 0
+    capsys.readouterr()
+    assert len(queries) == 1
+
+
 def test_free_sss_preset_evaluates_few_gaps(monkeypatch, tmp_path):
     # a deterministic guard on the solver cost: the costly certificate of a
     # row is evaluated only where f elsewhere does not already rule it out
@@ -495,7 +543,7 @@ def test_free_sss_preset_evaluates_few_gaps(monkeypatch, tmp_path):
 
 
 def test_sss_memory_does_not_grow_with_cells(tmp_path):
-    # `sss` solves its cells in chunks of at most cli._SSS_CHUNK rate values:
+    # `sss` solves its cells in chunks of at most sweeps._SSS_CHUNK rate values:
     # twelve cells of 50000 times peak like one, where one stack of all of
     # them would take about twelve times its memory
     import tracemalloc
@@ -569,12 +617,12 @@ def test_default_preset_runtime(tmp_path):
 
 
 def test_numeric_failure_exit_code(monkeypatch, tmp_path):
-    import corrchan.cli as cli_mod
+    import corrchan.sweeps as sweeps_mod
 
     def boom(*args, **kwargs):
         raise NumericError("spot check failed")
 
-    monkeypatch.setattr(cli_mod, "success_vs_time", boom)
+    monkeypatch.setattr(sweeps_mod, "success_vs_time", boom)
     assert main(["qec", "--noise", "oun", "--mu", "0.5", "--tmax", "5",
                  "--steps", "3", "--out", str(tmp_path / "x.csv")]) == 3
 
@@ -749,12 +797,13 @@ def test_sweep_rows_equal_one_array_per_mu(width):
     those of the array [t, mu, cells] of each mu in turn, also where a
     column is constant over the grid: all -0.0, finite, NaN, constant but
     for the last row, or every column at once."""
-    from corrchan.cli import _sweep
+    from corrchan.params import OunParams
+    from corrchan.sweeps import _sweep
 
     rng = np.random.default_rng(width)
     mus = (-0.0, 1e-300, 0.25, 0.5, 0.75, 1.0)
-    args = argparse.Namespace(noise="oun", G=1.0, g=0.05, mu=",".join(map(repr, mus)),
-                              tmax=7.0, steps=50)
+    # the options as `cli` hands them on, checked: the noise parameters and mus
+    args = argparse.Namespace(params=OunParams(G=1.0, g=0.05), mus=list(mus), tmax=7.0, steps=50)
     values = rng.normal(size=(50, width)) * 10.0 ** rng.integers(-300, 300, size=(50, width))
     values[::7] = -0.0
     layouts = _constant_column_layouts(values)
@@ -811,8 +860,9 @@ def test_commands_import_neither_scipy_nor_numpy_random(tmp_path):
     assert loaded == []
 
 
-# Public functions of the modules `corrchan.cli` imports that no subcommand
-# calls, each kept for a reason of its own.
+# Public functions of the modules the subcommands load (`corrchan.cli`, and
+# through `corrchan.sweeps` every numeric layer) that no subcommand calls,
+# each kept for a reason of its own.
 UNREACHED_BY_COMMANDS = {
     # the NMAD decay rate gamma(t); no command prints it yet
     "corrchan.noise.nmad_gamma",
@@ -830,7 +880,7 @@ UNREACHED_BY_COMMANDS = {
 
 def test_commands_reach_every_public_function(tmp_path):
     """Every subcommand, run in one fresh interpreter under a profile hook,
-    reaches every public function of the modules the CLI imports except the
+    reaches every public function of the modules the commands load except the
     ones in UNREACHED_BY_COMMANDS; the test references live in
     `corrchan.oracle`, which no command loads."""
     grid = ["--steps", "5"]
@@ -926,9 +976,9 @@ def test_default_preset_validates_only_the_probes(command, matrices, monkeypatch
     the 3 x 500 differences of the `++:--` pair of `blp`, the one default
     pair that is not X-shaped; every other trace distance and concurrence is
     in closed form."""
-    import corrchan.cli as cli_mod
+    import corrchan.sweeps as sweeps_mod
 
-    cholesky, eigvalsh, evolve = np.linalg.cholesky, np.linalg.eigvalsh, cli_mod.evolve
+    cholesky, eigvalsh, evolve = np.linalg.cholesky, np.linalg.eigvalsh, sweeps_mod.evolve
     factored, solved, evolve_calls = [], [], []
 
     def counting_cholesky(m):
@@ -945,8 +995,133 @@ def test_default_preset_validates_only_the_probes(command, matrices, monkeypatch
 
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    monkeypatch.setattr(cli_mod, "evolve", counting_evolve)
+    monkeypatch.setattr(sweeps_mod, "evolve", counting_evolve)
     assert main([command, "--out", str(tmp_path / "x.csv")]) == 0
     assert sum(factored) == matrices
     assert sum(solved) == (1500 if command == "blp" else 0)
     assert len(evolve_calls) == 3
+
+
+_NAMES = "('phi+', 'phi-', 'psi+', 'psi-', 'alpha', '00', '11', '++', '--')"
+_MU = "correlation factor mu must lie in [0, 1], got "
+
+# Two bad options each: the option checks run in pure Python before numpy
+# loads, in the order the subcommands read their options, so the first error
+# named is the one the numeric handlers named when they checked the options.
+# The RTN pairs whose (2a/gamma)^2 overflows are checked last, where the
+# kernel met them.
+FIRST_ERRORS = [
+    (["qec", "--mu", "1.5", "--tmax", "-1"], "--tmax must be positive and finite, got -1.0"),
+    (["qec", "--noise", "nmad", "--mu", "2"], _MU + "2.0"),
+    (["qec", "--noise", "nmad", "--steps", "1"], "--steps must be at least 2, got 1"),
+    (["qec", "--noise", "rtn", "--a", "-1", "--mu", "nan"],
+     "--a must be positive and finite, got -1.0"),
+    (["evolve", "--noise", "nmad", "--gamma0", "-1", "--g", "nan"],
+     "--gamma0 must be positive and finite, got -1.0"),
+    (["evolve", "--noise", "oun", "--G", "0", "--tmax", "0"],
+     "--G must be positive and finite, got 0.0"),
+    (["concurrence", "--steps", "1", "--mu", "0,,1"], "--steps must be at least 2, got 1"),
+    (["concurrence", "--tmax", "inf", "--steps", "0"], "--tmax must be positive and finite, got inf"),
+    (["volume", "--noise", "rtn", "--a", "1e154", "--tmax", "nan"],
+     "--tmax must be positive and finite, got nan"),
+    (["volume", "--noise", "rtn", "--a", "1e154", "--mu", "2"], _MU + "2.0"),
+    (["volume", "--noise", "rtn", "--gamma", "1e-310", "--mu", "-1"], _MU + "-1.0"),
+    (["tracedist", "--pair", "phi+", "--mu", "2"],
+     "expected a probe pair like phi+:phi-, got 'phi+'"),
+    (["tracedist", "--pair", "foo:bar", "--tmax", "nan"],
+     f"unknown probe state 'foo'; choose from {_NAMES}"),
+    (["tracedist", "--pair", "phi+:bar", "--noise", "rtn", "--a", "1e154"],
+     f"unknown probe state 'bar'; choose from {_NAMES}"),
+    (["blp", "--seed", "-1", "--random-probes", "-2"], "--random-probes must be non-negative, got -2"),
+    (["blp", "--seed", "-1", "--mu", "2"], "--seed must be non-negative, got -1"),
+    (["blp", "--pairs", "phi+", "--mu", "2"], _MU + "2.0"),
+    (["blp", "--pairs", "foo:bar", "--noise", "rtn", "--a", "-1"],
+     "--a must be positive and finite, got -1.0"),
+    (["blp", "--pairs", "phi+:foo", "--noise", "rtn", "--a", "1e154"],
+     f"unknown probe state 'foo'; choose from {_NAMES}"),
+    (["sss", "--G", "nan", "--mu", "2"], _MU + "2.0"),
+    (["sss", "--G", "nan", "--tmax", "inf"], "--tmax must be positive and finite, got inf"),
+    (["sss", "--g-inverse", "0", "--steps", "1"],
+     "--g-inverse requires positive finite values with a finite inverse, got 0.0"),
+    (["sss", "--G", "nan", "--g-inverse", "x"],
+     "--g-inverse expects a comma-separated list of numbers, got 'x'"),
+    (["sss", "--tmax", "1e-320", "--G", "-1"], "--G must be positive and finite, got -1.0"),
+    (["freeze-check", "--c", "5,5,5", "--mu", "2"], _MU + "2.0"),
+    (["freeze-check", "--c", "1,2", "--mu", "2"], "--c expects three components, got '1,2'"),
+    (["freeze-check", "--c", "nan,0,0", "--mu", "-1"], _MU + "-1.0"),
+    (["freeze-check", "--state", "psi+", "--mu", "2"], _MU + "2.0"),
+]
+
+
+@pytest.mark.parametrize("args, message", FIRST_ERRORS, ids=[" ".join(a) for a, _ in FIRST_ERRORS])
+def test_first_of_two_bad_options_is_named(args, message, capsys):
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _cold_run(argv):
+    """`python -X importtime -m corrchan.cli *argv` in a fresh interpreter:
+    its exit code, its stdout and the set of modules it imported."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "corrchan.cli", *argv],
+                          env=_ENV, capture_output=True, text=True, timeout=60)
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    return proc.returncode, proc.stdout, imported
+
+
+def test_import_loads_no_numpy():
+    for module in ("corrchan", "corrchan.cli"):
+        proc = subprocess.run([sys.executable, "-c", f"import sys, {module}\n"
+                               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"],
+                              env=_ENV, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", module
+
+
+def test_package_exports_resolve_lazily():
+    """Each export of `corrchan` is read from its module on access; a name of
+    a pure-Python module loads no numpy."""
+    import importlib
+
+    import corrchan
+
+    for name in corrchan.__all__:
+        module = importlib.import_module(f"corrchan.{corrchan._MODULE_OF[name]}")
+        assert getattr(corrchan, name) is getattr(module, name), name
+    assert set(corrchan.__all__) <= set(dir(corrchan))
+    proc = subprocess.run([sys.executable, "-c", "import sys\n"
+                           "from corrchan import RtnParams, BlochDiagonal, classify_errors\n"
+                           "print('numpy' in sys.modules)"],
+                          env=_ENV, capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "False\n", proc.stderr
+
+
+@pytest.mark.parametrize("args, code", [
+    (["classify-errors"], 0),
+    (["freeze-check", "--c", "0.5,0.5,-1", "--channel", "oun", "--mu", "1"], 0),
+    # the four boundary probes of the benchmark's short_calls workload
+    (["concurrence", "--tmax", "nan"], 2),
+    (["qec", "--mu", "1.5"], 2),
+    (["freeze-check", "--c", "5,5,5", "--channel", "oun", "--mu", "1"], 2),
+    (["freeze-check", "--c", "nan,0,0", "--channel", "oun", "--mu", "1"], 2),
+])
+def test_commands_without_numeric_work_load_no_numpy(args, code, capsys):
+    # the same exit code and output as in process, from the pure-Python modules
+    assert main(list(args)) == code
+    expected = capsys.readouterr().out
+    exit_code, stdout, imported = _cold_run(args)
+    assert (exit_code, stdout) == (code, expected)
+    assert "numpy" not in imported
+    assert {m for m in imported if m.startswith("corrchan.")} <= {
+        "corrchan.errors", "corrchan.params", "corrchan.bloch", "corrchan.words"}
+
+
+def test_module_run_imports_cli_once(tmp_path):
+    """Under `python -m corrchan.cli`, cli.py runs as __main__; `sweeps`
+    must not import `corrchan.cli`, which would run cli.py a second time as
+    a module of its own."""
+    out = tmp_path / "x.csv"
+    code, _, imported = _cold_run(["volume", "--steps", "3", "--out", str(out)])
+    assert code == 0 and out.exists()
+    assert {"numpy", "corrchan.sweeps"} <= imported
+    assert "corrchan.cli" not in imported

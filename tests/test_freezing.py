@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from corrchan.bloch import BlochDiagonal
 from corrchan.channels import evolve_damping, evolve_dephasing
 from corrchan.errors import ValidationError
-from corrchan.freezing import BlochDiagonal, freezing_predicate
+from corrchan.freezing import freezing_predicate
 from corrchan.measures import concurrence, probe_state, trace_distance
 from corrchan.noise import NmadParams, OunParams, RtnParams
 from corrchan.oracle import (apply, apply_matrix, bloch_diagonal_state, bloch_update,

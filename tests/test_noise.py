@@ -278,10 +278,23 @@ def test_nmad_degenerate_l_limit():
     lambda: OunParams(G=np.inf, g=1.0),
     lambda: OunParams(G=1.0, g=np.nan),
     lambda: NmadParams(gamma0=1.0, g=np.inf),
+    # the named-tuple copy with a field replaced goes through the same check
+    lambda: RTN._replace(a=-1.0),
+    lambda: OUN._replace(g=np.nan),
 ])
 def test_parameters_must_be_positive(factory):
     with pytest.raises(ValueError):
         factory()
+
+
+def test_parameters_equal_only_their_own_class():
+    # OUN and NMAD_OSC hold the same two floats; like frozen dataclasses, the
+    # parameter classes tell them apart as values and as keys
+    assert tuple(OUN) == tuple(NMAD_OSC) and OUN != NMAD_OSC
+    assert {OUN: "oun", NMAD_OSC: "nmad"}[OUN] == "oun"
+    assert OUN == OunParams(G=1.0, g=0.05) and hash(OUN) == hash(OunParams(1.0, 0.05))
+    with pytest.raises(AttributeError):
+        OUN.G = 2.0
 
 
 def test_negative_time_rejected():

@@ -16,12 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 from corrchan.channels import evolve, evolve_damping, evolve_dephasing
 from corrchan.linalg import validate_density
 from corrchan.map_algebra import correlated_oun_rates
-from corrchan.measures import (PROBE_NAMES, SSS_TOL, _wootters, _x_shaped, concurrence,
-                               probe_state, random_bell_probes, sss_measure,
-                               trace_distance)
+from corrchan.measures import (SSS_TOL, _wootters, _x_shaped, concurrence, probe_state,
+                               random_bell_probes, sss_measure, trace_distance)
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 from corrchan.oracle import (apply, channel_at_time, correlated_dephasing_channel,
                              correlated_nmad_channel, cptp_report)
+from corrchan.params import PROBE_NAMES
 from corrchan.qec import success_probability_closed, success_vs_time
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,

@@ -8,11 +8,10 @@ from corrchan.errors import NumericError
 from corrchan.noise import NmadParams, OunParams, RtnParams
 from corrchan.oracle import (apply_word, build_codewords, error_probability,
                              greedy_correctable_set, is_detectable_numeric)
-from corrchan.qec import (ALL_ERROR_STRINGS, CORRECTABLE_ERRORS,
-                          UNDETECTABLE_ERRORS, classify_errors, is_detectable,
-                          success_probability_bruteforce,
-                          success_probability_closed, success_vs_time,
-                          total_probability_mass)
+from corrchan.qec import (success_probability_bruteforce, success_probability_closed,
+                          success_vs_time, total_probability_mass)
+from corrchan.words import (ALL_ERROR_STRINGS, CORRECTABLE_ERRORS, UNDETECTABLE_ERRORS,
+                            classify_errors, is_detectable)
 
 OUN = OunParams(G=1.0, g=0.05)
 RTN = RtnParams(a=0.8, gamma=0.05)

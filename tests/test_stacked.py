@@ -22,10 +22,11 @@ from corrchan.channels import evolve
 from corrchan.errors import NumericError, ValidationError
 from corrchan.linalg import validate_density
 from corrchan.map_algebra import accessible_volume, correlated_oun_rates
-from corrchan.measures import (PROBE_NAMES, PROBE_PAIRS, _x_shaped, concurrence, probe_state,
-                               random_bell_probes, sss_measure, trace_distance)
+from corrchan.measures import (_x_shaped, concurrence, probe_state, random_bell_probes,
+                               sss_measure, trace_distance)
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 from corrchan.oracle import apply, channel_at_time, transfer_sampler
+from corrchan.params import PROBE_NAMES, PROBE_PAIRS
 from corrchan.qec import success_probability_closed, success_vs_time, total_probability_mass
 
 NOISES = {"rtn": RtnParams(a=0.8, gamma=0.05),
