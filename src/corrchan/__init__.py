@@ -4,7 +4,7 @@ measures, freezing prediction and concatenated-code error correction.
 The exports below resolve lazily (PEP 562): `import corrchan` loads none of
 the modules, and `corrchan.evolve` or `from corrchan import evolve` imports
 the module that defines the name on first use, so a name of a pure-Python
-module (`params`, `bloch`, `words`, `errors`) loads no numpy. A name is read
+module (`params`, `freezing`, `words`, `errors`) loads no numpy. A name is read
 from its module on every access, never copied here.
 
 The Kraus, Choi, transfer-matrix and 16 x 16 generator oracle of the closed
@@ -21,8 +21,7 @@ _EXPORTS = {
     "map_algebra": ("accessible_volume", "correlated_oun_rates"),
     "measures": ("blp_measure", "concurrence", "nm_concurrence_measure", "positive_variation",
                  "probe_state", "random_bell_probes", "sss_measure", "trace_distance"),
-    "bloch": ("BlochDiagonal", "FreezingVerdict"),
-    "freezing": ("freezing_predicate",),
+    "freezing": ("BlochDiagonal", "FreezingVerdict", "freezing_predicate"),
     "words": ("ALL_ERROR_STRINGS", "CORRECTABLE_ERRORS", "UNDETECTABLE_ERRORS",
               "ErrorClassification", "classify_errors", "is_detectable"),
     "qec": ("success_probability_bruteforce", "success_probability_closed", "success_vs_time",

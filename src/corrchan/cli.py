@@ -13,9 +13,10 @@ subparser of that subcommand only.
 This module loads no numpy. It parses argv and checks every scalar option
 (the noise parameters, --tmax, --steps, --mu, --c and the probe names) with
 the pure-Python checks of `params`, in the order the subcommand reads them,
-and prints `classify-errors` and the `freeze-check` verdict of a --c
-triple itself. Only then does a numeric subcommand import `sweeps`, which
-loads numpy and the numeric layers and computes the rows.
+and prints `classify-errors` and every `freeze-check` verdict, of a named
+--state or a --c triple, from the pure-Python `freezing`. Only then does a
+numeric subcommand import `sweeps`, which loads numpy and the numeric
+layers and computes the rows.
 
 Options can also be supplied through --config FILE, a plain text file of
 `key = value` lines using the long option names (without leading dashes);
@@ -29,9 +30,9 @@ import math
 import shutil
 import sys
 
-from .bloch import bloch_verdict
 from .errors import NumericError
-from .params import (PROBE_NAMES, PROBE_PAIRS, NmadParams, OunParams, RtnParams,
+from .freezing import freezing_predicate
+from .params import (GRID_ERROR, PROBE_NAMES, PROBE_PAIRS, NmadParams, OunParams, RtnParams,
                      _check_dephasing, _check_mu, _check_probe)
 from .words import classify_errors
 
@@ -123,10 +124,14 @@ def _check_sweep(args) -> None:
 
 def _run_sweep(args):
     """The numeric sweep over `args.params`. Its last check, after every
-    other option's, is that RTN parameters give a finite w = `omega`:
-    beyond about 1.3e154, (2a/gamma)^2 overflows and p(t) is not finite."""
+    other option's, is that the parameters give a finite oscillator: RTN's
+    w = `omega` overflows beyond a ratio 2a/gamma of about 1.3e154, and
+    NMAD's `discriminant` 2 gamma0 g - g^2 beyond g of about 1.3e154 or
+    gamma0 g of about 9e307; p(t) is not finite there."""
     if isinstance(args.params, RtnParams) and not args.params.omega < math.inf:
         raise ValueError(f"--a {args.a} and --gamma {args.gamma} overflow (2a/gamma)^2")
+    if isinstance(args.params, NmadParams) and not math.isfinite(args.params.discriminant):
+        raise ValueError(f"--gamma0 {args.gamma0} and --g {args.g} overflow 2 gamma0 g - g^2")
     return _numeric(args)
 
 
@@ -173,6 +178,9 @@ def _cmd_sss(args):
     _check_grid(args)
     args.oun_params = {g_inv: _noise_params(OunParams, G=args.G, g=1.0 / g_inv)
                        for g_inv in args.g_inverses}
+    # a step that `measures.sss_measure` would reject, found before numpy loads
+    if args.tmax / (args.steps - 1) < sys.float_info.min:
+        raise ValueError(f"--tmax {args.tmax!r} and --steps {args.steps}: {GRID_ERROR}")
     return _numeric(args)
 
 
@@ -184,15 +192,12 @@ def _cmd_classify_errors(args) -> None:
 
 
 def _cmd_freeze_check(args) -> None:
-    """A --c triple gets its verdict here, a named --state from `sweeps`."""
-    if args.c is None:
-        _check_mu(args.mu)
-        verdict = _numeric(args)
-    else:
-        state = tuple(_parse_floats(args.c, "--c"))
+    state = args.state
+    if args.c is not None:
+        state = _parse_floats(args.c, "--c")
         if len(state) != 3:
             raise ValueError(f"--c expects three components, got {args.c!r}")
-        verdict = bloch_verdict(state, args.channel, args.mu)
+    verdict = freezing_predicate(state, args.channel, args.mu)
     print(verdict.status)
     print(f"reason: {verdict.reason}")
 

@@ -38,7 +38,7 @@ from .errors import NumericError
 from .linalg import lapack, validate_density
 from .channels import _FLIPS, SIGMA
 from .map_algebra import DOUBLE_FLIP_SLOTS, SINGLE_FLIP_SLOTS
-from .params import _check_probe
+from .params import GRID_ERROR, KETS, _check_probe
 
 RISE_THRESHOLD = 1e-12
 
@@ -199,24 +199,11 @@ def nm_concurrence_measure(states: np.ndarray):
 # Probe states
 # --------------------------------------------------------------------------
 
-_KET = {
-    "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
-    "phi-": np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),
-    "psi+": np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2),
-    "psi-": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
-    "alpha": np.array([1, 1, 1, -1], dtype=complex) / 2,
-    "00": np.array([1, 0, 0, 0], dtype=complex),
-    "11": np.array([0, 0, 0, 1], dtype=complex),
-    "++": np.array([1, 1, 1, 1], dtype=complex) / 2,
-    "--": np.array([1, -1, -1, 1], dtype=complex) / 2,
-}
-
-
 def probe_state(name: str) -> np.ndarray:
     """Named two-qubit probe state as a density matrix; the names are
     `params.PROBE_NAMES`."""
     _check_probe(name)
-    ket = _KET[name]
+    ket = np.array(KETS[name], dtype=complex)
     return np.outer(ket, ket.conj())
 
 
@@ -230,7 +217,7 @@ def random_bell_probes(count: int, seed: int = 0) -> list[np.ndarray]:
     """Seeded local-unitary rotations (U (x) V)|phi+> as density matrices."""
     rng = np.random.default_rng(seed)
     out = []
-    base = _KET["phi+"]
+    base = np.array(KETS["phi+"], dtype=complex)
     for _ in range(count):
         u = np.kron(_random_unitary(rng), _random_unitary(rng))
         ket = u @ base
@@ -492,8 +479,7 @@ def sss_measure(times, rates, reference=None):
     times = np.asarray(times, dtype=float)
     if not (times.ndim == 1 and len(times) > 1 and np.isfinite(times).all()
             and np.diff(times).min() >= np.finfo(float).tiny):
-        raise ValueError("times must be a finite, strictly increasing grid of at least two "
-                         "points, with no step below the smallest normal float")
+        raise ValueError(GRID_ERROR)
     span = times[-1] - times[0]
     a, b = np.broadcast_arrays(*(np.asarray(rate, dtype=float) for rate in rates), times)[:2]
     shape = a.shape[:-1]

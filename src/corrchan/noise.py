@@ -91,7 +91,7 @@ def nmad_decoherence(t, params: NmadParams):
     is the limit exp(-gt/2)(1 + gt/2)."""
     t = _check_time(t)
     g = params.g
-    d, regime = _regime(2 * (params.gamma0 * g) - g * g)
+    d, regime = _regime(params.discriminant)
     return _finite(_damped(g * t / 2, d * t / 2, g / d if d else 0.0, regime), "NMAD G(t)")
 
 
@@ -115,7 +115,7 @@ def nmad_gamma(t: float, params: NmadParams) -> float:
     if not abs(gt) > DECOHERENCE_ZERO_TOL:
         raise NumericError(f"decay rate singular: |G({t})| = {abs(gt):.3e}")
     g, gamma0 = params.g, params.gamma0
-    d, regime = _regime(2 * (gamma0 * g) - g * g)
+    d, regime = _regime(params.discriminant)
     if regime == "critical":
         return float(gamma0 * g * t / (1 + g * t / 2))
     if regime == "over":

@@ -27,7 +27,7 @@ Kraus sums agree with the closed forms to 1e-14 absolute, but lose relative
 accuracy where p or tau(mu) is small and terms cancel.
 
 `bloch_diagonal_state` is the density matrix of a Bloch triple and
-`bloch_update` the reference of `freezing` and `bloch`; `build_codewords`,
+`bloch_update` the reference of `freezing`; `build_codewords`,
 `apply_word` and `greedy_correctable_set` are that of the pair rule of
 `words`, and `error_probability` that of the sums over words of `qec`. `dagger` is the
 adjoint of a matrix or a stack.
@@ -38,9 +38,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import BLOCH_EQ_TOL, _UNITAL_KINDS, BlochDiagonal, _as_triple
 from .channels import SIGMA, _check_noise_value
 from .errors import NumericError, ValidationError
+from .freezing import BLOCH_EQ_TOL, _UNITAL_KINDS, BlochDiagonal, _as_triple
 from .linalg import lapack, validate_density
 from .map_algebra import (DOUBLE_FLIP_SLOTS, IDENTITY_SLOTS, SINGLE_FLIP_SLOTS,
                           correlated_oun_rates)

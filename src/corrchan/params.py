@@ -1,6 +1,6 @@
 """Scalar inputs of the models, checked in pure Python: the correlation
-factor mu, the parameters of the three noise families and the names of the
-probe states.
+factor mu, the parameters of the three noise families and the kets of the
+named probe states.
 
 Nothing here imports numpy, so the command line checks every scalar option
 before any numeric module loads, with the same checks the library runs.
@@ -10,6 +10,11 @@ import math
 from collections import namedtuple
 
 _DEGENERATE = 1e-12
+
+# a time grid's step below the smallest normal float leaves its trapezoid
+# weights imprecise (`measures.sss_measure`, and `sss` before numpy loads)
+GRID_ERROR = ("times must be a finite, strictly increasing grid of at least two points, "
+              "with no step below the smallest normal float")
 
 
 class _Record(tuple):
@@ -98,6 +103,11 @@ class NmadParams(_Record, namedtuple("NmadParams", "gamma0 g")):
         _check_positive(gamma0=gamma0, g=g)
         return super().__new__(cls, gamma0, g)
 
+    @property
+    def discriminant(self) -> float:
+        """2 gamma0 g - g^2: G(t) oscillates where it is positive."""
+        return 2 * (self.gamma0 * self.g) - self.g * self.g
+
 
 NoiseParams = RtnParams | OunParams | NmadParams
 
@@ -109,8 +119,22 @@ def _check_dephasing(noise: NoiseParams) -> None:
                          "(RTN or OUN)")
 
 
-# the named two-qubit probe states (`measures.probe_state`)
-PROBE_NAMES = ("phi+", "phi-", "psi+", "psi-", "alpha", "00", "11", "++", "--")
+_H = 1 / math.sqrt(2)
+
+# the named two-qubit probe kets, real amplitudes on |00>, |01>, |10>, |11>;
+# `measures.probe_state` and `freezing.freezing_predicate` build their states
+KETS = {
+    "phi+": (_H, 0, 0, _H),
+    "phi-": (_H, 0, 0, -_H),
+    "psi+": (0, _H, _H, 0),
+    "psi-": (0, _H, -_H, 0),
+    "alpha": (0.5, 0.5, 0.5, -0.5),
+    "00": (1, 0, 0, 0),
+    "11": (0, 0, 0, 1),
+    "++": (0.5, 0.5, 0.5, 0.5),
+    "--": (0.5, -0.5, -0.5, 0.5),
+}
+PROBE_NAMES = tuple(KETS)
 
 # default probe pairs for the backflow measure
 PROBE_PAIRS = (("phi+", "phi-"), ("++", "--"), ("00", "11"), ("psi+", "psi-"))

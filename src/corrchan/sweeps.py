@@ -1,26 +1,23 @@
 """The numeric work of the subcommands, on options that `cli` has checked.
 
-`cli` imports this module only to run a command that computes with numpy:
-every CSV subcommand, and `freeze-check` of a named probe state. So
-`classify-errors`, `freeze-check --c` and every rejected option run without
-numpy. This module imports numpy and every numeric layer at its top, and
-never imports `cli`: under `python -m corrchan.cli` that import would run
-the command line a second time, as a module of its own.
+`cli` imports this module only to run a command that computes with numpy,
+that is every CSV subcommand. So `classify-errors`, `freeze-check` and
+every rejected option run without numpy. This module imports numpy and
+every numeric layer at its top, and never imports `cli`: under
+`python -m corrchan.cli` that import would run the command line a second
+time, as a module of its own.
 
 A handler returns its CSV table, a header and all of its lines, and `cli`
-writes it; `freeze-check` returns its verdict. Each line is rendered with
-one `%` from a template that holds the text of the columns that are
-constant over the table, or over a mu block of a sweep, and a '%.12g' slot
-for every other column (`_lines`). Numpy warnings are silenced while a
-command runs: every invariant rejects NaN and inf itself, and a numeric
-failure prints one `numeric failure:` line.
+writes it. Each line is rendered with one `%` from a template that holds
+the text of the columns that are constant over the table, or over a mu
+block of a sweep, and a '%.12g' slot for every other column (`_lines`).
+Numpy warnings are silenced while a command runs: each invariant rejects
+NaN and inf itself, and a numeric failure prints one `numeric failure:` line.
 """
 
 import numpy as np
 
-from .bloch import FreezingVerdict
 from .channels import evolve
-from .freezing import freezing_predicate
 from .map_algebra import accessible_volume, correlated_oun_rates
 from .measures import (RISE_THRESHOLD, _concurrence, _trace_distance, positive_variation,
                        probe_state, random_bell_probes, sss_measure)
@@ -29,7 +26,7 @@ from .qec import success_vs_time
 Table = tuple[list[str], list[str]]  # CSV header and formatted lines
 
 
-def run(args) -> Table | FreezingVerdict:
+def run(args) -> Table:
     """The result of the subcommand `args.command`."""
     with np.errstate(all="ignore"):
         return _COMMANDS[args.command](args)
@@ -161,10 +158,6 @@ def _cmd_qec(args) -> Table:
                   success_vs_time(noise, mu, times, normalized=args.normalized))
 
 
-def _cmd_freeze_check(args) -> FreezingVerdict:
-    return freezing_predicate(probe_state(args.state), args.channel, args.mu)
-
-
 _COMMANDS = {
     "evolve": _cmd_evolve,
     "concurrence": _cmd_concurrence,
@@ -173,5 +166,4 @@ _COMMANDS = {
     "sss": _cmd_sss,
     "volume": _cmd_volume,
     "qec": _cmd_qec,
-    "freeze-check": _cmd_freeze_check,
 }

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import pytest
 
 from corrchan.cli import main
 from corrchan.errors import NumericError
+from corrchan.measures import sss_measure
+from corrchan.params import GRID_ERROR
 from corrchan.sweeps import _fmt, _lines
 
 
@@ -200,10 +203,9 @@ def test_sss_non_finite_generator_exits_3(family, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["evolve", "--noise", "nmad", "--g", "1e160"],
     ["sss", "--G", "1e300"],
     ["sss", "--G", "1e300", "--family", "free"],
-], ids=["evolve-nmad", "sss-markov", "sss-free"])
+], ids=["sss-markov", "sss-free"])
 def test_overflow_of_finite_parameters_exits_3(args, tmp_path):
     # finite parameters whose squares or norms overflow: a numeric failure,
     # not a traceback (exit 1) or rows of inf (exit 0); `main` itself keeps
@@ -224,6 +226,17 @@ def test_rtn_ratio_overflow_exits_2(a, gamma, capsys):
         "", f"error: --a {float(a)} and --gamma {float(gamma)} overflow (2a/gamma)^2\n")
 
 
+@pytest.mark.parametrize("gamma0, g", [("1", "1e160"), ("1e308", "10")],
+                         ids=["evolve-nmad", "gamma0-1e308"])
+def test_nmad_discriminant_overflow_exits_2(gamma0, g, capsys):
+    # finite, positive NMAD parameters whose 2 gamma0 g - g^2 overflows: the
+    # parameter check rejects them, naming both options, where the kernel
+    # found G(t) not finite (exit 3)
+    assert main(["evolve", "--noise", "nmad", "--gamma0", gamma0, "--g", g, "--steps", "5"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --gamma0 {float(gamma0)} and --g {float(g)} overflow 2 gamma0 g - g^2\n")
+
+
 def test_nmad_rate_product_overflows_only_where_the_product_does(tmp_path):
     # 2 * gamma0 * g overflowed from left to right (exit 3); gamma0 g = 1 is
     # doubled after the product, so these parameters now give finite rows
@@ -236,7 +249,8 @@ def test_nmad_rate_product_overflows_only_where_the_product_does(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["evolve", "--noise", "nmad", "--g", "1e160"],
+    # g t overflows on this grid, and with it the exponent of G(t)
+    ["evolve", "--noise", "nmad", "--g", "1e10", "--tmax", "1e300"],
     ["sss", "--G", "1e300"],
 ], ids=["evolve-nmad", "sss-markov"])
 def test_numeric_failure_prints_one_stderr_line(args, tmp_path):
@@ -605,6 +619,36 @@ def test_out_of_memory_exits_3_without_csv(capsys, tmp_path):
 def test_boundary_error_names_the_option(args, message, capsys):
     assert main(args) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("steps", [2, 3, 400])
+def test_sss_grid_step_rejected_where_either_check_rejects(steps, capsys):
+    """Around tmax = tiny (steps - 1), wherever the command's own check of
+    tmax / (steps - 1) or `sss_measure` on its grid rejects the step, `sss`
+    exits 2 with the one message, and computes its row otherwise."""
+    tiny = sys.float_info.min
+    edge = lo = hi = tiny * (steps - 1)
+    tmaxes = {edge * f for f in (0.5, 0.999, 1, 1.001, 2)}
+    for _ in range(4):  # four floats on either side of the edge
+        lo, hi = math.nextafter(lo, 0), math.nextafter(hi, math.inf)
+        tmaxes |= {lo, hi}
+    verdicts = set()
+    for tmax in sorted(tmaxes):
+        try:
+            sss_measure(np.linspace(0.0, tmax, steps), (0.0, 0.0), (0.0, 0.0))
+            rejected = tmax / (steps - 1) < tiny
+        except ValueError:
+            rejected = True
+        code = main(["sss", "--g-inverse", "10", "--mu", "0", "--tmax", repr(tmax),
+                     "--steps", str(steps)])
+        out, err = capsys.readouterr()
+        if rejected:
+            assert (code, out, err) == (
+                2, "", f"error: --tmax {tmax!r} and --steps {steps}: {GRID_ERROR}\n")
+        else:
+            assert (code, err, len(out.splitlines())) == (0, "", 2), tmax
+        verdicts.add(rejected)
+    assert verdicts == {False, True}
 
 
 def test_default_preset_runtime(tmp_path):
@@ -1104,6 +1148,13 @@ def test_package_exports_resolve_lazily():
     (["qec", "--mu", "1.5"], 2),
     (["freeze-check", "--c", "5,5,5", "--channel", "oun", "--mu", "1"], 2),
     (["freeze-check", "--c", "nan,0,0", "--channel", "oun", "--mu", "1"], 2),
+    # named states get their verdict from the ket table
+    (["freeze-check", "--state=psi+", "--channel", "nmad", "--mu", "1"], 0),
+    (["freeze-check", "--state=alpha", "--channel", "rtn", "--mu", "0.5"], 0),
+    (["freeze-check", "--state=00", "--channel", "nmad", "--mu", "0.5"], 0),
+    # a grid step below the smallest normal float
+    (["sss", "--g-inverse", "10", "--mu", "0", "--tmax", "1e-320"], 2),
+    (["sss", "--family", "free", "--tmax", "4e-308", "--steps", "3"], 2),
 ])
 def test_commands_without_numeric_work_load_no_numpy(args, code, capsys):
     # the same exit code and output as in process, from the pure-Python modules
@@ -1113,7 +1164,7 @@ def test_commands_without_numeric_work_load_no_numpy(args, code, capsys):
     assert (exit_code, stdout) == (code, expected)
     assert "numpy" not in imported
     assert {m for m in imported if m.startswith("corrchan.")} <= {
-        "corrchan.errors", "corrchan.params", "corrchan.bloch", "corrchan.words"}
+        "corrchan.errors", "corrchan.params", "corrchan.freezing", "corrchan.words"}
 
 
 def test_module_run_imports_cli_once(tmp_path):

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from corrchan.bloch import BlochDiagonal
 from corrchan.channels import evolve_damping, evolve_dephasing
 from corrchan.errors import ValidationError
-from corrchan.freezing import freezing_predicate
+from corrchan.freezing import BlochDiagonal, freezing_predicate
 from corrchan.measures import concurrence, probe_state, trace_distance
 from corrchan.noise import NmadParams, OunParams, RtnParams
 from corrchan.oracle import (apply, apply_matrix, bloch_diagonal_state, bloch_update,
                              channel_at_time,
                              correlated_dephasing_channel,
                              fully_correlated_nmad_channel, state_to_bloch_diagonal)
+from corrchan.params import PROBE_NAMES
 
 from conftest import random_bloch_triple, random_density
 
@@ -310,6 +310,23 @@ def test_concurrence_freezing_under_fcorr_nmad():
     assert min(c_phi) < 0.99  # phi+ decays somewhere
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kind", ["rtn", "oun", "unital", "dephasing", "nmad"])
+@pytest.mark.parametrize("name", PROBE_NAMES)
+def test_predicate_of_a_name_is_that_of_its_validated_matrix(name, kind, mu):
+    # the validated density-matrix route is the oracle of the ket table's
+    assert freezing_predicate(name, kind, mu) == freezing_predicate(probe_state(name), kind, mu)
+
+
+@pytest.mark.parametrize("state, message", [
+    (np.eye(2) / 2, "one two-qubit state"), (np.stack([PHI_PLUS, PHI_PLUS]), "one two-qubit state"),
+    ("phi", "unknown probe state"),
+], ids=["one-qubit", "stack", "unknown-name"])
+def test_predicate_rejects_what_is_not_one_two_qubit_state(state, message):
+    with pytest.raises(ValueError, match=message):
+        freezing_predicate(state, "rtn", 1.0)
+
+
 def test_predicate_unknown_kind():
     with pytest.raises(ValueError):
         freezing_predicate((0, 0, 0), "bitflip", 0.5)
@@ -324,9 +341,9 @@ def test_predicate_rejects_triples_that_are_not_states(c):
 
 @pytest.mark.parametrize("mu", [np.nan, -0.1, 1.5])
 @pytest.mark.parametrize("kind", ["rtn", "nmad"])
-@pytest.mark.parametrize("state", [(0.2, 0.2, -1.0), "psi+"], ids=["bloch", "psi+"])
+@pytest.mark.parametrize("state", [(0.2, 0.2, -1.0), probe_state("psi+"), "psi+"],
+                         ids=["bloch", "psi+", "psi+-name"])
 def test_predicate_rejects_invalid_mu(state, kind, mu):
-    # both states get "conditional" at any valid mu < 1, so a missing check shows
-    state = probe_state(state) if isinstance(state, str) else state
+    # each state gets "conditional" at any valid mu < 1, so a missing check shows
     with pytest.raises(ValueError, match="mu must lie in"):
         freezing_predicate(state, kind, mu)

@@ -239,6 +239,22 @@ def brute_concurrence(rho):
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
+@pytest.mark.parametrize("name, amplitudes, norm", [
+    ("phi+", [1, 0, 0, 1], np.sqrt(2)), ("phi-", [1, 0, 0, -1], np.sqrt(2)),
+    ("psi+", [0, 1, 1, 0], np.sqrt(2)), ("psi-", [0, 1, -1, 0], np.sqrt(2)),
+    ("alpha", [1, 1, 1, -1], 2), ("00", [1, 0, 0, 0], 1), ("11", [0, 0, 0, 1], 1),
+    ("++", [1, 1, 1, 1], 2), ("--", [1, -1, -1, 1], 2),
+])
+def test_probe_state_bits_of_the_complex_ket_divided_by_its_norm(name, amplitudes, norm):
+    # the ket table's pure-Python amplitudes give the bits, signed zeros
+    # included, of the complex ket divided by its norm
+    ket = np.array(amplitudes, dtype=complex) / norm
+    expected, rho = np.outer(ket, ket.conj()), probe_state(name)
+    assert np.array_equal(rho, expected)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(rho, part)), np.signbit(getattr(expected, part)))
+
+
 def test_concurrence_bell_and_product():
     assert abs(concurrence(probe_state("phi+")) - 1.0) < 1e-10
     assert concurrence(probe_state("00")) == 0.0

@@ -64,7 +64,8 @@ def test_tracer_installs_and_uninstalls():
 
 def test_one_numeric_command_loads_every_layer(tmp_path):
     """The harness installs the tracer after `import corrchan.cli` and one
-    warm-up pass: a single numeric command must load all of LAYERS."""
+    warm-up pass: a single numeric command must load all of LAYERS. Of them,
+    the import loads only `cli` and the pure-Python `freezing`."""
     script = ("import json, sys\n"
               "import corrchan.cli\n"
               "before = sorted(m for m in sys.modules if m.startswith('corrchan.'))\n"
@@ -80,5 +81,5 @@ def test_one_numeric_command_loads_every_layer(tmp_path):
     code, before, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     layers = {f"corrchan.{layer}" for layer in load_tracing().LAYERS}
-    assert layers & set(before) == {"corrchan.cli"}
+    assert layers & set(before) == {"corrchan.cli", "corrchan.freezing"}
     assert layers <= set(loaded)
