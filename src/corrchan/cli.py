@@ -18,6 +18,15 @@ and prints `classify-errors` and every `freeze-check` verdict, of a named
 numeric subcommand import `sweeps`, which loads numpy and the numeric
 layers and computes the rows.
 
+Run as the program (`python -m corrchan.cli` or the `corrchan` script, that
+is `main()` with no argv), the CLI sets OPENBLAS_NUM_THREADS=1 in its own
+environment before numpy loads, unless the caller has set
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS. Its BLAS and
+LAPACK calls take 4x4 states, 2x2 systems and grid-length vectors, and
+OpenBLAS splits none of them at the preset grids, so a worker pool would
+only slow the start. `main(argv)` called in process leaves the host's
+environment and BLAS as they are.
+
 Options can also be supplied through --config FILE, a plain text file of
 `key = value` lines using the long option names (without leading dashes);
 command-line flags override file values.
@@ -27,6 +36,7 @@ import argparse
 import contextlib
 import functools
 import math
+import os
 import shutil
 import sys
 
@@ -397,8 +407,18 @@ def _apply_config(argv: list[str]) -> list[str]:
     return [rest[0]] + _load_config(path) + rest[1:]
 
 
+# the variables that set OpenBLAS's thread count, in the order it reads them
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv is None:
+        # run as the program, before numpy loads: one BLAS thread, unless the
+        # caller chose a count (an in-process call leaves its host alone)
+        if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        argv = sys.argv[1:]
+    argv = list(argv)
     try:
         argv = _apply_config(argv)
         # the top-level parser's only option is -h, so only argv[0] can name

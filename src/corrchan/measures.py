@@ -288,40 +288,42 @@ def _gap(local, row, weights) -> float:
     by_dist = np.argsort(dist)
     moved = 2 * np.cumsum(weights[by_dist] * dist[by_dist])
     m = int(np.searchsorted(moved, SSS_TOL * f / 2, side="right"))
+    moved = moved[m - 1] if m else 0.0
     others = by_dist[m:]
     grad = weights[others] @ unit[others]
     need = max(float(np.hypot(*grad)) - float(weights[by_dist[:m]].sum()), 0.0)
     share = np.maximum(unit[others] @ grad, 0.0) / max(np.hypot(*grad), 1e-300)
-    return (moved[m - 1] if m else 0.0) + (
-        _cheapest_fill(need, 2 * weights[others] * share, dist[others] * share)
-        if need > 0 else 0.0)
+    return moved + (_cheapest_fill(need, 2 * weights[others] * share, dist[others] * share)
+                    if need > 0 else 0.0)
 
 
 # Each row of a stack gives the bits it gives alone: a per-row dot product is
 # `np.vecdot` or a stacked `matmul`, never a matrix-vector product `X @ w`,
 # whose sums run in another order.
 def _offsets(u, points):
-    """The coordinates of u - Q_t and the distances |u - Q_t| of each row:
-    iterates u (k, 2) and points Q (k, n, 2) in scaled coordinates."""
-    dx, dy = (u[:, None, i] - points[..., i] for i in (0, 1))
-    return dx, dy, np.sqrt(dx ** 2 + dy ** 2)
+    """The offsets u - Q_t, shape (k, n, 2), and the distances |u - Q_t| of
+    each row: iterates u (k, 2) and points Q (k, n, 2) in scaled coordinates."""
+    offset = u[:, None] - points
+    dist = offset[..., 0] ** 2
+    dist += offset[..., 1] ** 2
+    return offset, np.sqrt(dist, out=dist)
 
 
 def _objective(u, points, weights):
     """f(u) = sum_t w_t |u - Q_t| of each row."""
-    return np.vecdot(_offsets(u, points)[2], weights)
+    return np.vecdot(_offsets(u, points)[1], weights)
 
 
 def _local(u, points, weights):
     """f(u), the least subgradient norm, gradient and Hessian of the terms
     more than rho = SSS_TOL f / 6 from u (the nearer ones form a kink at u),
     and the distances d_t and unit vectors e_t from the points to u, of
-    each row."""
-    dx, dy, dist = _offsets(u, points)
+    each row. The unit vectors overwrite the offsets, and ex, ey are views
+    of them, so that a long grid holds fewer stack-sized arrays at once."""
+    unit, dist = _offsets(u, points)
     f = np.vecdot(dist, weights)
-    positive = np.where(dist > 0, dist, 1.0)
-    ex, ey = dx / positive, dy / positive
-    unit = np.stack([ex, ey], axis=-1)
+    unit /= np.where(dist > 0, dist, 1.0)[..., None]
+    ex, ey = unit[..., 0], unit[..., 1]
     near = dist <= (SSS_TOL * f / 6)[:, None]
     far_weights = np.where(near, 0.0, weights)
     grad = (far_weights[:, None] @ unit)[:, 0]
@@ -342,11 +344,12 @@ def _local(u, points, weights):
 _F_ROUNDING = 64 * np.finfo(float).eps
 
 
-def _line_search(u, f, step, slope, points, weights):
-    """Per row, the first u + step / 2^k (k < 60) with Armijo decrease, up
-    to the rounding error of f, and f there; or nan and inf."""
+def _line_search(u, f, step, slope, points, weights, todo):
+    """In each row of `todo`, the first u + step / 2^k (k < 60) with Armijo
+    decrease, up to the rounding error of f, and f there; nan and inf in
+    the other rows, and where no step decreases f."""
     trial, f_trial = np.full_like(u, np.nan), np.full(len(u), np.inf)
-    alpha, todo = 1.0, np.arange(len(u))  # every row still searching is at one alpha
+    alpha = 1.0  # every row still searching is at one alpha
     while len(todo) and alpha > 2.0 ** -60:
         t = u[todo] + alpha * step[todo]
         f_t = _objective(t, points[todo], weights)
@@ -407,6 +410,7 @@ def _free_minimiser(a, b, weights):
             f, least, grad, hess, dist = (
                 np.where(jump.reshape(-1, *(1,) * (now.ndim - 1)), new, now)
                 for now, new in zip(at_z[:5], at_k))
+            del at_k
         norm = np.hypot(grad[:, 0], grad[:, 1])
         step = np.zeros_like(u)
         # on a kink: descend along -grad, by the curvature away from it
@@ -423,10 +427,8 @@ def _free_minimiser(a, b, weights):
         step *= np.minimum(1.0, dist.max(axis=-1) / np.where(length > 0, length, 1.0))[:, None]
         # directional derivative, with the kink's share norm - least
         slope = np.vecdot(grad, step) + (norm - least) * np.hypot(step[:, 0], step[:, 1])
-        trial, f_trial = np.full_like(u, np.nan), np.full(len(rows), np.inf)
-        stepped = np.flatnonzero(kink | newton)
-        trial[stepped], f_trial[stepped] = _line_search(
-            u[stepped], f[stepped], step[stepped], slope[stepped], points[stepped], weights)
+        trial, f_trial = _line_search(u, f, step, slope, points, weights,
+                                      np.flatnonzero(kink | newton))
         moving = f_trial < np.inf
         # no kink at u: the Weiszfeld step never increases f
         weiszfeld = np.flatnonzero(go & ~moving & (least == norm))

@@ -46,17 +46,21 @@ def _finite(val, what: str, lo: float = -np.inf, hi: float = np.inf):
     return val if np.ndim(val) else float(val)
 
 
-def _damped(rate, phase, ratio, regime: str):
+def _damped(t, rate, phase, ratio, slow, regime: str):
     """exp(-rate) (C(phase) + ratio S(phase)), with rate = r t, phase = W t and
     ratio = r / W, W = sqrt|nu0^2 - r^2|: cos and sin under damped; cosh and
     sinh over damped, as the decaying exponentials (1/2) exp(phase - rate)
     (1 + exp(-2 phase) - ratio expm1(-2 phase)), which do not overflow at
     large t and keep ratio sinh accurate at small phase; the limit
-    exp(-rate) (1 + rate) critically damped."""
+    exp(-rate) (1 + rate) critically damped. Where rate and phase both
+    overflow, phase - rate is inf - inf, and the exponent is -t slow, with
+    slow = r - W = nu0^2 / (r + W) given free of cancellation."""
     if regime == "critical":
         return np.exp(-rate) * (1 + rate)
     if regime == "over":
-        return 0.5 * np.exp(phase - rate) * (1 + np.exp(-2 * phase) - ratio * np.expm1(-2 * phase))
+        exponent = phase - rate
+        exponent = np.where(np.isnan(exponent), -(t * slow), exponent)
+        return 0.5 * np.exp(exponent) * (1 + np.exp(-2 * phase) - ratio * np.expm1(-2 * phase))
     return np.exp(-rate) * (np.cos(phase) + ratio * np.sin(phase))
 
 
@@ -68,7 +72,9 @@ def rtn_p(t, params: RtnParams):
     gamma = params.gamma
     r = 2 * params.a / gamma
     w, regime = _regime(r * r - 1)
-    return _finite(_damped(gamma * t, w * gamma * t, 1 / w if w else 0.0, regime),
+    # over damped, gamma - w gamma = gamma r^2 / (1 + w)
+    return _finite(_damped(t, gamma * t, w * gamma * t, 1 / w if w else 0.0,
+                           gamma * (r * r / (1 + w)), regime),
                    "RTN p(t)", -1.0, 1.0)
 
 
@@ -92,7 +98,9 @@ def nmad_decoherence(t, params: NmadParams):
     t = _check_time(t)
     g = params.g
     d, regime = _regime(params.discriminant)
-    return _finite(_damped(g * t / 2, d * t / 2, g / d if d else 0.0, regime), "NMAD G(t)")
+    # over damped, (g - d) / 2 = gamma0 g / (g + d)
+    return _finite(_damped(t, g * t / 2, d * t / 2, g / d if d else 0.0,
+                           params.gamma0 * g / (g + d), regime), "NMAD G(t)")
 
 
 def nmad_p(t, params: NmadParams):

@@ -249,8 +249,23 @@ def test_nmad_rate_product_overflows_only_where_the_product_does(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    # g t overflows on this grid, and with it the exponent of G(t)
+    # over damped, g t and the phase l t overflow on this grid, yet G(t) and
+    # p(t) decay to 0: the exponent of the slow exponential is one product
     ["evolve", "--noise", "nmad", "--g", "1e10", "--tmax", "1e300"],
+    ["evolve", "--noise", "rtn", "--gamma", "1e10", "--tmax", "1e300"],
+], ids=["nmad", "rtn"])
+def test_overdamped_overflow_of_rate_and_phase_gives_finite_rows(args, tmp_path):
+    out = tmp_path / "x.csv"
+    assert main([*args, "--steps", "5", "--out", str(out)]) == 0
+    rows = read_csv(out)[1:]
+    assert len(rows) == 15
+    assert all(np.isfinite(float(cell)) for row in rows for cell in row)
+
+
+@pytest.mark.parametrize("args", [
+    # under damped, the phase d t / 2 overflows on this grid, where cos has
+    # no value
+    ["evolve", "--noise", "nmad", "--gamma0", "10", "--g", "1", "--tmax", "1e308"],
     ["sss", "--G", "1e300"],
 ], ids=["evolve-nmad", "sss-markov"])
 def test_numeric_failure_prints_one_stderr_line(args, tmp_path):
@@ -1176,3 +1191,61 @@ def test_module_run_imports_cli_once(tmp_path):
     assert code == 0 and out.exists()
     assert {"numpy", "corrchan.sweeps"} <= imported
     assert "corrchan.cli" not in imported
+
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# `cli.main()` as the console script calls it: argv from sys.argv; then the
+# exit code, the number of threads of the process, OPENBLAS_NUM_THREADS and
+# whether numpy loaded
+_AS_PROGRAM = """import os, sys
+sys.argv[0] = "corrchan"
+from corrchan import cli
+code = cli.main()
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(code, threads, os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules)
+"""
+
+
+def _program_run(argv, **variables):
+    """`_AS_PROGRAM` in a fresh interpreter whose environment sets no BLAS
+    thread count but `variables`: its last line of stdout, split."""
+    env = {k: v for k, v in _ENV.items() if k not in _BLAS_THREAD_VARIABLES}
+    proc = subprocess.run([sys.executable, "-c", _AS_PROGRAM, *argv], env={**env, **variables},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+needs_threads = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="counts the threads of a process in /proc/self/task, on at least two CPUs")
+
+_VOLUME = ["volume", "--steps", "50", "--out", os.devnull]
+
+
+@needs_threads
+def test_program_starts_one_blas_thread():
+    # a numeric command run as the program loads numpy with one BLAS thread,
+    # so its process has no thread beside the interpreter's
+    assert _program_run(_VOLUME) == ["0", "1", "1", "True"]
+
+
+@needs_threads
+@pytest.mark.parametrize("variable", _BLAS_THREAD_VARIABLES)
+def test_program_keeps_a_caller_set_blas_thread_count(variable):
+    # the interpreter's thread and one BLAS worker; OPENBLAS_NUM_THREADS is
+    # set only where the caller set it
+    expected = "2" if variable == "OPENBLAS_NUM_THREADS" else "None"
+    assert _program_run(_VOLUME, **{variable: "2"}) == ["0", "2", expected, "True"]
+
+
+def test_in_process_main_leaves_the_environment_alone():
+    before = dict(os.environ)
+    assert main(_VOLUME) == 0
+    assert dict(os.environ) == before
+
+
+def test_program_without_numeric_work_loads_no_numpy():
+    code, _, blas_threads, numpy_loaded = _program_run(["classify-errors"])
+    assert (code, blas_threads, numpy_loaded) == ("0", "1", "False")

@@ -378,6 +378,32 @@ def test_overdamped_nmad_gamma_at_large_t():
     assert abs(rate - 2 * params.gamma0 * params.g / (l + params.g)) < 1e-12
 
 
+def damped_oracle(r, nu0_sq, t):
+    """exp(-r t)(cosh(W t) + (r / W) sinh(W t)), W = sqrt(r^2 - nu0^2), in
+    400-digit arithmetic, which resolves W from r where nu0^2 / r^2 is 1e-306."""
+    with mp.workdps(400):
+        r, t = mp.mpf(r), mp.mpf(t)
+        w = mp.sqrt(r * r - nu0_sq)
+        return float(mp.e ** (-r * t) * (mp.cosh(w * t) + r / w * mp.sinh(w * t)))
+
+
+def test_overdamped_values_where_rate_and_phase_overflow_match_mpmath():
+    # r t and W t are both inf, so phase - rate is inf - inf, while the slow
+    # exponential exp(-(r - W) t) is exp(-200) to exp(-700)
+    rtn = RtnParams(a=5e146, gamma=1e300)
+    nmad = NmadParams(gamma0=1e-152, g=1e154)
+    with np.errstate(all="ignore"):
+        for times, value, expected in (
+                ([4e8, 1e9, 1.4e9], lambda t: rtn_p(t, rtn),
+                 lambda t: damped_oracle(rtn.gamma, 4 * mp.mpf(rtn.a) ** 2, t)),
+                ([4e154, 1e155, 1.4e155], lambda t: nmad_decoherence(t, nmad),
+                 lambda t: damped_oracle(mp.mpf(nmad.g) / 2, mp.mpf(nmad.gamma0) * nmad.g / 2, t))):
+            got = value(np.array(times))
+            for t, v in zip(times, got):
+                assert v == value(t)
+                assert abs(v - expected(t)) <= 1e-12 * expected(t), t
+
+
 def test_non_finite_noise_values_raise_numeric_error():
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError):
