@@ -73,11 +73,18 @@ def _parse_mus(text: str) -> list[float]:
     return mus
 
 
+# 2^59 float64 grid points fill 4 EiB, more than any memory, and numpy
+# cannot describe an array of 2^60 of them (8 x 2^60 bytes overflows its sizes)
+_MAX_STEPS = 2 ** 59
+
+
 def _check_grid(args) -> None:
     if not 0 < args.tmax < math.inf:
         raise ValueError(f"--tmax must be positive and finite, got {args.tmax}")
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
+    if args.steps > _MAX_STEPS:
+        raise ValueError(f"--steps must be at most 2^59 = {_MAX_STEPS}, got {args.steps}")
 
 
 def _noise_params(family, **options):

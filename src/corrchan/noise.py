@@ -5,15 +5,16 @@ RTN and OUN are dephasing noises entering the channels through p(t) in
 G(t), the damping probability p(t) = 1 - G(t)^2 and the time-dependent
 decay rate gamma(t).
 
-`rtn_p`, `oun_p`, `nmad_decoherence`, `nmad_p` and `noise_p` take either a
-single time, returning a float, or an array of times, returning an array of
-the same shape, through the same numpy expression (a single time is a 0-d
-array). A value that is not finite raises NumericError rather than reaching
-a channel; round-off past its range near t = 0 is clipped.
+Every noise function here takes either a single time, returning a float,
+or an array of times, returning an array of the same shape, through the
+same numpy expression (a single time is a 0-d array). A value that is not
+finite raises NumericError rather than reaching a channel; round-off past
+its range near t = 0 is clipped.
 
 RTN's p(t) (r = gamma, nu0 = 2a) and NMAD's G(t) (r = g/2, nu0^2 = gamma0 g/2)
 both solve y'' + 2r y' + nu0^2 y = 0 from y(0) = 1, y'(0) = 0: one real
-kernel evaluates both, under-, over- or critically damped. The parameter
+kernel gives the factors of both, under-, over- or critically damped, and
+of NMAD's gamma(t), with no regime code of its own. The parameter
 classes `RtnParams`, `OunParams` and `NmadParams` live in `params`, which
 checks them without numpy; 2 (gamma0 g) is doubled after the product, so
 that it overflows only where the product does.
@@ -47,21 +48,19 @@ def _finite(val, what: str, lo: float = -np.inf, hi: float = np.inf):
 
 
 def _damped(t, rate, phase, ratio, slow, regime: str):
-    """exp(-rate) (C(phase) + ratio S(phase)), with rate = r t, phase = W t and
-    ratio = r / W, W = sqrt|nu0^2 - r^2|: cos and sin under damped; cosh and
-    sinh over damped, as the decaying exponentials (1/2) exp(phase - rate)
-    (1 + exp(-2 phase) - ratio expm1(-2 phase)), which do not overflow at
-    large t and keep ratio sinh accurate at small phase; the limit
-    exp(-rate) (1 + rate) critically damped. Where rate and phase both
-    overflow, phase - rate is inf - inf, and the exponent is -t slow, with
-    slow = r - W = nu0^2 / (r + W) given free of cancellation."""
+    """The factors (envelope, C, ratio S) of y = envelope (C + ratio S), with
+    rate = r t, phase = W t and ratio = r / W, W = sqrt|nu0^2 - r^2|: exp(-rate),
+    cos(phase) and ratio sin(phase) under damped; over damped, cosh and sinh
+    as the decaying exponentials (1/2) exp(-t slow), 1 + exp(-2 phase) and
+    -ratio expm1(-2 phase), which do not overflow at large t and keep ratio
+    sinh accurate at small phase, with slow = r - W = nu0^2 / (r + W) given
+    free of cancellation; exp(-rate), 1 and rate, the limit of ratio S,
+    critically damped."""
     if regime == "critical":
-        return np.exp(-rate) * (1 + rate)
+        return np.exp(-rate), 1, rate
     if regime == "over":
-        exponent = phase - rate
-        exponent = np.where(np.isnan(exponent), -(t * slow), exponent)
-        return 0.5 * np.exp(exponent) * (1 + np.exp(-2 * phase) - ratio * np.expm1(-2 * phase))
-    return np.exp(-rate) * (np.cos(phase) + ratio * np.sin(phase))
+        return 0.5 * np.exp(-(t * slow)), 1 + np.exp(-2 * phase), -(ratio * np.expm1(-2 * phase))
+    return np.exp(-rate), np.cos(phase), ratio * np.sin(phase)
 
 
 def rtn_p(t, params: RtnParams):
@@ -73,9 +72,9 @@ def rtn_p(t, params: RtnParams):
     r = 2 * params.a / gamma
     w, regime = _regime(r * r - 1)
     # over damped, gamma - w gamma = gamma r^2 / (1 + w)
-    return _finite(_damped(t, gamma * t, w * gamma * t, 1 / w if w else 0.0,
-                           gamma * (r * r / (1 + w)), regime),
-                   "RTN p(t)", -1.0, 1.0)
+    envelope, c, s = _damped(t, gamma * t, w * gamma * t, 1 / w if w else 0.0,
+                             gamma * (r * r / (1 + w)), regime)
+    return _finite(envelope * (c + s), "RTN p(t)", -1.0, 1.0)
 
 
 def oun_p(t, params: OunParams):
@@ -90,17 +89,25 @@ def oun_p(t, params: OunParams):
                    "OUN p(t)", 0.0, 1.0)
 
 
+def _nmad_factors(t, params: NmadParams):
+    """The `_damped` factors C and ratio S of G(t), and G(t) itself."""
+    t = _check_time(t)
+    g = params.g
+    d, regime = _regime(params.discriminant)
+    if not d < np.inf:  # g^2 overflows, and slow = gamma0 g / (g + d) would read 0
+        raise NumericError("NMAD discriminant 2 gamma0 g - g^2 is not finite")
+    # over damped, (g - d) / 2 = gamma0 g / (g + d)
+    envelope, c, s = _damped(t, g * t / 2, d * t / 2, g / d if d else 0.0,
+                             params.gamma0 * g / (g + d), regime)
+    return c, s, _finite(envelope * (c + s), "NMAD G(t)")
+
+
 def nmad_decoherence(t, params: NmadParams):
     """NMAD decoherence function G(t) = exp(-gt/2)(cosh(lt/2) + (g/l) sinh(lt/2)),
     l = sqrt(g^2 - 2 gamma0 g). For g < 2 gamma0, l = i d, and G(t) =
     exp(-gt/2)(cos(dt/2) + (g/d) sin(dt/2)) oscillates through zero; l = 0
     is the limit exp(-gt/2)(1 + gt/2)."""
-    t = _check_time(t)
-    g = params.g
-    d, regime = _regime(params.discriminant)
-    # over damped, (g - d) / 2 = gamma0 g / (g + d)
-    return _finite(_damped(t, g * t / 2, d * t / 2, g / d if d else 0.0,
-                           params.gamma0 * g / (g + d), regime), "NMAD G(t)")
+    return _nmad_factors(t, params)[2]
 
 
 def nmad_p(t, params: NmadParams):
@@ -109,29 +116,21 @@ def nmad_p(t, params: NmadParams):
     return _finite(1.0 - gt * gt, "NMAD p(t)", 0.0, 1.0)
 
 
-def nmad_gamma(t: float, params: NmadParams) -> float:
-    """Time-dependent decay rate gamma(t) = -(2/|G|) d|G|/dt, by the closed form.
+def nmad_gamma(t, params: NmadParams):
+    """Time-dependent decay rate gamma(t) = -2 G'(t) / G(t), by the closed form.
 
-    Differentiating G(t) gives gamma(t) = 2 gamma0 g sinh(lt/2) /
-    (l cosh(lt/2) + g sinh(lt/2)), with sin, cos and d in place of sinh, cosh
-    and l when l = i d: no finite differences near the zeros of G(t).
-    Negative values signal backflow intervals; the rate diverges at zeros
-    of G, so inputs with |G(t)| <= 1e-9 are rejected.
+    With G = envelope (C + ratio S) from the oscillator kernel, G' = -gamma0
+    envelope ratio S in every regime, so gamma(t) = 2 gamma0 ratio S /
+    (C + ratio S): no finite differences near the zeros of G(t). Negative
+    values signal backflow intervals; the rate diverges at zeros of G, so
+    times with |G(t)| <= 1e-9 are rejected.
     """
-    t = _check_time(t)
-    gt = nmad_decoherence(t, params)
-    if not abs(gt) > DECOHERENCE_ZERO_TOL:
-        raise NumericError(f"decay rate singular: |G({t})| = {abs(gt):.3e}")
-    g, gamma0 = params.g, params.gamma0
-    d, regime = _regime(params.discriminant)
-    if regime == "critical":
-        return float(gamma0 * g * t / (1 + g * t / 2))
-    if regime == "over":
-        # divide through by cosh so that nothing overflows
-        e = np.expm1(-d * t)
-        return _finite(-2 * (gamma0 * g) * e / (d * (2 + e) - g * e), "NMAD gamma(t)")
-    y = d * t / 2
-    return _finite(2 * (gamma0 * g) * np.sin(y) / (d * np.cos(y) + g * np.sin(y)), "NMAD gamma(t)")
+    c, s, gt = _nmad_factors(t, params)
+    size = np.abs(gt)
+    if not np.all(size > DECOHERENCE_ZERO_TOL):
+        i = np.argmin(size)
+        raise NumericError(f"decay rate singular: |G({np.ravel(t)[i]})| = {np.ravel(size)[i]:.3e}")
+    return _finite(2 * params.gamma0 * s / (c + s), "NMAD gamma(t)")
 
 
 def noise_p(params: NoiseParams, t):

@@ -602,6 +602,19 @@ def test_out_of_memory_exits_3_without_csv(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("steps", [2 ** 63 - 1, 2 ** 63, 10 ** 20])
+@pytest.mark.parametrize("command", ["evolve", "qec", "sss"])
+def test_steps_beyond_any_grid_exit_2_naming_the_option(command, steps, capsys, tmp_path):
+    # numpy's linspace fails on these counts with an IndexError, or with
+    # its own size errors that name no option
+    out = tmp_path / "x.csv"
+    assert main([command, "--steps", str(steps), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"error: --steps must be at most 2^59 = {2 ** 59}, got {steps}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["blp", "--random-probes", "1", "--seed", "-1", "--steps", "5"],
      "--seed must be non-negative, got -1"),
@@ -693,16 +706,14 @@ def test_lapack_failure_exits_3(monkeypatch, tmp_path, capsys):
 
     concurrence = ["concurrence", "--noise", "rtn", "--mu", "0.5", "--tmax", "5",
                    "--steps", "3", "--out", str(tmp_path / "x.csv")]
-    for routines, command in [
+    for routine, command in [
             # the concurrence of a state that is not X-shaped takes one eigh
-            (["eigh"], concurrence + ["--probe", "alpha"]),
-            # a valid state reaches eigvalsh only when its Cholesky
-            # certificate fails
-            (["cholesky", "eigvalsh"], concurrence)]:
+            ("eigh", concurrence + ["--probe", "alpha"]),
+            # validating the probe state takes one eigvalsh
+            ("eigvalsh", concurrence)]:
         with monkeypatch.context() as patch:
-            for name in routines:
-                patch.setattr(np.linalg, name, no_convergence)
-            assert main(command) == 3, routines
+            patch.setattr(np.linalg, routine, no_convergence)
+            assert main(command) == 3, routine
         assert not (tmp_path / "x.csv").exists()
         stdout, stderr = capsys.readouterr()
         assert stdout == ""
@@ -1030,19 +1041,14 @@ def test_default_preset_validates_only_the_probes(command, matrices, monkeypatch
     for each of 3 mu, in one `evolve` call per mu. Each probe state is
     validated once per mu, as the input of `evolve`, where it enters the
     package; the evolved states are measured or printed without being
-    validated again. Every probe is certified by the Cholesky factorisation,
-    so validation reaches no eigvalsh. The only matrices eigvalsh sees are
-    the 3 x 500 differences of the `++:--` pair of `blp`, the one default
-    pair that is not X-shaped; every other trace distance and concurrence is
-    in closed form."""
+    validated again. Validation takes one eigvalsh of the probes; the only
+    other matrices eigvalsh sees are the 3 x 500 differences of the `++:--`
+    pair of `blp`, the one default pair that is not X-shaped; every other
+    trace distance and concurrence is in closed form."""
     import corrchan.sweeps as sweeps_mod
 
-    cholesky, eigvalsh, evolve = np.linalg.cholesky, np.linalg.eigvalsh, sweeps_mod.evolve
-    factored, solved, evolve_calls = [], [], []
-
-    def counting_cholesky(m):
-        factored.append(m.size // 16)
-        return cholesky(m)
+    eigvalsh, evolve = np.linalg.eigvalsh, sweeps_mod.evolve
+    solved, evolve_calls = [], []
 
     def counting_eigvalsh(m):
         solved.append(m.size // 16)
@@ -1052,12 +1058,10 @@ def test_default_preset_validates_only_the_probes(command, matrices, monkeypatch
         evolve_calls.append(args)
         return evolve(*args)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(sweeps_mod, "evolve", counting_evolve)
     assert main([command, "--out", str(tmp_path / "x.csv")]) == 0
-    assert sum(factored) == matrices
-    assert sum(solved) == (1500 if command == "blp" else 0)
+    assert sum(solved) == matrices + (1500 if command == "blp" else 0)
     assert len(evolve_calls) == 3
 
 

@@ -21,8 +21,9 @@ import pytest
 from corrchan.channels import evolve
 from corrchan.cli import main
 from corrchan.measures import concurrence, probe_state
-from corrchan.noise import noise_p
+from corrchan.noise import NmadParams, RtnParams, noise_p
 
+from conftest import mp_nmad_g, mp_rtn_p
 from test_volume_oracle import DPS, GOLDEN_TIMES, NMAD, OUN, RTN, mp_apply
 
 # the arguments of tests/data/golden/{evolve,tracedist}_*.csv
@@ -68,6 +69,44 @@ def test_evolve_entries_match_mpmath(family, state, tmp_path):
                     if printed != _digits(part(exact)):
                         wrong.append((row[0], row[1], a, printed, _digits(part(exact))))
     assert wrong == []
+
+
+# Over-damped presets at mu = 0, with p(t) from mpmath: their slow
+# exponential decays over times where r t and W t are large, and an exponent
+# taken as the difference (W - r) t printed 393 RTN rows with a wrong rho14,
+# and rho44 = 1 for NMAD at t = 5e299, where it is exp(-1)
+OVERDAMPED_PRESETS = {
+    "rtn": (RtnParams(a=0.01, gamma=5.0), ["--a", "0.01", "--gamma", "5", "--tmax", "5000",
+                                           "--steps", "1001", "--state", "phi+"]),
+    "nmad": (NmadParams(gamma0=1e-300, g=1.0), ["--gamma0", "1e-300", "--g", "1", "--tmax",
+                                                "1e300", "--steps", "3", "--state", "11"]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(OVERDAMPED_PRESETS))
+def test_overdamped_preset_entries_match_mpmath(family, tmp_path):
+    noise, args = OVERDAMPED_PRESETS[family]
+    out = tmp_path / "out.csv"
+    assert main(["evolve", "--noise", family, *args, "--mu", "0", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    rho = _mp_state(probe_state(args[-1]))
+    wrong = []
+    for row in rows:
+        t = float(row[0])
+        if isinstance(noise, RtnParams):
+            p = mp_rtn_p(noise, t)
+        else:
+            p = 1 - mp_nmad_g(noise, t) ** 2
+        with mp.workdps(DPS):
+            image = mp_apply(noise, 0.0, p, rho)
+            for a in range(16):
+                exact = image.get(divmod(a, 4), 0)
+                for printed, part in zip(row[2 + 2 * a:4 + 2 * a], (mp.re, mp.im)):
+                    if printed != _digits(part(exact)):
+                        wrong.append((row[0], a, printed, _digits(part(exact))))
+    assert wrong == []
+    if family == "nmad":
+        assert rows[1][0] == "5e+299" and rows[1][-2] == _digits(mp.e ** -1)
 
 
 # phi+ - phi- and psi+ - psi- are X-shaped, and their distances are the

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from corrchan.errors import NumericError, ValidationError
-from corrchan.linalg import (_CHOLESKY_MARGIN, MIN_EIGENVALUE, hermiticity_residual, lapack,
-                             validate_density)
+from corrchan.linalg import MIN_EIGENVALUE, hermiticity_residual, lapack, validate_density
 
 from conftest import random_density
 
@@ -68,10 +67,10 @@ def test_validate_density_hermiticity():
 @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
 @pytest.mark.parametrize("smallest", [
     0.0, 1e-12, -1e-12, -5e-10, -1e-9 - 1e-11, -1e-9 + 1e-11,
-    -1e-9 + _CHOLESKY_MARGIN / 2, -2e-9, -1e-6])
+    -1e-9 + 5e-13, -2e-9, -1e-6])
 def test_positivity_decision_matches_eigvalsh(smallest, stacked, dim, rng):
-    """The Cholesky certificate accepts and rejects exactly the states whose
-    smallest eigvalsh eigenvalue is below -1e-9, and a rejection carries
+    """Validation rejects exactly the states whose smallest eigvalsh
+    eigenvalue is below -1e-9, close calls included, and a rejection carries
     that eigenvalue, for a state alone or in the middle of a stack."""
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     u, _ = np.linalg.qr(x)

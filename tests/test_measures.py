@@ -53,8 +53,8 @@ def test_trace_distance_contracts_under_channels(rng):
 
 
 def test_two_by_two_states_take_the_eigvalsh_route(monkeypatch):
-    """A 2 x 2 matrix is never X-shaped, even when diagonal: its trace
-    distance is an eigensolve, one call for the whole stack."""
+    """A 2 x 2 matrix is never X-shaped, even when diagonal: the trace norm
+    of a difference is an eigensolve, one call for the whole stack."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -64,9 +64,12 @@ def test_two_by_two_states_take_the_eigvalsh_route(monkeypatch):
 
     zero, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     assert not measures._x_shaped(np.stack([zero, one])).any()
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     assert trace_distance(zero, one) == 1.0
     assert trace_distance(np.stack([zero, zero]), np.stack([one, zero])).tolist() == [1.0, 0.0]
+    # validation solves each input too: count the kernel's calls alone
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert measures._trace_distance(zero - one) == 1.0
+    assert measures._trace_distance(np.stack([zero - one, zero - zero])).tolist() == [1.0, 0.0]
     assert calls == [(1, 2, 2), (2, 2, 2)]
 
 

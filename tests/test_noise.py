@@ -7,6 +7,8 @@ from corrchan.map_algebra import correlated_oun_rates
 from corrchan.noise import (NmadParams, OunParams, RtnParams, nmad_decoherence,
                             nmad_gamma, nmad_p, noise_p, oun_p, rtn_p)
 
+from conftest import mp_nmad_g, mp_rtn_p
+
 RTN = RtnParams(a=0.8, gamma=0.05)
 OUN = OunParams(G=1.0, g=0.05)
 NMAD_OSC = NmadParams(gamma0=1.0, g=0.05)
@@ -31,13 +33,20 @@ def bisect(f, lo, hi, iters=80):
 # --------------------------------------------------------------------------
 
 
+def ode_coefficients(damping, frequency_sq, terms=200):
+    """Taylor coefficients of y'' + damping y' + frequency_sq y = 0, y(0)=1,
+    y'(0)=0, in the current precision."""
+    c = [mp.mpf(1), mp.mpf(0)]
+    for n in range(terms - 2):
+        c.append((-damping * c[n + 1] * (n + 1) - frequency_sq * c[n])
+                 / ((n + 1) * (n + 2)))
+    return c
+
+
 def series_from_ode(damping, frequency_sq, t, terms=200):
     """Taylor sum for y'' + damping y' + frequency_sq y = 0, y(0)=1, y'(0)=0."""
     with mp.workdps(60):
-        c = [mp.mpf(1), mp.mpf(0)]
-        for n in range(terms - 2):
-            c.append((-damping * c[n + 1] * (n + 1) - frequency_sq * c[n])
-                     / ((n + 1) * (n + 2)))
+        c = ode_coefficients(damping, frequency_sq, terms)
         return float(mp.fsum(cn * mp.mpf(t) ** n for n, cn in enumerate(c)))
 
 
@@ -254,6 +263,32 @@ def test_nmad_gamma_singular_at_zero_crossing():
         nmad_gamma(root, NMAD_OSC)
 
 
+def nmad_gamma_oracle(t, params):
+    """G(t) and -2 G'(t) / G(t) from the Taylor series of G, term by term in
+    60-digit arithmetic: no closed form and no regime."""
+    with mp.workdps(60):
+        c = ode_coefficients(params.g, mp.mpf(params.gamma0) * params.g / 2)
+        t = mp.mpf(t)
+        value = mp.fsum(cn * t ** n for n, cn in enumerate(c))
+        slope = mp.fsum(n * cn * t ** (n - 1) for n, cn in enumerate(c) if n)
+        return value, -2 * slope / value
+
+
+@pytest.mark.parametrize("params, times", [
+    (NMAD_OSC, np.linspace(0.0, 30.0, 151)),
+    (NmadParams(gamma0=1.0, g=2.0), np.linspace(0.0, 10.0, 101)),
+    (NMAD_OVER, np.linspace(0.0, 8.0, 81)),
+], ids=["under", "critical", "over"])
+def test_nmad_gamma_matches_mpmath(params, times):
+    # 2 gamma0 ratio S / (C + ratio S) of the shared kernel, in each regime;
+    # through a zero of G the under-damped rate changes sign
+    rates = nmad_gamma(times, params)
+    for t, rate in zip(times, rates):
+        value, expected = nmad_gamma_oracle(t, params)
+        if abs(value) > 1e-6:
+            assert abs(rate - expected) <= 1e-12 * abs(expected), t
+
+
 def test_nmad_degenerate_l_limit():
     params = NmadParams(gamma0=1.0, g=2.0)  # l = 0 exactly
     for t in (0.0, 0.5, 3.0):
@@ -339,34 +374,47 @@ def test_values_stay_in_range_near_zero(params):
     assert all(lo <= noise_p(params, t) <= 1 for t in ts)
 
 
-def overdamped_oracle(rate, y, ratio, t):
-    """exp(-rate t)(cosh(y t) + ratio sinh(y t)) in 60-digit arithmetic."""
-    with mp.workdps(60):
-        t = mp.mpf(t)
-        return float(mp.e ** (-rate * t) * (mp.cosh(y * t) + ratio * mp.sinh(y * t)))
-
-
 def test_overdamped_rtn_at_large_t_matches_mpmath():
     params = RtnParams(a=0.01, gamma=5.0)
     assert not params.is_nonmarkovian_regime
-    w = abs(params.omega)
     for t in (0.0, 1.0, 50.0, 1000.0, 5000.0):
-        expected = overdamped_oracle(params.gamma, w * params.gamma, 1 / w, t)
+        expected = mp_rtn_p(params, t)
         assert abs(rtn_p(t, params) - expected) <= 1e-11 * expected
     assert abs(rtn_p(1000.0, params) - 0.9608) < 1e-4
     near_degenerate = RtnParams(a=0.025 * (1 - 1e-9), gamma=0.05)
     assert abs(rtn_p(5.0, near_degenerate) - np.exp(-0.25) * 1.25) < 1e-8
+    # the grids of `evolve --a 0.01 --gamma 5 --tmax 5000 --steps 1001` and
+    # `volume --a 0.001 --gamma 10 --tmax 1e6 --steps 1001`, where r t and W t
+    # reach 2.5e4 and 1e7 while p(t) > 0.8: an exponent taken as the
+    # difference (W - r) t lost up to 1.2e-9 to cancellation, and 447 and
+    # 996 of the values printed other 12 digits
+    for params, times in ((params, np.linspace(0.0, 5000.0, 1001)),
+                          (RtnParams(a=0.001, gamma=10.0), np.linspace(0.0, 1e6, 1001))):
+        wrong = []
+        for t, p in zip(times, rtn_p(times, params)):
+            expected = mp_rtn_p(params, t)
+            assert abs(p - expected) <= 1e-15 * expected, t
+            if format(p, ".12g") != format(float(expected), ".12g"):
+                wrong.append(t)
+        assert wrong == []
 
 
 def test_overdamped_nmad_at_large_t_matches_mpmath():
     params = NmadParams(gamma0=1.0, g=5.0)
-    l = np.sqrt(params.g ** 2 - 2 * params.gamma0 * params.g)
     for t in (0.0, 2.0, 30.0, 500.0, 1000.0):
-        expected = overdamped_oracle(params.g / 2, l / 2, params.g / l, t)
+        expected = mp_nmad_g(params, t)
         assert abs(nmad_decoherence(t, params) - expected) <= 1e-11 * expected
     assert nmad_p(500.0, params) == 1.0
     assert nmad_p(1000.0, params) == 1.0
     assert np.all(nmad_p(np.array([500.0, 1000.0]), params) == 1.0)
+    # gamma0 << g: the exponent -(g - d) t / 2 reaches -500 over the grid,
+    # and one product keeps it to a few rounding errors where the
+    # difference of g t / 2 and d t / 2, both near 2.5e5, lost 5.7e-11
+    params = NmadParams(gamma0=0.01, g=10.0)
+    times = np.linspace(0.0, 1e5, 201)
+    for t, value in zip(times, nmad_decoherence(times, params)):
+        expected = mp_nmad_g(params, t)
+        assert abs(value - expected) <= 1e-12 * expected, t
 
 
 def test_overdamped_nmad_gamma_at_large_t():
@@ -378,26 +426,16 @@ def test_overdamped_nmad_gamma_at_large_t():
     assert abs(rate - 2 * params.gamma0 * params.g / (l + params.g)) < 1e-12
 
 
-def damped_oracle(r, nu0_sq, t):
-    """exp(-r t)(cosh(W t) + (r / W) sinh(W t)), W = sqrt(r^2 - nu0^2), in
-    400-digit arithmetic, which resolves W from r where nu0^2 / r^2 is 1e-306."""
-    with mp.workdps(400):
-        r, t = mp.mpf(r), mp.mpf(t)
-        w = mp.sqrt(r * r - nu0_sq)
-        return float(mp.e ** (-r * t) * (mp.cosh(w * t) + r / w * mp.sinh(w * t)))
-
-
 def test_overdamped_values_where_rate_and_phase_overflow_match_mpmath():
-    # r t and W t are both inf, so phase - rate is inf - inf, while the slow
-    # exponential exp(-(r - W) t) is exp(-200) to exp(-700)
+    # r t and W t are both inf, while the slow exponential exp(-(r - W) t)
+    # is exp(-200) to exp(-700)
     rtn = RtnParams(a=5e146, gamma=1e300)
     nmad = NmadParams(gamma0=1e-152, g=1e154)
     with np.errstate(all="ignore"):
         for times, value, expected in (
-                ([4e8, 1e9, 1.4e9], lambda t: rtn_p(t, rtn),
-                 lambda t: damped_oracle(rtn.gamma, 4 * mp.mpf(rtn.a) ** 2, t)),
+                ([4e8, 1e9, 1.4e9], lambda t: rtn_p(t, rtn), lambda t: mp_rtn_p(rtn, t)),
                 ([4e154, 1e155, 1.4e155], lambda t: nmad_decoherence(t, nmad),
-                 lambda t: damped_oracle(mp.mpf(nmad.g) / 2, mp.mpf(nmad.gamma0) * nmad.g / 2, t))):
+                 lambda t: mp_nmad_g(nmad, t))):
             got = value(np.array(times))
             for t, v in zip(times, got):
                 assert v == value(t)

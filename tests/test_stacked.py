@@ -7,7 +7,8 @@ it. They must also agree with the Kraus oracle, applied one time
 at a time, to 1e-12. Bit equality also holds for the accessible-state
 volume, the success probability of error correction and the rates of the
 correlated OUN generator, which `volume`, `qec` and `sss` evaluate over the
-grid, and for the closed-form transfer matrices of the oracle. A stack of
+grid, for the NMAD decay rate, and for the closed-form transfer matrices of
+the oracle. A stack of
 SSS rate pairs on one grid gives each row's measure with the bits of a
 one-row call, and fails as a whole where one row fails.
 """
@@ -24,7 +25,7 @@ from corrchan.linalg import validate_density
 from corrchan.map_algebra import accessible_volume, correlated_oun_rates
 from corrchan.measures import (_x_shaped, concurrence, probe_state, random_bell_probes,
                                sss_measure, trace_distance)
-from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
+from corrchan.noise import NmadParams, OunParams, RtnParams, nmad_gamma, noise_p
 from corrchan.oracle import apply, channel_at_time, transfer_sampler
 from corrchan.params import PROBE_NAMES, PROBE_PAIRS
 from corrchan.qec import success_probability_closed, success_vs_time, total_probability_mass
@@ -133,6 +134,17 @@ def test_success_grid_equals_single_times(noise, mu):
     masses = np.array([total_probability_mass(p, mu) for p in singles[::10]])
     # the ratio is clipped to 1, which it exceeds by an ulp at mu = 1
     assert np.array_equal(normalized[::10], np.minimum(closed[::10] / masses, 1.0))
+
+
+@pytest.mark.parametrize("params", [NOISES["nmad"], NmadParams(gamma0=1.0, g=2.0),
+                                    NmadParams(gamma0=1.0, g=4.0)],
+                         ids=["under", "critical", "over"])
+def test_nmad_gamma_grid_equals_single_times(params):
+    times = TIMES / 6  # up to t = 10, where |G| is still above the cut-off 1e-9
+    rates = nmad_gamma(times, params)
+    assert rates.shape == times.shape
+    assert np.array_equal(rates, [nmad_gamma(t, params) for t in times])
+    assert isinstance(nmad_gamma(2.0, params), float)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])

@@ -21,6 +21,8 @@ from corrchan.cli import main
 from corrchan.map_algebra import accessible_volume
 from corrchan.noise import NmadParams, OunParams, RtnParams, noise_p
 
+from conftest import mp_rtn_p
+
 DPS = 60
 # V is a product of powers of sums of nonnegative terms, taken by squaring:
 # a few dozen roundings of relative size 1.1e-16 at most
@@ -181,8 +183,32 @@ def test_default_preset_volume_matches_closed_form(noise, tmp_path):
             exact = mp_closed_volume(noise, mu, p)
             assert abs(v - exact) <= REL_TOL * exact, (mu, t, v, exact)
             assert row[2] == format(v, ".12g")
-            with mp.workdps(DPS):
-                printed, right = mp.mpf(row[2]), mp.mpf(mp.nstr(exact, 12))
-                if printed != right:
-                    midpoint = (printed + right) / 2
-                    assert abs(exact - midpoint) <= REL_TOL * exact, (mu, t, row[2], exact)
+            _check_printed(row[2], exact, (mu, t))
+
+
+def _check_printed(cell, exact, where):
+    """A printed cell may differ from the 12 digits of the exact value only
+    where that lies within REL_TOL of the midpoint between two 12-digit
+    decimals, where rounding decides."""
+    with mp.workdps(DPS):
+        printed, right = mp.mpf(cell), mp.mpf(mp.nstr(exact, 12))
+        if printed != right:
+            midpoint = (printed + right) / 2
+            assert abs(exact - midpoint) <= REL_TOL * exact, (*where, cell, exact)
+
+
+def test_overdamped_rtn_volume_preset_matches_mpmath(tmp_path):
+    # `volume --noise rtn --a 0.001 --gamma 10 --tmax 1e6 --steps 1001 --mu 0`:
+    # V = p^16, with p(t) from mpmath. r t and W t reach 1e7 while p(t) stays
+    # above 0.8, and an exponent taken as their difference printed 999 of the
+    # 1001 volumes wrong
+    noise = RtnParams(a=0.001, gamma=10.0)
+    out = tmp_path / "volume.csv"
+    assert main(["volume", "--noise", "rtn", "--a", "0.001", "--gamma", "10", "--tmax", "1e6",
+                 "--steps", "1001", "--mu", "0", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 1001
+    for t, row in zip(np.linspace(0.0, 1e6, 1001), rows):
+        with mp.workdps(DPS):
+            exact = mp_rtn_p(noise, t) ** 16
+        _check_printed(row[2], exact, (t,))
