@@ -220,124 +220,96 @@ def _cmd_freeze_check(args) -> None:
 
 
 # --------------------------------------------------------------------------
-# Parser
+# Parser: each subcommand's handler, help and (flag, argparse keyword
+# arguments) options, in the order of the usage line and of its help
 # --------------------------------------------------------------------------
 
 
-def _add_noise_options(sub, default="oun"):
-    sub.add_argument("--noise", choices=("rtn", "oun", "nmad"), default=default,
-                     help="noise family (default %(default)s)")
-    sub.add_argument("--a", type=float, default=0.8,
-                     help="RTN coupling strength (default %(default)s)")
-    sub.add_argument("--gamma", type=float, default=0.05,
-                     help="RTN fluctuation rate (default %(default)s)")
-    sub.add_argument("--G", type=float, default=1.0,
-                     help="OUN effective relaxation rate (default %(default)s)")
-    sub.add_argument("--g", type=float, default=0.05,
-                     help="OUN/NMAD inverse correlation time (default %(default)s)")
-    sub.add_argument("--gamma0", type=float, default=1.0,
-                     help="NMAD coupling rate (default %(default)s)")
+def _G(default: float):
+    return "--G", dict(type=float, default=default,
+                       help="OUN effective relaxation rate (default %(default)s)")
 
 
-def _add_grid_options(sub, tmax=100.0, steps=500):
-    sub.add_argument("--mu", default="0,0.5,0.9",
-                     help="comma-separated correlation factors (default %(default)s)")
-    sub.add_argument("--tmax", type=float, default=tmax,
-                     help="end of the time grid (default %(default)s)")
-    sub.add_argument("--steps", type=int, default=steps,
-                     help="number of grid points (default %(default)s)")
+def _noise(default: str):
+    return [("--noise", dict(choices=("rtn", "oun", "nmad"), default=default,
+                             help="noise family (default %(default)s)")),
+            ("--a", dict(type=float, default=0.8,
+                         help="RTN coupling strength (default %(default)s)")),
+            ("--gamma", dict(type=float, default=0.05,
+                             help="RTN fluctuation rate (default %(default)s)")),
+            _G(1.0),
+            ("--g", dict(type=float, default=0.05,
+                         help="OUN/NMAD inverse correlation time (default %(default)s)")),
+            ("--gamma0", dict(type=float, default=1.0,
+                              help="NMAD coupling rate (default %(default)s)"))]
 
 
-def _add_common(sub):
-    sub.add_argument("--out", default="-",
-                     help="output CSV path, - for stdout (default stdout)")
-    sub.add_argument("--config", default=None,
-                     help="key = value file of option defaults; flags override")
+def _grid(mu="0,0.5,0.9", tmax=100.0, steps=500, tmax_help="end of the time grid",
+          steps_help="number of grid points"):
+    return [("--mu", dict(default=mu,
+                          help="comma-separated correlation factors (default %(default)s)")),
+            ("--tmax", dict(type=float, default=tmax, help=f"{tmax_help} (default %(default)s)")),
+            ("--steps", dict(type=int, default=steps, help=f"{steps_help} (default %(default)s)"))]
 
 
-# each subcommand's handler and help, in the order of the usage line
+_COMMON = [("--out", dict(default="-", help="output CSV path, - for stdout (default stdout)")),
+           ("--config", dict(default=None,
+                             help="key = value file of option defaults; flags override"))]
+_HIDDEN_CONFIG = ("--config", dict(default=None, help=argparse.SUPPRESS))
+
+
+def _sweep(*own, noise="oun", **grid):
+    return [*_noise(noise), *_grid(**grid), *own, *_COMMON]
+
+
+def _probe(flag: str, default: str, stem: str):
+    return flag, dict(default=default, choices=PROBE_NAMES, help=f"{stem} (default %(default)s)")
+
+
 _SUBCOMMANDS = {
-    "evolve": (_cmd_sweep, "evolved density-matrix entries over time"),
-    "concurrence": (_cmd_sweep, "concurrence of an evolving probe state"),
-    "tracedist": (_cmd_tracedist, "trace distance of an evolving probe pair"),
-    "blp": (_cmd_blp, "information-backflow measure over a probe family"),
-    "sss": (_cmd_sss, "temporal-self-similarity measure for correlated OUN"),
-    "volume": (_cmd_sweep, "accessible-state volume and its witness"),
-    "qec": (_cmd_qec, "error-correction success probability over time"),
+    "evolve": (_cmd_sweep, "evolved density-matrix entries over time",
+               _sweep(_probe("--state", "phi+", "initial probe state"))),
+    "concurrence": (_cmd_sweep, "concurrence of an evolving probe state",
+                    _sweep(_probe("--probe", "phi+", "initial probe state"))),
+    "tracedist": (_cmd_tracedist, "trace distance of an evolving probe pair",
+                  _sweep(("--pair", dict(default="phi+:phi-",
+                                         help="probe pair as name:name (default %(default)s)")))),
+    "blp": (_cmd_blp, "information-backflow measure over a probe family",
+            _sweep(("--pairs", dict(default=",".join(f"{a}:{b}" for a, b in PROBE_PAIRS),
+                                    help="comma-separated probe pairs (default %(default)s)")),
+                   ("--random-probes", dict(type=int, default=0, help="additional random "
+                                            "local-unitary probe pairs (default 0)")),
+                   ("--seed", dict(type=int, default=0, help="seed for random probes")))),
+    "sss": (_cmd_sss, "temporal-self-similarity measure for correlated OUN",
+            [_G(0.6),
+             ("--g-inverse", dict(default="10,50,100", help="comma-separated environment "
+                                  "correlation times (default %(default)s)")),
+             *_grid("0,0.3,0.6,0.9", 100.0, 400, "averaging window length",
+                    "quadrature grid points"),
+             ("--family", dict(choices=("markov", "free"), default="markov", help="comparison "
+                               "generator family: the fixed memoryless-limit generator, or free "
+                               "two-rate minimization (default %(default)s)")),
+             *_COMMON]),
+    "volume": (_cmd_sweep, "accessible-state volume and its witness",
+               _sweep(noise="rtn", steps=1000)),
+    "qec": (_cmd_qec, "error-correction success probability over time",
+            _sweep(("--normalized", dict(action="store_true",
+                                         help="divide by the total chained probability mass")),
+                   tmax=50.0, steps=200)),
     "classify-errors": (_cmd_classify_errors,
-                        "print the undetectable / detectable / correctable sets"),
-    "freeze-check": (_cmd_freeze_check, "freezing verdict for a state and channel"),
+                        "print the undetectable / detectable / correctable sets",
+                        [_HIDDEN_CONFIG]),
+    "freeze-check": (_cmd_freeze_check, "freezing verdict for a state and channel",
+                     [_probe("--state", "psi+", "probe state"),
+                      ("--c", dict(default=None, help="Bell-diagonal Bloch triple c1,c2,c3 "
+                                                      "(overrides --state)")),
+                      ("--channel", dict(default="nmad",
+                                         choices=("rtn", "oun", "unital", "dephasing", "nmad"),
+                                         help="channel kind (default %(default)s)")),
+                      ("--mu", dict(type=float, default=1.0,
+                                    help="correlation factor (default %(default)s)")),
+                      _HIDDEN_CONFIG]),
 }
-
-
-def _add_options(sub, command: str) -> None:
-    """Add the options of subcommand `command` to its subparser `sub`."""
-    if command == "evolve":
-        _add_noise_options(sub)
-        _add_grid_options(sub)
-        sub.add_argument("--state", default="phi+", choices=PROBE_NAMES,
-                         help="initial probe state (default %(default)s)")
-        _add_common(sub)
-    elif command == "concurrence":
-        _add_noise_options(sub)
-        _add_grid_options(sub)
-        sub.add_argument("--probe", default="phi+", choices=PROBE_NAMES,
-                         help="initial probe state (default %(default)s)")
-        _add_common(sub)
-    elif command == "tracedist":
-        _add_noise_options(sub)
-        _add_grid_options(sub)
-        sub.add_argument("--pair", default="phi+:phi-",
-                         help="probe pair as name:name (default %(default)s)")
-        _add_common(sub)
-    elif command == "blp":
-        _add_noise_options(sub)
-        _add_grid_options(sub)
-        sub.add_argument("--pairs", default=",".join(f"{a}:{b}" for a, b in PROBE_PAIRS),
-                         help="comma-separated probe pairs (default %(default)s)")
-        sub.add_argument("--random-probes", type=int, default=0,
-                         help="additional random local-unitary probe pairs (default 0)")
-        sub.add_argument("--seed", type=int, default=0, help="seed for random probes")
-        _add_common(sub)
-    elif command == "sss":
-        sub.add_argument("--G", type=float, default=0.6,
-                         help="OUN effective relaxation rate (default %(default)s)")
-        sub.add_argument("--g-inverse", default="10,50,100",
-                         help="comma-separated environment correlation times "
-                              "(default %(default)s)")
-        sub.add_argument("--mu", default="0,0.3,0.6,0.9",
-                         help="comma-separated correlation factors (default %(default)s)")
-        sub.add_argument("--tmax", type=float, default=100.0,
-                         help="averaging window length (default %(default)s)")
-        sub.add_argument("--steps", type=int, default=400,
-                         help="quadrature grid points (default %(default)s)")
-        sub.add_argument("--family", choices=("markov", "free"), default="markov",
-                         help="comparison generator family: the fixed memoryless-limit "
-                              "generator, or free two-rate minimization (default %(default)s)")
-        _add_common(sub)
-    elif command == "volume":
-        _add_noise_options(sub, default="rtn")
-        _add_grid_options(sub, steps=1000)
-        _add_common(sub)
-    elif command == "qec":
-        _add_noise_options(sub)
-        _add_grid_options(sub, tmax=50.0, steps=200)
-        sub.add_argument("--normalized", action="store_true",
-                         help="divide by the total chained probability mass")
-        _add_common(sub)
-    elif command == "classify-errors":
-        sub.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    elif command == "freeze-check":
-        sub.add_argument("--state", default="psi+", choices=PROBE_NAMES,
-                         help="probe state (default %(default)s)")
-        sub.add_argument("--c", default=None,
-                         help="Bell-diagonal Bloch triple c1,c2,c3 (overrides --state)")
-        sub.add_argument("--channel", default="nmad",
-                         choices=("rtn", "oun", "unital", "dephasing", "nmad"),
-                         help="channel kind (default %(default)s)")
-        sub.add_argument("--mu", type=float, default=1.0,
-                         help="correlation factor (default %(default)s)")
-        sub.add_argument("--config", default=None, help=argparse.SUPPRESS)
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
@@ -358,13 +330,14 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
     if command in _SUBCOMMANDS:
         subs = parser.add_subparsers(dest="command", required=True,
                                      metavar="{%s}" % ",".join(_SUBCOMMANDS))
-        func, summary = _SUBCOMMANDS[command]
+        func, summary, options = _SUBCOMMANDS[command]
         sub = subs.add_parser(command, help=summary, formatter_class=formatter)
         sub.set_defaults(func=func)
-        _add_options(sub, command)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
     else:
         subs = parser.add_subparsers(dest="command", required=True)
-        for name, (_, summary) in _SUBCOMMANDS.items():
+        for name, (_, summary, _) in _SUBCOMMANDS.items():
             subs.add_parser(name, help=summary, formatter_class=formatter)
     return parser
 

@@ -529,6 +529,24 @@ def test_classify_errors_builds_no_other_options(monkeypatch, capsys):
     assert [args for args in added if args != ("-h", "--help")] == [("--config",)]
 
 
+def test_freeze_check_builds_no_other_options(monkeypatch, capsys):
+    # a deterministic guard on the parser cost: no other subcommand's options
+    added = []
+    real = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert main(["freeze-check"]) == 0
+    capsys.readouterr()
+    # -h on the top-level parser and on the one subparser: two parsers in all
+    assert added.count(("-h", "--help")) == 2
+    assert [args for args in added if args != ("-h", "--help")] == [
+        ("--state",), ("--c",), ("--channel",), ("--mu",), ("--config",)]
+
+
 @pytest.mark.parametrize("columns", ["60", "200"])
 def test_help_width_is_worked_out_once_per_parser(columns, monkeypatch, capsys):
     """`-h` prints what argparse's own formatter prints, which queries the
@@ -553,6 +571,17 @@ def test_help_width_is_worked_out_once_per_parser(columns, monkeypatch, capsys):
     assert main(["qec", "--tmax", "1", "--steps", "2", "--out", "-"]) == 0
     capsys.readouterr()
     assert len(queries) == 1
+
+
+def test_help_matches_golden(monkeypatch, capsys):
+    """`corrchan -h` and each `corrchan <sub> -h` at a 100-column terminal,
+    byte for byte: every option's flag, default and help text, in order."""
+    monkeypatch.setenv("COLUMNS", "100")
+    printed = []
+    for argv in [[], *([sub] for sub in SUBCOMMANDS)]:
+        assert main([*argv, "-h"]) == 0
+        printed.append(f"$ corrchan {' '.join([*argv, '-h'])}\n" + capsys.readouterr().out)
+    assert "\n".join(printed) == (GOLDEN_DIR / "help.txt").read_text()
 
 
 def test_free_sss_preset_evaluates_few_gaps(monkeypatch, tmp_path):
