@@ -4,8 +4,9 @@ emitted as deterministic CSV.
 Every numeric subcommand writes RFC-4180 CSV (header row, '.' decimal,
 12 significant digits, lines ending in CRLF, no field quoted) to --out,
 one row per sample, rows in grid order. A subcommand returns its header
-and all of its lines, and only then does `main` open the output and write
-them, so a sweep that fails part-way leaves no partial CSV behind.
+and all of its lines, in chunks of text, and only then does `main` open
+the output and write them, so a sweep that fails part-way leaves no
+partial CSV behind.
 Exit codes: 0 success, 2 invalid usage or parameters, 3 numeric failure or
 out of memory. When the first argument names a subcommand, `main` builds the
 subparser of that subcommand only.
@@ -110,12 +111,14 @@ def _split_pair(text: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
-    # the bytes of csv.writer's excel dialect: no field here needs quoting
-    text = "\r\n".join([",".join(header), *lines, ""])
+def _write_csv(path: str, header: list[str], chunks: list[str]) -> None:
+    # the bytes of csv.writer's excel dialect: no field here needs quoting;
+    # each chunk holds whole CRLF lines
     with (contextlib.nullcontext(sys.stdout) if path == "-"
           else open(path, "w", newline="")) as fh:
-        fh.write(text)
+        fh.write(",".join(header) + "\r\n")
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 # --------------------------------------------------------------------------

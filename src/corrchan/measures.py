@@ -401,16 +401,11 @@ def _free_minimiser(a, b, weights):
         go = np.ones(len(rows), dtype=bool)
         if (near_k | jump).any():
             at_k = _local(point_k, points, weights)
-            for i in np.flatnonzero(near_k):
-                if _gap(at_k, i, weights) <= SSS_TOL * f_k[i]:
-                    go[i] = False
-                    x[rows[i]], y[rows[i]] = a[rows[i], k[i]], b[rows[i], k[i]]
             # the rows that jump go on from their nearest point
             u = np.where(jump[:, None], point_k, u)
             f, least, grad, hess, dist = (
                 np.where(jump.reshape(-1, *(1,) * (now.ndim - 1)), new, now)
                 for now, new in zip(at_z[:5], at_k))
-            del at_k
         norm = np.hypot(grad[:, 0], grad[:, 1])
         step = np.zeros_like(u)
         # on a kink: descend along -grad, by the curvature away from it
@@ -436,9 +431,15 @@ def _free_minimiser(a, b, weights):
             inv = weights / dist[weiszfeld]
             trial[weiszfeld] = (inv[:, None] @ points[weiszfeld])[:, 0] / inv.sum(axis=-1)[:, None]
             moving[weiszfeld] = True
-        # z is checked before the jump, but after the step, so that f at the
-        # trial as well as at the nearest point can rule its gap out
+        # the nearest point and then z are checked after the step, so that f
+        # at the trial as well can rule their gaps out: it bounds min f from
+        # above, like f at z for the nearest point and f there for z (a row
+        # that passes at the nearest point is near_k, so at_k is there)
         f_z = at_z[0]
+        for i in np.flatnonzero(f_k - np.minimum(f_trial, f_z) <= 2 * SSS_TOL * f_k):
+            if _gap(at_k, i, weights) <= SSS_TOL * f_k[i]:
+                go[i] = False
+                x[rows[i]], y[rows[i]] = a[rows[i], k[i]], b[rows[i], k[i]]
         for i in np.flatnonzero(go & (f_z - np.minimum(f_k, f_trial) <= 2 * SSS_TOL * f_z)):
             if _gap(at_z, i, weights) <= SSS_TOL * f_z[i]:
                 go[i] = False

@@ -7,10 +7,11 @@ every numeric layer at its top, and never imports `cli`: under
 `python -m corrchan.cli` that import would run the command line a second
 time, as a module of its own.
 
-A handler returns its CSV table, a header and all of its lines, and `cli`
-writes it. Each line is rendered with one `%` from a template that holds
-the text of the columns that are constant over the table, or over a mu
-block of a sweep, and a '%.12g' slot for every other column (`_lines`).
+A handler returns its CSV table, a header and all of its lines in chunks
+of CRLF text, and `cli` writes it. `render` builds the text with numpy,
+byte for byte as '%.12g' prints each cell, in one array pass over the
+varying cells of each chunk of lines: the t column once per sweep, each mu
+once, and each column that is constant over a mu block once per block.
 Numpy warnings are silenced while a command runs: each invariant rejects
 NaN and inf itself, and a numeric failure prints one `numeric failure:` line.
 """
@@ -22,35 +23,15 @@ from .map_algebra import accessible_volume, correlated_oun_rates
 from .measures import (RISE_THRESHOLD, _concurrence, _trace_distance, positive_variation,
                        probe_state, random_bell_probes, sss_measure)
 from .qec import success_vs_time
+from .render import cells as render_cells, labels, lines
 
-Table = tuple[list[str], list[str]]  # CSV header and formatted lines
+Table = tuple[list[str], list[str]]  # CSV header, and its lines in chunks of CRLF text
 
 
 def run(args) -> Table:
     """The result of the subcommand `args.command`."""
     with np.errstate(all="ignore"):
         return _COMMANDS[args.command](args)
-
-
-def _fmt(x: float) -> str:
-    # + 0.0 turns -0.0 into 0.0, so that a signed zero prints as 0
-    return format(float(x) + 0.0, ".12g")
-
-
-def _lines(data: np.ndarray, lead: list[str], fixed: tuple[str, ...] = ()) -> list[str]:
-    """One CSV line per row of a 2-d float array with at least one row: the
-    row's string of `lead`, then the formatted cells `fixed`, then each cell
-    of the row as `_fmt` prints it ('%.12g' and '.12g' format a float
-    alike), with one `%` per line. The line template holds `fixed` and the
-    `_fmt` text of each column that is constant over the rows, formatted
-    once, and a '%.12g' slot for each other column; NaN never equals itself,
-    so a column with a NaN keeps its slots."""
-    constant = (data == data[0]).all(axis=0)
-    cells = [_fmt(x) if same else "%.12g"
-             for x, same in zip(data[0].tolist(), constant.tolist())]
-    columns = (data[:, ~constant] + 0.0).T.tolist()
-    line = ",".join(["%s", *fixed, *cells])
-    return [line % row for row in zip(lead, *columns)]
 
 
 def _times(args) -> np.ndarray:
@@ -60,17 +41,22 @@ def _times(args) -> np.ndarray:
 def _sweep(args, columns: list[str], cells) -> Table:
     """Header and lines `t, mu, *columns` over the time grid, for each mu in
     turn; `cells(noise, mu, times)` returns a float array of shape (n,) or
-    (n, len(columns)). Each mu's block is rendered by `_lines` with one `%`
-    per line, from the template `%s,<mu>,<cells>`: the t cells fill the
-    leading slot and are formatted once per sweep, mu once per block, and
-    each column that is constant over the grid once per block."""
+    (n, len(columns))."""
     times = _times(args)
-    t_cells = ["%.12g" % t for t in (times + 0.0).tolist()]
-    lines = []
-    for mu in args.mus:
-        values = np.reshape(cells(args.params, mu, times), (len(times), -1))
-        lines += _lines(values, t_cells, (_fmt(mu),))
-    return ["t", "mu", *columns], lines
+    return _grid_table(columns, times, args.mus,
+                       (cells(args.params, mu, times) for mu in args.mus))
+
+
+def _grid_table(columns: list[str], times, mus, blocks) -> Table:
+    """Header and lines `t, mu, *columns`, for each mu in turn, of the
+    blocks of cells of each mu over the grid `times`: the t cells are
+    rendered once per table, mu once per block, and each column that is
+    constant over the grid once per block (`render.lines`)."""
+    head = render_cells(np.concatenate([times, mus]))
+    t_cells, mu_cells = head[:len(times)], head[len(times):]
+    return ["t", "mu", *columns], lines(
+        (np.reshape(values, (len(times), -1)), [t_cells, mu_cell])
+        for mu_cell, values in zip(mu_cells, blocks))
 
 
 def _cmd_evolve(args) -> Table:
@@ -103,23 +89,24 @@ _BLP_CHUNK = 16
 
 def _cmd_blp(args) -> Table:
     times = _times(args)
-    labels = [f"{a}:{b}" for a, b in args.probe_pairs]
+    names = [f"{a}:{b}" for a, b in args.probe_pairs]
     probes = [probe_state(name) for pair in args.probe_pairs for name in pair]
     if args.random_probes > 0:  # numpy.random is imported only for random probes
-        labels += [f"random{k}" for k in range(args.random_probes)]
+        names += [f"random{k}" for k in range(args.random_probes)]
         probes += random_bell_probes(2 * args.random_probes, seed=args.seed)
     probes = np.stack(probes)
-    lines = []
-    for mu in args.mus:
-        # one chunk's trajectories are freed before the next chunk's are evolved
-        values = []
-        for start in range(0, len(probes), _BLP_CHUNK):
-            states = evolve(args.params, mu, times, probes[start:start + _BLP_CHUNK])
-            values.append(positive_variation(_trace_distance(states[0::2] - states[1::2])))
-        values = np.concatenate(values)
-        lines += [f"{_fmt(mu)},{label},{_fmt(value)}" for label, value in zip(labels, values)]
-        lines.append(f"{_fmt(mu)},max,{_fmt(values.max(initial=0.0))}")
-    return ["mu", "pair", "blp"], lines
+    pairs = labels([*names, "max"])
+
+    def blocks():
+        for mu, mu_cell in zip(args.mus, render_cells(args.mus)):
+            # one chunk's trajectories are freed before the next chunk's are evolved
+            values = []
+            for start in range(0, len(probes), _BLP_CHUNK):
+                states = evolve(args.params, mu, times, probes[start:start + _BLP_CHUNK])
+                values.append(positive_variation(_trace_distance(states[0::2] - states[1::2])))
+            values = np.concatenate(values)
+            yield np.append(values, values.max(initial=0.0))[:, None], [mu_cell, pairs]
+    return ["mu", "pair", "blp"], lines(blocks())
 
 
 # rate elements per `sss_measure` call: the cells of a chunk are solved
@@ -140,8 +127,7 @@ def _cmd_sss(args) -> Table:
             zetas += list(sss_measure(times, np.stack(rates, axis=1), reference))
         except ValueError as exc:  # the grid is the only input it can reject
             raise ValueError(f"--tmax {args.tmax!r} and --steps {args.steps}: {exc}") from None
-    lead = [f"{_fmt(g_inv)},{_fmt(mu)}" for g_inv, mu in cells]
-    return ["g_inverse", "mu", "zeta"], _lines(np.column_stack([zetas]), lead)
+    return ["g_inverse", "mu", "zeta"], lines([(np.column_stack([*zip(*cells), zetas]), [])])
 
 
 def _cmd_volume(args) -> Table:
@@ -154,8 +140,9 @@ def _cmd_volume(args) -> Table:
 
 def _cmd_qec(args) -> Table:
     column = "p_success_normalized" if args.normalized else "p_success"
-    return _sweep(args, [column], lambda noise, mu, times:
-                  success_vs_time(noise, mu, times, normalized=args.normalized))
+    times = _times(args)
+    return _grid_table([column], times, args.mus, success_vs_time(
+        args.params, args.mus, times, normalized=args.normalized))
 
 
 _COMMANDS = {

@@ -15,7 +15,7 @@ from corrchan.cli import main
 from corrchan.errors import NumericError
 from corrchan.measures import sss_measure
 from corrchan.params import GRID_ERROR
-from corrchan.sweeps import _fmt, _lines
+from corrchan.render import cells, labels, lines
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -419,19 +419,23 @@ def test_invalid_input_rejected_without_output(args, capsys):
     assert err.startswith("error: ")
 
 
-# each CSV subcommand and the `sweeps` binding it calls once per mu (sss: per
-# (g^-1, mu) cell)
-SWEEP_BINDINGS = {"evolve": "evolve", "concurrence": "evolve", "tracedist": "evolve",
-                  "blp": "evolve", "volume": "accessible_volume",
-                  "qec": "success_vs_time", "sss": "correlated_oun_rates"}
+# each CSV subcommand and the binding it calls once per mu (sss: per
+# (g^-1, mu) cell; qec: the spot check that `success_vs_time` makes once for
+# all mu, row by row)
+SWEEP_BINDINGS = {"evolve": "sweeps.evolve", "concurrence": "sweeps.evolve",
+                  "tracedist": "sweeps.evolve", "blp": "sweeps.evolve",
+                  "volume": "sweeps.accessible_volume",
+                  "qec": "qec.success_probability_bruteforce",
+                  "sss": "sweeps.correlated_oun_rates"}
 
 
 @pytest.mark.parametrize("command", SWEEP_BINDINGS)
 def test_failed_sweep_leaves_no_csv(command, monkeypatch, tmp_path):
-    import corrchan.sweeps as sweeps_mod
+    import importlib
 
-    binding = SWEEP_BINDINGS[command]
-    real = getattr(sweeps_mod, binding)
+    module, binding = SWEEP_BINDINGS[command].split(".")
+    module = importlib.import_module(f"corrchan.{module}")
+    real = getattr(module, binding)
     seen = []
 
     def fail_on_second_value(*args, **kwargs):
@@ -442,7 +446,15 @@ def test_failed_sweep_leaves_no_csv(command, monkeypatch, tmp_path):
             raise NumericError("injected failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sweeps_mod, binding, fail_on_second_value)
+    def fail_at_second_mu(p, mu):
+        # qec spot-checks every mu in one call: the second mu's row fails
+        seen.extend(mu)
+        brute = real(p, mu)
+        brute[1] = np.nan
+        return brute
+
+    monkeypatch.setattr(module, binding,
+                        fail_at_second_mu if command == "qec" else fail_on_second_value)
     out = tmp_path / "x.csv"
     sweep = ["--mu", "0.5", "--g-inverse", "10,50"] if command == "sss" else ["--mu", "0,0.5"]
     assert main([command, *sweep, "--tmax", "5", "--steps", "3", "--out", str(out)]) == 3
@@ -862,6 +874,15 @@ def test_golden_csv_needs_no_quoting(name):
     assert buffer.getvalue().encode() == data
 
 
+def _fmt(x: float) -> str:
+    # + 0.0 turns -0.0 into 0.0, so that a signed zero prints as 0
+    return format(float(x) + 0.0, ".12g")
+
+
+def _text(data, lead=()) -> str:
+    return "".join(lines([(data, lead)]))
+
+
 @pytest.mark.parametrize("x", [
     -0.0, 0.0, 1.0, 5e-324, -5e-324, 1e-300, 1 - 1e-15, 0.1 + 0.2, 1e16, 1e17,
     -1.5, 2.0 / 3.0, 123456789012.5, 1e300, 100.0 / 11.0,
@@ -871,12 +892,13 @@ def test_lines_formats_like_fmt(x):
     # witness flags 0.0 and 1.0, and a t = 0, mu row, in the same array
     data = np.array([[x, 0.0, 1.0], [0.0, 0.5, x]])
     expected = [",".join(format(v + 0.0, ".12g") for v in row) for row in data.tolist()]
-    assert _lines(data, ["a", "b"]) == [f"{t},{line}" for t, line in zip("ab", expected)]
-    assert _lines(data[:, 1:], [_fmt(x), _fmt(0.0)]) == expected
+    assert _text(data, [labels("ab")]) == "".join(
+        f"{t},{line}\r\n" for t, line in zip("ab", expected))
+    assert _text(data[:, 1:], [cells(data[:, 0])]) == "".join(f"{line}\r\n" for line in expected)
 
 
 def _constant_column_layouts(values):
-    """The column layouts that `_lines` renders with constant cells, one per
+    """The column layouts that `lines` renders with constant cells, one per
     call of a sweep's `cells`, each applied to a random array in turn."""
     yield values
     for column in (-0.0, 1e-300, np.nan):  # all -0.0, a finite constant, NaN
@@ -892,7 +914,7 @@ def _constant_column_layouts(values):
 
 @pytest.mark.parametrize("width", [1, 2, 32])
 def test_sweep_rows_equal_one_array_per_mu(width):
-    """`_sweep` formats the t cells once and each mu once; its lines are
+    """`_sweep` renders the t cells once and each mu once; its lines are
     those of the array [t, mu, cells] of each mu in turn, also where a
     column is constant over the grid: all -0.0, finite, NaN, constant but
     for the last row, or every column at once."""
@@ -906,22 +928,23 @@ def test_sweep_rows_equal_one_array_per_mu(width):
     values = rng.normal(size=(50, width)) * 10.0 ** rng.integers(-300, 300, size=(50, width))
     values[::7] = -0.0
     layouts = _constant_column_layouts(values)
-    cells = []
+    cells_of_mu = []
 
     def layout_cells(noise, mu, times):
-        cells.append(next(layouts))
-        return cells[-1][:, 0] if width == 1 else cells[-1]
+        cells_of_mu.append(next(layouts))
+        return cells_of_mu[-1][:, 0] if width == 1 else cells_of_mu[-1]
 
-    header, lines = _sweep(args, [f"c{k}" for k in range(width)], layout_cells)
-    assert len(cells) == len(mus)
+    header, chunks = _sweep(args, [f"c{k}" for k in range(width)], layout_cells)
+    assert len(cells_of_mu) == len(mus)
     times = np.linspace(0.0, 7.0, 50)
     stacked = [np.column_stack([times, np.full_like(times, mu), values])
-               for mu, values in zip(mus, cells)]
+               for mu, values in zip(mus, cells_of_mu)]
     assert header == ["t", "mu", *(f"c{k}" for k in range(width))]
-    assert lines == [line for data in stacked
-                     for line in _lines(data[:, 1:], [_fmt(t) for t in data[:, 0]])]
-    assert lines == [",".join(_fmt(v) for v in row) for data in stacked for row in data.tolist()]
-    assert lines[0].split(",")[:2] == ["0", "0"]
+    text = "".join(chunks)
+    assert text == "".join(_text(data[:, 1:], [cells(data[:, 0])]) for data in stacked)
+    assert text == "".join(",".join(_fmt(v) for v in row) + "\r\n"
+                           for data in stacked for row in data.tolist())
+    assert text.split(",")[:2] == ["0", "0"]
 
 
 def test_lines_with_no_varying_column():
@@ -929,9 +952,10 @@ def test_lines_with_no_varying_column():
     as the same cells after each lead, with and without fixed cells."""
     data = np.array([[-0.0, 1e-300, 2.0 / 3.0]] * 3)
     line = "0,1e-300,0.666666666667"
-    assert _lines(data, ["a", "b", "c"]) == [f"{t},{line}" for t in "abc"]
-    assert _lines(data[:1], ["a"]) == [f"a,{line}"]
-    assert _lines(data, ["a", "b", "c"], ("0.5",)) == [f"{t},0.5,{line}" for t in "abc"]
+    assert _text(data, [labels("abc")]) == "".join(f"{t},{line}\r\n" for t in "abc")
+    assert _text(data[:1], [labels("a")]) == f"a,{line}\r\n"
+    assert _text(data, [labels("abc"), cells(0.5)]) == "".join(
+        f"{t},0.5,{line}\r\n" for t in "abc")
 
 
 def test_commands_import_neither_scipy_nor_numpy_random(tmp_path):

@@ -326,3 +326,25 @@ def test_success_vs_time_normalized_bounded():
     series = success_vs_time(OUN, 0.5, times, normalized=True)
     assert np.all(series <= 1 + 1e-12)
     assert np.all(series >= success_vs_time(OUN, 0.5, times) - 1e-12)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("noise", [RTN, OUN], ids=["rtn", "oun"])
+def test_success_vs_time_over_many_mu_is_the_stack_of_single_calls(noise, normalized):
+    """One pass over a sequence of mu gives each mu's row the bits of a call
+    with that mu alone: RTN's p goes negative on this grid, and mu = 0 and
+    mu = 1 are the ends of the range."""
+    from corrchan.noise import noise_p
+
+    times = np.linspace(0, 60, 301)
+    mus = [0.0, 0.25, 0.57, 0.9, 1.0]
+    many = success_vs_time(noise, mus, times, normalized=normalized)
+    single = np.stack([success_vs_time(noise, mu, times, normalized=normalized) for mu in mus])
+    assert many.shape == (len(mus), len(times))
+    assert np.array_equal(many.view(np.uint64), single.view(np.uint64))
+    assert (noise_p(noise, times) < 0).any() == (noise is RTN)
+
+
+def test_success_vs_time_over_many_mu_checks_each_mu():
+    with pytest.raises(ValueError):
+        success_vs_time(OUN, [0.5, 1.5], np.linspace(0, 10, 20))
