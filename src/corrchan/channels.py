@@ -10,6 +10,12 @@ the basis states i and j differ in zero, one or two qubits
 correlated damping (`evolve_damping`). Neither sums Kraus terms that cancel,
 so the entries keep their relative accuracy where p or tau(mu) is small.
 
+Each also takes a sequence of k mu, evaluated in one pass: p, its checks,
+the initial states and, for NMAD, the damped states are computed once, and
+each mu enters as a float column that broadcasts over them, so the result
+gains a mu axis after the axis of a stack of initial states, and each mu's
+row has the bits of a call with that mu.
+
 A state is validated where it enters the package, never between its
 layers: the initial states, p and mu are validated here, and the evolved
 states, a CPTP closed form applied to a valid state, are not validated
@@ -51,27 +57,41 @@ def _check_noise_value(p, lo: float, what: str) -> np.ndarray:
     return p
 
 
-def _two_qubit_states(rho: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _mu_column(mu, axes: int):
+    """mu, checked: one mu as it is, or a sequence of k mu as the float
+    array of shape (k, 1, ..., 1), with `axes` unit axes, that broadcasts
+    over them; each mu's row then has the bits of a call with that mu."""
+    if np.ndim(mu) == 0:
+        _check_mu(mu)
+        return mu
+    for value in mu:
+        _check_mu(value)
+    return np.array(mu, dtype=float).reshape((-1,) + (1,) * axes)
+
+
+def _two_qubit_states(rho: np.ndarray, axes: int) -> np.ndarray:
     """The validated two-qubit state rho, or (k, 4, 4) stack of them, with
-    a unit axis per axis of p inserted before the matrix axes, so that it
-    broadcasts against the (*p.shape, 4, 4) factors of the channel."""
+    `axes` unit axes inserted before the matrix axes, one per axis of mu
+    and of p, so that it broadcasts against the factors of the channel."""
     rho = validate_density(rho)
     if rho.shape[-2:] != (4, 4) or rho.ndim > 3:
         raise ValueError("closed-form evolution takes a two-qubit state or a (k, 4, 4) "
                          f"stack of them, got shape {rho.shape}")
-    return rho.reshape(rho.shape[:-2] + (1,) * p.ndim + (4, 4))
+    return rho.reshape(rho.shape[:-2] + (1,) * axes + (4, 4))
 
 
-def evolve_dephasing(rho: np.ndarray, p, mu: float) -> np.ndarray:
+def evolve_dephasing(rho: np.ndarray, p, mu) -> np.ndarray:
     """The state rho under correlated dephasing at noise value p: entry
     (i, j) is scaled by 1, p or tau = mu + (1 - mu) p^2 as the basis states
     i and j differ in zero, one or two qubits. An array of p gives the
-    (*p.shape, 4, 4) stack of states, a (k, 4, 4) stack of initial states
-    the (k, *p.shape, 4, 4) one."""
-    _check_mu(mu)
+    (*p.shape, 4, 4) stack of states, a sequence of m mu the
+    (m, *p.shape, 4, 4) one, and a (k, 4, 4) stack of initial states puts
+    its axis first: (k, *p.shape, 4, 4) or (k, m, *p.shape, 4, 4)."""
+    mu = _mu_column(mu, np.ndim(p))
     p = _check_noise_value(p, -1, "noise value p")
-    rho = _two_qubit_states(rho, p)
-    factors = np.stack([np.ones_like(p), p, mu + (1 - mu) * np.square(p)], axis=-1)
+    rho = _two_qubit_states(rho, (np.ndim(mu) > 0) + p.ndim)
+    tau = mu + (1 - mu) * np.square(p)
+    factors = np.stack(np.broadcast_arrays(np.ones_like(p), p, tau), axis=-1)
     return factors[..., _FLIPS] * rho
 
 
@@ -90,28 +110,30 @@ def _damp(rho: np.ndarray, p: np.ndarray, qubits: int) -> np.ndarray:
     return out
 
 
-def evolve_damping(rho: np.ndarray, p, mu: float) -> np.ndarray:
+def evolve_damping(rho: np.ndarray, p, mu) -> np.ndarray:
     """The state rho under correlated amplitude damping at probability p:
     (1 - mu) times single-qubit damping on each qubit plus mu times fully
     correlated damping, in which |11> decays to |00> with probability p and
-    its coherences are scaled by sqrt(1 - p). An array of p gives the
-    (*p.shape, 4, 4) stack of states, a (k, 4, 4) stack of initial states
-    the (k, *p.shape, 4, 4) one."""
-    _check_mu(mu)
+    its coherences are scaled by sqrt(1 - p). The shapes are those of
+    `evolve_dephasing`; over a sequence of mu, both damped states are
+    computed once."""
+    mu = _mu_column(mu, np.ndim(p) + 2)  # over the axes of p and the matrix axes
     p = _check_noise_value(p, 0, "damping probability p")
-    rho = _two_qubit_states(rho, p)
+    rho = _two_qubit_states(rho, (np.ndim(mu) > 0) + p.ndim)
     each = _damp(_damp(rho, p, 2), p, 1)
     return (1 - mu) * each + mu * _damp(rho, p, 3)
 
 
-def evolve(noise: NoiseParams, mu: float, t, rho: np.ndarray) -> np.ndarray:
+def evolve(noise: NoiseParams, mu, t, rho: np.ndarray) -> np.ndarray:
     """The two-qubit state rho evolved to time t under the correlated channel
     of the noise family, or to every time of an array t as a
     (*t.shape, 4, 4) stack, in closed form from one evaluation of p(t):
     `evolve_damping` for NMAD, `evolve_dephasing` for RTN and OUN. A
-    (k, 4, 4) stack of initial states gives the (k, *t.shape, 4, 4) stack
-    of their trajectories. A grid gives the same bits as its times one at a
-    time, and a stack the same bits as its states one at a time.
+    sequence of m mu gives the (m, *t.shape, 4, 4) stack, and a (k, 4, 4)
+    stack of initial states the (k, *t.shape, 4, 4) or
+    (k, m, *t.shape, 4, 4) stack of their trajectories. A grid gives the
+    same bits as its times one at a time, a sequence of mu as its mu one at
+    a time, and a stack as its states one at a time.
 
     rho, mu and the noise values are validated; the returned states are
     valid by construction and are not checked (see the module docstring)."""

@@ -8,8 +8,9 @@ and all of its lines, in chunks of text, and only then does `main` open
 the output and write them, so a sweep that fails part-way leaves no
 partial CSV behind.
 Exit codes: 0 success, 2 invalid usage or parameters, 3 numeric failure or
-out of memory. When the first argument names a subcommand, `main` builds the
-subparser of that subcommand only.
+out of memory. `main` builds one argparse parser per call: when the first
+argument names a subcommand, the parser of that subcommand only, else the
+top-level parser that lists the subcommands.
 
 This module loads no numpy. It parses argv and checks every scalar option
 (the noise parameters, --tmax, --steps, --mu, --c and the probe names) with
@@ -316,33 +317,45 @@ _SUBCOMMANDS = {
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The `corrchan` parser. When `command` names a subcommand, its only
-    subparser is that subcommand's, with its options and `func`, and the
-    usage line still lists every name. Any other value, None included,
-    gives a subparser with only the name and help of each subcommand.
+    """The parser of the subcommand `command`, `corrchan <command>`, with its
+    options and defaults `command` and `func`: what argparse's subparser of
+    that name would be. Any other value, None included, gives the top-level
+    `corrchan` parser, whose subparsers hold only the name and help of each
+    subcommand.
 
     The help width is argparse's own, the terminal width less 2, worked out
     once per parser: argparse builds a formatter for every option it adds,
     and each would query the terminal again."""
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
+    if command in _SUBCOMMANDS:
+        func, _, options = _SUBCOMMANDS[command]
+        parser = argparse.ArgumentParser(prog=f"corrchan {command}", formatter_class=formatter)
+        parser.set_defaults(command=command, func=func)
+        for flag, kwargs in options:
+            parser.add_argument(flag, **kwargs)
+        return parser
     parser = argparse.ArgumentParser(
         prog="corrchan", formatter_class=formatter,
         description="Correlated non-Markovian channels: trajectories, measures "
                     "and error-correction sweeps, as deterministic CSV.")
-    if command in _SUBCOMMANDS:
-        subs = parser.add_subparsers(dest="command", required=True,
-                                     metavar="{%s}" % ",".join(_SUBCOMMANDS))
-        func, summary, options = _SUBCOMMANDS[command]
-        sub = subs.add_parser(command, help=summary, formatter_class=formatter)
-        sub.set_defaults(func=func)
-        for flag, kwargs in options:
-            sub.add_argument(flag, **kwargs)
-    else:
-        subs = parser.add_subparsers(dest="command", required=True)
-        for name, (_, summary, _) in _SUBCOMMANDS.items():
-            subs.add_parser(name, help=summary, formatter_class=formatter)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary, _) in _SUBCOMMANDS.items():
+        subs.add_parser(name, help=summary, formatter_class=formatter)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The options of argv. The top-level parser's only option is -h, so
+    argv[0] alone can name a subcommand, and then its parser alone reads
+    the rest, as argparse's subparser would; what it leaves over is a
+    top-level usage error, as argparse reports it."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        if rest:
+            build_parser(None).error(f"unrecognized arguments: {' '.join(rest)}")
+        return args
+    return build_parser(None).parse_args(argv)
 
 
 def _load_config(path: str) -> list[str]:
@@ -403,10 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     argv = list(argv)
     try:
-        argv = _apply_config(argv)
-        # the top-level parser's only option is -h, so only argv[0] can name
-        # the subcommand whose subparser needs building
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _parse(_apply_config(argv))
         if args.config is not None:  # _apply_config took out the first --config
             raise ValueError(f"config file {args.config!r} is not read: give one --config FILE")
         for name, value in vars(args).items():

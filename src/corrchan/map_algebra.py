@@ -17,12 +17,18 @@ as 16 x 16 matrices (`oracle.dephasing_transfer`,
 `oracle.correlated_oun_generator`), the Kraus sum `oracle.transfer_matrix`
 and the finite-difference `oracle.generator` are their independent oracle
 in the tests.
+
+Both also take a sequence of k mu, evaluated in one pass like
+`channels.evolve`: p(t) once, each mu a float column over the times, and a
+leading mu axis of length k on the result, each row with the bits of a call
+with its mu.
 """
 
 import numpy as np
 
+from .channels import _mu_column
 from .noise import noise_p, oun_p
-from .params import NmadParams, NoiseParams, OunParams, _check_mu
+from .params import NmadParams, NoiseParams, OunParams
 
 # Diagonal slot groups of the two-qubit basis under correlated dephasing,
 # indexed a = 4i + j: (i, j) both in {0, 3} -> eigenvalue 1; exactly one index
@@ -32,10 +38,11 @@ SINGLE_FLIP_SLOTS = (1, 2, 4, 7, 8, 11, 13, 14)
 DOUBLE_FLIP_SLOTS = (5, 6, 9, 10)
 
 
-def accessible_volume(noise: NoiseParams, mu: float, t):
+def accessible_volume(noise: NoiseParams, mu, t):
     """Volume of accessible states V(t) = det F(t) of the correlated channel
     of the noise family, at a time or over an array of times (the same bits
-    either way), as the product of the eigenvalues of F from one p(t).
+    either way), as the product of the eigenvalues of F from one p(t); for
+    a sequence of k mu, shape (k, *t.shape).
 
     Correlated dephasing (RTN, OUN) has a diagonal F: V = p^8 tau^4, tau =
     mu + (1 - mu) p^2. Correlated amplitude damping (NMAD) is triangular in
@@ -46,7 +53,7 @@ def accessible_volume(noise: NoiseParams, mu: float, t):
     a sum of nonnegative terms, so V keeps its relative accuracy where F is
     nearly singular. mu outside [0, 1] is a ValueError.
     """
-    _check_mu(mu)
+    mu = _mu_column(mu, np.ndim(t))
     p = noise_p(noise, t)
     # powers by squaring: unlike np.power, a product rounds alike in a grid
     # and at a single time
@@ -60,24 +67,27 @@ def accessible_volume(noise: NoiseParams, mu: float, t):
     return np.square(np.square(p2)) * np.square(np.square(mu + (1 - mu) * p2))
 
 
-def correlated_oun_rates(t, params: OunParams, mu: float):
+def correlated_oun_rates(t, params: OunParams, mu):
     """Closed-form generator rates (single-flip, double-flip) of the
-    correlated OUN channel, at a time or over an array of times.
+    correlated OUN channel, at a time or over an array of times; for a
+    sequence of k mu, both of shape (k, *t.shape).
 
     Differentiating log of the diagonal F entries gives
       rate_single = -(G/2)(1 - exp(-g t)),
       rate_double = -G (1 - exp(-g t)) (1 - mu) p^2 / tau(mu),
     with tau(mu) = mu + (1 - mu) p^2. At mu = 0 the double-flip rate is twice
     the single-flip rate, taken exactly, since (1 - mu) p^2 / tau is 0/0 once
-    p^2 underflows; at mu = 1 it vanishes (the tau slots freeze at mu).
-    mu outside [0, 1] is a ValueError.
+    p^2 underflows, in each row of a sequence whose mu is 0; at mu = 1 it
+    vanishes (the tau slots freeze at mu). mu outside [0, 1] is a
+    ValueError.
     """
-    _check_mu(mu)
+    mu = _mu_column(mu, np.ndim(t))
     G, g = params.G, params.g
     p2 = np.square(oun_p(t, params))
-    rate_single = (G / 2) * np.expm1(-g * t)
-    if mu == 0:
-        return rate_single, 2 * rate_single
-    tau = mu + (1 - mu) * p2
-    rate_double = G * np.expm1(-g * t) * (1 - mu) * p2 / tau
-    return rate_single, rate_double
+    decay = np.expm1(-g * t)
+    rate_single = (G / 2) * decay
+    zero = np.equal(mu, 0)
+    # tau is read as 1 where mu = 0, whose rate is not taken from it
+    tau = np.where(zero, 1.0, mu + (1 - mu) * p2)
+    rate_double = np.where(zero, 2 * rate_single, G * decay * (1 - mu) * p2 / tau)
+    return np.array(np.broadcast_to(rate_single, rate_double.shape)), rate_double

@@ -207,22 +207,20 @@ def probe_state(name: str) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def _random_unitary(rng: "np.random.Generator") -> np.ndarray:
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def random_bell_probes(count: int, seed: int = 0) -> list[np.ndarray]:
-    """Seeded local-unitary rotations (U (x) V)|phi+> as density matrices."""
-    rng = np.random.default_rng(seed)
-    out = []
-    base = np.array(KETS["phi+"], dtype=complex)
-    for _ in range(count):
-        u = np.kron(_random_unitary(rng), _random_unitary(rng))
-        ket = u @ base
-        out.append(np.outer(ket, ket.conj()))
-    return out
+    """Seeded local-unitary rotations (U (x) V)|phi+> as density matrices.
+
+    U and V are Haar-random: the Q factor of a complex Gaussian matrix, its
+    columns rephased by the diagonal of R. All of them come from one draw,
+    in the order of the real and then the imaginary part of U, then of V,
+    probe by probe, and one stacked QR."""
+    z = np.random.default_rng(seed).normal(size=(count, 2, 2, 2, 2))
+    q, r = np.linalg.qr(z[:, :, 0] + 1j * z[:, :, 1])
+    diag = r.diagonal(axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[..., None, :]
+    u = (q[:, 0, :, None, :, None] * q[:, 1, None, :, None, :]).reshape(count, 4, 4)  # U (x) V
+    ket = u @ np.array(KETS["phi+"], dtype=complex)
+    return list(ket[:, :, None] * ket.conj()[:, None, :])
 
 
 # --------------------------------------------------------------------------

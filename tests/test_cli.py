@@ -121,23 +121,24 @@ def test_blp_subcommand(tmp_path):
         assert vals["00:11"] == 0.0  # dephasing-insensitive pair
 
 
-BLP_ARGV = ["blp", "--random-probes", "20", "--mu", "0,0.7", "--tmax", "30", "--steps", "40"]
+BLP_ARGV = ["blp", "--random-probes", "20", "--mu", "0,0.7", "--tmax", "30", "--steps", "400"]
 
 
 def test_blp_evolves_at_most_one_chunk_at_once(monkeypatch, tmp_path):
-    # 4 default pairs and 20 random ones are 48 probe states per mu
+    # 4 default pairs and 20 random ones are 48 probe states, at 2 mu and 400
+    # times: more (probe, mu, t) state points than one pass holds
     import corrchan.sweeps as sweeps_mod
 
     evolve, sizes = sweeps_mod.evolve, []
 
-    def counting_evolve(noise, mu, times, probes):
-        sizes.append(len(probes))
-        return evolve(noise, mu, times, probes)
+    def counting_evolve(noise, mus, times, probes):
+        sizes.append(len(probes) * len(mus) * len(times))
+        return evolve(noise, mus, times, probes)
 
     monkeypatch.setattr(sweeps_mod, "evolve", counting_evolve)
     assert main([*BLP_ARGV, "--out", str(tmp_path / "x.csv")]) == 0
-    assert sum(sizes) == 2 * 48
-    assert max(sizes) <= sweeps_mod._BLP_CHUNK < 48
+    assert sum(sizes) == 2 * 48 * 400
+    assert max(sizes) <= sweeps_mod._PASS_POINTS < 2 * 48 * 400
 
 
 def test_blp_chunks_write_the_csv_of_one_stack(monkeypatch, tmp_path):
@@ -145,7 +146,7 @@ def test_blp_chunks_write_the_csv_of_one_stack(monkeypatch, tmp_path):
 
     chunked, whole = tmp_path / "chunked.csv", tmp_path / "whole.csv"
     assert main([*BLP_ARGV, "--out", str(chunked)]) == 0
-    monkeypatch.setattr(sweeps_mod, "_BLP_CHUNK", sys.maxsize)
+    monkeypatch.setattr(sweeps_mod, "_PASS_POINTS", sys.maxsize)
     assert main([*BLP_ARGV, "--out", str(whole)]) == 0
     assert chunked.read_bytes() == whole.read_bytes()
 
@@ -419,9 +420,9 @@ def test_invalid_input_rejected_without_output(args, capsys):
     assert err.startswith("error: ")
 
 
-# each CSV subcommand and the binding it calls once per mu (sss: per
-# (g^-1, mu) cell; qec: the spot check that `success_vs_time` makes once for
-# all mu, row by row)
+# each CSV subcommand and the binding that evaluates its mu, once for all mu
+# of these small grids (sss: once per g^-1; qec: the spot check that
+# `success_vs_time` makes once for all mu, row by row)
 SWEEP_BINDINGS = {"evolve": "sweeps.evolve", "concurrence": "sweeps.evolve",
                   "tracedist": "sweeps.evolve", "blp": "sweeps.evolve",
                   "volume": "sweeps.accessible_volume",
@@ -439,9 +440,9 @@ def test_failed_sweep_leaves_no_csv(command, monkeypatch, tmp_path):
     seen = []
 
     def fail_on_second_value(*args, **kwargs):
-        # the grid commands fail at the second mu; sss, with one mu, at the
-        # second g^-1
-        seen.append(len(seen) if command == "sss" else args[1])
+        # the grid commands fail at the second mu's row of their one call;
+        # sss, with one mu, at the second g^-1
+        seen.extend([len(seen)] if command == "sss" else args[1])
         if len(set(seen)) > 1:
             raise NumericError("injected failure")
         return real(*args, **kwargs)
@@ -474,17 +475,19 @@ SUBCOMMANDS = ("evolve", "concurrence", "tracedist", "blp", "sss", "volume", "qe
 
 
 def _parser_with_every_option():
-    """One parser holding every subcommand's options, as `main` built it
-    before it built only the invoked subcommand's."""
-    from corrchan.cli import build_parser
+    """One parser holding every subcommand's options as argparse
+    subparsers, built from the table `cli._SUBCOMMANDS`, as `main` built it
+    before it built only the invoked subcommand's parser."""
+    from corrchan.cli import _SUBCOMMANDS, build_parser
 
-    def subparsers(parser):
-        [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        return action.choices
-
-    parser = build_parser(None)
-    for name in SUBCOMMANDS:
-        subparsers(parser)[name] = subparsers(build_parser(name))[name]
+    parser = argparse.ArgumentParser(prog="corrchan", description=build_parser(None).description)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (func, summary, options) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=summary)
+        sub.set_defaults(func=func)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+    assert list(subs.choices) == list(SUBCOMMANDS)
     return parser
 
 
@@ -508,7 +511,7 @@ def _usage_cases(config):
 
 
 def test_usage_matches_a_parser_with_every_option(monkeypatch, capsys, tmp_path):
-    """`main` builds only the invoked subcommand's options; on help, usage
+    """`main` builds only the invoked subcommand's parser; on help, usage
     errors and --config it prints what a parser with every option prints."""
     import corrchan.cli as cli_mod
 
@@ -519,7 +522,7 @@ def test_usage_matches_a_parser_with_every_option(monkeypatch, capsys, tmp_path)
         assert main(list(argv)) == code, argv
         lazy = capsys.readouterr()
         with monkeypatch.context() as m:
-            m.setattr(cli_mod, "build_parser", lambda command: every)
+            m.setattr(cli_mod, "_parse", every.parse_args)
             assert main(list(argv)) == code, argv
         assert capsys.readouterr() == lazy, argv
 
@@ -536,8 +539,8 @@ def test_classify_errors_builds_no_other_options(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
     assert main(["classify-errors"]) == 0
     capsys.readouterr()
-    # -h on the top-level parser and on the one subparser: two parsers in all
-    assert added.count(("-h", "--help")) == 2
+    # -h on the subcommand's parser: one parser in all
+    assert added.count(("-h", "--help")) == 1
     assert [args for args in added if args != ("-h", "--help")] == [("--config",)]
 
 
@@ -553,8 +556,8 @@ def test_freeze_check_builds_no_other_options(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
     assert main(["freeze-check"]) == 0
     capsys.readouterr()
-    # -h on the top-level parser and on the one subparser: two parsers in all
-    assert added.count(("-h", "--help")) == 2
+    # -h on the subcommand's parser: one parser in all
+    assert added.count(("-h", "--help")) == 1
     assert [args for args in added if args != ("-h", "--help")] == [
         ("--state",), ("--c",), ("--channel",), ("--mu",), ("--config",)]
 
@@ -572,9 +575,6 @@ def test_help_width_is_worked_out_once_per_parser(columns, monkeypatch, capsys):
         assert main([*argv, "-h"]) == 0
         printed = capsys.readouterr().out
         parser = build_parser(argv[0] if argv else None)
-        if argv:
-            [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-            parser = action.choices[argv[0]]
         parser.formatter_class = argparse.HelpFormatter
         assert printed == parser.format_help(), argv
     queries = []
@@ -930,9 +930,10 @@ def test_sweep_rows_equal_one_array_per_mu(width):
     layouts = _constant_column_layouts(values)
     cells_of_mu = []
 
-    def layout_cells(noise, mu, times):
-        cells_of_mu.append(next(layouts))
-        return cells_of_mu[-1][:, 0] if width == 1 else cells_of_mu[-1]
+    def layout_cells(noise, mus, times):
+        cells_of_mu.extend(next(layouts) for _ in mus)
+        stacked = np.stack(cells_of_mu[-len(mus):])
+        return stacked[..., 0] if width == 1 else stacked
 
     header, chunks = _sweep(args, [f"c{k}" for k in range(width)], layout_cells)
     assert len(cells_of_mu) == len(mus)
@@ -1087,17 +1088,17 @@ def test_trajectory_commands_build_no_kraus_set(monkeypatch, tmp_path):
             assert main(command + ["--noise", noise, "--steps", "5", "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("command, matrices", [("evolve", 3), ("concurrence", 3),
-                                               ("tracedist", 6), ("blp", 24)])
-def test_default_preset_validates_only_the_probes(command, matrices, monkeypatch, tmp_path):
+@pytest.mark.parametrize("command, trajectories", [("evolve", 3), ("concurrence", 3),
+                                                   ("tracedist", 6), ("blp", 24)])
+def test_default_preset_validates_only_the_probes(command, trajectories, monkeypatch, tmp_path):
     """The default presets evolve 1, 1, 2 and 8 probe states over 500 times
-    for each of 3 mu, in one `evolve` call per mu. Each probe state is
-    validated once per mu, as the input of `evolve`, where it enters the
-    package; the evolved states are measured or printed without being
-    validated again. Validation takes one eigvalsh of the probes; the only
-    other matrices eigvalsh sees are the 3 x 500 differences of the `++:--`
-    pair of `blp`, the one default pair that is not X-shaped; every other
-    trace distance and concurrence is in closed form."""
+    for each of 3 mu, 3, 3, 6 and 24 trajectories, in one `evolve` call.
+    Each probe state is validated once, as the input of `evolve`, where it
+    enters the package; the evolved states are measured or printed without
+    being validated again. Validation takes one eigvalsh of the probes; the
+    only other matrices eigvalsh sees are the 3 x 500 differences of the
+    `++:--` pair of `blp`, the one default pair that is not X-shaped; every
+    other trace distance and concurrence is in closed form."""
     import corrchan.sweeps as sweeps_mod
 
     eigvalsh, evolve = np.linalg.eigvalsh, sweeps_mod.evolve
@@ -1107,15 +1108,15 @@ def test_default_preset_validates_only_the_probes(command, matrices, monkeypatch
         solved.append(m.size // 16)
         return eigvalsh(m)
 
-    def counting_evolve(*args):
-        evolve_calls.append(args)
-        return evolve(*args)
+    def counting_evolve(noise, mus, times, probes):
+        evolve_calls.append(len(mus) * (len(probes) if probes.ndim == 3 else 1))
+        return evolve(noise, mus, times, probes)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(sweeps_mod, "evolve", counting_evolve)
     assert main([command, "--out", str(tmp_path / "x.csv")]) == 0
-    assert sum(solved) == matrices + (1500 if command == "blp" else 0)
-    assert len(evolve_calls) == 3
+    assert evolve_calls == [trajectories]
+    assert sum(solved) == trajectories // 3 + (1500 if command == "blp" else 0)
 
 
 _NAMES = "('phi+', 'phi-', 'psi+', 'psi-', 'alpha', '00', '11', '++', '--')"

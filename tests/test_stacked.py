@@ -8,7 +8,9 @@ at a time, to 1e-12. Bit equality also holds for the accessible-state
 volume, the success probability of error correction and the rates of the
 correlated OUN generator, which `volume`, `qec` and `sss` evaluate over the
 grid, for the NMAD decay rate, and for the closed-form transfer matrices of
-the oracle. A stack of
+the oracle. A sequence of mu gives the stack of the calls with each mu, bit
+for bit, and the commands evaluate their (probe, mu, t) points in passes of
+at most `sweeps._PASS_POINTS`. A stack of
 SSS rate pairs on one grid gives each row's measure with the bits of a
 one-row call, and fails as a whole where one row fails.
 """
@@ -18,8 +20,9 @@ import re
 import numpy as np
 import pytest
 
-from corrchan import measures
-from corrchan.channels import evolve
+from corrchan import measures, sweeps
+from corrchan.channels import evolve, evolve_damping, evolve_dephasing
+from corrchan.cli import main
 from corrchan.errors import NumericError, ValidationError
 from corrchan.linalg import validate_density
 from corrchan.map_algebra import accessible_volume, correlated_oun_rates
@@ -241,3 +244,164 @@ def test_sss_stack_with_an_uncertified_row_fails_whole(monkeypatch):
         sss_measure(SSS_TIMES, (a, b), None)
     failures = {out for out in sss_rows(a, b, True) if isinstance(out, str)}
     assert failures == {str(stacked.value)}
+
+
+# A sequence of mu in one call: the edges -0.0, 1e-300, 0 and 1 as well.
+MUS = [-0.0, 1e-300, 0.0, 0.5, 1.0]
+MU_NOISES = {"rtn": NOISES["rtn"], "oun": NOISES["oun"], "nmad-under": NOISES["nmad"],
+             "nmad-critical": NmadParams(gamma0=1.0, g=2.0),
+             "nmad-over": NmadParams(gamma0=1.0, g=4.0)}
+MU_PROBES = np.stack([probe_state(name) for name in PROBE_NAMES] + random_bell_probes(2, seed=5))
+
+
+def _stack_of_calls(fn, mus, axis=0):
+    return np.stack([fn(mu) for mu in mus], axis=axis)
+
+
+def _same_bits(many, stack):
+    assert many.shape == stack.shape
+    assert many.tobytes() == stack.tobytes()
+
+
+@pytest.mark.parametrize("noise", sorted(MU_NOISES))
+def test_evolve_over_mu_equals_the_stack_of_calls(noise):
+    """One state and a probe stack, over the grid and at one time: the mu
+    axis comes after the probe axis. RTN's p goes negative on this grid."""
+    params = MU_NOISES[noise]
+    assert noise != "rtn" or noise_p(params, TIMES).min() < 0
+    for t in (TIMES, TIMES[9]):
+        for rho, axis in ((MU_PROBES[0], 0), (MU_PROBES, 1)):
+            _same_bits(evolve(params, MUS, t, rho),
+                       _stack_of_calls(lambda mu: evolve(params, mu, t, rho), MUS, axis))
+
+
+@pytest.mark.parametrize("fn, p", [(evolve_dephasing, np.linspace(-1.0, 1.0, 37)),
+                                   (evolve_damping, np.linspace(0.0, 1.0, 37))])
+def test_closed_forms_over_mu_equal_the_stack_of_calls(fn, p):
+    for values in (p, p[5], p.reshape(37, 1)[:6]):
+        for rho, axis in ((MU_PROBES[3], 0), (MU_PROBES, 1)):
+            _same_bits(fn(rho, values, MUS), _stack_of_calls(lambda mu: fn(rho, values, mu),
+                                                              MUS, axis))
+
+
+@pytest.mark.parametrize("noise", sorted(MU_NOISES))
+def test_volume_over_mu_equals_the_stack_of_calls(noise):
+    params = MU_NOISES[noise]
+    for t in (TIMES, TIMES[9]):
+        _same_bits(accessible_volume(params, MUS, t),
+                   _stack_of_calls(lambda mu: accessible_volume(params, mu, t), MUS))
+
+
+def test_oun_rates_over_mu_equal_the_stack_of_calls():
+    # p^2 underflows to 0 past t of about 750 at G = 1: at mu = 0 the double
+    # rate is twice the single rate there, and not 0/0
+    params = OunParams(G=1.0, g=0.05)
+    times = np.linspace(0.0, 1000.0, 101)
+    assert np.square(noise_p(params, times[-1])) == 0.0
+    for t in (times, times[-1], times[3]):
+        single, double = correlated_oun_rates(t, params, MUS)
+        stack = _stack_of_calls(lambda mu: np.stack(correlated_oun_rates(t, params, mu)), MUS, 1)
+        _same_bits(np.stack([single, double]), stack)
+    assert np.isfinite(double).all() and double[0] == double[2] == 2 * single[2]
+
+
+@pytest.mark.parametrize("call", [
+    lambda mus: evolve(NOISES["rtn"], mus, TIMES, probe_state("phi+")),
+    lambda mus: evolve(NOISES["nmad"], mus, TIMES, probe_state("phi+")),
+    lambda mus: accessible_volume(NOISES["nmad"], mus, TIMES),
+    lambda mus: correlated_oun_rates(TIMES, NOISES["oun"], mus),
+], ids=["dephasing", "damping", "volume", "rates"])
+def test_each_mu_of_a_sequence_is_checked(call):
+    for bad in (1.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match=f"mu must lie in \\[0, 1\\], got {bad}"):
+            call([0.5, bad])
+
+
+def _passes_of(command, argv, monkeypatch):
+    """The (probes, mu, times) of each pass that `command` evaluates."""
+    passes = []
+    if command == "volume":
+        real = sweeps.accessible_volume
+
+        def counting(noise, mus, times):
+            passes.append((1, len(mus), len(times)))
+            return real(noise, mus, times)
+        monkeypatch.setattr(sweeps, "accessible_volume", counting)
+    else:
+        real = sweeps.evolve
+
+        def counting(noise, mus, times, probes):
+            passes.append((len(probes) if probes.ndim == 3 else 1, len(mus), len(times)))
+            return real(noise, mus, times, probes)
+        monkeypatch.setattr(sweeps, "evolve", counting)
+    assert main([command, *argv, "--out", "-"]) == 0
+    return passes
+
+
+COMMAND_PROBES = {"evolve": 1, "concurrence": 1, "volume": 1, "tracedist": 2, "blp": 12}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_PROBES))
+def test_passes_hold_at_most_the_bound(command, monkeypatch, capsys):
+    """Every (probe, mu, t) point is evaluated once, in passes of at most
+    _PASS_POINTS points wherever one mu of one probe group fits; each pass
+    holds whole probe pairs and at least one mu. Here the bound is 600
+    points, and the grids are 3 mu by 20, 100, 250 and 700 times."""
+    monkeypatch.setattr(sweeps, "_PASS_POINTS", 600)
+    probes = COMMAND_PROBES[command]
+    whole = 2 if probes > 1 else 1  # the probes of a pair are evolved together
+    extra = ["--random-probes", "2"] if command == "blp" else []
+    for steps in (20, 100, 250, 700):
+        passes = _passes_of(command, [*extra, "--mu", "0,0.5,0.9", "--steps", str(steps)],
+                            monkeypatch)
+        capsys.readouterr()
+        for group, mus, times in passes:
+            assert times == steps and mus >= 1 and group % whole == 0
+            # above the bound only where one mu of one group is
+            assert group * mus * times <= 600 or (mus, group) == (1, whole)
+        assert sum(group * mus for group, mus, _ in passes) == 3 * probes
+        if probes * 3 * steps <= 600:
+            assert passes == [(probes, 3, steps)]
+
+
+@pytest.mark.parametrize("command", ["evolve", "concurrence", "tracedist", "volume"])
+def test_grid_above_the_bound_takes_one_mu_per_pass(command, monkeypatch, capsys):
+    """At more grid points than the bound holds, each pass holds one mu, as
+    when every mu was a call of its own; the presets take one pass."""
+    steps = sweeps._PASS_POINTS + 1
+    passes = _passes_of(command, ["--steps", str(steps)], monkeypatch)
+    capsys.readouterr()
+    probes = 2 if command == "tracedist" else 1
+    assert passes == [(probes, 1, steps)] * 3
+    preset = _passes_of(command, [], monkeypatch)
+    capsys.readouterr()
+    assert preset == [(probes, 3, 1000 if command == "volume" else 500)]
+
+
+def _random_bell_probes_one_by_one(count, seed):
+    """The probes of `random_bell_probes` drawn one unitary at a time: the
+    definition that its one draw and stacked QR reproduce."""
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        q, r = np.linalg.qr(z)
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    base = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    out = []
+    for _ in range(count):
+        ket = np.kron(unitary(), unitary()) @ base
+        out.append(np.outer(ket, ket.conj()))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 878440, 12345])
+@pytest.mark.parametrize("count", [0, 1, 2, 4, 6])
+def test_random_bell_probes_equal_one_draw_per_unitary(seed, count):
+    probes = random_bell_probes(count, seed=seed)
+    expected = _random_bell_probes_one_by_one(count, seed)
+    assert isinstance(probes, list) and len(probes) == count
+    for probe, reference in zip(probes, expected):
+        assert probe.shape == (4, 4)
+        assert probe.tobytes() == reference.tobytes()  # signed zeros included
