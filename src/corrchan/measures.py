@@ -241,17 +241,21 @@ SSS_MAX_ITERATIONS = 100
 _METRIC = np.sqrt([len(SINGLE_FLIP_SLOTS), len(DOUBLE_FLIP_SLOTS)])
 
 
-def _weighted_median(a, b, weights):
-    """A weighted median of points (a, b) that lie exactly on one line, or
-    nan, nan when they do not: the exact minimiser of sum w |P - z| there."""
-    da, db = a - a[0], b - b[0]
-    far = np.argmax(np.abs(da) + np.abs(db))
-    if not np.all(da * db[far] == db * da[far]):
-        return np.nan, np.nan
-    order = np.argsort(da * da[far] + db * db[far], kind="stable")
-    cumulative = np.cumsum(weights[order])
-    k = order[np.searchsorted(cumulative, 0.5 * cumulative[-1])]
-    return a[k], b[k]
+def _chord_median(a, b, weights):
+    """Per row of the (k, n) rate stacks a and b, the weighted median of the
+    points (a, b) in their order along the chord from the first point to the
+    farthest one, and whether the row's points lie exactly on that line. On
+    a line the median is the exact minimiser of sum w |P - z|; off it, a data
+    point near the minimiser of the row, from which the iteration starts."""
+    da, db = a - a[:, :1], b - b[:, :1]
+    far = np.argmax(np.abs(da) + np.abs(db), axis=-1)[:, None]
+    da_far, db_far = np.take_along_axis(da, far, -1), np.take_along_axis(db, far, -1)
+    collinear = np.all(da * db_far == db * da_far, axis=-1)
+    order = np.argsort(da * da_far + db * db_far, axis=-1, kind="stable")
+    cumulative = np.cumsum(weights[order], axis=-1)
+    median = np.sum(cumulative < 0.5 * cumulative[:, -1:], axis=-1)
+    k = np.take_along_axis(order, median[:, None], -1)
+    return np.take_along_axis(a, k, -1)[:, 0], np.take_along_axis(b, k, -1)[:, 0], collinear
 
 
 def _cheapest_fill(need, capacity, price):
@@ -357,6 +361,17 @@ def _line_search(u, f, step, slope, points, weights, todo):
     return trial, f_trial
 
 
+def _weiszfeld(points, weights, dist):
+    """The Weiszfeld step (Tohoku Math. J. 43, 1937) of each row: the mean
+    of its points Q_t weighted by w_t / d_t, d_t their distances from the
+    iterate. It is taken only off a kink; a point at the iterate whose
+    weight is lost in the rounding of the gradient norm makes none, and is
+    left out of the mean."""
+    off = dist > 0
+    inv = np.where(off, weights, 0.0) / np.where(off, dist, 1.0)
+    return (inv[:, None] @ points)[:, 0] / inv.sum(axis=-1)[:, None]
+
+
 def _free_minimiser(a, b, weights):
     """Rates (x, y) minimising f(x, y) = sum_t w_t sqrt(8 (a_t - x)^2
     + 4 (b_t - y)^2), a weighted Fermat-Weber problem, with a certificate,
@@ -364,9 +379,13 @@ def _free_minimiser(a, b, weights):
     shape a.shape[:-1]. Each row gets the bits it gets alone.
 
     Exactly collinear points (correlated OUN at mu = 0 or 1) give a weighted
-    median. The other rows iterate together, each on its own branch: damped
-    Newton steps, from a kink along its least subgradient, with a Weiszfeld
-    step (Tohoku Math. J. 43, 1937) where Newton fails to descend, until
+    median, and the other rows start at the same ordering's median, their
+    chord median (`_chord_median`): a data point near the minimiser, at no
+    extra cost. OUN rates crowd at their t -> infinity asymptote, so the
+    weighted centroid lies far from the minimiser, and the first steps from
+    it barely lower f. The rows iterate together, each on its own branch:
+    damped Newton steps, from a kink along its least subgradient, with a
+    Weiszfeld step (`_weiszfeld`) where Newton fails to descend, until
     f(z) - min f <= SSS_TOL * f(z) is certified (`_gap`), at the data point
     nearest to the iterate or at the iterate, checked in that order; a
     minimiser on a data point is returned exactly. A row leaves once
@@ -376,10 +395,10 @@ def _free_minimiser(a, b, weights):
     """
     shape = np.shape(a)[:-1]
     a, b = (np.reshape(rate, (-1, np.shape(rate)[-1])) for rate in (a, b))
-    x, y = np.array([_weighted_median(*row, weights) for row in zip(a, b)]).reshape(-1, 2).T
-    rows = np.flatnonzero(np.isnan(x))
+    x, y, collinear = _chord_median(a, b, weights)
+    rows = np.flatnonzero(~collinear)
     points = np.stack([a[rows], b[rows]], axis=-1) * _METRIC
-    u = weights @ points / weights.sum()
+    u = np.stack([x[rows], y[rows]], axis=-1) * _METRIC
     for _ in range(SSS_MAX_ITERATIONS):
         if not len(rows):
             break
@@ -398,7 +417,8 @@ def _free_minimiser(a, b, weights):
         jump = f_k < f * (1 - _F_ROUNDING)
         go = np.ones(len(rows), dtype=bool)
         if (near_k | jump).any():
-            at_k = _local(point_k, points, weights)
+            # from a data point, such as the start, the nearest point is u
+            at_k = at_z if np.array_equal(point_k, u) else _local(point_k, points, weights)
             # the rows that jump go on from their nearest point
             u = np.where(jump[:, None], point_k, u)
             f, least, grad, hess, dist = (
@@ -426,8 +446,7 @@ def _free_minimiser(a, b, weights):
         # no kink at u: the Weiszfeld step never increases f
         weiszfeld = np.flatnonzero(go & ~moving & (least == norm))
         if len(weiszfeld):
-            inv = weights / dist[weiszfeld]
-            trial[weiszfeld] = (inv[:, None] @ points[weiszfeld])[:, 0] / inv.sum(axis=-1)[:, None]
+            trial[weiszfeld] = _weiszfeld(points[weiszfeld], weights, dist[weiszfeld])
             moving[weiszfeld] = True
         # the nearest point and then z are checked after the step, so that f
         # at the trial as well can rule their gaps out: it bounds min f from

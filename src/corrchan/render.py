@@ -244,4 +244,7 @@ def _text(batch) -> str:
         row += len(data)
     words[:, 0] &= ~np.uint64(0xFF)  # no separator before the first cell
     used = np.bitwise_or.reduce(words, axis=0).view(np.uint8) != 0
-    return words.view(np.uint8)[:, used].tobytes().translate(None, b"\0").decode("ascii")
+    # `take` keeps C order; a boolean index on axis 1 returns F order, which
+    # `tobytes` copies through a transpose
+    kept = words.view(np.uint8).take(np.flatnonzero(used), axis=1)
+    return kept.tobytes().translate(None, b"\0").decode("ascii")

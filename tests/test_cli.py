@@ -612,6 +612,23 @@ def test_free_sss_preset_evaluates_few_gaps(monkeypatch, tmp_path):
     assert 0 < len(evaluated) <= 48
 
 
+def test_free_sss_preset_evaluates_few_local_models(monkeypatch, tmp_path):
+    # a deterministic guard on the solver cost: each row starts at its chord
+    # median, a data point near its minimiser, where a start at the weighted
+    # centroid took 18 evaluations of the local model
+    import corrchan.measures as measures_mod
+
+    local, evaluated = measures_mod._local, []
+
+    def counting_local(u, points, weights):
+        evaluated.append(len(u))
+        return local(u, points, weights)
+
+    monkeypatch.setattr(measures_mod, "_local", counting_local)
+    assert main(["sss", "--family", "free", "--out", str(tmp_path / "x.csv")]) == 0
+    assert 0 < len(evaluated) <= 8
+
+
 def test_sss_memory_does_not_grow_with_cells(tmp_path):
     # `sss` solves its cells in chunks of at most sweeps._SSS_CHUNK rate values:
     # twelve cells of 50000 times peak like one, where one stack of all of

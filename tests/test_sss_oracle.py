@@ -66,7 +66,10 @@ def test_rate_form_matches_the_16x16_norm(family, monkeypatch):
 
 
 # the seed-1 `map_measures` grid, the CLI defaults of `sss`, and a cell whose
-# free minimiser takes the Weiszfeld step of the stacked solver
+# rates lie within 1e-9 of a line, where the Hessian of f is singular to
+# rounding; its free minimiser took the Weiszfeld step from a start at the
+# weighted centroid, and from the chord median it takes none (test_stacked.py
+# reaches that step with constructed rates)
 SSS_GRIDS = {
     "map_measures": (0.601, (8.2, 59.7, 105.3), (0.0, 0.3, 0.6, 0.9), 100.0, 200),
     "defaults": (0.6, (10.0, 50.0, 100.0), (0.0, 0.3, 0.6, 0.9), 100.0, 400),

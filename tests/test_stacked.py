@@ -12,7 +12,10 @@ the oracle. A sequence of mu gives the stack of the calls with each mu, bit
 for bit, and the commands evaluate their (probe, mu, t) points in passes of
 at most `sweeps._PASS_POINTS`. A stack of
 SSS rate pairs on one grid gives each row's measure with the bits of a
-one-row call, and fails as a whole where one row fails.
+one-row call, and fails as a whole where one row fails. The chord median
+that the free solver starts from gives, over a stack, the bits of the
+per-row weighted median it replaced, and constructed rates still reach the
+solver's Weiszfeld step.
 """
 
 import re
@@ -244,6 +247,104 @@ def test_sss_stack_with_an_uncertified_row_fails_whole(monkeypatch):
         sss_measure(SSS_TIMES, (a, b), None)
     failures = {out for out in sss_rows(a, b, True) if isinstance(out, str)}
     assert failures == {str(stacked.value)}
+
+
+def weighted_median_reference(a, b, weights):
+    """The per-row weighted median that `_chord_median` replaced, kept as its
+    reference: nan, nan where the points are not exactly on one line."""
+    da, db = a - a[0], b - b[0]
+    far = np.argmax(np.abs(da) + np.abs(db))
+    if not np.all(da * db[far] == db * da[far]):
+        return np.nan, np.nan
+    order = np.argsort(da * da[far] + db * db[far], kind="stable")
+    cumulative = np.cumsum(weights[order])
+    k = order[np.searchsorted(cumulative, 0.5 * cumulative[-1])]
+    return a[k], b[k]
+
+
+def chord_median_stack():
+    """Twelve rows on SSS_TIMES: SSS_ROWS, of which mu = 0 (b = 2a) and mu = 1
+    (b = 0) are collinear, then a row of equal points and a collinear row in
+    shuffled order with repeated points."""
+    a, b = sss_stack()
+    shuffled = np.random.default_rng(7).integers(-4, 5, size=len(SSS_TIMES)).astype(float)
+    return (np.vstack([a, np.full(len(SSS_TIMES), -0.3), shuffled]),
+            np.vstack([b, np.full(len(SSS_TIMES), -0.6), -3 * shuffled]))
+
+
+SSS_STEPS = np.diff(SSS_TIMES)
+CHORD_WEIGHTS = {
+    "trapezoid": (np.append(SSS_STEPS, 0.0) + np.insert(SSS_STEPS, 0, 0.0)) / 200.0,
+    # 1, 2, ..., 2, 1: a collinear row in order reaches half the total exactly
+    "tie": np.concatenate([[1.0], np.full(len(SSS_TIMES) - 2, 2.0), [1.0]]),
+}
+
+
+@pytest.mark.parametrize("weights", sorted(CHORD_WEIGHTS))
+def test_chord_median_equals_the_per_row_weighted_median(weights):
+    weights = CHORD_WEIGHTS[weights]
+    a, b = chord_median_stack()
+    x, y, collinear = measures._chord_median(a, b, weights)
+    assert collinear.tolist() == [True, True] + [False] * 8 + [True, True]
+    for row, (single, double) in enumerate(zip(a, b)):
+        alone = measures._chord_median(a[row:row + 1], b[row:row + 1], weights)
+        assert [part.tobytes() for part in alone] == [
+            part[row:row + 1].tobytes() for part in (x, y, collinear)]
+        reference = weighted_median_reference(single, double, weights)
+        if collinear[row]:
+            assert np.array([x[row], y[row]]).tobytes() == np.array(reference).tobytes()
+        else:
+            # the start of the free iteration: a data point
+            assert np.isnan(reference).all()
+            assert ((single == x[row]) & (double == y[row])).any()
+    stacked = measures._free_minimiser(a, b, weights)
+    for row in range(len(a)):
+        alone = measures._free_minimiser(a[row], b[row], weights)
+        assert [part[row].tobytes() for part in stacked] == [part.tobytes() for part in alone]
+
+
+# Rates on the line b = 2a, listed out of order along it, and last a far point
+# off the line whose grid step of 2^-40 gives it a weight below rounding. The
+# chord from the first to the far point is perpendicular to the line, so the
+# chord median is the median in list order, not the minimiser. The iterate
+# moves along the line, where every other term is collinear with it and the
+# Hessian is singular to rounding, so Newton gives way to a Weiszfeld step.
+# Each case is (the times before the last, a before the far point, the a of
+# the weighted median along the line); in the last, a first grid step of
+# 1e-300 leaves the first point a weight below the rounding of the gradient,
+# and the Weiszfeld step is taken on it.
+WEISZFELD_CASES = [
+    (np.arange(4.0), [13.0, 7.0, 1.0, 16.0], 7.0),
+    (np.arange(5.0), [16.0, 12.0, 7.0, 11.0, 1.0], 11.0),
+    (np.arange(5.0), [5.0, 4.0, 14.0, 1.0, 2.0], 4.0),
+    (np.arange(4.0), [17.0, 14.0, 7.0, 19.0], 14.0),
+    (np.array([0.0, 1e-300, 1.0, 4.0, 8.0, 10.0, 13.0, 15.0, 18.0]),
+     [0.0, 11.0, 10.0, 10.0, 4.0, 18.0, 2.0, 6.0, 1.0], 6.0),
+]
+
+
+@pytest.mark.parametrize("case", range(len(WEISZFELD_CASES)))
+def test_free_minimiser_takes_the_weiszfeld_step(case, monkeypatch):
+    times, a, median = WEISZFELD_CASES[case]
+    times = np.append(times, times[-1] + 2.0 ** -40)
+    a = np.append(a, a[0] + 2e6)
+    b = 2 * a
+    b[-1] = 2 * a[0] - 1e6
+    weiszfeld, steps = measures._weiszfeld, []
+
+    def spy(points, weights, dist):
+        trial = weiszfeld(points, weights, dist)
+        # it never increases f, up to rounding, and a point at the iterate
+        # has too little weight to matter
+        assert (measures._objective(trial, points, weights)
+                <= np.vecdot(dist, weights) * (1 + measures._F_ROUNDING)).all()
+        steps.append(trial)
+        return trial
+
+    monkeypatch.setattr(measures, "_weiszfeld", spy)
+    zeta = sss_measure(times, (a, b), None)
+    assert steps
+    assert zeta == sss_measure(times, (a, b), (median, 2 * median))
 
 
 # A sequence of mu in one call: the edges -0.0, 1e-300, 0 and 1 as well.
