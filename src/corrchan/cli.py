@@ -197,8 +197,8 @@ def _cmd_sss(args):
             raise ValueError("--g-inverse requires positive finite values with a finite "
                              f"inverse, got {g_inv!r}")
     _check_grid(args)
-    args.oun_params = {g_inv: _noise_params(OunParams, G=args.G, g=1.0 / g_inv)
-                       for g_inv in args.g_inverses}
+    args.oun_params = [_noise_params(OunParams, G=args.G, g=1.0 / g_inv)
+                       for g_inv in args.g_inverses]
     # a step that `measures.sss_measure` would reject, found before numpy loads
     if args.tmax / (args.steps - 1) < sys.float_info.min:
         raise ValueError(f"--tmax {args.tmax!r} and --steps {args.steps}: {GRID_ERROR}")

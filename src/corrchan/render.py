@@ -24,6 +24,8 @@ notation for exponents -4 <= e < 12, else d.ddde+XX, with trailing zeros
 and a bare point dropped.
 """
 
+from itertools import accumulate
+
 import numpy as np
 
 _ZERO, _POINT, _MINUS, _COMMA = b"0.-,"
@@ -186,62 +188,45 @@ def lines(blocks) -> list[str]:
     one line per row, whose '%.12g' cells end the line, and lead the columns
     before them, words from `cells` or `labels` of data's rows or of one row
     that every line of the block repeats. Every column of a table has the
-    same width. The cells of as many blocks as fill CHUNK cells are rendered
-    in one pass; a column of data that is constant over its block is
-    rendered once, and NaN never equals itself, so a column with a NaN is
-    rendered in every row."""
-    chunks, batch, size = [], [], 0
+    same width. Each block is rendered on its own, in parts of as many lines
+    as fill CHUNK varying cells; a column of data that is constant over its
+    block is rendered once per part, and NaN never equals itself, so a
+    column with a NaN is rendered in every row."""
+    chunks = []
     for data, lead in blocks:
         data = np.asarray(data, dtype=float)
         lead = [np.reshape(column, (-1, column.shape[-1])) for column in lead]
         constant = (data == data[0]).all(axis=0)
-        columns = np.flatnonzero(constant), np.flatnonzero(~constant)
-        rows = max(1, CHUNK // max(len(columns[1]), 1))
+        fixed, varying = np.flatnonzero(constant), np.flatnonzero(~constant)
+        rows = max(1, CHUNK // max(len(varying), 1))
         for first in range(0, len(data), rows):
             part = slice(first, first + rows)
-            cost = len(columns[0]) + data[part].shape[0] * len(columns[1])  # cells to render
-            if size + cost > CHUNK and batch:
-                chunks.append(_text(batch))
-                batch, size = [], 0
-            batch.append((data[part], [c if len(c) == 1 else c[part] for c in lead], columns))
-            size += cost
-    if batch:
-        chunks.append(_text(batch))
+            chunks.append(_text(data[part], [c if len(c) == 1 else c[part] for c in lead],
+                                fixed, varying))
     return chunks
 
 
-def _text(batch) -> str:
-    """The lines of a batch of `lines`, its cells rendered in one pass: a
-    matrix of words, one row per line, that holds the first line of a block
-    with every cell the block repeats, copied to its other lines, then the
-    other cells; the byte places that are NUL in every line are dropped, and
-    the other NULs deleted."""
-    rendered = cells(np.concatenate([piece for data, _, (fixed, varying) in batch
-                                     for piece in (data[0, fixed], data[:, varying].ravel())]))
-    data, lead, _ = batch[0]
-    spans, offset = [], 0
-    for column in lead:
-        spans.append(slice(offset, offset + column.shape[1]))
-        offset += column.shape[1]
-    words = np.empty((sum(len(data) for data, _, _ in batch), offset + WORDS * data.shape[1] + 1),
-                     _WORD)
+def _text(data, lead, fixed, varying) -> str:
+    """The lines of a part of a block, its cells rendered in one `_cells`
+    call, in a matrix of words, one row per line: the first line takes every
+    cell that the part repeats and is copied to the other lines, which then
+    take their own cells; the byte places that are NUL in every line are
+    dropped, and the other NULs deleted."""
+    values = np.concatenate([data[0, fixed], data[:, varying].ravel()])
+    rendered = np.empty((len(values), WORDS), _WORD)
+    _cells(values, rendered)
+    spans = list(accumulate([column.shape[1] for column in lead], initial=0))
+    words = np.empty((len(data), spans[-1] + WORDS * data.shape[1] + 1), _WORD)
     words[:, -1] = _CRLF
-    row = at = 0
-    for data, lead, (fixed, varying) in batch:
-        block = words[row:row + len(data)]
-        line_cells = block[:, offset:-1].reshape(*data.shape, WORDS)
-        line_cells[0, fixed] = rendered[at:at + len(fixed)]
-        at += len(fixed)
-        for column, span in zip(lead, spans):
-            block[0, span] = column[0]
-        block[1:] = block[0]
-        for column, span in zip(lead, spans):
-            if len(column) > 1:
-                block[1:, span] = column[1:]
-        line_cells[:, varying] = rendered[at:at + len(data) * len(varying)].reshape(
-            len(data), len(varying), WORDS)
-        at += len(data) * len(varying)
-        row += len(data)
+    line_cells = words[:, spans[-1]:-1].reshape(*data.shape, WORDS)
+    line_cells[0, fixed] = rendered[:len(fixed)]
+    for column, start, stop in zip(lead, spans, spans[1:]):
+        words[0, start:stop] = column[0]
+    words[1:] = words[0]
+    for column, start, stop in zip(lead, spans, spans[1:]):
+        if len(column) > 1:
+            words[1:, start:stop] = column[1:]
+    line_cells[:, varying] = rendered[len(fixed):].reshape(len(data), len(varying), WORDS)
     words[:, 0] &= ~np.uint64(0xFF)  # no separator before the first cell
     used = np.bitwise_or.reduce(words, axis=0).view(np.uint8) != 0
     # `take` keeps C order; a boolean index on axis 1 returns F order, which

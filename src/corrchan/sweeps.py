@@ -11,15 +11,15 @@ A handler returns its CSV table, a header and all of its lines in chunks
 of CRLF text, and `cli` writes it. Each grid command evaluates its mu in
 passes: one call of the library's closed forms over all of the (probe, mu,
 t) points of a pass, up to _PASS_POINTS of them, which at the preset grids
-is every mu at once. `render` builds the text with numpy, byte for byte as
-'%.12g' prints each cell, one block of lines per pass: the t cells,
-rendered once per table, tiled over the pass's mu, each mu cell repeated
-over the grid, and each column that is constant over the block once.
+is every mu at once; `sss` solves the (g^-1, mu) cells of a pass, up to
+_PASS_POINTS rate points, as one stack. `render` builds the text with
+numpy, byte for byte as '%.12g' prints each cell, one block of lines per
+pass: the t cells, rendered once per table, tiled over the pass's mu, each
+mu cell repeated over the grid, and each column that is constant over the
+block once per part of `render.CHUNK` cells.
 Numpy warnings are silenced while a command runs: each invariant rejects
 NaN and inf itself, and a numeric failure prints one `numeric failure:` line.
 """
-
-from itertools import islice
 
 import numpy as np
 
@@ -43,9 +43,10 @@ def _times(args) -> np.ndarray:
     return np.linspace(0.0, args.tmax, args.steps)
 
 
-# (probe, mu, t) points evaluated in one pass: a command takes all of its mu
-# at once up to this bound and fewer beyond it, down to one mu and, in `blp`,
-# one probe pair, so that the memory of a long grid stays that of one mu
+# (probe, mu, t) points, or (g^-1, mu, t) rate points of `sss`, evaluated in
+# one pass: a command takes all of its mu at once up to this bound and fewer
+# beyond it, down to one mu and, in `blp`, one probe pair, or in `sss` one
+# cell, so that the memory of a long grid stays that of one mu
 _PASS_POINTS = 1 << 14
 
 
@@ -137,32 +138,21 @@ def _cmd_blp(args) -> Table:
     return ["mu", "pair", "blp"], lines([(values.reshape(-1, 1), lead)])
 
 
-# rate elements per `sss_measure` call: the cells of a chunk are solved
-# together, and the memory of a sweep does not grow with the number of cells
-_SSS_CHUNK = 1 << 14
-
-
 def _cmd_sss(args) -> Table:
-    times = _times(args)
+    times, mus = _times(args), args.mus
     reference = (-args.G / 2, -args.G) if args.family == "markov" else None  # memoryless limit
-    cells = [(g_inv, mu) for g_inv in args.g_inverses for mu in args.mus]
-    chunk = max(1, _SSS_CHUNK // len(times))
-
-    def rate_rows():
-        # each g^-1's rates once for all of its mu, in runs of at most a chunk
-        for g_inv in args.g_inverses:
-            for start in range(0, len(args.mus), chunk):
-                yield from zip(*correlated_oun_rates(
-                    times, args.oun_params[g_inv], args.mus[start:start + chunk]))
-
-    rows, zetas = rate_rows(), []
-    for _ in range(0, len(cells), chunk):
-        rates = list(islice(rows, chunk))
+    zetas = np.empty((len(args.g_inverses), len(mus)))
+    for group, run in _passes(len(args.g_inverses), len(mus), len(times), 1):
+        # the (g^-1, mu) cells of a pass, g^-1 by g^-1, solved as one stack
+        rates = np.concatenate([correlated_oun_rates(times, oun, mus[run])
+                                for oun in args.oun_params[group]], axis=1)
         try:
-            zetas += list(sss_measure(times, np.stack(rates, axis=1), reference))
+            zetas[group, run] = sss_measure(times, rates, reference).reshape(-1, len(mus[run]))
         except ValueError as exc:  # the grid is the only input it can reject
             raise ValueError(f"--tmax {args.tmax!r} and --steps {args.steps}: {exc}") from None
-    return ["g_inverse", "mu", "zeta"], lines([(np.column_stack([*zip(*cells), zetas]), [])])
+    data = np.column_stack([np.repeat(args.g_inverses, len(mus)), np.tile(mus, len(zetas)),
+                            zetas.ravel()])
+    return ["g_inverse", "mu", "zeta"], lines([(data, [])])
 
 
 def _cmd_volume(args) -> Table:

@@ -630,7 +630,7 @@ def test_free_sss_preset_evaluates_few_local_models(monkeypatch, tmp_path):
 
 
 def test_sss_memory_does_not_grow_with_cells(tmp_path):
-    # `sss` solves its cells in chunks of at most sweeps._SSS_CHUNK rate values:
+    # `sss` solves its cells in passes of at most sweeps._PASS_POINTS rate values:
     # twelve cells of 50000 times peak like one, where one stack of all of
     # them would take about twelve times its memory
     import tracemalloc

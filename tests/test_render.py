@@ -125,6 +125,50 @@ def test_lines_are_the_same_in_any_chunks(chunk, monkeypatch):
         assert len(chunks) == 90  # no varying column of a line fits beside another's
 
 
+@pytest.mark.parametrize("chunk", [1, 5, 64, 1 << 12])
+def test_blocks_are_rendered_on_their_own(chunk, monkeypatch):
+    """Blocks of 3, 17 and 40 lines, with lead columns of one row and of
+    every row and different constant columns: the chunks of a table are
+    those of each block alone, and no chunk holds lines of two blocks."""
+    monkeypatch.setattr(render, "CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    blocks = []
+    for rows, mu in ((3, 0.25), (17, -0.0), (40, 1e-300)):
+        data = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-12, 12, size=(rows, 3))
+        data[:, rows % 3] = mu
+        blocks.append((data, [cells(mu), labels([f"b{rows}:{k}" for k in range(rows)])]))
+    chunks = lines(iter(blocks))
+    alone = [lines([block]) for block in blocks]
+    assert chunks == [text for block in alone for text in block]
+    ends = np.cumsum([text.count("\r\n") for text in chunks])
+    assert {3, 20, 60} <= set(ends.tolist())  # every block ends at the end of a chunk
+
+
+def test_each_part_renders_its_cells_in_one_call(monkeypatch):
+    """A part of 128 lines of 16 varying and 16 constant columns, as an
+    `evolve` block with an X-shaped probe, fills CHUNK with its varying
+    cells and still renders them and its constant cells in one call."""
+    counts, cells_of_text = [], render._cells
+
+    def counting_cells(v, out):
+        counts[-1] += 1
+        return cells_of_text(v, out)
+
+    text_of_part = render._text
+
+    def counting_text(*args):
+        counts.append(0)
+        return text_of_part(*args)
+
+    monkeypatch.setattr(render, "_cells", counting_cells)
+    monkeypatch.setattr(render, "_text", counting_text)
+    data = np.zeros((300, 32))
+    data[:, ::2] = np.linspace(0.0, 1.0, 300)[:, None] * np.arange(1, 17)
+    text = "".join(lines([(data, [])]))
+    assert counts == [1, 1, 1]  # parts of 128, 128 and 44 lines
+    assert text.split("\r\n")[:-1] == [",".join(_reference(row)) for row in data]
+
+
 def test_labels_pad_any_length():
     names = ["a", "phi+:phi-", "random123456789", "x" * 40]
     data = np.zeros((4, 1))

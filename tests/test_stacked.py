@@ -9,13 +9,13 @@ volume, the success probability of error correction and the rates of the
 correlated OUN generator, which `volume`, `qec` and `sss` evaluate over the
 grid, for the NMAD decay rate, and for the closed-form transfer matrices of
 the oracle. A sequence of mu gives the stack of the calls with each mu, bit
-for bit, and the commands evaluate their (probe, mu, t) points in passes of
-at most `sweeps._PASS_POINTS`. A stack of
-SSS rate pairs on one grid gives each row's measure with the bits of a
-one-row call, and fails as a whole where one row fails. The chord median
-that the free solver starts from gives, over a stack, the bits of the
-per-row weighted median it replaced, and constructed rates still reach the
-solver's Weiszfeld step.
+for bit, and the commands evaluate their (probe, mu, t) points, and `sss`
+its (g^-1, mu, t) rate points, in passes of at most `sweeps._PASS_POINTS`.
+A stack of SSS rate pairs on one grid gives each row's measure with the
+bits of a one-row call, and fails as a whole where one row fails. The
+chord median that the free solver starts from gives, over a stack, the
+bits of the per-row weighted median it replaced, and constructed rates
+still reach the solver's Weiszfeld step.
 """
 
 import re
@@ -463,6 +463,38 @@ def test_passes_hold_at_most_the_bound(command, monkeypatch, capsys):
         assert sum(group * mus for group, mus, _ in passes) == 3 * probes
         if probes * 3 * steps <= 600:
             assert passes == [(probes, 3, steps)]
+
+
+@pytest.mark.parametrize("family", ["markov", "free"])
+def test_sss_passes_hold_at_most_the_bound(family, monkeypatch, capsys):
+    """`sss` solves its (g^-1, mu) cells in stacks of at most _PASS_POINTS
+    rate points, or of one cell, each cell once, and prints the bytes of an
+    unbounded run. Here the bound is 600 points, and the grids are 3 g^-1
+    by 4 mu by 200, 250 and 700 times."""
+    real = sweeps.sss_measure
+
+    def stacks_of(steps):
+        stacks = []
+
+        def counting(times, rates, reference=None):
+            stacks.append(np.array(rates))
+            return real(times, rates, reference)
+        monkeypatch.setattr(sweeps, "sss_measure", counting)
+        assert main(["sss", "--family", family, "--g-inverse", "10,50,100",
+                     "--mu", "0,0.3,0.6,0.9", "--steps", str(steps), "--out", "-"]) == 0
+        return stacks, capsys.readouterr().out
+
+    for steps in (200, 250, 700):
+        (whole,), text = stacks_of(steps)
+        with monkeypatch.context() as bounded:
+            bounded.setattr(sweeps, "_PASS_POINTS", 600)
+            stacks, bounded_text = stacks_of(steps)
+        assert bounded_text == text
+        for rates in stacks:
+            assert rates.shape[1] * steps <= 600 or rates.shape[1] == 1
+        rows = sorted(cell.tobytes() for rates in stacks for cell in rates.swapaxes(0, 1))
+        assert rows == sorted(cell.tobytes() for cell in whole.swapaxes(0, 1))
+        assert len(set(rows)) == 12
 
 
 @pytest.mark.parametrize("command", ["evolve", "concurrence", "tracedist", "volume"])
